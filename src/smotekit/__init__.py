@@ -8,136 +8,3 @@ AUC, and the ROC convex hull across resampling families.
 """
 
 __version__ = "0.1.0"
-
-from .data import (
-    CONTINUOUS,
-    NOMINAL,
-    ClassLabel,
-    Dataset,
-    FeatureSchema,
-    FoldAssignment,
-    load_csv,
-    save_csv,
-    stratified_folds,
-)
-from .distance import (
-    EuclideanMetric,
-    NcDistanceParams,
-    NcMetric,
-    VdmMetric,
-    VdmTable,
-    compute_med,
-    euclidean,
-    nc_distance,
-    vdm_delta,
-    vdm_distance,
-)
-from .errors import ConfigError, DataError, SmoteKitError
-from .evaluate import (
-    ConfusionMatrix,
-    HullVertex,
-    RocCurve,
-    RocPoint,
-    auc,
-    auc_e4,
-    build_family_curve,
-    confusion,
-    convex_hull,
-    metrics,
-)
-from .model import (
-    ClassifierSpec,
-    ExternalClassifier,
-    TrainedModel,
-    confusion_from_scores,
-    predict,
-    score,
-    threshold_sweep,
-    train,
-)
-from .neighbors import NeighborList, knn_minority
-from .pipeline import (
-    ExperimentConfig,
-    ExperimentResult,
-    emit_report,
-    load_manifest,
-    run_experiment,
-)
-from .resample import (
-    Provenance,
-    SmoteParams,
-    SyntheticBatch,
-    UnderSamplePlan,
-    apply_plan,
-    apply_plan_detailed,
-    audit_batch,
-    replicate_oversample,
-    smote,
-    smote_n,
-    smote_nc,
-    under_sample,
-    write_provenance,
-)
-
-__all__ = [
-    "CONTINUOUS",
-    "NOMINAL",
-    "ClassLabel",
-    "ClassifierSpec",
-    "ConfigError",
-    "ConfusionMatrix",
-    "DataError",
-    "Dataset",
-    "EuclideanMetric",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExternalClassifier",
-    "FeatureSchema",
-    "FoldAssignment",
-    "HullVertex",
-    "NcDistanceParams",
-    "NcMetric",
-    "NeighborList",
-    "Provenance",
-    "RocCurve",
-    "RocPoint",
-    "SmoteKitError",
-    "SmoteParams",
-    "SyntheticBatch",
-    "TrainedModel",
-    "UnderSamplePlan",
-    "VdmMetric",
-    "VdmTable",
-    "apply_plan",
-    "apply_plan_detailed",
-    "auc",
-    "auc_e4",
-    "audit_batch",
-    "build_family_curve",
-    "compute_med",
-    "confusion",
-    "confusion_from_scores",
-    "convex_hull",
-    "emit_report",
-    "euclidean",
-    "knn_minority",
-    "load_csv",
-    "load_manifest",
-    "metrics",
-    "nc_distance",
-    "predict",
-    "replicate_oversample",
-    "run_experiment",
-    "save_csv",
-    "score",
-    "smote",
-    "smote_n",
-    "smote_nc",
-    "stratified_folds",
-    "threshold_sweep",
-    "train",
-    "under_sample",
-    "vdm_delta",
-    "vdm_distance",
-    "write_provenance",
-]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .data import FeatureSchema, load_csv, save_csv
 from .errors import ConfigError, DataError
-from .evaluate import RocCurve, RocPoint, auc, auc_e4, convex_hull, write_hull_csv, write_points_csv, write_summary_json
+from .evaluate import RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import ClassifierSpec
 from .pipeline import ExperimentConfig, emit_report, load_manifest, run_experiment
 from .resample import apply_plan_detailed, write_provenance
@@ -82,6 +82,11 @@ def _load(args) -> tuple:
     return ds, info
 
 
+def _save(dataset, csv_path: Path) -> None:
+    save_csv(dataset, csv_path)
+    print(f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)")
+
+
 def _cmd_resample(args, variant: str) -> int:
     ds, _ = _load(args)
     out = Path(args.out)
@@ -101,14 +106,8 @@ def _cmd_resample(args, variant: str) -> int:
                 under_basis=args.under_basis,
             )
             stem = f"augmented_{variant}_o{over}_u{under}"
-            csv_path = out / f"{stem}.csv"
-            save_csv(detail.dataset, csv_path)
-            sidecar = out / f"{stem}.provenance.jsonl"
-            write_provenance(sidecar, detail.batch, variant)
-            print(
-                f"{csv_path}  ({detail.dataset.n_minority} minority / "
-                f"{detail.dataset.n_majority} majority rows)"
-            )
+            _save(detail.dataset, out / f"{stem}.csv")
+            write_provenance(out / f"{stem}.provenance.jsonl", detail.batch, variant)
     return 0
 
 
@@ -119,12 +118,7 @@ def _cmd_undersample(args) -> int:
     for under in args.under:
         # over_percent 0 skips synthesis entirely, so the variant is inert here
         detail = apply_plan_detailed(ds, 0, under, 1, args.seed, "smote")
-        csv_path = out / f"undersampled_u{under}.csv"
-        save_csv(detail.dataset, csv_path)
-        print(
-            f"{csv_path}  ({detail.dataset.n_minority} minority / "
-            f"{detail.dataset.n_majority} majority rows)"
-        )
+        _save(detail.dataset, out / f"undersampled_u{under}.csv")
     return 0
 
 
@@ -157,6 +151,11 @@ def _read_points_csv(path: str) -> list[RocCurve]:
     return [RocCurve(family, tuple(curves[family])) for family in order]
 
 
+def _print_aucs(aucs: dict) -> None:
+    for family, value in sorted(aucs.items()):
+        print(f"{family}: auc={value:.6f} ({auc_e4(value)})")
+
+
 def _cmd_evaluate(args) -> int:
     curves = _read_points_csv(args.points)
     out = Path(args.out)
@@ -165,22 +164,8 @@ def _cmd_evaluate(args) -> int:
     hull = convex_hull(curves)
     write_points_csv(out / "roc_points.csv", curves, hull)
     write_hull_csv(out / "hull.csv", hull)
-    write_summary_json(
-        out / "aucs.json",
-        {
-            "auc_anchor": args.auc_anchor,
-            "aucs": {
-                family: {"auc": value, "auc_e4": auc_e4(value)}
-                for family, value in sorted(aucs.items())
-            },
-            "hull_vertices": [
-                {"family": v.family, "tag": v.tag, "fp_rate": v.fp_rate, "tp_rate": v.tp_rate}
-                for v in hull
-            ],
-        },
-    )
-    for family, value in sorted(aucs.items()):
-        print(f"{family}: auc={value:.6f} ({auc_e4(value)})")
+    write_summary_json(out / "aucs.json", auc_summary(aucs, hull, args.auc_anchor))
+    _print_aucs(aucs)
     return 0
 
 
@@ -231,8 +216,7 @@ def _cmd_experiment(args) -> int:
         )
     result = run_experiment(ds, cfg)
     paths = emit_report(result, args.out, dataset_info=info)
-    for family, value in sorted(result.aucs.items()):
-        print(f"{family}: auc={value:.6f} ({auc_e4(value)})")
+    _print_aucs(result.aucs)
     print(result.statement)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -297,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--over", type=_int_list, default=list(ExperimentConfig().over_percents))
     p.add_argument("--under", type=_int_list, default=list(ExperimentConfig().under_percents))
-    p.add_argument("--k", type=int, default=5)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--variant",
         choices=["smote", "smote_nc", "smote_n", "replicate"],
@@ -327,15 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="thresholds swept by the threshold_sweep family",
     )
     p.add_argument(
-        "--gap-mode", choices=["per-attribute", "shared"], default="per-attribute"
-    )
-    p.add_argument(
-        "--neighbor-mode",
-        choices=["with-replacement", "distinct"],
-        default="with-replacement",
-    )
-    p.add_argument("--under-basis", choices=["pre", "post"], default="pre")
-    p.add_argument(
         "--no-raw-point",
         action="store_true",
         help="do not prepend the unresampled operating point to each curve",
@@ -345,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="rerun from a manifest.json written by a previous experiment",
     )
-    p.add_argument("--out", required=True)
+    _add_resample_flags(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -333,7 +333,8 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
 
     Shuffles each class independently and deals the rows round-robin from a
     random starting fold, so the remainder rows do not pile onto fold 0.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. A class with fewer rows than folds is a
+    DataError; ``n_folds < 2`` is a ValueError.
     """
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
@@ -341,7 +342,7 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
     fold_of_row = [0] * len(ds.rows)
     for class_indices in (ds.minority_indices(), ds.majority_indices()):
         if len(class_indices) < n_folds:
-            raise ValueError(
+            raise DataError(
                 f"class with {len(class_indices)} rows cannot fill {n_folds} folds"
             )
         perm = rng.permutation(len(class_indices))

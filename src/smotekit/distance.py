@@ -201,8 +201,8 @@ def vdm_distance(table: VdmTable, x: Row, y: Row) -> float:
     )
 
 
-def _chunked_euclidean(matrix: np.ndarray) -> np.ndarray:
-    """Exact pairwise Euclidean distances via broadcast differences.
+def _chunked_sq_euclidean(matrix: np.ndarray) -> np.ndarray:
+    """Exact pairwise squared Euclidean distances via broadcast differences.
 
     Avoids the |x|^2 + |y|^2 - 2xy trick so equal rows come out exactly 0 and
     tie-breaking stays reproducible.
@@ -212,7 +212,7 @@ def _chunked_euclidean(matrix: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_BUDGET // max(1, n * d))
     for s in range(0, n, step):
         diff = matrix[s:s + step, None, :] - matrix[None, :, :]
-        out[s:s + step] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        out[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
 
@@ -228,7 +228,8 @@ class EuclideanMetric:
         return euclidean(a, b, self.schema)
 
     def pairwise(self, rows: Sequence[Row]) -> np.ndarray:
-        return _chunked_euclidean(np.asarray(rows, dtype=float))
+        sq = _chunked_sq_euclidean(np.asarray(rows, dtype=float))
+        return np.sqrt(sq, out=sq)
 
 
 class NcMetric:
@@ -248,18 +249,13 @@ class NcMetric:
         cont = np.array(
             [[row[i] for i in schema.continuous_indices] for row in rows], dtype=float
         )
-        n = len(rows)
         med_sq = self.params.med * self.params.med
-        sq = np.zeros((n, n))
-        step = max(1, _CHUNK_BUDGET // max(1, n * max(1, cont.shape[1])))
-        for s in range(0, n, step):
-            diff = cont[s:s + step, None, :] - cont[None, :, :]
-            sq[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff)
+        sq = _chunked_sq_euclidean(cont)
         for i in schema.nominal_indices:
             codes_map: dict[str, int] = {}
             codes = np.array([codes_map.setdefault(row[i], len(codes_map)) for row in rows])
             sq += med_sq * (codes[:, None] != codes[None, :])
-        return np.sqrt(sq)
+        return np.sqrt(sq, out=sq)
 
 
 class VdmMetric:

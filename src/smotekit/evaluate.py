@@ -268,6 +268,22 @@ def write_hull_csv(path: str | Path, hull: Sequence[HullVertex]) -> None:
             )
 
 
+def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = "origin") -> dict:
+    """The ``aucs.json`` core: the AUC anchoring rule, per-family AUC as a
+    fraction and as ``auc_e4``, and the hull vertices."""
+    return {
+        "auc_anchor": anchor,
+        "aucs": {
+            family: {"auc": value, "auc_e4": auc_e4(value)}
+            for family, value in sorted(aucs.items())
+        },
+        "hull_vertices": [
+            {"family": v.family, "tag": v.tag, "fp_rate": v.fp_rate, "tp_rate": v.tp_rate}
+            for v in hull
+        ],
+    }
+
+
 def write_summary_json(path: str | Path, summary: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

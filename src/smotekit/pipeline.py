@@ -28,18 +28,16 @@ import logging
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .data import ClassLabel, Dataset, stratified_folds
+from .data import Dataset, stratified_folds
 from .errors import ConfigError
 from .evaluate import (
-    HullVertex,
     RocCurve,
     auc,
-    auc_e4,
+    auc_summary,
     build_family_curve,
     convex_hull,
     write_hull_csv,
@@ -167,10 +165,6 @@ class ExperimentResult:
     config: dict
 
 
-class _SkipCell(Exception):
-    pass
-
-
 def _base_family(curve_family: str) -> str:
     return curve_family.split("@", 1)[0]
 
@@ -208,19 +202,35 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     warnings_log: list[str] = []
     cell_sizes: dict = {}
 
-    def eval_resampled(family: str, tag: str, over: int, under, variant: str):
-        cms = []
-        sizes = []
-        for f, (train_ds, test_rows, test_labels) in enumerate(fold_data):
-            if over == 0 and under in (None, 0):
-                resampled = train_ds
-            else:
+    def fold_cms(score, threshold: float) -> list:
+        return [
+            confusion_from_scores(score(train_ds, test_rows), test_labels, threshold)
+            for train_ds, test_rows, test_labels in fold_data
+        ]
+
+    raw_cms = None
+
+    def sweep(label: str, variant: str, cells) -> RocCurve:
+        """One curve: the raw point, then each ``(tag, over, under)`` cell."""
+        nonlocal raw_cms
+        results = []
+        if cfg.include_raw_point:
+            if raw_cms is None:
+                raw_cms = fold_cms(scorer, cfg.classifier.threshold)
+            results.append(("raw", raw_cms))
+            cell_sizes[(label, "raw")] = [
+                (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
+            ]
+        for tag, over, under in cells:
+            cms = []
+            sizes = []
+            for f, (train_ds, test_rows, test_labels) in enumerate(fold_data):
                 detail = apply_plan_detailed(
                     train_ds,
                     over,
                     under,
                     cfg.k,
-                    child_seed(cfg.seed, family, tag, f),
+                    child_seed(cfg.seed, label, tag, f),
                     variant,
                     gap_mode=cfg.gap_mode,
                     neighbor_mode=cfg.neighbor_mode,
@@ -228,86 +238,40 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                 )
                 audit_batch(detail.batch, train_ds.n_minority)
                 resampled = detail.dataset
-            if resampled.n_majority == 0:
-                raise _SkipCell(
-                    f"{family} cell {tag}: under-sampling emptied the majority class"
-                )
-            scores = scorer(resampled, test_rows)
-            cms.append(
-                confusion_from_scores(scores, test_labels, cfg.classifier.threshold)
-            )
-            sizes.append((resampled.n_minority, resampled.n_majority))
-        cell_sizes[(family, tag)] = sizes
-        return cms
-
-    raw_cms = None
-
-    def raw_cell():
-        nonlocal raw_cms
-        if raw_cms is None:
-            raw_cms = []
-            for train_ds, test_rows, test_labels in fold_data:
-                scores = scorer(train_ds, test_rows)
-                raw_cms.append(
+                if resampled.n_majority == 0:
+                    skip = f"{label} cell {tag}: under-sampling emptied the majority class"
+                    warnings_log.append(skip)
+                    log.warning("%s", skip)
+                    break
+                scores = scorer(resampled, test_rows)
+                cms.append(
                     confusion_from_scores(scores, test_labels, cfg.classifier.threshold)
                 )
-        return raw_cms
-
-    def sweep_family(family: str, variant: str) -> list[RocCurve]:
-        curves = []
-        for over in cfg.over_percents:
-            label = f"{family}@{over}"
-            results = []
-            if cfg.include_raw_point:
-                results.append(("raw", raw_cell()))
-                cell_sizes[(label, "raw")] = [
-                    (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
-                ]
-            for under in cfg.under_percents:
-                tag = f"over={over},under={under}"
-                try:
-                    results.append((tag, eval_resampled(label, tag, over, under, variant)))
-                except _SkipCell as skip:
-                    warnings_log.append(str(skip))
-                    log.warning("%s", skip)
-            curves.append(build_family_curve(label, results))
-        return curves
+                sizes.append((resampled.n_minority, resampled.n_majority))
+            else:  # no fold skipped the cell
+                cell_sizes[(label, tag)] = sizes
+                results.append((tag, cms))
+        return build_family_curve(label, results)
 
     curves: list[RocCurve] = []
     for family in cfg.families:
-        if family == "smote_under":
-            curves.extend(sweep_family("smote_under", cfg.variant))
-        elif family == "replicate":
-            curves.extend(sweep_family("replicate", "replicate"))
-        elif family == "plain_under":
-            results = []
-            if cfg.include_raw_point:
-                results.append(("raw", raw_cell()))
-                cell_sizes[("plain_under", "raw")] = [
-                    (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
+        if family in ("smote_under", "replicate"):
+            variant = "replicate" if family == "replicate" else cfg.variant
+            for over in cfg.over_percents:
+                cells = [
+                    (f"over={over},under={under}", over, under)
+                    for under in cfg.under_percents
                 ]
-            for under in cfg.under_percents:
-                tag = f"under={under}"
-                try:
-                    results.append(
-                        (tag, eval_resampled("plain_under", tag, 0, under, cfg.variant))
-                    )
-                except _SkipCell as skip:
-                    warnings_log.append(str(skip))
-                    log.warning("%s", skip)
-            curves.append(build_family_curve("plain_under", results))
+                curves.append(sweep(f"{family}@{over}", variant, cells))
+        elif family == "plain_under":
+            # over-sampling at 0 percent leaves the variant inert
+            cells = [(f"under={under}", 0, under) for under in cfg.under_percents]
+            curves.append(sweep("plain_under", cfg.variant, cells))
         elif family == "priors_sweep":
             results = []
             for multiplier in cfg.prior_multipliers:
                 spec = dataclasses.replace(cfg.classifier, prior_multiplier=multiplier)
-                cms = []
-                for train_ds, test_rows, test_labels in fold_data:
-                    model = train(train_ds, spec)
-                    cms.append(
-                        confusion_from_scores(
-                            model.score_rows(test_rows), test_labels, spec.threshold
-                        )
-                    )
+                cms = fold_cms(_make_scorer(spec), spec.threshold)
                 results.append((f"prior={multiplier}", cms))
             curves.append(build_family_curve("priors_sweep", results))
         else:  # threshold_sweep
@@ -393,30 +357,17 @@ def emit_report(
     }
     write_points_csv(paths["roc_points"], result.curves, result.hull)
     write_hull_csv(paths["hull"], result.hull)
-    write_summary_json(
-        paths["aucs"],
+    summary = auc_summary(result.aucs, result.hull)
+    summary.update(
         {
-            "auc_anchor": "origin",
-            "aucs": {
-                family: {"auc": value, "auc_e4": auc_e4(value)}
-                for family, value in sorted(result.aucs.items())
-            },
-            "hull_vertices": [
-                {
-                    "family": v.family,
-                    "tag": v.tag,
-                    "fp_rate": v.fp_rate,
-                    "tp_rate": v.tp_rate,
-                }
-                for v in result.hull
-            ],
             "hull_vertex_counts": result.hull_counts,
             "hull_family_counts": result.family_hull_counts,
             "hull_dominant_family": result.dominant_family,
             "statement": result.statement,
             "warnings": result.warnings,
-        },
+        }
     )
+    write_summary_json(paths["aucs"], summary)
     write_summary_json(
         paths["manifest"],
         {

@@ -161,6 +161,55 @@ def _check_neighbors(neighbors: NeighborList, t: int) -> None:
         )
 
 
+def _synthesize(source, cont_idx, nom_idx, intern, params, neighbors, rng, base_votes):
+    """The synthesis loop shared by smote, smote_nc and smote_n.
+
+    For each planned base the nominal columns ``nom_idx`` are voted over the
+    base's neighbors (the base joins the vote only when ``base_votes``). With
+    no continuous columns nothing more is drawn and every row records
+    ``Provenance(b, b, ())``; otherwise neighbor picks and then gaps are drawn
+    and the continuous columns ``cont_idx`` are interpolated and clipped to
+    the base/neighbor box.
+    """
+    matrix = np.array([[row[i] for i in cont_idx] for row in source], dtype=float)
+    bases, per_base = _plan_bases(params.n_percent, len(source), rng)
+    rows: list[Row] = []
+    provenance: list[Provenance] = []
+    for b in bases:
+        b = int(b)
+        nlist = neighbors.lists[b]
+        built = list(source[b])
+        for i in nom_idx:
+            values = [source[j][i] for j in nlist]
+            if base_votes:
+                values.insert(0, source[b][i])
+            built[i] = _majority_vote(values, source[b][i], intern[i])
+        if not cont_idx:
+            for _ in range(per_base):
+                rows.append(tuple(built))
+                provenance.append(Provenance(b, b, ()))
+            continue
+        picks = _pick_neighbors(len(nlist), per_base, params.neighbor_mode, rng)
+        neighbor_idx = [nlist[p] for p in picks]
+        if params.gap_mode == SHARED:
+            draws = np.atleast_1d(rng.random(per_base))
+            gaps = draws[:, None]
+            recorded = [(g,) for g in draws.tolist()]
+        else:
+            gaps = np.atleast_2d(rng.random((per_base, len(cont_idx))))
+            recorded = [tuple(g) for g in gaps.tolist()]
+        base = matrix[b]
+        nb = matrix[neighbor_idx]
+        new = base + gaps * (nb - base)
+        new = np.clip(new, np.minimum(base, nb), np.maximum(base, nb))
+        for values, j, gap in zip(new.tolist(), neighbor_idx, recorded):
+            for i, v in zip(cont_idx, values):
+                built[i] = v
+            rows.append(tuple(built))
+            provenance.append(Provenance(b, int(j), gap))
+    return SyntheticBatch(rows, provenance)
+
+
 def smote(
     minority_rows: Sequence[Row],
     params: SmoteParams,
@@ -193,29 +242,10 @@ def smote(
         raise ValueError("smote requires all-continuous rows; use smote_nc or smote_n") from None
     if rng is None:
         rng = generator(params.seed, "smote")
-    bases, per_base = _plan_bases(params.n_percent, t, rng)
-    n_attrs = matrix.shape[1]
-    rows: list[Row] = []
-    provenance: list[Provenance] = []
-    for b in bases:
-        nlist = neighbors.lists[b]
-        picks = _pick_neighbors(len(nlist), per_base, params.neighbor_mode, rng)
-        neighbor_idx = [nlist[p] for p in picks]
-        if params.gap_mode == SHARED:
-            draws = np.atleast_1d(rng.random(per_base))
-            gaps = np.repeat(draws[:, None], n_attrs, axis=1)
-            recorded = [(float(g),) for g in draws]
-        else:
-            gaps = np.atleast_2d(rng.random((per_base, n_attrs)))
-            recorded = [tuple(float(g) for g in row) for row in gaps]
-        base = matrix[b]
-        nb = matrix[neighbor_idx]
-        new = base + gaps * (nb - base)
-        new = np.clip(new, np.minimum(base, nb), np.maximum(base, nb))
-        for s in range(per_base):
-            rows.append(tuple(float(v) for v in new[s]))
-            provenance.append(Provenance(int(b), int(neighbor_idx[s]), recorded[s]))
-    return SyntheticBatch(rows, provenance)
+    return _synthesize(
+        minority_rows, range(matrix.shape[1]), (), (), params, neighbors, rng,
+        base_votes=False,
+    )
 
 
 def smote_nc(
@@ -248,42 +278,10 @@ def smote_nc(
     _check_neighbors(neighbors, t)
     if rng is None:
         rng = generator(params.seed, "smote")
-    cont = schema.continuous_indices
-    nom = schema.nominal_indices
-    matrix = np.array([[row[i] for i in cont] for row in source], dtype=float)
-    bases, per_base = _plan_bases(params.n_percent, t, rng)
-    rows: list[Row] = []
-    provenance: list[Provenance] = []
-    for b in bases:
-        nlist = neighbors.lists[b]
-        voted = {
-            i: _majority_vote(
-                [source[j][i] for j in nlist], source[b][i], ds_minority.intern[i]
-            )
-            for i in nom
-        }
-        picks = _pick_neighbors(len(nlist), per_base, params.neighbor_mode, rng)
-        neighbor_idx = [nlist[p] for p in picks]
-        if params.gap_mode == SHARED:
-            draws = np.atleast_1d(rng.random(per_base))
-            gaps = np.repeat(draws[:, None], len(cont), axis=1)
-            recorded = [(float(g),) for g in draws]
-        else:
-            gaps = np.atleast_2d(rng.random((per_base, len(cont))))
-            recorded = [tuple(float(g) for g in row) for row in gaps]
-        base = matrix[b]
-        nb = matrix[neighbor_idx]
-        new = base + gaps * (nb - base)
-        new = np.clip(new, np.minimum(base, nb), np.maximum(base, nb))
-        for s in range(per_base):
-            built = list(source[b])
-            for position, i in enumerate(cont):
-                built[i] = float(new[s][position])
-            for i in nom:
-                built[i] = voted[i]
-            rows.append(tuple(built))
-            provenance.append(Provenance(int(b), int(neighbor_idx[s]), recorded[s]))
-    return SyntheticBatch(rows, provenance)
+    return _synthesize(
+        source, schema.continuous_indices, schema.nominal_indices, ds_minority.intern,
+        params, neighbors, rng, base_votes=False,
+    )
 
 
 def smote_n(
@@ -312,23 +310,10 @@ def smote_n(
     _check_neighbors(neighbors, t)
     if rng is None:
         rng = generator(params.seed, "smote")
-    bases, per_base = _plan_bases(params.n_percent, t, rng)
-    rows: list[Row] = []
-    provenance: list[Provenance] = []
-    for b in bases:
-        nlist = neighbors.lists[b]
-        voted = tuple(
-            _majority_vote(
-                [minority_rows[b][f]] + [minority_rows[j][f] for j in nlist],
-                minority_rows[b][f],
-                table.intern[f],
-            )
-            for f in range(table.n_features)
-        )
-        for _ in range(per_base):
-            rows.append(voted)
-            provenance.append(Provenance(int(b), int(b), ()))
-    return SyntheticBatch(rows, provenance)
+    return _synthesize(
+        minority_rows, (), range(table.n_features), table.intern, params, neighbors, rng,
+        base_votes=True,
+    )
 
 
 def replicate_oversample(
@@ -385,14 +370,14 @@ def under_sample(
 
 @dataclass
 class PlanResult:
-    """apply_plan output with the intermediate pieces kept for audits."""
+    """apply_plan_detailed output with the intermediate pieces kept for audits."""
 
     dataset: Dataset
     batch: SyntheticBatch
     retained_majority: list
 
 
-def apply_plan(
+def apply_plan_detailed(
     train: Dataset,
     over_percent: int,
     under_percent,
@@ -403,7 +388,7 @@ def apply_plan(
     neighbor_mode: str = WITH_REPLACEMENT,
     under_basis: str = "pre",
     shuffle: bool = False,
-) -> Dataset:
+) -> PlanResult:
     """Compose over- and under-sampling on a training split.
 
     Args:
@@ -423,35 +408,9 @@ def apply_plan(
             retained majority.
 
     Returns:
-        A new dataset; the input is untouched.
+        A PlanResult: the new dataset (the input is untouched), the synthetic
+        batch, and the retained majority indices.
     """
-    return apply_plan_detailed(
-        train,
-        over_percent,
-        under_percent,
-        k,
-        seed,
-        variant,
-        gap_mode=gap_mode,
-        neighbor_mode=neighbor_mode,
-        under_basis=under_basis,
-        shuffle=shuffle,
-    ).dataset
-
-
-def apply_plan_detailed(
-    train: Dataset,
-    over_percent: int,
-    under_percent,
-    k: int,
-    seed: int,
-    variant: str = "smote",
-    gap_mode: str = PER_ATTRIBUTE,
-    neighbor_mode: str = WITH_REPLACEMENT,
-    under_basis: str = "pre",
-    shuffle: bool = False,
-) -> PlanResult:
-    """apply_plan, returning the synthetic batch and retained indices too."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if under_basis not in ("pre", "post"):

@@ -226,6 +226,21 @@ def test_experiment_bad_family_is_exit_2(toy, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_experiment_folds_above_minority_count_is_exit_3(toy, tmp_path, capsys):
+    rc = main(
+        [
+            "experiment",
+            *data_args(toy),
+            "--folds", "25",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "25 folds" in err
+
+
 def test_experiment_requires_data_without_manifest(tmp_path, capsys):
     rc = main(["experiment", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -232,7 +232,7 @@ def test_folds_class_counts_differ_by_at_most_one():
 
 def test_folds_reject_thin_class():
     ds = _balanced_dataset(3, 20)
-    with pytest.raises(ValueError, match="folds"):
+    with pytest.raises(DataError, match="folds"):
         stratified_folds(ds, 4, seed=0)
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.errors import ConfigError
@@ -222,3 +224,30 @@ def test_emit_report_requires_curves(tmp_path):
     with pytest.raises(ConfigError, match="no curves"):
         emit_report(result, tmp_path / "never")
     assert not (tmp_path / "never").exists()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    shared=st.lists(
+        st.sampled_from(["smote_under", "plain_under", "threshold_sweep"]),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    ),
+    extra=st.sampled_from(["replicate", "priors_sweep"]),
+    position=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adding_a_family_leaves_existing_families_unchanged(shared, extra, position, seed):
+    ds = gaussian_dataset(n_min=12, n_maj=36)
+    families = list(shared)
+    families.insert(min(position, len(families)), extra)
+    options = dict(n_folds=3, seed=seed, thresholds=(0.5, 0.2), prior_multipliers=(1, 4))
+    alone = run_experiment(ds, small_config(families=tuple(shared), **options))
+    joined = run_experiment(ds, small_config(families=tuple(families), **options))
+    joined_curves = {curve.family: curve for curve in joined.curves}
+    for curve in alone.curves:
+        assert joined_curves[curve.family].points == curve.points
+        assert joined.aucs[curve.family] == alone.aucs[curve.family]
+    for key, sizes in alone.cell_sizes.items():
+        assert joined.cell_sizes[key] == sizes

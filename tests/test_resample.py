@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcDistanceParams,
+    NcMetric,
+    VdmMetric,
     VdmTable,
     compute_med,
 )
@@ -19,7 +23,6 @@ from smotekit.resample import (
     SHARED,
     SmoteParams,
     UnderSamplePlan,
-    apply_plan,
     apply_plan_detailed,
     audit_batch,
     replicate_oversample,
@@ -391,24 +394,24 @@ def _plan_dataset(n_min=50, n_maj=200):
 
 def test_apply_plan_pure_balancing():
     ds = _plan_dataset()
-    out = apply_plan(ds, 0, 100, k=5, seed=1)
+    out = apply_plan_detailed(ds, 0, 100, k=5, seed=1).dataset
     assert out.n_minority == 50
     assert out.n_majority == 50
 
 
 def test_apply_plan_under_basis_pre_and_post():
     ds = _plan_dataset()
-    pre = apply_plan(ds, 100, 100, k=5, seed=1, under_basis="pre")
+    pre = apply_plan_detailed(ds, 100, 100, k=5, seed=1, under_basis="pre").dataset
     assert pre.n_minority == 100
     assert pre.n_majority == 50
-    post = apply_plan(ds, 100, 100, k=5, seed=1, under_basis="post")
+    post = apply_plan_detailed(ds, 100, 100, k=5, seed=1, under_basis="post").dataset
     assert post.n_minority == 100
     assert post.n_majority == 100
 
 
 def test_apply_plan_noop_preserves_content():
     ds = _plan_dataset(10, 30)
-    out = apply_plan(ds, 0, None, k=5, seed=1)
+    out = apply_plan_detailed(ds, 0, None, k=5, seed=1).dataset
     assert sorted(zip(out.rows, out.labels), key=repr) == sorted(
         zip(ds.rows, ds.labels), key=repr
     )
@@ -429,8 +432,8 @@ def test_apply_plan_row_order_and_detail():
 
 def test_apply_plan_shuffle_permutes_not_changes():
     ds = _plan_dataset(10, 40)
-    plain = apply_plan(ds, 100, 100, k=3, seed=9, shuffle=False)
-    mixed = apply_plan(ds, 100, 100, k=3, seed=9, shuffle=True)
+    plain = apply_plan_detailed(ds, 100, 100, k=3, seed=9, shuffle=False).dataset
+    mixed = apply_plan_detailed(ds, 100, 100, k=3, seed=9, shuffle=True).dataset
     assert sorted(zip(plain.rows, plain.labels), key=repr) == sorted(
         zip(mixed.rows, mixed.labels), key=repr
     )
@@ -439,7 +442,7 @@ def test_apply_plan_shuffle_permutes_not_changes():
 
 def test_apply_plan_replicate_variant():
     ds = _plan_dataset(10, 40)
-    out = apply_plan(ds, 300, None, k=3, seed=2, variant="replicate")
+    out = apply_plan_detailed(ds, 300, None, k=3, seed=2, variant="replicate").dataset
     assert out.n_minority == 40
     assert out.n_majority == 40
     originals = set(ds.rows[i] for i in ds.minority_indices())
@@ -449,21 +452,21 @@ def test_apply_plan_replicate_variant():
 def test_apply_plan_rejects_unknown_variant():
     ds = _plan_dataset(4, 8)
     with pytest.raises(ValueError, match="variant"):
-        apply_plan(ds, 100, None, k=1, seed=0, variant="mystery")
+        apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="mystery")
 
 
 def test_apply_plan_rejects_wrong_schema_for_variant():
     ds = _plan_dataset(4, 8)
     with pytest.raises(ValueError, match="mixed"):
-        apply_plan(ds, 100, None, k=1, seed=0, variant="smote_nc")
+        apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_nc")
     with pytest.raises(ValueError, match="nominal"):
-        apply_plan(ds, 100, None, k=1, seed=0, variant="smote_n")
+        apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_n")
 
 
 def test_apply_plan_determinism():
     ds = _plan_dataset(20, 60)
-    a = apply_plan(ds, 200, 150, k=5, seed=123)
-    b = apply_plan(ds, 200, 150, k=5, seed=123)
+    a = apply_plan_detailed(ds, 200, 150, k=5, seed=123).dataset
+    b = apply_plan_detailed(ds, 200, 150, k=5, seed=123).dataset
     assert a == b
 
 
@@ -505,3 +508,92 @@ def test_smote_params_validation():
         SmoteParams(100, 1, 0, neighbor_mode="psychic")
     with pytest.raises(ValueError):
         UnderSamplePlan(0, seed=1)
+
+
+def _expected_vote(values, base_value, first_seen):
+    counts = {}
+    for value in values:
+        counts[value] = counts.get(value, 0) + 1
+    top = max(counts.values())
+    leaders = [value for value, count in counts.items() if count == top]
+    if base_value in leaders:
+        return base_value
+    return min(leaders, key=first_seen.index)
+
+
+@st.composite
+def _minority_sets(draw):
+    """(shape, schema, minority rows, majority rows) for one of the three
+    schema shapes, with few categories and coarse floats so votes tie and
+    coordinates coincide."""
+    shape = draw(st.sampled_from(["continuous", "mixed", "nominal"]))
+    n_cont = 0 if shape == "nominal" else draw(st.integers(1, 3))
+    n_nom = 0 if shape == "continuous" else draw(st.integers(1, 3))
+    kinds = draw(st.permutations(["continuous"] * n_cont + ["nominal"] * n_nom))
+    schema = FeatureSchema(tuple((f"f{i}", kind) for i, kind in enumerate(kinds)), "cls")
+    cell = {
+        "continuous": st.integers(-4, 4).map(lambda v: v / 2),
+        "nominal": st.sampled_from("ABC"),
+    }
+    row = st.tuples(*(cell[kind] for kind in kinds))
+    t = draw(st.integers(2, 8))
+    minority = draw(st.lists(row, min_size=t, max_size=t))
+    majority = draw(st.lists(row, min_size=1, max_size=3))
+    return shape, schema, minority, majority
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=_minority_sets(),
+    gap_mode=st.sampled_from([PER_ATTRIBUTE, SHARED]),
+    n_percent=st.sampled_from([50, 100, 300]),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, seed):
+    shape, schema, minority, majority = data
+    t = len(minority)
+    params = SmoteParams(n_percent=n_percent, k=k, seed=seed, gap_mode=gap_mode)
+    if shape == "continuous":
+        nbrs = knn_minority(minority, k, EuclideanMetric(schema))
+        batch = smote(minority, params, nbrs)
+        vote_pool = minority
+    elif shape == "mixed":
+        ds = Dataset(schema, tuple(minority), tuple([ClassLabel.MINORITY] * t))
+        nc = compute_med(minority, schema)
+        nbrs = knn_minority(minority, k, NcMetric(schema, nc))
+        batch = smote_nc(ds, params, nc, nbrs)
+        vote_pool = minority
+    else:
+        ds = Dataset(
+            schema,
+            tuple(minority + majority),
+            tuple([ClassLabel.MINORITY] * t + [ClassLabel.MAJORITY] * len(majority)),
+        )
+        table = VdmTable.from_dataset(ds)
+        nbrs = knn_minority(minority, k, VdmMetric(table))
+        batch = smote_n(minority, params, table, nbrs)
+        vote_pool = minority + majority
+
+    expected = (n_percent // 100) * t if n_percent >= 100 else n_percent * t // 100
+    assert len(batch.rows) == len(batch.provenance) == expected
+
+    cont = schema.continuous_indices
+    for row, record in zip(batch.rows, batch.provenance):
+        b = record.base_index
+        base = minority[b]
+        assert len(row) == len(base)
+        if shape == "nominal":
+            assert (record.base_index, record.neighbor_index, record.gaps) == (b, b, ())
+        else:
+            nb = minority[record.neighbor_index]
+            assert record.neighbor_index in nbrs.lists[b]
+            assert len(record.gaps) == (1 if gap_mode == SHARED else len(cont))
+            for i in cont:
+                assert min(base[i], nb[i]) <= row[i] <= max(base[i], nb[i])
+        for i in schema.nominal_indices:
+            first_seen = list(dict.fromkeys(r[i] for r in vote_pool))
+            voters = [minority[j][i] for j in nbrs.lists[b]]
+            if shape == "nominal":
+                voters = [base[i]] + voters
+            assert row[i] == _expected_vote(voters, base[i], first_seen)

@@ -1,21 +1,27 @@
 """Datasets with mixed continuous/nominal features, CSV I/O, and stratified folds.
 
-A dataset is an immutable-by-convention table of feature vectors plus a binary
-class label per row. Continuous entries are finite floats; nominal entries are
-category tokens interned in first-appearance order, which makes majority-vote
-tie-breaking deterministic downstream. The minority class must not outnumber
-the majority class at load time (later resampling may flip that freely).
+A dataset is a table of feature vectors plus a binary class label per row,
+held in read-only column blocks that every layer reads. Continuous entries are
+finite floats; nominal entries are category tokens interned in
+first-appearance order and stored as their codes, which makes majority-vote
+tie-breaking deterministic downstream. Feature tuples are built from the
+blocks only at the boundaries: CSV files, provenance and scorers. The minority
+class must not outnumber the majority class at load time (later resampling
+may flip that freely).
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .rng import generator
@@ -118,85 +124,161 @@ class FeatureSchema:
 
 def _intern_categories(schema: FeatureSchema, rows: Sequence[Row]):
     """First-appearance intern table per nominal feature (None for continuous)."""
-    tables: list[dict[str, int] | None] = [
-        {} if kind == NOMINAL else None for kind in schema.kinds
-    ]
-    for row in rows:
-        for i in schema.nominal_indices:
-            table = tables[i]
-            value = row[i]
-            if value not in table:
-                table[value] = len(table)
-    return tuple(tables)
+    return tuple(
+        {value: code for code, value in enumerate(dict.fromkeys(row[i] for row in rows))}
+        if kind == NOMINAL
+        else None
+        for i, kind in enumerate(schema.kinds)
+    )
 
 
-@dataclass
+def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
+    """The continuous block and the nominal code block of ``rows``.
+
+    This is the one place feature tuples become arrays: a float64 block of
+    the continuous columns and an integer block of the nominal columns, both
+    in schema order. Codes index ``intern``; a token missing from its table
+    gets code -1.
+    """
+    cont = np.empty((len(rows), len(schema.continuous_indices)))
+    codes = np.empty((len(rows), len(schema.nominal_indices)), dtype=np.intp)
+    try:
+        for j, i in enumerate(schema.continuous_indices):
+            cont[:, j] = [row[i] for row in rows]
+    except (TypeError, ValueError):
+        raise DataError("non-numeric value in a continuous column") from None
+    for j, i in enumerate(schema.nominal_indices):
+        table = intern[i]
+        codes[:, j] = [table.get(row[i], -1) for row in rows]
+    return cont, codes
+
+
+_CSV_CHUNK_ROWS = 1024
+
+
 class Dataset:
-    """Rows, labels, and the interning tables that order nominal categories.
+    """A binary-class table held as three read-only column blocks.
 
-    Treat instances as immutable after construction. ``minority_token`` and
-    ``majority_token`` preserve the class spellings of the source file so a
-    save/load round trip is exact.
+    ``cont`` is a C-contiguous float64 block (rows x continuous features),
+    ``codes`` an integer block (rows x nominal features) whose entries index
+    the first-appearance ``intern`` tables, and ``minority`` a boolean mask.
+    Every layer reads the blocks; ``rows`` and ``labels`` rebuild tuples from
+    them on each access and are meant for the CSV, provenance and scorer
+    boundaries. Subsets and resampled sets share their parent's intern tables.
+    ``minority_token`` and ``majority_token`` preserve the class spellings of
+    the source file so a save/load round trip is exact.
     """
 
-    schema: FeatureSchema
-    rows: tuple[Row, ...]
-    labels: tuple[ClassLabel, ...]
-    minority_token: str = "minority"
-    majority_token: str = "majority"
-    intern: tuple = field(default=None)
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        rows: Sequence[Row],
+        labels: Sequence[ClassLabel],
+        minority_token: str = "minority",
+        majority_token: str = "majority",
+        intern: tuple = None,
+    ):
+        self.schema = schema
+        self.minority_token = minority_token
+        self.majority_token = majority_token
+        self.intern = intern
+        self.__post_init__(rows, labels)
 
-    def __post_init__(self):
-        self.rows = tuple(tuple(row) for row in self.rows)
-        self.labels = tuple(ClassLabel(lab) for lab in self.labels)
-        if len(self.rows) != len(self.labels):
-            raise DataError(
-                f"{len(self.rows)} rows but {len(self.labels)} labels"
-            )
+    def __post_init__(self, rows: Sequence[Row], labels: Sequence[ClassLabel]):
+        """Check ``rows`` and ``labels`` and build the blocks from them; a
+        step of its own, which ``bench/tracing.py`` times by this name."""
+        rows = tuple(rows)
+        minority = np.array(
+            [ClassLabel(lab) is ClassLabel.MINORITY for lab in labels], dtype=bool
+        )
+        if len(rows) != len(minority):
+            raise DataError(f"{len(rows)} rows but {len(minority)} labels")
         arity = len(self.schema.features)
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != arity:
                 raise DataError(f"row {i} has {len(row)} entries, expected {arity}")
         if self.intern is None:
-            self.intern = _intern_categories(self.schema, self.rows)
+            self.intern = _intern_categories(self.schema, rows)
+        cont, codes = encode_rows(self.schema, rows, self.intern)
+        if (codes < 0).any():
+            raise DataError("a nominal value is missing from the given intern table")
+        self._set_blocks(cont, codes, minority)
+
+    def _set_blocks(self, cont: np.ndarray, codes: np.ndarray, minority: np.ndarray):
+        for block in (cont, codes, minority):
+            block.flags.writeable = False
+        self.cont, self.codes, self.minority = cont, codes, minority
+
+    def with_blocks(self, cont: np.ndarray, codes: np.ndarray, minority: np.ndarray) -> "Dataset":
+        """A dataset of freshly built blocks that shares this one's schema,
+        class tokens and intern tables; the blocks become read-only."""
+        out = copy.copy(self)
+        out._set_blocks(np.ascontiguousarray(cont, dtype=float), codes, minority)
+        return out
+
+    def columns(self, part: slice = slice(None)) -> list[list]:
+        """One Python list per feature in schema order, of the rows in
+        ``part``: floats for continuous features, tokens for nominal ones."""
+        out: list = [None] * len(self.schema.features)
+        for j, i in enumerate(self.schema.continuous_indices):
+            out[i] = self.cont[part, j].tolist()
+        for j, i in enumerate(self.schema.nominal_indices):
+            tokens = list(self.intern[i])
+            out[i] = [tokens[c] for c in self.codes[part, j].tolist()]
+        return out
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(zip(*self.columns()))
+
+    @property
+    def labels(self) -> tuple[ClassLabel, ...]:
+        return tuple(
+            ClassLabel.MINORITY if m else ClassLabel.MAJORITY for m in self.minority.tolist()
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.minority)
+
+    def __repr__(self) -> str:
+        return (
+            f"Dataset(schema={self.schema!r}, rows={self.rows!r}, "
+            f"labels={self.labels!r}, minority_token={self.minority_token!r}, "
+            f"majority_token={self.majority_token!r}, intern={self.intern!r})"
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            (self.schema, self.minority_token, self.majority_token, self.intern)
+            == (other.schema, other.minority_token, other.majority_token, other.intern)
+            and np.array_equal(self.cont, other.cont)
+            and np.array_equal(self.codes, other.codes)
+            and np.array_equal(self.minority, other.minority)
+        )
 
     @property
     def n_minority(self) -> int:
-        return sum(1 for lab in self.labels if lab is ClassLabel.MINORITY)
+        return int(np.count_nonzero(self.minority))
 
     @property
     def n_majority(self) -> int:
-        return len(self.labels) - self.n_minority
+        return len(self) - self.n_minority
 
     def minority_indices(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab is ClassLabel.MINORITY]
+        return np.flatnonzero(self.minority).tolist()
 
     def majority_indices(self) -> list[int]:
-        return [i for i, lab in enumerate(self.labels) if lab is ClassLabel.MAJORITY]
+        return np.flatnonzero(~self.minority).tolist()
 
-    def minority_rows(self) -> list[Row]:
-        return [self.rows[i] for i in self.minority_indices()]
-
-    def class_token(self, label: ClassLabel) -> str:
-        return self.minority_token if label is ClassLabel.MINORITY else self.majority_token
-
-    def subset(self, indices: Iterable[int]) -> "Dataset":
+    def subset(self, indices: Sequence[int]) -> "Dataset":
         """Row slice preserving schema, class tokens, and intern order."""
-        idx = list(indices)
-        return Dataset(
-            schema=self.schema,
-            rows=tuple(self.rows[i] for i in idx),
-            labels=tuple(self.labels[i] for i in idx),
-            minority_token=self.minority_token,
-            majority_token=self.majority_token,
-            intern=self.intern,
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        return self.with_blocks(self.cont[idx], self.codes[idx], self.minority[idx])
 
     def minority_subset(self) -> "Dataset":
-        return self.subset(self.minority_indices())
+        return self.subset(np.flatnonzero(self.minority))
 
 
 def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Dataset:
@@ -280,38 +362,42 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
             f"{path}: expected exactly two class values, found {distinct}; "
             "collapse multi-class data before loading"
         )
-    majority_label = others[0]
-    labels = tuple(
+    labels = [
         ClassLabel.MINORITY if tok == minority_label else ClassLabel.MAJORITY
         for tok in tokens
-    )
-    n_min = sum(1 for lab in labels if lab is ClassLabel.MINORITY)
-    if n_min > len(labels) - n_min:
+    ]
+    ds = Dataset(schema, rows, labels, minority_label, others[0])
+    if ds.n_minority > ds.n_majority:
         raise DataError(
-            f"{path}: minority class {minority_label!r} has {n_min} rows, more than "
-            f"the majority class; check the minority label"
+            f"{path}: minority class {minority_label!r} has {ds.n_minority} rows, "
+            "more than the majority class; check the minority label"
         )
-    return Dataset(
-        schema=schema,
-        rows=tuple(rows),
-        labels=labels,
-        minority_token=minority_label,
-        majority_token=majority_label,
-    )
+    return ds
 
 
-def save_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a Dataset back to CSV in schema order; floats use repr for exact reload."""
+def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
+    """Write a Dataset as CSV in schema order; floats use repr for exact reload.
+
+    ``class_column=False`` leaves the class column out, as the external
+    scorer's test file must.
+    """
+    header = list(ds.schema.names)
+    if class_column:
+        header.append(ds.schema.class_column)
+    tokens = (ds.majority_token, ds.minority_token)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.schema.names) + [ds.schema.class_column])
-        for row, label in zip(ds.rows, ds.labels):
-            record = [
-                repr(value) if kind == CONTINUOUS else value
-                for value, kind in zip(row, ds.schema.kinds)
+        writer.writerow(header)
+        # a chunk of rows at a time, so a large set is never all text at once
+        for start in range(0, len(ds), _CSV_CHUNK_ROWS):
+            part = slice(start, start + _CSV_CHUNK_ROWS)
+            columns = [
+                [repr(value) for value in column] if kind == CONTINUOUS else column
+                for column, kind in zip(ds.columns(part), ds.schema.kinds)
             ]
-            record.append(ds.class_token(label))
-            writer.writerow(record)
+            if class_column:
+                columns.append([tokens[m] for m in ds.minority[part].tolist()])
+            writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -339,7 +425,7 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     rng = generator(seed, "stratified-folds")
-    fold_of_row = [0] * len(ds.rows)
+    fold_of_row = [0] * len(ds)
     for class_indices in (ds.minority_indices(), ds.majority_indices()):
         if len(class_indices) < n_folds:
             raise DataError(

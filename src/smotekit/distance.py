@@ -9,19 +9,19 @@ Three semantics, one per schema shape:
 * all-nominal: the value difference metric (VDM), where two categories are
   close when their class-conditional distributions are close.
 
-Each metric also exists as a small callable class with a vectorized
-``pairwise`` method, which the neighbor search uses.
+Each metric also exists as a small callable class whose vectorized
+``pairwise`` method reads a Dataset's column blocks; the neighbor search uses
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .data import CONTINUOUS, ClassLabel, Dataset, FeatureSchema, Row
+from .data import CONTINUOUS, Dataset, FeatureSchema, Row
 
 _CHUNK_BUDGET = 1 << 22  # floats per broadcast chunk, ~32MB
 
@@ -54,20 +54,20 @@ class NcDistanceParams:
             raise ValueError(f"med must be finite and non-negative, got {self.med}")
 
 
-def compute_med(minority_rows: Sequence[Row], schema: FeatureSchema) -> NcDistanceParams:
+def compute_med(minority: Dataset) -> NcDistanceParams:
     """Median of the minority class's per-feature sample standard deviations.
 
-    Standard deviations use the n-1 denominator; a single-row minority class
-    yields 0. With an even feature count the median is the mean of the two
-    central values. Nominal features are ignored; an all-nominal schema is an
-    error (use the value difference metric instead).
+    ``minority`` holds the minority rows only. Standard deviations use the
+    n-1 denominator; a single-row minority class yields 0. With an even
+    feature count the median is the mean of the two central values. Nominal
+    features are ignored; an all-nominal schema is an error (use the value
+    difference metric instead).
     """
-    cont = schema.continuous_indices
-    if not cont:
+    if minority.schema.all_nominal:
         raise ValueError("compute_med requires at least one continuous feature")
-    if not minority_rows:
+    if not len(minority):
         raise ValueError("compute_med requires at least one minority row")
-    matrix = np.array([[row[i] for i in cont] for row in minority_rows], dtype=float)
+    matrix = minority.cont
     if matrix.shape[0] == 1:
         stds = np.zeros(matrix.shape[1])
     else:
@@ -99,17 +99,15 @@ class VdmTable:
     """Per-feature category counts backing the value difference metric.
 
     ``counts[f][value]`` is ``(minority_count, majority_count)`` for that
-    category in the table's training rows. ``intern[f]`` orders categories by
-    first appearance and feeds deterministic tie-breaking in vote-based
-    synthesis. ``k_exp`` is the exponent inside the per-feature delta,
-    ``r`` the exponent applied to deltas when summing across features;
-    both default to 1 (Manhattan-style accumulation).
+    category in the table's training rows; only categories seen there have
+    an entry. ``k_exp`` is the exponent inside the per-feature delta, ``r``
+    the exponent applied to deltas when summing across features; both
+    default to 1 (Manhattan-style accumulation).
     """
 
     counts: tuple
     k_exp: int = 1
     r: int = 1
-    intern: tuple = None
 
     def __post_init__(self):
         if self.k_exp < 1 or self.r < 1:
@@ -121,53 +119,30 @@ class VdmTable:
                         f"feature {f} category {value!r} has invalid counts "
                         f"({n_min}, {n_maj})"
                     )
-        if self.intern is None:
-            object.__setattr__(
-                self,
-                "intern",
-                tuple({value: i for i, value in enumerate(table)} for table in self.counts),
-            )
 
     @property
     def n_features(self) -> int:
         return len(self.counts)
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Row],
-        labels: Sequence[ClassLabel],
-        k_exp: int = 1,
-        r: int = 1,
-        intern: tuple = None,
-    ) -> "VdmTable":
-        if not rows:
-            raise ValueError("cannot build a VDM table from zero rows")
-        if len(rows) != len(labels):
-            raise ValueError("rows and labels differ in length")
-        arity = len(rows[0])
-        counts = [dict() for _ in range(arity)]
-        for row, label in zip(rows, labels):
-            if len(row) != arity:
-                raise ValueError("ragged rows")
-            is_min = ClassLabel(label) is ClassLabel.MINORITY
-            for f, value in enumerate(row):
-                if not isinstance(value, str):
-                    raise ValueError(
-                        "the value difference metric requires all-nominal rows"
-                    )
-                n_min, n_maj = counts[f].get(value, (0, 0))
-                counts[f][value] = (n_min + int(is_min), n_maj + int(not is_min))
-        return cls(tuple(counts), k_exp=k_exp, r=r, intern=intern)
-
-    @classmethod
     def from_dataset(cls, ds: Dataset, k_exp: int = 1, r: int = 1) -> "VdmTable":
         """Build from a training split (never test rows); all-nominal schema only."""
         if not ds.schema.all_nominal:
             raise ValueError("VDM tables require an all-nominal schema")
-        return cls.from_rows(
-            ds.rows, ds.labels, k_exp=k_exp, r=r, intern=ds.intern
-        )
+        if not len(ds):
+            raise ValueError("cannot build a VDM table from zero rows")
+        counts = []
+        for f, table in enumerate(ds.intern):
+            n_min = np.bincount(ds.codes[ds.minority, f], minlength=len(table))
+            n_maj = np.bincount(ds.codes[~ds.minority, f], minlength=len(table))
+            counts.append(
+                {
+                    value: (a, b)
+                    for value, a, b in zip(table, n_min.tolist(), n_maj.tolist())
+                    if a + b
+                }
+            )
+        return cls(tuple(counts), k_exp=k_exp, r=r)
 
 
 def vdm_delta(table: VdmTable, feature: int, v1: str, v2: str) -> float:
@@ -227,8 +202,8 @@ class EuclideanMetric:
     def __call__(self, a: Row, b: Row) -> float:
         return euclidean(a, b, self.schema)
 
-    def pairwise(self, rows: Sequence[Row]) -> np.ndarray:
-        sq = _chunked_sq_euclidean(np.asarray(rows, dtype=float))
+    def pairwise(self, ds: Dataset) -> np.ndarray:
+        sq = _chunked_sq_euclidean(ds.cont)
         return np.sqrt(sq, out=sq)
 
 
@@ -244,49 +219,40 @@ class NcMetric:
     def __call__(self, a: Row, b: Row) -> float:
         return nc_distance(a, b, self.schema, self.params)
 
-    def pairwise(self, rows: Sequence[Row]) -> np.ndarray:
-        schema = self.schema
-        cont = np.array(
-            [[row[i] for i in schema.continuous_indices] for row in rows], dtype=float
-        )
+    def pairwise(self, ds: Dataset) -> np.ndarray:
         med_sq = self.params.med * self.params.med
-        sq = _chunked_sq_euclidean(cont)
-        for i in schema.nominal_indices:
-            codes_map: dict[str, int] = {}
-            codes = np.array([codes_map.setdefault(row[i], len(codes_map)) for row in rows])
+        sq = _chunked_sq_euclidean(ds.cont)
+        for codes in ds.codes.T:
             sq += med_sq * (codes[:, None] != codes[None, :])
         return np.sqrt(sq, out=sq)
 
 
 class VdmMetric:
-    """Value difference metric with per-feature delta matrices precomputed."""
+    """Value difference metric over a VDM table's category counts."""
 
     def __init__(self, table: VdmTable):
         self.table = table
-        self._codes: list[dict[str, int]] = []
-        self._deltas: list[np.ndarray] = []
-        for f, counts in enumerate(table.counts):
-            values = list(counts)
-            code_of = {value: i for i, value in enumerate(values)}
-            freq = np.array([counts[v] for v in values], dtype=float)
-            cond = freq / freq.sum(axis=1, keepdims=True)
-            delta = np.abs(cond[:, None, :] - cond[None, :, :]) ** table.k_exp
-            self._codes.append(code_of)
-            self._deltas.append(delta.sum(axis=2) ** table.r)
 
     def __call__(self, x: Row, y: Row) -> float:
         return vdm_distance(self.table, x, y)
 
-    def pairwise(self, rows: Sequence[Row]) -> np.ndarray:
-        n = len(rows)
+    def pairwise(self, ds: Dataset) -> np.ndarray:
+        """Distances between the rows of an all-nominal dataset; each
+        feature's category-pair deltas are taken over ``ds``'s intern codes."""
+        n = len(ds)
         out = np.zeros((n, n))
-        for f in range(self.table.n_features):
-            code_of = self._codes[f]
-            try:
-                codes = np.array([code_of[row[f]] for row in rows])
-            except KeyError as exc:
-                raise ValueError(
-                    f"unseen category {exc.args[0]!r} for feature {f}"
-                ) from None
-            out += self._deltas[f][codes[:, None], codes[None, :]]
+        for f, counts in enumerate(self.table.counts):
+            codes = ds.codes[:, f]
+            freq = np.array(
+                [counts.get(value, (0, 0)) for value in ds.intern[f]], dtype=float
+            ).reshape(-1, 2)
+            total = freq.sum(axis=1, keepdims=True)
+            unseen = total[codes, 0] == 0
+            if unseen.any():
+                value = list(ds.intern[f])[codes[unseen.argmax()]]
+                raise ValueError(f"unseen category {value!r} for feature {f}")
+            with np.errstate(invalid="ignore"):  # categories no row here uses
+                cond = freq / total
+            delta = np.abs(cond[:, None, :] - cond[None, :, :]) ** self.table.k_exp
+            out += (delta.sum(axis=2) ** self.table.r)[codes[:, None], codes[None, :]]
         return out

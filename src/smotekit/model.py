@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CONTINUOUS, ClassLabel, Dataset, Row, save_csv
+from .data import ClassLabel, Dataset, Row, encode_rows, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
 
@@ -70,36 +70,30 @@ class TrainedModel:
     """Fitted naive Bayes parameters; class order is (minority, majority)."""
 
     schema: object
+    intern: tuple  # the training set's intern tables
     log_priors: tuple
-    cont_indices: tuple
     means: np.ndarray  # shape (2, n_continuous)
     variances: np.ndarray  # shape (2, n_continuous), floored positive
-    nominal_indices: tuple
-    nominal_loglik: list  # per nominal feature: {token: (lmin, lmaj)}
-    unseen_loglik: list  # per nominal feature: (lmin, lmaj)
+    # per nominal feature, shape (2, n_codes + 1): log P(value | class) by
+    # intern code; the last column, which code -1 picks, is the fallback for
+    # a token outside the intern table
+    nominal_loglik: list
 
     def score_rows(self, rows: Sequence[Row]) -> np.ndarray:
         """Posterior minority probability per row, vectorized."""
-        n = len(rows)
-        log_min = np.full(n, self.log_priors[0])
-        log_maj = np.full(n, self.log_priors[1])
-        if self.cont_indices:
-            x = np.array(
-                [[row[i] for i in self.cont_indices] for row in rows], dtype=float
-            )
+        x, codes = encode_rows(self.schema, rows, self.intern)
+        log_min = np.full(len(rows), self.log_priors[0])
+        log_maj = np.full(len(rows), self.log_priors[1])
+        if x.shape[1]:
             for c, acc in enumerate((log_min, log_maj)):
                 diff = x - self.means[c]
                 acc += (
                     -0.5 * (np.log(2.0 * np.pi * self.variances[c])
                             + diff * diff / self.variances[c])
                 ).sum(axis=1)
-        for f, i in enumerate(self.nominal_indices):
-            table = self.nominal_loglik[f]
-            fallback = self.unseen_loglik[f]
-            pair = [table.get(row[i], fallback) for row in rows]
-            arr = np.array(pair)
-            log_min += arr[:, 0]
-            log_maj += arr[:, 1]
+        for table, column in zip(self.nominal_loglik, codes.T):
+            log_min += table[0, column]
+            log_maj += table[1, column]
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(log_maj - log_min))
 
@@ -127,60 +121,37 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
         raise ValueError("training set must contain both classes")
     scaled = spec.prior_multiplier * n_min
     priors = (scaled / (scaled + n_maj), n_maj / (scaled + n_maj))
-    class_rows = (ds.minority_rows(), [ds.rows[i] for i in ds.majority_indices()])
+    masks = (ds.minority, ~ds.minority)
 
-    cont = ds.schema.continuous_indices
-    means = np.zeros((2, len(cont)))
-    variances = np.ones((2, len(cont)))
-    if cont:
-        full = np.array([[row[i] for i in cont] for row in ds.rows], dtype=float)
-        spread = full.max(axis=0) - full.min(axis=0)
+    cont = ds.cont
+    means = np.zeros((2, cont.shape[1]))
+    variances = np.ones((2, cont.shape[1]))
+    if cont.shape[1]:
+        spread = cont.max(axis=0) - cont.min(axis=0)
         floor = np.where(
             spread > 0.0, _VARIANCE_FLOOR_SCALE * spread * spread, _DEGENERATE_FLOOR
         )
-        for c, rows in enumerate(class_rows):
-            x = np.array([[row[i] for i in cont] for row in rows], dtype=float)
+        for c, mask in enumerate(masks):
+            x = cont[mask]
             means[c] = x.mean(axis=0)
             variances[c] = np.maximum(x.var(axis=0), floor)
 
-    nominal = ds.schema.nominal_indices
     nominal_loglik = []
-    unseen_loglik = []
-    for i in nominal:
-        vocabulary: list[str] = []
-        seen: set[str] = set()
-        for row in ds.rows:
-            if row[i] not in seen:
-                seen.add(row[i])
-                vocabulary.append(row[i])
-        table = {}
-        denominators = (n_min + len(vocabulary), n_maj + len(vocabulary))
-        counts = [
-            {value: 0 for value in vocabulary},
-            {value: 0 for value in vocabulary},
-        ]
-        for c, rows in enumerate(class_rows):
-            for row in rows:
-                counts[c][row[i]] += 1
-        for value in vocabulary:
-            table[value] = tuple(
-                float(np.log((counts[c][value] + 1) / denominators[c]))
-                for c in range(2)
-            )
-        nominal_loglik.append(table)
-        unseen_loglik.append(
-            tuple(float(np.log(1 / denominators[c])) for c in range(2))
-        )
+    for i, column in zip(ds.schema.nominal_indices, ds.codes.T):
+        # one slot past the intern table counts 0, like a category unseen in
+        # training: both score log(1 / (class count + categories seen))
+        size = len(ds.intern[i]) + 1
+        counts = np.stack([np.bincount(column[mask], minlength=size) for mask in masks])
+        n_seen = np.count_nonzero(counts.sum(axis=0))
+        nominal_loglik.append(np.log((counts + 1) / [[n_min + n_seen], [n_maj + n_seen]]))
 
     return TrainedModel(
         schema=ds.schema,
+        intern=ds.intern,
         log_priors=(float(np.log(priors[0])), float(np.log(priors[1]))),
-        cont_indices=cont,
         means=means,
         variances=variances,
-        nominal_indices=nominal,
         nominal_loglik=nominal_loglik,
-        unseen_loglik=unseen_loglik,
     )
 
 
@@ -249,14 +220,14 @@ class ExternalClassifier:
 
     command: str
 
-    def score(self, train_ds: Dataset, test_rows: Sequence[Row]) -> np.ndarray:
+    def score(self, train_ds: Dataset, test: Dataset) -> np.ndarray:
         with tempfile.TemporaryDirectory(prefix="smotekit-ext-") as tmp:
             tmp_path = Path(tmp)
             train_csv = tmp_path / "train.csv"
             test_csv = tmp_path / "test.csv"
             scores_out = tmp_path / "scores.txt"
             save_csv(train_ds, train_csv)
-            self._write_test_csv(test_csv, train_ds, test_rows)
+            save_csv(test, test_csv, class_column=False)
             argv = shlex.split(self.command) + [
                 str(train_csv),
                 str(test_csv),
@@ -274,10 +245,10 @@ class ExternalClassifier:
                 raise DataError(
                     "external classifier wrote no score file"
                 ) from None
-        if len(lines) != len(test_rows):
+        if len(lines) != len(test):
             raise DataError(
                 f"external classifier wrote {len(lines)} scores for "
-                f"{len(test_rows)} test rows"
+                f"{len(test)} test rows"
             )
         try:
             values = np.array([float(line) for line in lines])
@@ -286,18 +257,3 @@ class ExternalClassifier:
         if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
             raise DataError("external classifier scores must lie in [0, 1]")
         return values
-
-    @staticmethod
-    def _write_test_csv(path: Path, ds: Dataset, rows: Sequence[Row]) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(list(ds.schema.names))
-            for row in rows:
-                writer.writerow(
-                    [
-                        repr(value) if kind == CONTINUOUS else value
-                        for value, kind in zip(row, ds.schema.kinds)
-                    ]
-                )

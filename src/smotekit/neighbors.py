@@ -8,11 +8,11 @@ room for one later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .data import Row
+from .data import Dataset, Row
 
 
 @dataclass(frozen=True)
@@ -26,40 +26,40 @@ class NeighborList:
 
 
 def knn_minority(
-    minority_rows: Sequence[Row], k: int, metric: Callable[[Row, Row], float]
+    minority: Dataset, k: int, metric: Callable[[Row, Row], float]
 ) -> NeighborList:
     """k nearest minority neighbors of every minority row.
 
     Args:
-        minority_rows: the minority rows only; synthetic rows never join
-            the candidate pool.
+        minority: the minority rows only, as a minority Dataset; synthetic
+            rows never join the candidate pool.
         k: neighbors requested; each list is clamped to ``min(k, T - 1)``.
         metric: pairwise distance. Objects exposing a vectorized
-            ``pairwise(rows)`` method (the metric classes in
+            ``pairwise(dataset)`` method (the metric classes in
             :mod:`smotekit.distance`) are used as such; any plain callable
-            ``metric(a, b) -> float`` also works.
+            ``metric(a, b) -> float`` on row tuples also works.
 
     Ties resolve by ascending row index, so the output is deterministic for
     a fixed input order.
     """
-    t = len(minority_rows)
+    t = len(minority)
     if t < 2:
         raise ValueError(f"need at least 2 rows for neighbor search, got {t}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if not minority.minority.all():
+        raise ValueError("knn_minority expects a minority-only dataset slice")
     if hasattr(metric, "pairwise"):
-        dist = np.asarray(metric.pairwise(minority_rows), dtype=float)
+        dist = np.asarray(metric.pairwise(minority), dtype=float)
     else:
+        rows = minority.rows
         dist = np.empty((t, t))
         for i in range(t):
             dist[i, i] = 0.0
             for j in range(i + 1, t):
-                dist[i, j] = dist[j, i] = metric(minority_rows[i], minority_rows[j])
-    width = min(k, t - 1)
-    indices = np.arange(t)
-    lists = []
-    for i in range(t):
-        order = np.lexsort((indices, dist[i]))
-        nearest = [int(j) for j in order if j != i][:width]
-        lists.append(tuple(nearest))
-    return NeighborList(tuple(lists))
+                dist[i, j] = dist[j, i] = metric(rows[i], rows[j])
+    # A stable sort keeps equal distances in index order; each row then
+    # drops its own index, wherever the sort placed it.
+    order = np.argsort(dist, axis=1, kind="stable")
+    others = order[order != np.arange(t)[:, None]].reshape(t, t - 1)
+    return NeighborList(tuple(map(tuple, others[:, : min(k, t - 1)].tolist())))

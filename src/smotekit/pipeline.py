@@ -170,14 +170,14 @@ def _base_family(curve_family: str) -> str:
 
 
 def _make_scorer(spec: ClassifierSpec):
-    """Return scorer(train_ds, test_rows) -> minority scores per test row."""
+    """Return scorer(train_ds, test) -> minority scores per row of the test set."""
     if spec.kind == "external":
         external = ExternalClassifier(spec.command)
         return external.score
 
-    def nb_score(train_ds: Dataset, test_rows) -> np.ndarray:
+    def nb_score(train_ds: Dataset, test: Dataset) -> np.ndarray:
         model = train(train_ds, spec)
-        return model.score_rows(test_rows)
+        return model.score_rows(test.rows)
 
     return nb_score
 
@@ -192,11 +192,8 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
     fold_data = []
     for f in range(cfg.n_folds):
-        train_ds = ds.subset(folds.train_indices(f))
-        test_idx = folds.test_indices(f)
-        test_rows = [ds.rows[i] for i in test_idx]
-        test_labels = [ds.labels[i] for i in test_idx]
-        fold_data.append((train_ds, test_rows, test_labels))
+        test = ds.subset(folds.test_indices(f))
+        fold_data.append((ds.subset(folds.train_indices(f)), test, test.labels))
 
     scorer = _make_scorer(cfg.classifier)
     warnings_log: list[str] = []
@@ -204,8 +201,8 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
 
     def fold_cms(score, threshold: float) -> list:
         return [
-            confusion_from_scores(score(train_ds, test_rows), test_labels, threshold)
-            for train_ds, test_rows, test_labels in fold_data
+            confusion_from_scores(score(train_ds, test), test_labels, threshold)
+            for train_ds, test, test_labels in fold_data
         ]
 
     raw_cms = None
@@ -224,7 +221,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
         for tag, over, under in cells:
             cms = []
             sizes = []
-            for f, (train_ds, test_rows, test_labels) in enumerate(fold_data):
+            for f, (train_ds, test, test_labels) in enumerate(fold_data):
                 detail = apply_plan_detailed(
                     train_ds,
                     over,
@@ -243,7 +240,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     warnings_log.append(skip)
                     log.warning("%s", skip)
                     break
-                scores = scorer(resampled, test_rows)
+                scores = scorer(resampled, test)
                 cms.append(
                     confusion_from_scores(scores, test_labels, cfg.classifier.threshold)
                 )
@@ -276,8 +273,8 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             curves.append(build_family_curve("priors_sweep", results))
         else:  # threshold_sweep
             fold_scores = [
-                (scorer(train_ds, test_rows), test_labels)
-                for train_ds, test_rows, test_labels in fold_data
+                (scorer(train_ds, test), test_labels)
+                for train_ds, test, test_labels in fold_data
             ]
             results = [
                 (

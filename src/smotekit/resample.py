@@ -22,14 +22,13 @@ segment geometry after the fact.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel, Dataset, Row
+from .data import Dataset
 from .distance import (
     EuclideanMetric,
     NcMetric,
@@ -102,13 +101,17 @@ class Provenance:
 
 @dataclass
 class SyntheticBatch:
-    """Synthetic rows plus one provenance record per row."""
+    """Synthetic rows, as a minority Dataset, plus one provenance record per row."""
 
-    rows: list
+    data: Dataset
     provenance: list
 
+    @property
+    def rows(self) -> list:
+        return list(self.data.rows)
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -144,74 +147,96 @@ def _pick_neighbors(n_candidates: int, count: int, mode: str, rng) -> list[int]:
     return picks
 
 
-def _majority_vote(values: Sequence[str], base_value: str, intern: dict) -> str:
-    """Most frequent value; ties prefer the base value, else first-interned."""
-    tally = Counter(values)
-    top = max(tally.values())
-    leaders = [value for value, count in tally.items() if count == top]
-    if base_value in leaders:
-        return base_value
-    return min(leaders, key=lambda value: intern[value])
+def _vote(codes: np.ndarray, lists, base_votes: bool) -> np.ndarray:
+    """Voted nominal codes of every source row, one column per nominal feature.
+
+    Each column takes the code most frequent among the row's neighbors (the
+    row itself joins the vote only when ``base_votes``). Ties prefer the
+    row's own code, else the lowest code, i.e. the first-interned category.
+    """
+    voted = codes.copy()
+    if not codes.shape[1]:
+        return voted
+    by_width: dict[int, list[int]] = {}
+    for row, nlist in enumerate(lists):
+        by_width.setdefault(len(nlist), []).append(row)
+    for width, members in by_width.items():
+        own = codes[members]
+        picked = np.array([lists[i] for i in members], dtype=np.intp)
+        voters = codes[picked.reshape(len(members), width)]
+        if base_votes:
+            voters = np.concatenate([own[:, None, :], voters], axis=1)
+        top = np.zeros_like(own)
+        leader = own
+        for p in range(voters.shape[1]):
+            code = voters[:, p]
+            votes = (voters == code[:, None, :]).sum(axis=1)
+            better = (votes > top) | ((votes == top) & (code < leader))
+            top = np.where(better, votes, top)
+            leader = np.where(better, code, leader)
+        own_votes = (voters == own[:, None, :]).sum(axis=1)
+        voted[members] = np.where(own_votes == top, own, leader)
+    return voted
 
 
-def _check_neighbors(neighbors: NeighborList, t: int) -> None:
+def _check_source(minority: Dataset, neighbors: NeighborList, variant: str) -> None:
+    if not minority.minority.all():
+        raise ValueError(f"{variant} expects a minority-only dataset slice")
+    t = len(minority)
+    if t < 2:
+        raise ValueError(f"need at least 2 minority rows, got {t}")
     if len(neighbors.lists) != t:
         raise ValueError(
             f"neighbor list covers {len(neighbors.lists)} rows, expected {t}"
         )
 
 
-def _synthesize(source, cont_idx, nom_idx, intern, params, neighbors, rng, base_votes):
+def _synthesize(source: Dataset, params, neighbors, rng, base_votes) -> SyntheticBatch:
     """The synthesis loop shared by smote, smote_nc and smote_n.
 
-    For each planned base the nominal columns ``nom_idx`` are voted over the
-    base's neighbors (the base joins the vote only when ``base_votes``). With
-    no continuous columns nothing more is drawn and every row records
-    ``Provenance(b, b, ())``; otherwise neighbor picks and then gaps are drawn
-    and the continuous columns ``cont_idx`` are interpolated and clipped to
-    the base/neighbor box.
+    Every synthetic row of a base carries the base's voted nominal codes
+    (see :func:`_vote`). With no continuous columns nothing more is drawn and
+    every row records ``Provenance(b, b, ())``; otherwise, base by base,
+    neighbor picks and then gaps are drawn and the continuous block is
+    interpolated and clipped to the base/neighbor box.
     """
-    matrix = np.array([[row[i] for i in cont_idx] for row in source], dtype=float)
+    cont = source.cont
+    voted = _vote(source.codes, neighbors.lists, base_votes)
     bases, per_base = _plan_bases(params.n_percent, len(source), rng)
-    rows: list[Row] = []
+    blocks: list[np.ndarray] = []
     provenance: list[Provenance] = []
-    for b in bases:
-        b = int(b)
-        nlist = neighbors.lists[b]
-        built = list(source[b])
-        for i in nom_idx:
-            values = [source[j][i] for j in nlist]
-            if base_votes:
-                values.insert(0, source[b][i])
-            built[i] = _majority_vote(values, source[b][i], intern[i])
-        if not cont_idx:
-            for _ in range(per_base):
-                rows.append(tuple(built))
-                provenance.append(Provenance(b, b, ()))
+    for b in bases.tolist():
+        if not cont.shape[1]:
+            provenance.extend(Provenance(b, b, ()) for _ in range(per_base))
             continue
+        nlist = neighbors.lists[b]
         picks = _pick_neighbors(len(nlist), per_base, params.neighbor_mode, rng)
-        neighbor_idx = [nlist[p] for p in picks]
+        neighbor_idx = [int(nlist[p]) for p in picks]
         if params.gap_mode == SHARED:
             draws = np.atleast_1d(rng.random(per_base))
             gaps = draws[:, None]
             recorded = [(g,) for g in draws.tolist()]
         else:
-            gaps = np.atleast_2d(rng.random((per_base, len(cont_idx))))
+            gaps = np.atleast_2d(rng.random((per_base, cont.shape[1])))
             recorded = [tuple(g) for g in gaps.tolist()]
-        base = matrix[b]
-        nb = matrix[neighbor_idx]
+        base = cont[b]
+        nb = cont[neighbor_idx]
         new = base + gaps * (nb - base)
-        new = np.clip(new, np.minimum(base, nb), np.maximum(base, nb))
-        for values, j, gap in zip(new.tolist(), neighbor_idx, recorded):
-            for i, v in zip(cont_idx, values):
-                built[i] = v
-            rows.append(tuple(built))
-            provenance.append(Provenance(b, int(j), gap))
-    return SyntheticBatch(rows, provenance)
+        blocks.append(np.clip(new, np.minimum(base, nb), np.maximum(base, nb)))
+        provenance.extend(
+            Provenance(b, j, gap) for j, gap in zip(neighbor_idx, recorded)
+        )
+    origin = np.array([record.base_index for record in provenance], dtype=np.intp)
+    data = source.with_blocks(
+        np.concatenate(blocks) if blocks else cont[origin],
+        voted[origin],
+        np.ones(len(origin), dtype=bool),
+    )
+    return SyntheticBatch(data, provenance)
 
 
 def smote(
-    minority_rows: Sequence[Row],
+    minority: Dataset,
     params: SmoteParams,
     neighbors: NeighborList,
     rng: np.random.Generator = None,
@@ -219,7 +244,7 @@ def smote(
     """Generate synthetic minority rows by segment interpolation.
 
     Args:
-        minority_rows: all-continuous minority rows (T >= 2).
+        minority: all-continuous minority-only Dataset (T >= 2).
         params: amount, modes, and seed; ``n_percent == 0`` yields an empty
             batch.
         neighbors: precomputed minority-only neighbor lists for these rows.
@@ -232,20 +257,12 @@ def smote(
         the base/neighbor bounding box, which only matters when float
         rounding at gap values near 1 would overshoot by an ulp.
     """
-    t = len(minority_rows)
-    if t < 2:
-        raise ValueError(f"need at least 2 minority rows, got {t}")
-    _check_neighbors(neighbors, t)
-    try:
-        matrix = np.asarray(minority_rows, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("smote requires all-continuous rows; use smote_nc or smote_n") from None
+    if not minority.schema.all_continuous:
+        raise ValueError("smote requires all-continuous rows; use smote_nc or smote_n")
+    _check_source(minority, neighbors, "smote")
     if rng is None:
         rng = generator(params.seed, "smote")
-    return _synthesize(
-        minority_rows, range(matrix.shape[1]), (), (), params, neighbors, rng,
-        base_votes=False,
-    )
+    return _synthesize(minority, params, neighbors, rng, base_votes=False)
 
 
 def smote_nc(
@@ -264,28 +281,18 @@ def smote_nc(
     base, base excluded, so every synthetic row of one base shares its voted
     nominal part.
     """
-    schema = ds_minority.schema
-    if schema.all_nominal:
+    if ds_minority.schema.all_nominal:
         raise ValueError("all-nominal schema: use smote_n")
-    if any(label is not ClassLabel.MINORITY for label in ds_minority.labels):
-        raise ValueError("smote_nc expects a minority-only dataset slice")
     if nc.med < 0:  # NcDistanceParams already rejects this; keep the contract visible
         raise ValueError("negative median penalty")
-    source = ds_minority.rows
-    t = len(source)
-    if t < 2:
-        raise ValueError(f"need at least 2 minority rows, got {t}")
-    _check_neighbors(neighbors, t)
+    _check_source(ds_minority, neighbors, "smote_nc")
     if rng is None:
         rng = generator(params.seed, "smote")
-    return _synthesize(
-        source, schema.continuous_indices, schema.nominal_indices, ds_minority.intern,
-        params, neighbors, rng, base_votes=False,
-    )
+    return _synthesize(ds_minority, params, neighbors, rng, base_votes=False)
 
 
 def smote_n(
-    minority_rows: Sequence[Row],
+    minority: Dataset,
     params: SmoteParams,
     table: VdmTable,
     neighbors: NeighborList,
@@ -293,52 +300,45 @@ def smote_n(
 ) -> SyntheticBatch:
     """All-nominal synthesis: each coordinate is a majority vote over the base
     plus its k nearest neighbors (the base itself joins this vote, unlike
-    smote_nc). Generation is deterministic given the neighbor lists; random
-    draws occur only in the under-100 base selection.
+    smote_nc). ``minority`` is an all-nominal minority-only Dataset; its
+    intern tables drive vote tie-breaking. Generation is deterministic given
+    the neighbor lists; random draws occur only in the under-100 base
+    selection.
     """
-    t = len(minority_rows)
-    if t < 2:
-        raise ValueError(f"need at least 2 minority rows, got {t}")
-    for row in minority_rows:
-        if any(not isinstance(value, str) for value in row):
-            raise ValueError("smote_n requires all-nominal rows; use smote or smote_nc")
-    if len(minority_rows[0]) != table.n_features:
+    if not minority.schema.all_nominal:
+        raise ValueError("smote_n requires all-nominal rows; use smote or smote_nc")
+    n_features = len(minority.schema.features)
+    if n_features != table.n_features:
         raise ValueError(
-            f"rows have {len(minority_rows[0])} features but the VDM table has "
+            f"rows have {n_features} features but the VDM table has "
             f"{table.n_features}"
         )
-    _check_neighbors(neighbors, t)
+    _check_source(minority, neighbors, "smote_n")
     if rng is None:
         rng = generator(params.seed, "smote")
-    return _synthesize(
-        minority_rows, (), range(table.n_features), table.intern, params, neighbors, rng,
-        base_votes=True,
-    )
+    return _synthesize(minority, params, neighbors, rng, base_votes=True)
 
 
 def replicate_oversample(
-    minority_rows: Sequence[Row],
+    minority: Dataset,
     n_percent: int,
     seed: int = 0,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
-    """Over-sample by exact replication: floor(N/100) * T rows drawn uniformly
-    with replacement. The baseline over-sampler synthetic interpolation is
-    measured against."""
+    """Over-sample by exact replication: floor(N/100) * T rows of the
+    minority-only Dataset ``minority``, drawn uniformly with replacement. The
+    baseline over-sampler synthetic interpolation is measured against."""
     if n_percent < 0:
         raise ValueError(f"n_percent must be non-negative, got {n_percent}")
-    t = len(minority_rows)
+    t = len(minority)
     if t < 1:
         raise ValueError("need at least 1 minority row")
     if rng is None:
         rng = generator(seed, "replicate")
     count = (n_percent // 100) * t
-    rows: list[Row] = []
-    provenance: list[Provenance] = []
-    for p in np.atleast_1d(rng.integers(0, t, size=count)) if count else []:
-        rows.append(tuple(minority_rows[int(p)]))
-        provenance.append(Provenance(int(p), int(p), (0.0,)))
-    return SyntheticBatch(rows, provenance)
+    picks = np.atleast_1d(rng.integers(0, t, size=count)) if count else np.empty(0, dtype=int)
+    provenance = [Provenance(p, p, (0.0,)) for p in picks.tolist()]
+    return SyntheticBatch(minority.subset(picks), provenance)
 
 
 def under_sample(
@@ -387,7 +387,6 @@ def apply_plan_detailed(
     gap_mode: str = PER_ATTRIBUTE,
     neighbor_mode: str = WITH_REPLACEMENT,
     under_basis: str = "pre",
-    shuffle: bool = False,
 ) -> PlanResult:
     """Compose over- and under-sampling on a training split.
 
@@ -403,13 +402,15 @@ def apply_plan_detailed(
         under_basis: "pre" (default) sizes the retained majority from the
             original minority count so sweeps share majority counts across
             over-sampling levels; "post" sizes it from the augmented count.
-        shuffle: when True, shuffle the assembled rows with a third
-            substream; default keeps the order originals, synthetics,
-            retained majority.
 
     Returns:
-        A PlanResult: the new dataset (the input is untouched), the synthetic
-        batch, and the retained majority indices.
+        A PlanResult: the new dataset (the input is untouched) with rows in
+        the order originals, synthetics, retained majority; the synthetic
+        batch; and the retained majority indices.
+
+    Raises:
+        DataError: a synthesis variant with ``over_percent > 0`` on a
+            training minority of fewer than 2 rows.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -417,17 +418,28 @@ def apply_plan_detailed(
         raise ValueError(f"under_basis must be 'pre' or 'post', got {under_basis!r}")
     if over_percent < 0:
         raise ValueError(f"over_percent must be non-negative, got {over_percent}")
-    minority_idx = train.minority_indices()
+    minority = train.minority_subset()
     majority_idx = train.majority_indices()
-    minority_rows = [train.rows[i] for i in minority_idx]
 
     if over_percent == 0:
-        batch = SyntheticBatch([], [])
+        batch = SyntheticBatch(minority.subset([]), [])
     elif variant == "replicate":
         batch = replicate_oversample(
-            minority_rows, over_percent, seed=child_seed(seed, "over")
+            minority, over_percent, seed=child_seed(seed, "over")
         )
     else:
+        schema = train.schema
+        if variant == "smote" and not schema.all_continuous:
+            raise ValueError("variant 'smote' requires an all-continuous schema")
+        if variant == "smote_nc" and (schema.all_nominal or schema.all_continuous):
+            raise ValueError("variant 'smote_nc' requires a mixed schema")
+        if variant == "smote_n" and not schema.all_nominal:
+            raise ValueError("variant 'smote_n' requires an all-nominal schema")
+        if len(minority) < 2:
+            raise DataError(
+                f"training minority has {len(minority)} row(s); {variant} needs at "
+                "least 2 minority rows for neighbor search"
+            )
         params = SmoteParams(
             n_percent=over_percent,
             k=k,
@@ -436,49 +448,31 @@ def apply_plan_detailed(
             neighbor_mode=neighbor_mode,
         )
         if variant == "smote":
-            if not train.schema.all_continuous:
-                raise ValueError("variant 'smote' requires an all-continuous schema")
-            metric = EuclideanMetric(train.schema)
-            nbrs = knn_minority(minority_rows, k, metric)
-            batch = smote(minority_rows, params, nbrs)
+            nbrs = knn_minority(minority, k, EuclideanMetric(schema))
+            batch = smote(minority, params, nbrs)
         elif variant == "smote_nc":
-            if train.schema.all_nominal or train.schema.all_continuous:
-                raise ValueError("variant 'smote_nc' requires a mixed schema")
-            nc = compute_med(minority_rows, train.schema)
-            nbrs = knn_minority(minority_rows, k, NcMetric(train.schema, nc))
-            batch = smote_nc(train.minority_subset(), params, nc, nbrs)
+            nc = compute_med(minority)
+            nbrs = knn_minority(minority, k, NcMetric(schema, nc))
+            batch = smote_nc(minority, params, nc, nbrs)
         else:
-            if not train.schema.all_nominal:
-                raise ValueError("variant 'smote_n' requires an all-nominal schema")
             table = VdmTable.from_dataset(train)
-            nbrs = knn_minority(minority_rows, k, VdmMetric(table))
-            batch = smote_n(minority_rows, params, table, nbrs)
+            nbrs = knn_minority(minority, k, VdmMetric(table))
+            batch = smote_n(minority, params, table, nbrs)
 
     if under_percent in (None, 0):
-        retained = sorted(majority_idx)
+        retained = majority_idx
     else:
-        basis = len(minority_rows)
+        basis = len(minority)
         if under_basis == "post":
-            basis += len(batch.rows)
+            basis += len(batch)
         plan = UnderSamplePlan(percent=under_percent, seed=child_seed(seed, "under"))
         retained = under_sample(majority_idx, basis, plan)
 
-    rows = list(minority_rows) + list(batch.rows) + [train.rows[i] for i in retained]
-    labels = (
-        [ClassLabel.MINORITY] * (len(minority_rows) + len(batch.rows))
-        + [ClassLabel.MAJORITY] * len(retained)
-    )
-    if shuffle:
-        order = generator(seed, "shuffle").permutation(len(rows))
-        rows = [rows[i] for i in order]
-        labels = [labels[i] for i in order]
-    dataset = Dataset(
-        schema=train.schema,
-        rows=tuple(rows),
-        labels=tuple(labels),
-        minority_token=train.minority_token,
-        majority_token=train.majority_token,
-        intern=train.intern,
+    parts = (minority, batch.data, train.subset(retained))
+    dataset = train.with_blocks(
+        np.concatenate([part.cont for part in parts]),
+        np.concatenate([part.codes for part in parts]),
+        np.concatenate([part.minority for part in parts]),
     )
     return PlanResult(dataset=dataset, batch=batch, retained_majority=retained)
 
@@ -489,9 +483,9 @@ def audit_batch(batch: SyntheticBatch, n_minority: int) -> None:
     Checks every base and neighbor index against the pool size, one
     provenance record per row, and gap draws within [0, 1).
     """
-    if len(batch.rows) != len(batch.provenance):
+    if len(batch) != len(batch.provenance):
         raise DataError(
-            f"{len(batch.rows)} synthetic rows but {len(batch.provenance)} "
+            f"{len(batch)} synthetic rows but {len(batch.provenance)} "
             "provenance records"
         )
     for record in batch.provenance:

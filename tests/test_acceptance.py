@@ -43,6 +43,15 @@ def report(number: int, label: str, failures: list) -> None:
     assert not failures, f"criterion {number}: {label}: {failures[:5]}"
 
 
+def minority(schema, rows):
+    """The rows as a minority-only Dataset."""
+    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+
+
+def nominal_schema(d):
+    return FeatureSchema(tuple((f"g{i}", "nominal") for i in range(d)), "cls")
+
+
 class FixedGapRng:
     def __init__(self, gap):
         self._gap = gap
@@ -60,14 +69,15 @@ class FixedGapRng:
 
 
 def test_criterion_01_shared_gap_worked_example():
-    rows = [(6.0, 4.0), (4.0, 3.0)]
+    schema = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
+    ds = minority(schema, [(6.0, 4.0), (4.0, 3.0)])
     neighbors = NeighborList(((1,), (0,)))
     params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
     gaps = [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))]
-    smote(rows, params, neighbors, rng=FixedGapRng(0.0))  # warm numpy paths
+    smote(ds, params, neighbors, rng=FixedGapRng(0.0))  # warm numpy paths
     failures = []
     start = time.perf_counter()
-    got = [smote(rows, params, neighbors, rng=FixedGapRng(g)).rows[0] for g in gaps]
+    got = [smote(ds, params, neighbors, rng=FixedGapRng(g)).rows[0] for g in gaps]
     elapsed = time.perf_counter() - start
     for g, row in zip(gaps, got):
         expected = (6.0 - 2.0 * g, 4.0 - g)
@@ -107,12 +117,13 @@ def test_criterion_03_nominal_vote_worked_example():
         ("A", "F", "C", "G", "N"),
         ("H", "B", "C", "D", "N"),
     ]
-    table = VdmTable.from_rows(rows, [ClassLabel.MINORITY] * 3)
+    ds = minority(nominal_schema(5), rows)
+    table = VdmTable.from_dataset(ds)
     neighbors = NeighborList(((1, 2), (0, 2), (0, 1)))
     params = SmoteParams(n_percent=100, k=2, seed=0)
     failures = []
     for _ in range(2):  # deterministic: identical across invocations
-        batch = smote_n(rows, params, table, neighbors)
+        batch = smote_n(ds, params, table, neighbors)
         if batch.rows[0] != ("A", "B", "C", "D", "N"):
             failures.append(batch.rows[0])
     report(3, "smote_n vote produces FS = A B C D N deterministically", failures)
@@ -139,9 +150,10 @@ def test_criterion_05_count_exactness():
         d = int(rng.integers(1, 5))
         schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(d)), "cls")
         rows = [tuple(float(v) for v in rng.normal(size=d)) for _ in range(t)]
-        neighbors = knn_minority(rows, k, EuclideanMetric(schema))
+        ds = minority(schema, rows)
+        neighbors = knn_minority(ds, k, EuclideanMetric(schema))
         params = SmoteParams(n_percent=n, k=k, seed=int(rng.integers(1 << 30)))
-        batch = smote(rows, params, neighbors)
+        batch = smote(ds, params, neighbors)
         expected = (n * t) // 100 if n < 100 else (n // 100) * t
         if len(batch) != expected:
             failures.append((case, t, n, k, len(batch), expected))
@@ -156,12 +168,13 @@ def test_criterion_06_provenance_audit():
     t, d = 100, 4
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(d)), "cls")
     rows = [tuple(float(v) for v in rng.normal(size=d) * 10) for _ in range(t)]
-    neighbors = knn_minority(rows, 5, EuclideanMetric(schema))
+    ds = minority(schema, rows)
+    neighbors = knn_minority(ds, 5, EuclideanMetric(schema))
     matrix = np.asarray(rows)
     failures = []
 
     shared = smote(
-        rows, SmoteParams(10000, 5, seed=61, gap_mode=SHARED), neighbors
+        ds, SmoteParams(10000, 5, seed=61, gap_mode=SHARED), neighbors
     )
     assert len(shared) == 10000
     for row, record in zip(shared.rows, shared.provenance):
@@ -173,7 +186,7 @@ def test_criterion_06_provenance_audit():
                 failures.append(("shared", record, got, expected))
 
     boxed = smote(
-        rows, SmoteParams(10000, 5, seed=62, gap_mode=PER_ATTRIBUTE), neighbors
+        ds, SmoteParams(10000, 5, seed=62, gap_mode=PER_ATTRIBUTE), neighbors
     )
     assert len(boxed) == 10000
     for row, record in zip(boxed.rows, boxed.provenance):
@@ -234,7 +247,7 @@ def test_criterion_09_vdm_axioms():
             ClassLabel.MINORITY if rng.random() < 0.4 else ClassLabel.MAJORITY
             for _ in rows
         ]
-        table = VdmTable.from_rows(rows, labels)
+        table = VdmTable.from_dataset(Dataset(nominal_schema(1), tuple(rows), tuple(labels)))
         seen = list(table.counts[0])
         for v1 in seen:
             if vdm_delta(table, 0, v1, v1) != 0.0:
@@ -261,7 +274,7 @@ def test_criterion_10_knn_oracle():
         rows = [tuple(float(v) for v in rng.integers(0, 7, size=d)) for _ in range(t)]
         for _ in range(min(t // 3, 10)):  # force exact duplicates
             rows[int(rng.integers(t))] = rows[int(rng.integers(t))]
-        got = knn_minority(rows, k, EuclideanMetric(schema)).lists
+        got = knn_minority(minority(schema, rows), k, EuclideanMetric(schema)).lists
         matrix = np.asarray(rows)
 
         def squared(i, j):

@@ -241,6 +241,29 @@ def test_experiment_folds_above_minority_count_is_exit_3(toy, tmp_path, capsys):
     assert "25 folds" in err
 
 
+def test_experiment_thin_training_minority_is_exit_3(tmp_path, capsys):
+    # 2 minority rows over 2 folds leave 1 minority row in each training fold
+    lines = ["x,y,cls"] + [f"{i}.0,{i % 3}.0,{'pos' if i < 2 else 'neg'}" for i in range(22)]
+    data = tmp_path / "thin.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "thin.schema.json"
+    schema.write_text(
+        json.dumps({"x": "continuous", "y": "continuous", "cls": "class"}), encoding="utf-8"
+    )
+    rc = main(
+        [
+            "experiment",
+            "--data", str(data), "--schema", str(schema), "--minority", "pos",
+            "--folds", "2", "--over", "100", "--under", "100",
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "at least 2 minority rows" in err
+
+
 def test_experiment_requires_data_without_manifest(tmp_path, capsys):
     rc = main(["experiment", "--out", str(tmp_path / "x")])
     assert rc == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smotekit.data import (
     ClassLabel,
@@ -155,6 +157,24 @@ def test_csv_round_trip_identity(tmp_path):
         assert again == ds
 
 
+def test_csv_round_trip_spans_write_chunks(tmp_path):
+    # more rows than one write chunk holds, and no numpy scalar text
+    rng = np.random.default_rng(6)
+    n = 2500
+    rows = tuple(
+        (float(rng.normal()), str(rng.choice(["x", "y"])), float(rng.normal()) * 1e-300)
+        for _ in range(n)
+    )
+    labels = tuple(ClassLabel.MINORITY if i % 5 == 0 else ClassLabel.MAJORITY for i in range(n))
+    ds = Dataset(MIXED, rows, labels, "pos", "neg")
+    path = tmp_path / "big.csv"
+    save_csv(ds, path)
+    assert "np.float64(" not in path.read_text(encoding="utf-8")
+    again = load_csv(path, MIXED, "pos")
+    assert again == ds
+    assert again.rows == rows
+
+
 def test_schema_json_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     MIXED.to_json(path)
@@ -270,3 +290,47 @@ def test_dataset_rejects_ragged_rows():
 def test_dataset_rejects_label_length_mismatch():
     with pytest.raises(DataError, match="labels"):
         Dataset(CONT2, ((1.0, 2.0),), (ClassLabel.MINORITY, ClassLabel.MAJORITY))
+
+
+@st.composite
+def _tables(draw):
+    """(schema, rows, labels) for a continuous, mixed or nominal schema with
+    interleaved column kinds; either block may be zero columns wide and the
+    table may have no rows."""
+    shape = draw(st.sampled_from(["continuous", "mixed", "nominal"]))
+    n_cont = 0 if shape == "nominal" else draw(st.integers(1, 3))
+    n_nom = 0 if shape == "continuous" else draw(st.integers(1, 3))
+    kinds = draw(st.permutations(["continuous"] * n_cont + ["nominal"] * n_nom))
+    schema = FeatureSchema(tuple((f"f{i}", kind) for i, kind in enumerate(kinds)), "cls")
+    cell = {
+        "continuous": st.floats(allow_nan=False, allow_infinity=False),
+        "nominal": st.sampled_from(["a", "b", "c,d", "0.5"]),
+    }
+    rows = draw(st.lists(st.tuples(*(cell[kind] for kind in kinds)), max_size=8))
+    labels = draw(
+        st.lists(st.sampled_from(list(ClassLabel)), min_size=len(rows), max_size=len(rows))
+    )
+    return schema, rows, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables(), data=st.data())
+def test_blocks_round_trip_rows_labels_and_subsets(table, data):
+    schema, rows, labels = table
+    ds = Dataset(schema, tuple(rows), tuple(labels))
+    # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
+    assert repr(ds.rows) == repr(tuple(rows))
+    assert ds.labels == tuple(labels)
+    assert ds.n_minority == labels.count(ClassLabel.MINORITY)
+    assert ds.cont.shape == (len(rows), len(schema.continuous_indices))
+    assert ds.codes.shape == (len(rows), len(schema.nominal_indices))
+    assert ds.cont.dtype == np.float64 and ds.cont.flags.c_contiguous
+
+    picks = st.lists(st.integers(0, len(rows) - 1), max_size=10) if rows else st.just([])
+    idx = data.draw(picks)
+    sub = ds.subset(idx)
+    assert repr(sub.rows) == repr(tuple(rows[i] for i in idx))
+    assert sub.labels == tuple(labels[i] for i in idx)
+    assert sub.intern is ds.intern
+    for block in (ds.cont, ds.codes, ds.minority, sub.cont, sub.codes, sub.minority):
+        assert block.flags.writeable is False

@@ -36,6 +36,17 @@ NOM3 = FeatureSchema(
     (("g1", "nominal"), ("g2", "nominal"), ("g3", "nominal")), "cls"
 )
 
+def minority(schema, rows):
+    """The rows as a minority-only Dataset."""
+    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+
+
+def vdm_table(rows, labels):
+    """VDM table of all-nominal rows with the given labels."""
+    schema = FeatureSchema(tuple((f"g{i}", "nominal") for i in range(len(rows[0]))), "cls")
+    return VdmTable.from_dataset(Dataset(schema, tuple(rows), tuple(labels)))
+
+
 F1 = (1.0, 2.0, 3.0, "A", "B", "C")
 F2 = (4.0, 6.0, 5.0, "A", "D", "E")
 
@@ -110,36 +121,36 @@ def test_compute_med_even_feature_count():
     stds = (1.0, 2.0, 3.0, 10.0)
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(4)), "cls")
     rows = [tuple(j * s for s in stds) for j in range(3)]
-    assert compute_med(rows, schema).med == 2.5
+    assert compute_med(minority(schema, rows)).med == 2.5
 
 
 def test_compute_med_single_feature():
     schema = FeatureSchema((("f", "continuous"),), "cls")
     rows = [(0.0,), (2.5,), (5.0,)]
-    assert compute_med(rows, schema).med == 2.5
+    assert compute_med(minority(schema, rows)).med == 2.5
 
 
 def test_compute_med_ignores_nominal_columns():
     rows = [(0.0, "A"), (2.0, "B"), (4.0, "A")]
     schema = FeatureSchema((("f", "continuous"), ("g", "nominal")), "cls")
-    assert compute_med(rows, schema).med == 2.0
+    assert compute_med(minority(schema, rows)).med == 2.0
 
 
 def test_compute_med_single_row_is_zero():
     schema = FeatureSchema((("f", "continuous"),), "cls")
-    assert compute_med([(7.0,)], schema).med == 0.0
+    assert compute_med(minority(schema, [(7.0,)])).med == 0.0
 
 
 def test_compute_med_requires_continuous_feature():
     with pytest.raises(ValueError, match="continuous"):
-        compute_med([("A",)], FeatureSchema((("g", "nominal"),), "cls"))
+        compute_med(minority(FeatureSchema((("g", "nominal"),), "cls"), [("A",)]))
 
 
 def _toy_table():
     # V1 appears 3 times, all minority; V2 twice, all majority
     rows = [("V1",)] * 3 + [("V2",)] * 2
     labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
-    return VdmTable.from_rows(rows, labels)
+    return vdm_table(rows, labels)
 
 
 def test_vdm_delta_toy_counts():
@@ -157,7 +168,7 @@ def test_vdm_delta_unseen_category():
 def test_vdm_distance_sums_feature_deltas():
     rows = [("V1", "V1")] * 3 + [("V2", "V2")] * 2
     labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
-    table = VdmTable.from_rows(rows, labels)
+    table = vdm_table(rows, labels)
     assert vdm_distance(table, ("V1", "V1"), ("V2", "V2")) == 4.0
     assert vdm_distance(table, ("V1", "V1"), ("V1", "V2")) == 2.0
     assert vdm_distance(table, ("V1", "V1"), ("V1", "V1")) == 0.0
@@ -178,7 +189,7 @@ def _random_table(rng, n_features=1, n_values=4, n_rows=40):
         ClassLabel.MINORITY if rng.random() < 0.4 else ClassLabel.MAJORITY
         for _ in range(n_rows)
     ]
-    return VdmTable.from_rows(rows, labels), values, rows
+    return vdm_table(rows, labels), values, rows
 
 
 def test_vdm_delta_axioms_random_tables():
@@ -224,7 +235,7 @@ def test_metric_objects_agree_with_functions():
     rng = np.random.default_rng(25)
     cont_rows = [tuple(float(v) for v in rng.normal(size=3)) for _ in range(12)]
     em = EuclideanMetric(CONT3)
-    pair = em.pairwise(cont_rows)
+    pair = em.pairwise(minority(CONT3, cont_rows))
     for i in range(12):
         for j in range(12):
             assert pair[i, j] == pytest.approx(
@@ -239,7 +250,7 @@ def test_metric_objects_agree_with_functions():
     ]
     params = NcDistanceParams(1.25)
     nm = NcMetric(MIXED6, params)
-    pair = nm.pairwise(mixed_rows)
+    pair = nm.pairwise(minority(MIXED6, mixed_rows))
     for i in range(10):
         for j in range(10):
             assert pair[i, j] == pytest.approx(
@@ -248,9 +259,16 @@ def test_metric_objects_agree_with_functions():
 
     table, values, nom_rows = _random_table(rng, n_features=3, n_rows=30)
     vm = VdmMetric(table)
-    pair = vm.pairwise(nom_rows[:10])
+    pair = vm.pairwise(minority(NOM3, nom_rows[:10]))
     for i in range(10):
         for j in range(10):
             assert pair[i, j] == pytest.approx(
                 vdm_distance(table, nom_rows[i], nom_rows[j]), abs=1e-12
             )
+
+
+def test_vdm_pairwise_rejects_unseen_category():
+    table = _toy_table()
+    rows = minority(FeatureSchema((("g0", "nominal"),), "cls"), [("V1",), ("V9",)])
+    with pytest.raises(ValueError, match="unseen category 'V9'"):
+        VdmMetric(table).pairwise(rows)

@@ -96,6 +96,16 @@ def test_nominal_laplace_smoothing_hand_values():
     assert score(model, ("C",)) == pytest.approx(6.0 / 11.0, abs=1e-12)
 
 
+def test_laplace_vocabulary_is_the_training_split():
+    # a training fold shares its parent's intern table, which here also
+    # knows "C"; the smoothing counts only categories the fold holds
+    rows = [("A",), ("A",), ("B",), ("B",), ("B",), ("C",)]
+    full = dataset(NOM1, rows, [MIN, MIN, MIN, MAJ, MAJ, MAJ])
+    model = train(full.subset(range(5)), ClassifierSpec())
+    assert score(model, ("A",)) == pytest.approx(18.0 / 23.0, abs=1e-12)
+    assert score(model, ("C",)) == pytest.approx(6.0 / 11.0, abs=1e-12)
+
+
 def test_constant_feature_does_not_blow_up():
     rows = [(5.0, 1.0), (5.0, 2.0), (5.0, 9.0), (5.0, 10.0)]
     labels = [MIN, MIN, MAJ, MAJ]
@@ -180,9 +190,17 @@ def _mixed_dataset():
     return dataset(MIXED, rows, labels)
 
 
+def _test_set(rows):
+    """Rows to score; their labels never reach the external scorer."""
+    return dataset(MIXED, rows, [MAJ] * len(rows))
+
+
 STUB_OK = """\
 import csv, sys
 train_path, test_path, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+for path in (train_path, test_path):
+    with open(path) as fh:
+        assert "np.float64(" not in fh.read(), path
 with open(train_path, newline="") as fh:
     rows = list(csv.reader(fh))
 header = rows[0]
@@ -206,7 +224,7 @@ def _write_stub(tmp_path, body, name="stub.py"):
 
 def test_external_classifier_contract(tmp_path):
     ext = ExternalClassifier(_write_stub(tmp_path, STUB_OK))
-    got = ext.score(_mixed_dataset(), [(2.0, "A"), (5.5, "B")])
+    got = ext.score(_mixed_dataset(), _test_set([(2.0, "A"), (5.5, "B")]))
     assert got.tolist() == [1.0, 0.0]
 
 
@@ -215,31 +233,31 @@ def test_external_classifier_nonzero_exit(tmp_path):
         _write_stub(tmp_path, "import sys; sys.exit(7)", "dies.py")
     )
     with pytest.raises(DataError, match="exited 7"):
-        ext.score(_mixed_dataset(), [(2.0, "A")])
+        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_short_output(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('0.5\\n')\n"
     ext = ExternalClassifier(_write_stub(tmp_path, body, "short.py"))
     with pytest.raises(DataError, match="scores for"):
-        ext.score(_mixed_dataset(), [(2.0, "A"), (3.0, "B")])
+        ext.score(_mixed_dataset(), _test_set([(2.0, "A"), (3.0, "B")]))
 
 
 def test_external_classifier_out_of_range(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('1.5\\n')\n"
     ext = ExternalClassifier(_write_stub(tmp_path, body, "range.py"))
     with pytest.raises(DataError, match=r"\[0, 1\]"):
-        ext.score(_mixed_dataset(), [(2.0, "A")])
+        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_non_numeric(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('maybe\\n')\n"
     ext = ExternalClassifier(_write_stub(tmp_path, body, "text.py"))
     with pytest.raises(DataError, match="non-numeric"):
-        ext.score(_mixed_dataset(), [(2.0, "A")])
+        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_missing_file(tmp_path):
     ext = ExternalClassifier(_write_stub(tmp_path, "pass", "noop.py"))
     with pytest.raises(DataError, match="no score file"):
-        ext.score(_mixed_dataset(), [(2.0, "A")])
+        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))

@@ -4,11 +4,16 @@ never-self rule, clamping, and deterministic tie order."""
 import numpy as np
 import pytest
 
-from smotekit.data import FeatureSchema
+from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import EuclideanMetric, euclidean
 from smotekit.neighbors import knn_minority
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
+
+
+def minority(schema, rows):
+    """The rows as a minority-only Dataset."""
+    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
 
 
 def schema_d(d):
@@ -29,20 +34,20 @@ def oracle_knn(rows, k, schema):
 
 def test_collinear_points():
     rows = [(0.0,), (1.0,), (5.0,)]
-    nl = knn_minority(rows, 1, EuclideanMetric(CONT1))
+    nl = knn_minority(minority(CONT1, rows), 1, EuclideanMetric(CONT1))
     assert nl.lists == ((1,), (0,), (1,))
 
 
 def test_lists_clamped_to_t_minus_one():
     rows = [(0.0,), (1.0,), (2.0,), (3.0,)]
-    nl = knn_minority(rows, 5, EuclideanMetric(CONT1))
+    nl = knn_minority(minority(CONT1, rows), 5, EuclideanMetric(CONT1))
     assert all(len(lst) == 3 for lst in nl.lists)
 
 
 def test_duplicate_points_tie_breaks_by_index():
     rows = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
     schema = schema_d(2)
-    nl = knn_minority(rows, 2, EuclideanMetric(schema))
+    nl = knn_minority(minority(schema, rows), 2, EuclideanMetric(schema))
     assert nl.lists == ((1, 2), (0, 2), (0, 1))
 
 
@@ -50,7 +55,7 @@ def test_never_self():
     rng = np.random.default_rng(31)
     schema = schema_d(3)
     rows = [tuple(float(v) for v in rng.integers(0, 4, size=3)) for _ in range(40)]
-    nl = knn_minority(rows, 5, EuclideanMetric(schema))
+    nl = knn_minority(minority(schema, rows), 5, EuclideanMetric(schema))
     for i, lst in enumerate(nl.lists):
         assert i not in lst
         assert len(lst) == 5
@@ -59,7 +64,13 @@ def test_never_self():
 
 def test_requires_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
-        knn_minority([(0.0,)], 1, EuclideanMetric(CONT1))
+        knn_minority(minority(CONT1, [(0.0,)]), 1, EuclideanMetric(CONT1))
+
+
+def test_rejects_majority_rows():
+    ds = Dataset(CONT1, ((0.0,), (1.0,)), (ClassLabel.MINORITY, ClassLabel.MAJORITY))
+    with pytest.raises(ValueError, match="minority-only"):
+        knn_minority(ds, 1, EuclideanMetric(CONT1))
 
 
 def test_matches_oracle_random_datasets():
@@ -75,7 +86,7 @@ def test_matches_oracle_random_datasets():
         ]
         if t > 3:
             rows[t // 2] = rows[0]
-        got = knn_minority(rows, k, EuclideanMetric(schema))
+        got = knn_minority(minority(schema, rows), k, EuclideanMetric(schema))
         assert got.lists == oracle_knn(rows, k, schema)
 
 
@@ -84,7 +95,7 @@ def test_distances_nondecreasing_and_dominating():
     schema = schema_d(4)
     rows = [tuple(float(v) for v in rng.normal(size=4)) for _ in range(80)]
     metric = EuclideanMetric(schema)
-    nl = knn_minority(rows, 6, metric)
+    nl = knn_minority(minority(schema, rows), 6, metric)
     for i, lst in enumerate(nl.lists):
         dists = [metric(rows[i], rows[j]) for j in lst]
         assert dists == sorted(dists)
@@ -98,11 +109,11 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(34)
     schema = schema_d(2)
     rows = [tuple(float(v) for v in rng.normal(size=2)) for _ in range(15)]
-    base = knn_minority(rows, 3, EuclideanMetric(schema))
+    base = knn_minority(minority(schema, rows), 3, EuclideanMetric(schema))
     perm = list(rng.permutation(15))
     inverse = {old: new for new, old in enumerate(perm)}
     shuffled = [rows[old] for old in perm]
-    moved = knn_minority(shuffled, 3, EuclideanMetric(schema))
+    moved = knn_minority(minority(schema, shuffled), 3, EuclideanMetric(schema))
     for new_i, old_i in enumerate(perm):
         relabeled = tuple(inverse[j] for j in base.lists[old_i])
         # distances are unchanged by the permutation, but tie order follows the
@@ -117,5 +128,5 @@ def test_metric_without_pairwise_attribute():
             return abs(a[0] - b[0])
 
     rows = [(0.0,), (1.0,), (5.0,)]
-    nl = knn_minority(rows, 1, PlainMetric())
+    nl = knn_minority(minority(CONT1, rows), 1, PlainMetric())
     assert nl.lists == ((1,), (0,), (1,))

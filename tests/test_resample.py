@@ -39,6 +39,11 @@ MIXED = FeatureSchema(
 )
 
 
+def minority(schema, rows):
+    """The rows as a minority-only Dataset."""
+    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+
+
 class StubRng:
     """Deterministic stand-in: permutations are identities, integer draws are
     zero, uniform draws return a fixed gap."""
@@ -58,7 +63,7 @@ class StubRng:
         return np.full(size, self._gap)
 
 
-PAIR = [(6.0, 4.0), (4.0, 3.0)]
+PAIR = minority(CONT2, [(6.0, 4.0), (4.0, 3.0)])
 PAIR_NEIGHBORS = NeighborList(((1,), (0,)))
 
 
@@ -80,8 +85,9 @@ def test_gap_zero_reproduces_base():
 
 def test_count_t4_n200():
     rows = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    nbrs = knn_minority(rows, 3, EuclideanMetric(CONT2))
-    batch = smote(rows, SmoteParams(n_percent=200, k=3, seed=7), nbrs)
+    ds = minority(CONT2, rows)
+    nbrs = knn_minority(ds, 3, EuclideanMetric(CONT2))
+    batch = smote(ds, SmoteParams(n_percent=200, k=3, seed=7), nbrs)
     assert len(batch) == 8
     per_base = [0] * 4
     for record in batch.provenance:
@@ -91,8 +97,9 @@ def test_count_t4_n200():
 
 def test_under_100_selects_distinct_bases():
     rows = [(float(i), 0.0) for i in range(10)]
-    nbrs = knn_minority(rows, 2, EuclideanMetric(CONT2))
-    batch = smote(rows, SmoteParams(n_percent=50, k=2, seed=3), nbrs)
+    ds = minority(CONT2, rows)
+    nbrs = knn_minority(ds, 2, EuclideanMetric(CONT2))
+    batch = smote(ds, SmoteParams(n_percent=50, k=2, seed=3), nbrs)
     assert len(batch) == 5
     bases = [record.base_index for record in batch.provenance]
     assert len(set(bases)) == 5
@@ -110,8 +117,9 @@ def test_count_exactness_randomized():
         n = int(rng.integers(0, 11)) * 50
         k = int(rng.integers(1, 8))
         rows = [tuple(map(float, rng.normal(size=2))) for _ in range(t)]
-        nbrs = knn_minority(rows, k, EuclideanMetric(CONT2))
-        batch = smote(rows, SmoteParams(n_percent=n, k=k, seed=int(rng.integers(1 << 30))), nbrs)
+        ds = minority(CONT2, rows)
+        nbrs = knn_minority(ds, k, EuclideanMetric(CONT2))
+        batch = smote(ds, SmoteParams(n_percent=n, k=k, seed=int(rng.integers(1 << 30))), nbrs)
         if n < 100:
             expected = (n * t) // 100
         else:
@@ -123,9 +131,10 @@ def test_segment_membership_shared_gap():
     rng = np.random.default_rng(42)
     rows = [tuple(map(float, rng.normal(size=3))) for _ in range(20)]
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(3)), "cls")
-    nbrs = knn_minority(rows, 5, EuclideanMetric(schema))
+    ds = minority(schema, rows)
+    nbrs = knn_minority(ds, 5, EuclideanMetric(schema))
     params = SmoteParams(n_percent=300, k=5, seed=9, gap_mode=SHARED)
-    batch = smote(rows, params, nbrs)
+    batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
     for row, record in zip(batch.rows, batch.provenance):
         base = matrix[record.base_index]
@@ -140,9 +149,10 @@ def test_bounding_box_per_attribute_gap():
     rng = np.random.default_rng(43)
     rows = [tuple(map(float, rng.normal(size=4))) for _ in range(15)]
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(4)), "cls")
-    nbrs = knn_minority(rows, 4, EuclideanMetric(schema))
+    ds = minority(schema, rows)
+    nbrs = knn_minority(ds, 4, EuclideanMetric(schema))
     params = SmoteParams(n_percent=400, k=4, seed=10, gap_mode=PER_ATTRIBUTE)
-    batch = smote(rows, params, nbrs)
+    batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
     for row, record in zip(batch.rows, batch.provenance):
         base = matrix[record.base_index]
@@ -154,11 +164,12 @@ def test_bounding_box_per_attribute_gap():
 
 def test_distinct_neighbor_mode_avoids_repeats_within_k():
     rows = [(float(i), float(i % 3)) for i in range(8)]
-    nbrs = knn_minority(rows, 5, EuclideanMetric(CONT2))
+    ds = minority(CONT2, rows)
+    nbrs = knn_minority(ds, 5, EuclideanMetric(CONT2))
     params = SmoteParams(
         n_percent=400, k=5, seed=11, neighbor_mode=DISTINCT
     )
-    batch = smote(rows, params, nbrs)
+    batch = smote(ds, params, nbrs)
     seen = {}
     for record in batch.provenance:
         seen.setdefault(record.base_index, []).append(record.neighbor_index)
@@ -169,9 +180,10 @@ def test_distinct_neighbor_mode_avoids_repeats_within_k():
 
 def test_distinct_neighbor_mode_cycles_when_count_exceeds_k():
     rows = [(float(i), 0.0) for i in range(4)]
-    nbrs = knn_minority(rows, 2, EuclideanMetric(CONT2))
+    ds = minority(CONT2, rows)
+    nbrs = knn_minority(ds, 2, EuclideanMetric(CONT2))
     params = SmoteParams(n_percent=500, k=2, seed=12, neighbor_mode=DISTINCT)
-    batch = smote(rows, params, nbrs)
+    batch = smote(ds, params, nbrs)
     seen = {}
     for record in batch.provenance:
         seen.setdefault(record.base_index, []).append(record.neighbor_index)
@@ -183,13 +195,14 @@ def test_distinct_neighbor_mode_cycles_when_count_exceeds_k():
 
 
 def test_smote_rejects_nominal_rows():
+    nominal = FeatureSchema((("g1", "nominal"), ("g2", "nominal")), "cls")
     with pytest.raises(ValueError, match="continuous"):
-        smote([("A", "B"), ("C", "D")], SmoteParams(100, 1, 0), PAIR_NEIGHBORS)
+        smote(minority(nominal, [("A", "B"), ("C", "D")]), SmoteParams(100, 1, 0), PAIR_NEIGHBORS)
 
 
 def test_smote_rejects_single_row():
     with pytest.raises(ValueError, match="at least 2"):
-        smote([(1.0, 2.0)], SmoteParams(100, 1, 0), NeighborList(((0,),)))
+        smote(minority(CONT2, [(1.0, 2.0)]), SmoteParams(100, 1, 0), NeighborList(((0,),)))
 
 
 def test_smote_rejects_mismatched_neighbor_list():
@@ -200,10 +213,11 @@ def test_smote_rejects_mismatched_neighbor_list():
 def test_smote_determinism():
     rng = np.random.default_rng(44)
     rows = [tuple(map(float, rng.normal(size=2))) for _ in range(12)]
-    nbrs = knn_minority(rows, 3, EuclideanMetric(CONT2))
-    a = smote(rows, SmoteParams(300, 3, seed=77), nbrs)
-    b = smote(rows, SmoteParams(300, 3, seed=77), nbrs)
-    c = smote(rows, SmoteParams(300, 3, seed=78), nbrs)
+    ds = minority(CONT2, rows)
+    nbrs = knn_minority(ds, 3, EuclideanMetric(CONT2))
+    a = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
+    b = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
+    c = smote(ds, SmoteParams(300, 3, seed=78), nbrs)
     assert a.rows == b.rows and a.provenance == b.provenance
     assert a.rows != c.rows
 
@@ -225,7 +239,7 @@ def test_nc_vote_tie_skips_base_when_not_leading():
     # neighbor values A,A,B,C,C: A and C tie at 2, base holds B, so the
     # earliest-interned leader wins; intern order here is B,A,C
     ds = _nc_dataset(["A", "A", "B", "C", "C"])
-    nc = compute_med([r for r in ds.rows], MIXED)
+    nc = compute_med(ds)
     params = SmoteParams(n_percent=100, k=5, seed=0)
     batch = smote_nc(ds, params, nc, _full_lists(6), rng=StubRng(0.25))
     assert batch.rows[0][1] == "A"
@@ -255,6 +269,15 @@ def test_nc_vote_tie_prefers_base_value():
     params = SmoteParams(n_percent=100, k=2, seed=0)
     batch = smote_nc(ds, params, nc, _full_lists(3), rng=StubRng(0.0))
     assert batch.rows[0][1] == "B"
+
+
+def test_nc_vote_ragged_neighbor_lists():
+    # lists of different lengths vote as their own groups
+    ds = _nc_dataset(["A", "A", "C", "C"])
+    nbrs = NeighborList(((1, 2, 3), (0,), (3, 4), (2, 4), (3,)))
+    params = SmoteParams(n_percent=100, k=3, seed=0)
+    batch = smote_nc(ds, params, NcDistanceParams(1.0), nbrs, rng=StubRng(0.0))
+    assert [row[1] for row in batch.rows] == ["A", "B", "C", "C", "C"]
 
 
 def test_nc_continuous_part_interpolates():
@@ -288,6 +311,8 @@ def test_nc_rejects_majority_rows():
 
 
 NOM5 = FeatureSchema(tuple((f"g{i}", "nominal") for i in range(5)), "cls")
+NOM2 = FeatureSchema((("g0", "nominal"), ("g1", "nominal")), "cls")
+NOM1 = FeatureSchema((("g0", "nominal"),), "cls")
 
 
 def test_smote_n_worked_vote():
@@ -296,10 +321,10 @@ def test_smote_n_worked_vote():
         ("A", "F", "C", "G", "N"),
         ("H", "B", "C", "D", "N"),
     ]
-    labels = [ClassLabel.MINORITY] * 3
-    table = VdmTable.from_rows(rows, labels)
+    ds = minority(NOM5, rows)
+    table = VdmTable.from_dataset(ds)
     params = SmoteParams(n_percent=100, k=2, seed=0)
-    batch = smote_n(rows, params, table, _full_lists(3))
+    batch = smote_n(ds, params, table, _full_lists(3))
     assert batch.rows[0] == ("A", "B", "C", "D", "N")
     assert batch.provenance[0].base_index == 0
     assert batch.provenance[0].neighbor_index == 0
@@ -307,24 +332,24 @@ def test_smote_n_worked_vote():
 
 
 def test_smote_n_unanimous():
-    rows = [("A", "B")] * 3
-    table = VdmTable.from_rows(rows, [ClassLabel.MINORITY] * 3)
-    batch = smote_n(rows, SmoteParams(100, 2, 0), table, _full_lists(3))
+    ds = minority(NOM2, [("A", "B")] * 3)
+    table = VdmTable.from_dataset(ds)
+    batch = smote_n(ds, SmoteParams(100, 2, 0), table, _full_lists(3))
     assert all(r == ("A", "B") for r in batch.rows)
 
 
 def test_smote_n_tie_keeps_base_value():
-    rows = [("A",), ("B",)]
-    table = VdmTable.from_rows(rows, [ClassLabel.MINORITY] * 2)
-    batch = smote_n(rows, SmoteParams(100, 1, 0), table, NeighborList(((1,), (0,))))
+    ds = minority(NOM1, [("A",), ("B",)])
+    table = VdmTable.from_dataset(ds)
+    batch = smote_n(ds, SmoteParams(100, 1, 0), table, NeighborList(((1,), (0,))))
     assert batch.rows[0] == ("A",)
     assert batch.rows[1] == ("B",)
 
 
 def test_smote_n_deterministic_rows_per_base():
-    rows = [("A", "B"), ("A", "C"), ("D", "C")]
-    table = VdmTable.from_rows(rows, [ClassLabel.MINORITY] * 3)
-    batch = smote_n(rows, SmoteParams(300, 2, 5), table, _full_lists(3))
+    ds = minority(NOM2, [("A", "B"), ("A", "C"), ("D", "C")])
+    table = VdmTable.from_dataset(ds)
+    batch = smote_n(ds, SmoteParams(300, 2, 5), table, _full_lists(3))
     assert len(batch) == 9
     by_base = {}
     for row, record in zip(batch.rows, batch.provenance):
@@ -335,24 +360,25 @@ def test_smote_n_deterministic_rows_per_base():
 def test_smote_n_rejects_continuous():
     with pytest.raises(ValueError, match="nominal"):
         smote_n(
-            [(1.0,), (2.0,)],
+            minority(FeatureSchema((("x", "continuous"),), "cls"), [(1.0,), (2.0,)]),
             SmoteParams(100, 1, 0),
-            VdmTable.from_rows([("A",)], [ClassLabel.MINORITY]),
+            VdmTable.from_dataset(minority(NOM1, [("A",)])),
             NeighborList(((1,), (0,))),
         )
 
 
 def test_replicate_membership_and_count():
     rows = [(float(i), float(i)) for i in range(5)]
-    batch = replicate_oversample(rows, 100, seed=1)
+    ds = minority(CONT2, rows)
+    batch = replicate_oversample(ds, 100, seed=1)
     assert len(batch) == 5
     assert all(r in rows for r in batch.rows)
     for record in batch.provenance:
         assert record.base_index == record.neighbor_index
         assert record.gaps == (0.0,)
         assert batch.rows[batch.provenance.index(record)] == rows[record.base_index]
-    assert len(replicate_oversample(rows, 0, seed=1)) == 0
-    assert len(replicate_oversample(rows[:4], 250, seed=1)) == 8
+    assert len(replicate_oversample(ds, 0, seed=1)) == 0
+    assert len(replicate_oversample(ds.subset(range(4)), 250, seed=1)) == 8
 
 
 def test_under_sample_worked_percentages():
@@ -428,16 +454,6 @@ def test_apply_plan_row_order_and_detail():
     assert all(label is ClassLabel.MINORITY for label in out.labels[:30])
     assert all(label is ClassLabel.MAJORITY for label in out.labels[30:])
     audit_batch(result.batch, 10)
-
-
-def test_apply_plan_shuffle_permutes_not_changes():
-    ds = _plan_dataset(10, 40)
-    plain = apply_plan_detailed(ds, 100, 100, k=3, seed=9, shuffle=False).dataset
-    mixed = apply_plan_detailed(ds, 100, 100, k=3, seed=9, shuffle=True).dataset
-    assert sorted(zip(plain.rows, plain.labels), key=repr) == sorted(
-        zip(mixed.rows, mixed.labels), key=repr
-    )
-    assert plain.rows != mixed.rows
 
 
 def test_apply_plan_replicate_variant():
@@ -537,9 +553,9 @@ def _minority_sets(draw):
     }
     row = st.tuples(*(cell[kind] for kind in kinds))
     t = draw(st.integers(2, 8))
-    minority = draw(st.lists(row, min_size=t, max_size=t))
+    pool = draw(st.lists(row, min_size=t, max_size=t))
     majority = draw(st.lists(row, min_size=1, max_size=3))
-    return shape, schema, minority, majority
+    return shape, schema, pool, majority
 
 
 @settings(max_examples=150, deadline=None)
@@ -551,29 +567,31 @@ def _minority_sets(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, seed):
-    shape, schema, minority, majority = data
-    t = len(minority)
+    shape, schema, pool, majority = data
+    t = len(pool)
     params = SmoteParams(n_percent=n_percent, k=k, seed=seed, gap_mode=gap_mode)
     if shape == "continuous":
-        nbrs = knn_minority(minority, k, EuclideanMetric(schema))
-        batch = smote(minority, params, nbrs)
-        vote_pool = minority
+        ds = minority(schema, pool)
+        nbrs = knn_minority(ds, k, EuclideanMetric(schema))
+        batch = smote(ds, params, nbrs)
+        vote_pool = pool
     elif shape == "mixed":
-        ds = Dataset(schema, tuple(minority), tuple([ClassLabel.MINORITY] * t))
-        nc = compute_med(minority, schema)
-        nbrs = knn_minority(minority, k, NcMetric(schema, nc))
+        ds = minority(schema, pool)
+        nc = compute_med(ds)
+        nbrs = knn_minority(ds, k, NcMetric(schema, nc))
         batch = smote_nc(ds, params, nc, nbrs)
-        vote_pool = minority
+        vote_pool = pool
     else:
-        ds = Dataset(
+        full = Dataset(
             schema,
-            tuple(minority + majority),
+            tuple(pool + majority),
             tuple([ClassLabel.MINORITY] * t + [ClassLabel.MAJORITY] * len(majority)),
         )
-        table = VdmTable.from_dataset(ds)
-        nbrs = knn_minority(minority, k, VdmMetric(table))
-        batch = smote_n(minority, params, table, nbrs)
-        vote_pool = minority + majority
+        ds = full.minority_subset()
+        table = VdmTable.from_dataset(full)
+        nbrs = knn_minority(ds, k, VdmMetric(table))
+        batch = smote_n(ds, params, table, nbrs)
+        vote_pool = pool + majority
 
     expected = (n_percent // 100) * t if n_percent >= 100 else n_percent * t // 100
     assert len(batch.rows) == len(batch.provenance) == expected
@@ -581,19 +599,19 @@ def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, s
     cont = schema.continuous_indices
     for row, record in zip(batch.rows, batch.provenance):
         b = record.base_index
-        base = minority[b]
+        base = pool[b]
         assert len(row) == len(base)
         if shape == "nominal":
             assert (record.base_index, record.neighbor_index, record.gaps) == (b, b, ())
         else:
-            nb = minority[record.neighbor_index]
+            nb = pool[record.neighbor_index]
             assert record.neighbor_index in nbrs.lists[b]
             assert len(record.gaps) == (1 if gap_mode == SHARED else len(cont))
             for i in cont:
                 assert min(base[i], nb[i]) <= row[i] <= max(base[i], nb[i])
         for i in schema.nominal_indices:
             first_seen = list(dict.fromkeys(r[i] for r in vote_pool))
-            voters = [minority[j][i] for j in nbrs.lists[b]]
+            voters = [pool[j][i] for j in nbrs.lists[b]]
             if shape == "nominal":
                 voters = [base[i]] + voters
             assert row[i] == _expected_vote(voters, base[i], first_seen)

@@ -5,9 +5,9 @@ held in read-only column blocks that every layer reads. Continuous entries are
 finite floats; nominal entries are category tokens interned in
 first-appearance order and stored as their codes, which makes majority-vote
 tie-breaking deterministic downstream. Feature tuples are built from the
-blocks only at the boundaries: CSV files, provenance and scorers. The minority
-class must not outnumber the majority class at load time (later resampling
-may flip that freely).
+blocks only at the boundaries: CSV files and callers that ask for rows. The
+minority class must not outnumber the majority class at load time (later
+resampling may flip that freely).
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class Dataset:
     ``codes`` an integer block (rows x nominal features) whose entries index
     the first-appearance ``intern`` tables, and ``minority`` a boolean mask.
     Every layer reads the blocks; ``rows`` and ``labels`` rebuild tuples from
-    them on each access and are meant for the CSV, provenance and scorer
-    boundaries. Subsets and resampled sets share their parent's intern tables.
+    them on each access and are meant for callers that hold row tuples, such
+    as a plain-callable metric. Subsets and resampled sets share their parent's intern tables.
     ``minority_token`` and ``majority_token`` preserve the class spellings of
     the source file so a save/load round trip is exact.
     """

@@ -20,11 +20,10 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .data import ClassLabel, Dataset, Row, encode_rows, save_csv
+from .data import ClassLabel, Dataset, Row, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
 
@@ -79,11 +78,16 @@ class TrainedModel:
     # a token outside the intern table
     nominal_loglik: list
 
-    def score_rows(self, rows: Sequence[Row]) -> np.ndarray:
-        """Posterior minority probability per row, vectorized."""
-        x, codes = encode_rows(self.schema, rows, self.intern)
-        log_min = np.full(len(rows), self.log_priors[0])
-        log_maj = np.full(len(rows), self.log_priors[1])
+    def score_rows(self, test: Dataset) -> np.ndarray:
+        """Posterior minority probability of every row of ``test``, vectorized.
+
+        ``test`` has the training schema; its nominal codes are mapped into
+        the training intern tables, one lookup per category, and a token the
+        training tables lack scores with the fallback column.
+        """
+        x = test.cont
+        log_min = np.full(len(test), self.log_priors[0])
+        log_maj = np.full(len(test), self.log_priors[1])
         if x.shape[1]:
             for c, acc in enumerate((log_min, log_maj)):
                 diff = x - self.means[c]
@@ -91,9 +95,13 @@ class TrainedModel:
                     -0.5 * (np.log(2.0 * np.pi * self.variances[c])
                             + diff * diff / self.variances[c])
                 ).sum(axis=1)
-        for table, column in zip(self.nominal_loglik, codes.T):
-            log_min += table[0, column]
-            log_maj += table[1, column]
+        for table, i, column in zip(
+            self.nominal_loglik, self.schema.nominal_indices, test.codes.T
+        ):
+            known = self.intern[i]
+            lookup = np.array([known.get(token, -1) for token in test.intern[i]], dtype=int)
+            log_min += table[0, lookup[column]]
+            log_maj += table[1, lookup[column]]
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(log_maj - log_min))
 
@@ -157,7 +165,8 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
 
 def score(model: TrainedModel, row: Row) -> float:
     """Posterior minority probability for one row."""
-    return float(model.score_rows([row])[0])
+    one = Dataset(model.schema, (row,), (ClassLabel.MAJORITY,))
+    return float(model.score_rows(one)[0])
 
 
 def predict(model: TrainedModel, row: Row, threshold: float) -> ClassLabel:
@@ -171,15 +180,14 @@ def predict(model: TrainedModel, row: Row, threshold: float) -> ClassLabel:
 
 
 def confusion_from_scores(
-    scores: np.ndarray, actual: Sequence[ClassLabel], threshold: float
+    scores: np.ndarray, actual_min: np.ndarray, threshold: float
 ) -> ConfusionMatrix:
-    """Confusion matrix from precomputed scores at one threshold."""
+    """Confusion matrix from precomputed scores at one threshold;
+    ``actual_min`` is the boolean mask of the rows truly in the minority."""
     scores = np.asarray(scores, dtype=float)
-    if len(scores) != len(actual):
-        raise ValueError(f"{len(scores)} scores against {len(actual)} labels")
-    actual_min = np.array(
-        [ClassLabel(a) is ClassLabel.MINORITY for a in actual], dtype=bool
-    )
+    actual_min = np.asarray(actual_min, dtype=bool)
+    if len(scores) != len(actual_min):
+        raise ValueError(f"{len(scores)} scores against {len(actual_min)} labels")
     predicted_min = scores >= threshold
     return ConfusionMatrix(
         tp=int(np.sum(predicted_min & actual_min)),
@@ -187,17 +195,6 @@ def confusion_from_scores(
         tn=int(np.sum(~predicted_min & ~actual_min)),
         fn=int(np.sum(~predicted_min & actual_min)),
     )
-
-
-def threshold_sweep(
-    model: TrainedModel,
-    rows: Sequence[Row],
-    actual: Sequence[ClassLabel],
-    thresholds: Sequence[float],
-) -> list:
-    """Score once, then tally a confusion matrix per threshold."""
-    scores = model.score_rows(rows)
-    return [(t, confusion_from_scores(scores, actual, t)) for t in thresholds]
 
 
 @dataclass

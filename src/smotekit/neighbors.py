@@ -15,11 +15,23 @@ import numpy as np
 from .data import Dataset, Row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborList:
-    """Per-row neighbor indices, nearest first; a row never lists itself."""
+    """Per-row neighbor indices, nearest first; a row never lists itself.
 
-    lists: tuple
+    ``lists`` is one read-only ``(T, w)`` integer array: row ``i`` holds the
+    ``w`` neighbors of minority row ``i``; ``knn_minority`` gives every row
+    ``min(k, T - 1)``. Rows of different lengths raise ValueError.
+    """
+
+    lists: np.ndarray
+
+    def __post_init__(self):
+        lists = np.array(self.lists, dtype=np.intp)  # ragged rows raise ValueError
+        if lists.ndim != 2:
+            raise ValueError(f"neighbor lists must form a 2-D array, got {lists.ndim}-D")
+        lists.flags.writeable = False
+        object.__setattr__(self, "lists", lists)
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -62,4 +74,4 @@ def knn_minority(
     # drops its own index, wherever the sort placed it.
     order = np.argsort(dist, axis=1, kind="stable")
     others = order[order != np.arange(t)[:, None]].reshape(t, t - 1)
-    return NeighborList(tuple(map(tuple, others[:, : min(k, t - 1)].tolist())))
+    return NeighborList(others[:, : min(k, t - 1)])

@@ -176,8 +176,7 @@ def _make_scorer(spec: ClassifierSpec):
         return external.score
 
     def nb_score(train_ds: Dataset, test: Dataset) -> np.ndarray:
-        model = train(train_ds, spec)
-        return model.score_rows(test.rows)
+        return train(train_ds, spec).score_rows(test)
 
     return nb_score
 
@@ -190,10 +189,10 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     """
     cfg.validate()
     folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
-    fold_data = []
-    for f in range(cfg.n_folds):
-        test = ds.subset(folds.test_indices(f))
-        fold_data.append((ds.subset(folds.train_indices(f)), test, test.labels))
+    fold_data = [
+        (ds.subset(folds.train_indices(f)), ds.subset(folds.test_indices(f)))
+        for f in range(cfg.n_folds)
+    ]
 
     scorer = _make_scorer(cfg.classifier)
     warnings_log: list[str] = []
@@ -201,8 +200,8 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
 
     def fold_cms(score, threshold: float) -> list:
         return [
-            confusion_from_scores(score(train_ds, test), test_labels, threshold)
-            for train_ds, test, test_labels in fold_data
+            confusion_from_scores(score(train_ds, test), test.minority, threshold)
+            for train_ds, test in fold_data
         ]
 
     raw_cms = None
@@ -221,7 +220,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
         for tag, over, under in cells:
             cms = []
             sizes = []
-            for f, (train_ds, test, test_labels) in enumerate(fold_data):
+            for f, (train_ds, test) in enumerate(fold_data):
                 detail = apply_plan_detailed(
                     train_ds,
                     over,
@@ -242,7 +241,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     break
                 scores = scorer(resampled, test)
                 cms.append(
-                    confusion_from_scores(scores, test_labels, cfg.classifier.threshold)
+                    confusion_from_scores(scores, test.minority, cfg.classifier.threshold)
                 )
                 sizes.append((resampled.n_minority, resampled.n_majority))
             else:  # no fold skipped the cell
@@ -273,15 +272,14 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             curves.append(build_family_curve("priors_sweep", results))
         else:  # threshold_sweep
             fold_scores = [
-                (scorer(train_ds, test), test_labels)
-                for train_ds, test, test_labels in fold_data
+                (scorer(train_ds, test), test.minority) for train_ds, test in fold_data
             ]
             results = [
                 (
                     f"threshold={t}",
                     [
-                        confusion_from_scores(scores, labels, t)
-                        for scores, labels in fold_scores
+                        confusion_from_scores(scores, actual_min, t)
+                        for scores, actual_min in fold_scores
                     ],
                 )
                 for t in cfg.thresholds

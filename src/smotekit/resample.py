@@ -79,32 +79,32 @@ class SmoteParams:
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Provenance:
-    """Origin of one synthetic row.
+    """Origin of every synthetic row of one batch, as three columns.
 
-    ``gaps`` holds the uniform draws that built the row: one value in shared
-    mode, one per interpolated coordinate in per-attribute mode, empty for
-    pure-vote synthesis. Vote-based and replicated rows record
+    ``base_index`` and ``neighbor_index`` have shape ``(n,)``; ``gaps`` has
+    shape ``(n, g)`` and holds the uniform draws that built each row: g is 1
+    in shared mode and for replication (all zero), the number of
+    interpolated coordinates in per-attribute mode, and 0 for pure-vote
+    synthesis. Vote-based and replicated rows record
     ``neighbor_index == base_index`` since no single source neighbor exists.
     """
 
-    base_index: int
-    neighbor_index: int
-    gaps: tuple
+    base_index: np.ndarray
+    neighbor_index: np.ndarray
+    gaps: np.ndarray
 
-    @property
-    def gap(self):
-        """The single draw when one exists, else None."""
-        return self.gaps[0] if len(self.gaps) == 1 else None
+    def __len__(self) -> int:
+        return len(self.base_index)
 
 
 @dataclass
 class SyntheticBatch:
-    """Synthetic rows, as a minority Dataset, plus one provenance record per row."""
+    """Synthetic rows, as a minority Dataset, plus their provenance columns."""
 
     data: Dataset
-    provenance: list
+    provenance: Provenance
 
     @property
     def rows(self) -> list:
@@ -136,47 +136,43 @@ def _plan_bases(n_percent: int, t: int, rng: np.random.Generator):
     return np.arange(t), n_percent // 100
 
 
-def _pick_neighbors(n_candidates: int, count: int, mode: str, rng) -> list[int]:
-    """Positions into a neighbor list for ``count`` synthetic rows of one base."""
+def _pick_neighbors(width: int, n_bases: int, per_base: int, mode: str, rng) -> np.ndarray:
+    """Positions into the neighbor lists for ``per_base`` rows of each of
+    ``n_bases`` bases, flat and grouped by base.
+
+    ``distinct`` deals each base's list out in rounds, each round a fresh
+    permutation (a stable argsort of uniform keys), so picks repeat only once
+    the list is exhausted.
+    """
     if mode == WITH_REPLACEMENT:
-        return [int(p) for p in np.atleast_1d(rng.integers(0, n_candidates, size=count))]
-    picks: list[int] = []
-    while len(picks) < count:
-        round_perm = rng.permutation(n_candidates)
-        picks.extend(int(p) for p in round_perm[: count - len(picks)])
-    return picks
+        return rng.integers(0, width, size=n_bases * per_base)
+    rounds = -(-per_base // width)
+    dealt = np.argsort(rng.random((n_bases, rounds, width)), axis=2, kind="stable")
+    return dealt.reshape(n_bases, rounds * width)[:, :per_base].reshape(-1)
 
 
-def _vote(codes: np.ndarray, lists, base_votes: bool) -> np.ndarray:
+def _vote(codes: np.ndarray, lists: np.ndarray, base_votes: bool) -> np.ndarray:
     """Voted nominal codes of every source row, one column per nominal feature.
 
     Each column takes the code most frequent among the row's neighbors (the
     row itself joins the vote only when ``base_votes``). Ties prefer the
     row's own code, else the lowest code, i.e. the first-interned category.
     """
-    voted = codes.copy()
     if not codes.shape[1]:
-        return voted
-    by_width: dict[int, list[int]] = {}
-    for row, nlist in enumerate(lists):
-        by_width.setdefault(len(nlist), []).append(row)
-    for width, members in by_width.items():
-        own = codes[members]
-        picked = np.array([lists[i] for i in members], dtype=np.intp)
-        voters = codes[picked.reshape(len(members), width)]
-        if base_votes:
-            voters = np.concatenate([own[:, None, :], voters], axis=1)
-        top = np.zeros_like(own)
-        leader = own
-        for p in range(voters.shape[1]):
-            code = voters[:, p]
-            votes = (voters == code[:, None, :]).sum(axis=1)
-            better = (votes > top) | ((votes == top) & (code < leader))
-            top = np.where(better, votes, top)
-            leader = np.where(better, code, leader)
-        own_votes = (voters == own[:, None, :]).sum(axis=1)
-        voted[members] = np.where(own_votes == top, own, leader)
-    return voted
+        return codes
+    voters = codes[lists]
+    if base_votes:
+        voters = np.concatenate([codes[:, None, :], voters], axis=1)
+    top = np.zeros_like(codes)
+    leader = codes
+    for p in range(voters.shape[1]):  # one pass per voter position
+        code = voters[:, p]
+        votes = (voters == code[:, None, :]).sum(axis=1)
+        better = (votes > top) | ((votes == top) & (code < leader))
+        top = np.where(better, votes, top)
+        leader = np.where(better, code, leader)
+    own_votes = (voters == codes[:, None, :]).sum(axis=1)
+    return np.where(own_votes == top, codes, leader)
 
 
 def _check_source(minority: Dataset, neighbors: NeighborList, variant: str) -> None:
@@ -192,47 +188,32 @@ def _check_source(minority: Dataset, neighbors: NeighborList, variant: str) -> N
 
 
 def _synthesize(source: Dataset, params, neighbors, rng, base_votes) -> SyntheticBatch:
-    """The synthesis loop shared by smote, smote_nc and smote_n.
+    """The synthesis shared by smote, smote_nc and smote_n.
 
     Every synthetic row of a base carries the base's voted nominal codes
-    (see :func:`_vote`). With no continuous columns nothing more is drawn and
-    every row records ``Provenance(b, b, ())``; otherwise, base by base,
-    neighbor picks and then gaps are drawn and the continuous block is
-    interpolated and clipped to the base/neighbor box.
+    (see :func:`_vote`). After the base choice, one call draws every
+    neighbor pick, then every gap, and interpolates and clips the whole
+    continuous block to the base/neighbor boxes at once. With no continuous
+    columns nothing more is drawn and each row records its base as its
+    neighbor, with no gaps.
     """
     cont = source.cont
-    voted = _vote(source.codes, neighbors.lists, base_votes)
+    lists = neighbors.lists
     bases, per_base = _plan_bases(params.n_percent, len(source), rng)
-    blocks: list[np.ndarray] = []
-    provenance: list[Provenance] = []
-    for b in bases.tolist():
-        if not cont.shape[1]:
-            provenance.extend(Provenance(b, b, ()) for _ in range(per_base))
-            continue
-        nlist = neighbors.lists[b]
-        picks = _pick_neighbors(len(nlist), per_base, params.neighbor_mode, rng)
-        neighbor_idx = [int(nlist[p]) for p in picks]
-        if params.gap_mode == SHARED:
-            draws = np.atleast_1d(rng.random(per_base))
-            gaps = draws[:, None]
-            recorded = [(g,) for g in draws.tolist()]
-        else:
-            gaps = np.atleast_2d(rng.random((per_base, cont.shape[1])))
-            recorded = [tuple(g) for g in gaps.tolist()]
-        base = cont[b]
-        nb = cont[neighbor_idx]
-        new = base + gaps * (nb - base)
-        blocks.append(np.clip(new, np.minimum(base, nb), np.maximum(base, nb)))
-        provenance.extend(
-            Provenance(b, j, gap) for j, gap in zip(neighbor_idx, recorded)
-        )
-    origin = np.array([record.base_index for record in provenance], dtype=np.intp)
-    data = source.with_blocks(
-        np.concatenate(blocks) if blocks else cont[origin],
-        voted[origin],
-        np.ones(len(origin), dtype=bool),
-    )
-    return SyntheticBatch(data, provenance)
+    origin = np.repeat(bases, per_base)
+    n, d = len(origin), cont.shape[1]
+    base = cont[origin]
+    if d:
+        picks = _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
+        partner = lists[origin, picks]
+        gaps = rng.random((n, 1) if params.gap_mode == SHARED else (n, d))
+        nb = cont[partner]
+        new = np.clip(base + gaps * (nb - base), np.minimum(base, nb), np.maximum(base, nb))
+    else:
+        partner, gaps, new = origin, np.empty((n, 0)), base
+    voted = _vote(source.codes, lists, base_votes)
+    data = source.with_blocks(new, voted[origin], np.ones(n, dtype=bool))
+    return SyntheticBatch(data, Provenance(origin, partner, gaps))
 
 
 def smote(
@@ -336,9 +317,8 @@ def replicate_oversample(
     if rng is None:
         rng = generator(seed, "replicate")
     count = (n_percent // 100) * t
-    picks = np.atleast_1d(rng.integers(0, t, size=count)) if count else np.empty(0, dtype=int)
-    provenance = [Provenance(p, p, (0.0,)) for p in picks.tolist()]
-    return SyntheticBatch(minority.subset(picks), provenance)
+    picks = rng.integers(0, t, size=count)
+    return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((count, 1))))
 
 
 def under_sample(
@@ -422,7 +402,8 @@ def apply_plan_detailed(
     majority_idx = train.majority_indices()
 
     if over_percent == 0:
-        batch = SyntheticBatch(minority.subset([]), [])
+        empty = np.empty(0, dtype=np.intp)
+        batch = SyntheticBatch(minority.subset(empty), Provenance(empty, empty, np.empty((0, 0))))
     elif variant == "replicate":
         batch = replicate_oversample(
             minority, over_percent, seed=child_seed(seed, "over")
@@ -480,45 +461,51 @@ def apply_plan_detailed(
 def audit_batch(batch: SyntheticBatch, n_minority: int) -> None:
     """Fail fast if provenance escapes the training minority pool.
 
-    Checks every base and neighbor index against the pool size, one
-    provenance record per row, and gap draws within [0, 1).
+    Checks one provenance entry per row in every column, every base and
+    neighbor index against the pool size, and gap draws within [0, 1).
     """
-    if len(batch) != len(batch.provenance):
+    prov = batch.provenance
+    sizes = {len(prov.base_index), len(prov.neighbor_index), len(prov.gaps)}
+    if sizes != {len(batch)}:
         raise DataError(
-            f"{len(batch)} synthetic rows but {len(batch.provenance)} "
-            "provenance records"
+            f"{len(batch)} synthetic rows but provenance columns of "
+            f"{sorted(sizes)} entries"
         )
-    for record in batch.provenance:
-        if not (0 <= record.base_index < n_minority):
+    for name, index in (("base", prov.base_index), ("neighbor", prov.neighbor_index)):
+        outside = (index < 0) | (index >= n_minority)
+        if outside.any():
             raise DataError(
-                f"synthetic base index {record.base_index} outside the "
+                f"synthetic {name} index {index[outside][0]} outside the "
                 f"{n_minority}-row training minority pool"
             )
-        if not (0 <= record.neighbor_index < n_minority):
-            raise DataError(
-                f"synthetic neighbor index {record.neighbor_index} outside the "
-                f"{n_minority}-row training minority pool"
-            )
-        for gap in record.gaps:
-            if not (0.0 <= gap < 1.0):
-                raise DataError(f"gap {gap} outside [0, 1)")
+    outside = ~((prov.gaps >= 0.0) & (prov.gaps < 1.0))
+    if outside.any():
+        raise DataError(f"gap {prov.gaps[outside][0]} outside [0, 1)")
 
 
 def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> None:
-    """Write one JSON line per synthetic row: base, neighbor, gap(s), variant."""
+    """Write one JSON line per synthetic row: base, neighbor, gap, variant.
+
+    ``gap`` is null for vote-only rows, a number when the row has one draw,
+    and a list of the per-attribute draws otherwise.
+    """
+    prov = batch.provenance
+    width = prov.gaps.shape[1]
+    if width == 0:
+        gaps = [None] * len(prov)
+    elif width == 1:
+        gaps = prov.gaps[:, 0].tolist()
+    else:
+        gaps = prov.gaps.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for record in batch.provenance:
-            if not record.gaps:
-                gap = None
-            elif len(record.gaps) == 1:
-                gap = record.gaps[0]
-            else:
-                gap = list(record.gaps)
+        for base, neighbor, gap in zip(
+            prov.base_index.tolist(), prov.neighbor_index.tolist(), gaps
+        ):
             fh.write(
                 json.dumps(
                     {
-                        "base_index": record.base_index,
-                        "neighbor_index": record.neighbor_index,
+                        "base_index": base,
+                        "neighbor_index": neighbor,
                         "gap": gap,
                         "variant": variant,
                     },

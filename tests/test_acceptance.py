@@ -35,6 +35,7 @@ from smotekit.resample import (
     smote_n,
     under_sample,
 )
+from stub_rng import StubRng
 
 
 def report(number: int, label: str, failures: list) -> None:
@@ -52,32 +53,16 @@ def nominal_schema(d):
     return FeatureSchema(tuple((f"g{i}", "nominal") for i in range(d)), "cls")
 
 
-class FixedGapRng:
-    def __init__(self, gap):
-        self._gap = gap
-
-    def permutation(self, n):
-        return np.arange(n)
-
-    def integers(self, low, high, size=None):
-        return np.zeros(size or 1, dtype=int)
-
-    def random(self, size=None):
-        if size is None:
-            return self._gap
-        return np.full(size, self._gap)
-
-
 def test_criterion_01_shared_gap_worked_example():
     schema = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
     ds = minority(schema, [(6.0, 4.0), (4.0, 3.0)])
     neighbors = NeighborList(((1,), (0,)))
     params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
     gaps = [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))]
-    smote(ds, params, neighbors, rng=FixedGapRng(0.0))  # warm numpy paths
+    smote(ds, params, neighbors, rng=StubRng(0.0))  # warm numpy paths
     failures = []
     start = time.perf_counter()
-    got = [smote(ds, params, neighbors, rng=FixedGapRng(g)).rows[0] for g in gaps]
+    got = [smote(ds, params, neighbors, rng=StubRng(g)).rows[0] for g in gaps]
     elapsed = time.perf_counter() - start
     for g, row in zip(gaps, got):
         expected = (6.0 - 2.0 * g, 4.0 - g)
@@ -177,25 +162,29 @@ def test_criterion_06_provenance_audit():
         ds, SmoteParams(10000, 5, seed=61, gap_mode=SHARED), neighbors
     )
     assert len(shared) == 10000
-    for row, record in zip(shared.rows, shared.provenance):
-        base = matrix[record.base_index]
-        nb = matrix[record.neighbor_index]
-        want = base + record.gap * (nb - base)
+    prov = shared.provenance
+    for row, b, j, (gap,) in zip(
+        shared.rows, prov.base_index, prov.neighbor_index, prov.gaps
+    ):
+        base = matrix[b]
+        nb = matrix[j]
+        want = base + gap * (nb - base)
         for got, expected in zip(row, want):
             if abs(got - expected) > math.ulp(expected):
-                failures.append(("shared", record, got, expected))
+                failures.append(("shared", b, j, got, expected))
 
     boxed = smote(
         ds, SmoteParams(10000, 5, seed=62, gap_mode=PER_ATTRIBUTE), neighbors
     )
     assert len(boxed) == 10000
-    for row, record in zip(boxed.rows, boxed.provenance):
-        base = matrix[record.base_index]
-        nb = matrix[record.neighbor_index]
+    prov = boxed.provenance
+    for row, b, j in zip(boxed.rows, prov.base_index, prov.neighbor_index):
+        base = matrix[b]
+        nb = matrix[j]
         lo = np.minimum(base, nb)
         hi = np.maximum(base, nb)
         if not all(l <= v <= h for v, l, h in zip(row, lo, hi)):
-            failures.append(("per-attribute", record, row))
+            failures.append(("per-attribute", b, j, row))
     report(
         6,
         "10,000-sample audits: shared-gap within 1 ulp of the segment, "
@@ -274,7 +263,8 @@ def test_criterion_10_knn_oracle():
         rows = [tuple(float(v) for v in rng.integers(0, 7, size=d)) for _ in range(t)]
         for _ in range(min(t // 3, 10)):  # force exact duplicates
             rows[int(rng.integers(t))] = rows[int(rng.integers(t))]
-        got = knn_minority(minority(schema, rows), k, EuclideanMetric(schema)).lists
+        lists = knn_minority(minority(schema, rows), k, EuclideanMetric(schema)).lists
+        got = tuple(map(tuple, lists.tolist()))
         matrix = np.asarray(rows)
 
         def squared(i, j):

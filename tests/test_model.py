@@ -13,7 +13,6 @@ from smotekit.model import (
     confusion_from_scores,
     predict,
     score,
-    threshold_sweep,
     train,
 )
 
@@ -77,6 +76,7 @@ def test_prior_monotonicity():
     schema = FeatureSchema((("x", "continuous"), ("y", "continuous")), "cls")
     ds = dataset(schema, rows, labels)
     probe = [tuple(map(float, rng.normal(size=2))) for _ in range(20)]
+    probe = dataset(schema, probe, [MAJ] * len(probe))
     previous = None
     for multiplier in (1, 2, 5, 10, 20, 50):
         model = train(ds, ClassifierSpec(prior_multiplier=multiplier))
@@ -94,6 +94,9 @@ def test_nominal_laplace_smoothing_hand_values():
     assert score(model, ("A",)) == pytest.approx(18.0 / 23.0, abs=1e-12)
     # unseen category falls back to 1/(n_c + V): 1/5 vs 1/4
     assert score(model, ("C",)) == pytest.approx(6.0 / 11.0, abs=1e-12)
+    # a table with its own intern order is scored by token, not by code
+    probe = model.score_rows(dataset(NOM1, [("C",), ("B",), ("A",)], [MAJ] * 3))
+    assert probe[[0, 2]].tolist() == pytest.approx([6.0 / 11.0, 18.0 / 23.0], abs=1e-12)
 
 
 def test_laplace_vocabulary_is_the_training_split():
@@ -154,7 +157,7 @@ def test_label_swap_mirrors_scores():
 
 def test_confusion_from_scores():
     scores = np.array([0.9, 0.4, 0.6, 0.1])
-    actual = [MIN, MAJ, MIN, MAJ]
+    actual = np.array([True, False, True, False])
     cm = confusion_from_scores(scores, actual, 0.5)
     assert cm == ConfusionMatrix(tp=2, fp=0, tn=2, fn=0)
     cm = confusion_from_scores(scores, actual, 0.05)
@@ -169,14 +172,17 @@ def test_threshold_sweep_monotone_and_consistent():
     model = train(ds, ClassifierSpec())
     probe = [tuple(map(float, rng.normal(size=1))) for _ in range(200)]
     actual = [MIN if rng.random() < 0.3 else MAJ for _ in range(200)]
+    probe = dataset(CONT1, probe, actual)
     thresholds = [0.5, 0.45, 0.4, 0.3, 0.2, 0.1, 0.0]
-    swept = threshold_sweep(model, probe, actual, thresholds)
-    assert len(swept) == len(thresholds)
     scores = model.score_rows(probe)
     prev_tp = prev_fp = -1
-    for (t, cm), want_t in zip(swept, thresholds):
-        assert t == want_t
-        assert cm == confusion_from_scores(scores, actual, t)
+    for t in thresholds:
+        cm = confusion_from_scores(scores, probe.minority, t)
+        tallied = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for s, label in zip(scores.tolist(), actual):
+            key = ("t" if (s >= t) == (label is MIN) else "f") + ("p" if s >= t else "n")
+            tallied[key] += 1
+        assert cm == ConfusionMatrix(**tallied)
         assert cm.tp >= prev_tp and cm.fp >= prev_fp
         prev_tp, prev_fp = cm.tp, cm.fp
 

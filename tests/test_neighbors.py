@@ -6,7 +6,7 @@ import pytest
 
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import EuclideanMetric, euclidean
-from smotekit.neighbors import knn_minority
+from smotekit.neighbors import NeighborList, knn_minority
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 
@@ -28,14 +28,14 @@ def oracle_knn(rows, k, schema):
             (j for j in range(len(rows)) if j != i),
             key=lambda j: (euclidean(a, rows[j], schema), j),
         )
-        out.append(tuple(order[: min(k, len(rows) - 1)]))
-    return tuple(out)
+        out.append(order[: min(k, len(rows) - 1)])
+    return out
 
 
 def test_collinear_points():
     rows = [(0.0,), (1.0,), (5.0,)]
     nl = knn_minority(minority(CONT1, rows), 1, EuclideanMetric(CONT1))
-    assert nl.lists == ((1,), (0,), (1,))
+    assert nl.lists.tolist() == [[1], [0], [1]]
 
 
 def test_lists_clamped_to_t_minus_one():
@@ -48,7 +48,7 @@ def test_duplicate_points_tie_breaks_by_index():
     rows = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
     schema = schema_d(2)
     nl = knn_minority(minority(schema, rows), 2, EuclideanMetric(schema))
-    assert nl.lists == ((1, 2), (0, 2), (0, 1))
+    assert nl.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_never_self():
@@ -87,7 +87,7 @@ def test_matches_oracle_random_datasets():
         if t > 3:
             rows[t // 2] = rows[0]
         got = knn_minority(minority(schema, rows), k, EuclideanMetric(schema))
-        assert got.lists == oracle_knn(rows, k, schema)
+        assert got.lists.tolist() == oracle_knn(rows, k, schema)
 
 
 def test_distances_nondecreasing_and_dominating():
@@ -115,11 +115,11 @@ def test_permutation_equivariance():
     shuffled = [rows[old] for old in perm]
     moved = knn_minority(minority(schema, shuffled), 3, EuclideanMetric(schema))
     for new_i, old_i in enumerate(perm):
-        relabeled = tuple(inverse[j] for j in base.lists[old_i])
+        relabeled = [inverse[j] for j in base.lists[old_i]]
         # distances are unchanged by the permutation, but tie order follows the
         # new labels, so compare as sets when ties are possible; here the rows
         # are generic floats and ties are absent
-        assert moved.lists[new_i] == relabeled
+        assert moved.lists[new_i].tolist() == relabeled
 
 
 def test_metric_without_pairwise_attribute():
@@ -129,4 +129,14 @@ def test_metric_without_pairwise_attribute():
 
     rows = [(0.0,), (1.0,), (5.0,)]
     nl = knn_minority(minority(CONT1, rows), 1, PlainMetric())
-    assert nl.lists == ((1,), (0,), (1,))
+    assert nl.lists.tolist() == [[1], [0], [1]]
+
+
+def test_ragged_neighbor_list_raises():
+    rows = [(0.0,), (1.0,), (5.0,)]
+    nl = knn_minority(minority(CONT1, rows), 2, EuclideanMetric(CONT1))
+    assert nl.lists.shape == (3, 2)
+    assert nl.lists.dtype.kind == "i"
+    assert not nl.lists.flags.writeable
+    with pytest.raises(ValueError):
+        NeighborList(((1, 2), (0,), (1, 0)))

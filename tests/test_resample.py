@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,7 @@ from smotekit.resample import (
     DISTINCT,
     PER_ATTRIBUTE,
     SHARED,
+    WITH_REPLACEMENT,
     SmoteParams,
     UnderSamplePlan,
     apply_plan_detailed,
@@ -32,6 +34,7 @@ from smotekit.resample import (
     under_sample,
     write_provenance,
 )
+from stub_rng import StubRng
 
 CONT2 = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
 MIXED = FeatureSchema(
@@ -44,25 +47,6 @@ def minority(schema, rows):
     return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
 
 
-class StubRng:
-    """Deterministic stand-in: permutations are identities, integer draws are
-    zero, uniform draws return a fixed gap."""
-
-    def __init__(self, gap=0.0):
-        self._gap = gap
-
-    def permutation(self, n):
-        return np.arange(n)
-
-    def integers(self, low, high, size=None):
-        return np.zeros(size or 1, dtype=int)
-
-    def random(self, size=None):
-        if size is None:
-            return self._gap
-        return np.full(size, self._gap)
-
-
 PAIR = minority(CONT2, [(6.0, 4.0), (4.0, 3.0)])
 PAIR_NEIGHBORS = NeighborList(((1,), (0,)))
 
@@ -72,9 +56,9 @@ def test_shared_gap_interpolation_is_exact(gap):
     params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
     batch = smote(PAIR, params, PAIR_NEIGHBORS, rng=StubRng(gap))
     assert batch.rows[0] == (6.0 - 2.0 * gap, 4.0 - gap)
-    assert batch.provenance[0].base_index == 0
-    assert batch.provenance[0].neighbor_index == 1
-    assert batch.provenance[0].gap == gap
+    assert batch.provenance.base_index[0] == 0
+    assert batch.provenance.neighbor_index[0] == 1
+    assert batch.provenance.gaps[0].tolist() == [gap]
 
 
 def test_gap_zero_reproduces_base():
@@ -89,10 +73,8 @@ def test_count_t4_n200():
     nbrs = knn_minority(ds, 3, EuclideanMetric(CONT2))
     batch = smote(ds, SmoteParams(n_percent=200, k=3, seed=7), nbrs)
     assert len(batch) == 8
-    per_base = [0] * 4
-    for record in batch.provenance:
-        per_base[record.base_index] += 1
-    assert per_base == [2, 2, 2, 2]
+    per_base = np.bincount(batch.provenance.base_index, minlength=4)
+    assert per_base.tolist() == [2, 2, 2, 2]
 
 
 def test_under_100_selects_distinct_bases():
@@ -101,7 +83,7 @@ def test_under_100_selects_distinct_bases():
     nbrs = knn_minority(ds, 2, EuclideanMetric(CONT2))
     batch = smote(ds, SmoteParams(n_percent=50, k=2, seed=3), nbrs)
     assert len(batch) == 5
-    bases = [record.base_index for record in batch.provenance]
+    bases = batch.provenance.base_index.tolist()
     assert len(set(bases)) == 5
 
 
@@ -136,13 +118,14 @@ def test_segment_membership_shared_gap():
     params = SmoteParams(n_percent=300, k=5, seed=9, gap_mode=SHARED)
     batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
-    for row, record in zip(batch.rows, batch.provenance):
-        base = matrix[record.base_index]
-        nb = matrix[record.neighbor_index]
-        expected = base + record.gap * (nb - base)
+    prov = batch.provenance
+    for row, b, j, (gap,) in zip(batch.rows, prov.base_index, prov.neighbor_index, prov.gaps):
+        base = matrix[b]
+        nb = matrix[j]
+        expected = base + gap * (nb - base)
         for got, want in zip(row, expected):
             assert abs(got - want) <= math.ulp(want)
-        assert record.neighbor_index in nbrs.lists[record.base_index]
+        assert j in nbrs.lists[b]
 
 
 def test_bounding_box_per_attribute_gap():
@@ -154,10 +137,11 @@ def test_bounding_box_per_attribute_gap():
     params = SmoteParams(n_percent=400, k=4, seed=10, gap_mode=PER_ATTRIBUTE)
     batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
-    for row, record in zip(batch.rows, batch.provenance):
-        base = matrix[record.base_index]
-        nb = matrix[record.neighbor_index]
-        assert len(record.gaps) == 4
+    prov = batch.provenance
+    assert prov.gaps.shape == (len(batch), 4)
+    for row, b, j in zip(batch.rows, prov.base_index, prov.neighbor_index):
+        base = matrix[b]
+        nb = matrix[j]
         for value, lo, hi in zip(row, np.minimum(base, nb), np.maximum(base, nb)):
             assert lo <= value <= hi
 
@@ -171,8 +155,9 @@ def test_distinct_neighbor_mode_avoids_repeats_within_k():
     )
     batch = smote(ds, params, nbrs)
     seen = {}
-    for record in batch.provenance:
-        seen.setdefault(record.base_index, []).append(record.neighbor_index)
+    prov = batch.provenance
+    for b, j in zip(prov.base_index.tolist(), prov.neighbor_index.tolist()):
+        seen.setdefault(b, []).append(j)
     for base, picks in seen.items():
         # 4 rows per base from 5 candidates: all picks distinct
         assert len(set(picks)) == len(picks)
@@ -185,8 +170,9 @@ def test_distinct_neighbor_mode_cycles_when_count_exceeds_k():
     params = SmoteParams(n_percent=500, k=2, seed=12, neighbor_mode=DISTINCT)
     batch = smote(ds, params, nbrs)
     seen = {}
-    for record in batch.provenance:
-        seen.setdefault(record.base_index, []).append(record.neighbor_index)
+    prov = batch.provenance
+    for b, j in zip(prov.base_index.tolist(), prov.neighbor_index.tolist()):
+        seen.setdefault(b, []).append(j)
     for base, picks in seen.items():
         assert len(picks) == 5
         # 5 picks from 2 candidates: each candidate appears at least twice
@@ -218,7 +204,9 @@ def test_smote_determinism():
     a = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
     b = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
     c = smote(ds, SmoteParams(300, 3, seed=78), nbrs)
-    assert a.rows == b.rows and a.provenance == b.provenance
+    assert a.rows == b.rows
+    for column in ("base_index", "neighbor_index", "gaps"):
+        assert np.array_equal(getattr(a.provenance, column), getattr(b.provenance, column))
     assert a.rows != c.rows
 
 
@@ -271,15 +259,6 @@ def test_nc_vote_tie_prefers_base_value():
     assert batch.rows[0][1] == "B"
 
 
-def test_nc_vote_ragged_neighbor_lists():
-    # lists of different lengths vote as their own groups
-    ds = _nc_dataset(["A", "A", "C", "C"])
-    nbrs = NeighborList(((1, 2, 3), (0,), (3, 4), (2, 4), (3,)))
-    params = SmoteParams(n_percent=100, k=3, seed=0)
-    batch = smote_nc(ds, params, NcDistanceParams(1.0), nbrs, rng=StubRng(0.0))
-    assert [row[1] for row in batch.rows] == ["A", "B", "C", "C", "C"]
-
-
 def test_nc_continuous_part_interpolates():
     rows = ((6.0, 4.0, "A"), (4.0, 3.0, "A"))
     schema = FeatureSchema(
@@ -326,9 +305,9 @@ def test_smote_n_worked_vote():
     params = SmoteParams(n_percent=100, k=2, seed=0)
     batch = smote_n(ds, params, table, _full_lists(3))
     assert batch.rows[0] == ("A", "B", "C", "D", "N")
-    assert batch.provenance[0].base_index == 0
-    assert batch.provenance[0].neighbor_index == 0
-    assert batch.provenance[0].gaps == ()
+    assert batch.provenance.base_index[0] == 0
+    assert batch.provenance.neighbor_index[0] == 0
+    assert batch.provenance.gaps[0].tolist() == []
 
 
 def test_smote_n_unanimous():
@@ -352,8 +331,8 @@ def test_smote_n_deterministic_rows_per_base():
     batch = smote_n(ds, SmoteParams(300, 2, 5), table, _full_lists(3))
     assert len(batch) == 9
     by_base = {}
-    for row, record in zip(batch.rows, batch.provenance):
-        by_base.setdefault(record.base_index, set()).add(row)
+    for row, b in zip(batch.rows, batch.provenance.base_index.tolist()):
+        by_base.setdefault(b, set()).add(row)
     assert all(len(v) == 1 for v in by_base.values())
 
 
@@ -373,10 +352,11 @@ def test_replicate_membership_and_count():
     batch = replicate_oversample(ds, 100, seed=1)
     assert len(batch) == 5
     assert all(r in rows for r in batch.rows)
-    for record in batch.provenance:
-        assert record.base_index == record.neighbor_index
-        assert record.gaps == (0.0,)
-        assert batch.rows[batch.provenance.index(record)] == rows[record.base_index]
+    prov = batch.provenance
+    assert np.array_equal(prov.base_index, prov.neighbor_index)
+    assert prov.gaps.tolist() == [[0.0]] * 5
+    for row, b in zip(batch.rows, prov.base_index.tolist()):
+        assert row == rows[b]
     assert len(replicate_oversample(ds, 0, seed=1)) == 0
     assert len(replicate_oversample(ds.subset(range(4)), 250, seed=1)) == 8
 
@@ -486,11 +466,42 @@ def test_apply_plan_determinism():
     assert a == b
 
 
-def test_audit_batch_rejects_foreign_indices():
+def _shifted(column, value):
+    """A provenance fault: ``value`` in place of entry 0 of ``column``."""
+
+    def fault(prov):
+        broken = getattr(prov, column).copy()
+        broken[0] = value
+        return dataclasses.replace(prov, **{column: broken})
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_shifted("base_index", 2), "outside"),
+        (_shifted("neighbor_index", -1), "outside"),
+        (_shifted("gaps", 1.0), "outside"),
+        (_shifted("gaps", -0.25), "outside"),
+        (
+            lambda prov: dataclasses.replace(
+                prov,
+                base_index=prov.base_index[:1],
+                neighbor_index=prov.neighbor_index[:1],
+                gaps=prov.gaps[:1],
+            ),
+            "provenance",
+        ),
+    ],
+    ids=["base-past-pool", "negative-neighbor", "gap-one", "negative-gap", "short"],
+)
+def test_audit_batch_rejects_foreign_indices(fault, message):
     batch = smote(PAIR, SmoteParams(100, 1, 0), PAIR_NEIGHBORS, rng=StubRng(0.5))
     audit_batch(batch, 2)
-    with pytest.raises(DataError, match="outside"):
-        audit_batch(batch, 1)
+    batch.provenance = fault(batch.provenance)
+    with pytest.raises(DataError, match=message):
+        audit_batch(batch, 2)
 
 
 def test_write_provenance_jsonl(tmp_path):
@@ -562,14 +573,20 @@ def _minority_sets(draw):
 @given(
     data=_minority_sets(),
     gap_mode=st.sampled_from([PER_ATTRIBUTE, SHARED]),
-    n_percent=st.sampled_from([50, 100, 300]),
+    neighbor_mode=st.sampled_from([WITH_REPLACEMENT, DISTINCT]),
+    # 500 and 900 take more picks per base than any list here holds (w <= 4)
+    n_percent=st.sampled_from([50, 100, 300, 500, 900]),
     k=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, seed):
+def test_synthesis_count_box_and_vote_properties(
+    data, gap_mode, neighbor_mode, n_percent, k, seed
+):
     shape, schema, pool, majority = data
     t = len(pool)
-    params = SmoteParams(n_percent=n_percent, k=k, seed=seed, gap_mode=gap_mode)
+    params = SmoteParams(
+        n_percent=n_percent, k=k, seed=seed, gap_mode=gap_mode, neighbor_mode=neighbor_mode
+    )
     if shape == "continuous":
         ds = minority(schema, pool)
         nbrs = knn_minority(ds, k, EuclideanMetric(schema))
@@ -596,17 +613,24 @@ def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, s
     expected = (n_percent // 100) * t if n_percent >= 100 else n_percent * t // 100
     assert len(batch.rows) == len(batch.provenance) == expected
 
+    audit_batch(batch, t)
     cont = schema.continuous_indices
-    for row, record in zip(batch.rows, batch.provenance):
-        b = record.base_index
+    prov = batch.provenance
+    if shape == "nominal":
+        width = 0
+    else:
+        width = 1 if gap_mode == SHARED else len(cont)
+    assert prov.gaps.shape == (expected, width)
+    picks_of = {}
+    for row, b, j in zip(batch.rows, prov.base_index.tolist(), prov.neighbor_index.tolist()):
         base = pool[b]
         assert len(row) == len(base)
+        picks_of.setdefault(b, []).append(j)
         if shape == "nominal":
-            assert (record.base_index, record.neighbor_index, record.gaps) == (b, b, ())
+            assert j == b
         else:
-            nb = pool[record.neighbor_index]
-            assert record.neighbor_index in nbrs.lists[b]
-            assert len(record.gaps) == (1 if gap_mode == SHARED else len(cont))
+            nb = pool[j]
+            assert j in nbrs.lists[b].tolist()
             for i in cont:
                 assert min(base[i], nb[i]) <= row[i] <= max(base[i], nb[i])
         for i in schema.nominal_indices:
@@ -615,3 +639,9 @@ def test_synthesis_count_box_and_vote_properties(data, gap_mode, n_percent, k, s
             if shape == "nominal":
                 voters = [base[i]] + voters
             assert row[i] == _expected_vote(voters, base[i], first_seen)
+    if neighbor_mode == DISTINCT and shape != "nominal":
+        w = nbrs.lists.shape[1]
+        for picks in picks_of.values():
+            for start in range(0, len(picks), w):
+                dealt = picks[start : start + w]
+                assert len(set(dealt)) == len(dealt)

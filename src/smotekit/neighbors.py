@@ -1,8 +1,9 @@
 """Brute-force k-nearest-neighbor search within the minority class.
 
 Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
-distance, then ascending row index. No spatial index; the interface leaves
-room for one later.
+distance, then ascending row index. Distances are computed one row block at
+a time and each block keeps only its top k, so memory is O(block x T), not
+T x T. No spatial index; the interface leaves room for one later.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import distance
 from .data import Dataset, Row
 
 
@@ -47,9 +49,9 @@ def knn_minority(
             rows never join the candidate pool.
         k: neighbors requested; each list is clamped to ``min(k, T - 1)``.
         metric: pairwise distance. Objects exposing a vectorized
-            ``pairwise(dataset)`` method (the metric classes in
-            :mod:`smotekit.distance`) are used as such; any plain callable
-            ``metric(a, b) -> float`` on row tuples also works.
+            ``pairwise(dataset, rows)`` method (the metric classes in
+            :mod:`smotekit.distance`) are called once per block of rows; any
+            plain callable ``metric(a, b) -> float`` on row tuples also works.
 
     Ties resolve by ascending row index, so the output is deterministic for
     a fixed input order.
@@ -61,17 +63,38 @@ def knn_minority(
         raise ValueError(f"k must be at least 1, got {k}")
     if not minority.minority.all():
         raise ValueError("knn_minority expects a minority-only dataset slice")
-    if hasattr(metric, "pairwise"):
-        dist = np.asarray(metric.pairwise(minority), dtype=float)
-    else:
+    w = min(k, t - 1)
+    if not hasattr(metric, "pairwise"):
         rows = minority.rows
         dist = np.empty((t, t))
         for i in range(t):
             dist[i, i] = 0.0
             for j in range(i + 1, t):
                 dist[i, j] = dist[j, i] = metric(rows[i], rows[j])
-    # A stable sort keeps equal distances in index order; each row then
-    # drops its own index, wherever the sort placed it.
-    order = np.argsort(dist, axis=1, kind="stable")
-    others = order[order != np.arange(t)[:, None]].reshape(t, t - 1)
-    return NeighborList(others[:, : min(k, t - 1)])
+        return NeighborList(_top_k(dist, 0, w))
+    lists = np.empty((t, w), dtype=np.intp)
+    step = max(1, distance._CHUNK_BUDGET // t)
+    for start in range(0, t, step):
+        block = slice(start, start + step)
+        dist = np.asarray(metric.pairwise(minority, block), dtype=float)
+        lists[block] = _top_k(dist, start, w)
+    return NeighborList(lists)
+
+
+def _top_k(dist: np.ndarray, first: int, w: int) -> np.ndarray:
+    """The ``w`` nearest columns of each row of ``dist``, ordered by
+    ``(distance, index)``; row ``i`` is point ``first + i`` and never lists
+    itself. Overwrites the self entries of ``dist``.
+    """
+    own = np.arange(len(dist))
+    dist[own, own + first] = np.inf
+    # a copy, so the whole (rows, T) partition is not kept alive by a view
+    cand = np.argpartition(dist, w - 1, axis=1)[:, :w].copy()
+    near = np.take_along_axis(dist, cand, axis=1)
+    top = np.take_along_axis(cand, np.lexsort((cand, near)), axis=1)
+    # A row with more entries at or under its w-th distance than w had to
+    # drop some tied ones arbitrarily; a stable sort keeps the lowest indices.
+    tied = np.count_nonzero(dist <= near.max(axis=1, keepdims=True), axis=1) > w
+    if tied.any():
+        top[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :w]
+    return top

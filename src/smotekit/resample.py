@@ -342,10 +342,11 @@ def under_sample(
     available = len(majority_indices)
     target = round(100 * minority_count / plan.percent)
     retained = min(target, available)
+    majority = np.asarray(majority_indices, dtype=np.intp)
     if retained == available:
-        return sorted(int(i) for i in majority_indices)
+        return np.sort(majority).tolist()
     chosen = rng.choice(available, size=retained, replace=False)
-    return sorted(int(majority_indices[int(c)]) for c in chosen)
+    return np.sort(majority[chosen]).tolist()
 
 
 @dataclass
@@ -487,29 +488,30 @@ def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> N
     """Write one JSON line per synthetic row: base, neighbor, gap, variant.
 
     ``gap`` is null for vote-only rows, a number when the row has one draw,
-    and a list of the per-attribute draws otherwise.
+    and a list of the per-attribute draws otherwise. Keys are sorted; the
+    lines are formatted directly, in the bytes ``json.dumps(..., sort_keys=True)``
+    gives for the same record, and written in chunks of 1,024 lines.
     """
     prov = batch.provenance
-    width = prov.gaps.shape[1]
-    if width == 0:
-        gaps = [None] * len(prov)
-    elif width == 1:
-        gaps = prov.gaps[:, 0].tolist()
-    else:
-        gaps = prov.gaps.tolist()
+    tail = f', "variant": {json.dumps(variant)}}}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        for base, neighbor, gap in zip(
-            prov.base_index.tolist(), prov.neighbor_index.tolist(), gaps
-        ):
+        for start in range(0, len(prov), 1024):
+            chunk = slice(start, start + 1024)
+            gaps = prov.gaps[chunk]
+            if gaps.shape[1] == 0:
+                gap_text = ["null"] * len(gaps)
+            elif gaps.shape[1] == 1:
+                gap_text = map(repr, gaps[:, 0].tolist())
+            else:
+                gap_text = map(str, gaps.tolist())
             fh.write(
-                json.dumps(
-                    {
-                        "base_index": base,
-                        "neighbor_index": neighbor,
-                        "gap": gap,
-                        "variant": variant,
-                    },
-                    sort_keys=True,
+                "".join(
+                    f'{{"base_index": {base}, "gap": {gap}, '
+                    f'"neighbor_index": {neighbor}{tail}'
+                    for base, neighbor, gap in zip(
+                        prov.base_index[chunk].tolist(),
+                        prov.neighbor_index[chunk].tolist(),
+                        gap_text,
+                    )
                 )
-                + "\n"
             )

@@ -1,11 +1,22 @@
 """Neighbor-list behavior: exactness against a brute-force oracle, the
-never-self rule, clamping, and deterministic tie order."""
+never-self rule, clamping, deterministic tie order, and the memory bound of
+the streamed search."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import sorted_neighbors
+from smotekit import distance
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
-from smotekit.distance import EuclideanMetric, euclidean
+from smotekit.distance import (
+    EuclideanMetric,
+    NcDistanceParams,
+    NcMetric,
+    VdmMetric,
+    VdmTable,
+)
 from smotekit.neighbors import NeighborList, knn_minority
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
@@ -18,18 +29,6 @@ def minority(schema, rows):
 
 def schema_d(d):
     return FeatureSchema(tuple((f"x{i}", "continuous") for i in range(d)), "cls")
-
-
-def oracle_knn(rows, k, schema):
-    """Full sort by (distance, index), self excluded."""
-    out = []
-    for i, a in enumerate(rows):
-        order = sorted(
-            (j for j in range(len(rows)) if j != i),
-            key=lambda j: (euclidean(a, rows[j], schema), j),
-        )
-        out.append(order[: min(k, len(rows) - 1)])
-    return out
 
 
 def test_collinear_points():
@@ -73,21 +72,101 @@ def test_rejects_majority_rows():
         knn_minority(ds, 1, EuclideanMetric(CONT1))
 
 
-def test_matches_oracle_random_datasets():
-    # integer coordinates force exact ties; duplicated rows force the index rule
+def tie_heavy_case(rng, kind):
+    """Schema, rows and metric for one oracle case: integer coordinates,
+    nominal columns of cardinality 2-3 and a duplicated row, so exact ties
+    abound."""
+    t = int(rng.integers(2, 60))
+    n_cont = 0 if kind == "vdm" else int(rng.integers(1, 4))
+    n_nom = 0 if kind == "euclidean" else int(rng.integers(1, 4))
+    schema = FeatureSchema(
+        tuple((f"x{i}", "continuous") for i in range(n_cont))
+        + tuple((f"g{i}", "nominal") for i in range(n_nom)),
+        "cls",
+    )
+    cards = rng.integers(2, 4, size=n_nom)
+
+    def draw():
+        return tuple(float(v) for v in rng.integers(0, 5, size=n_cont)) + tuple(
+            "abc"[int(rng.integers(c))] for c in cards
+        )
+
+    rows = [draw() for _ in range(t)]
+    if t > 3:
+        rows[t // 2] = rows[0]
+    if kind == "euclidean":
+        return schema, rows, EuclideanMetric(schema)
+    if kind == "nc":
+        med = float(rng.choice([0.0, 0.5, 1.0, 1.5]))
+        return schema, rows, NcMetric(schema, NcDistanceParams(med))
+    # the table sees every minority category, plus majority rows of its own
+    extra = [draw() for _ in range(20)]
+    labels = (ClassLabel.MINORITY,) * t + (ClassLabel.MAJORITY,) * len(extra)
+    table = VdmTable.from_dataset(Dataset(schema, tuple(rows + extra), labels))
+    return schema, rows, VdmMetric(table)
+
+
+def sqrt_rounding_case(kind):
+    """Row 0 is at squared distances 2**52 + 1 and 2**52 from rows 1 and 2;
+    both square-root to 2**26, so the tie rule lists row 1 first."""
+    n_nom = 0 if kind == "euclidean" else 1
+    schema = FeatureSchema(
+        (("x0", "continuous"), ("x1", "continuous"))
+        + tuple((f"g{i}", "nominal") for i in range(n_nom)),
+        "cls",
+    )
+    rows = [(0.0, 0.0), (2.0**26, 1.0), (2.0**26, 0.0)]
+    rows = [row + ("a",) * n_nom for row in rows]
+    if kind == "euclidean":
+        return schema, rows, EuclideanMetric(schema)
+    return schema, rows, NcMetric(schema, NcDistanceParams(1.0))
+
+
+def test_matches_oracle_random_datasets(monkeypatch):
+    # every metric class, ties from integer coordinates, duplicated rows and
+    # low-cardinality nominals; a budget of 3 rows streams several blocks
     rng = np.random.default_rng(32)
-    for _ in range(25):
-        t = int(rng.integers(2, 60))
-        d = int(rng.integers(1, 6))
-        k = int(rng.integers(1, 8))
-        schema = schema_d(d)
-        rows = [
-            tuple(float(v) for v in rng.integers(0, 5, size=d)) for _ in range(t)
-        ]
-        if t > 3:
-            rows[t // 2] = rows[0]
-        got = knn_minority(minority(schema, rows), k, EuclideanMetric(schema))
-        assert got.lists.tolist() == oracle_knn(rows, k, schema)
+    for kind in ("euclidean", "nc", "vdm"):
+        cases = [tie_heavy_case(rng, kind) for _ in range(25)]
+        if kind != "vdm":
+            cases.append(sqrt_rounding_case(kind))
+        for schema, rows, metric in cases:
+            k = int(rng.integers(1, 8))
+            monkeypatch.setattr(distance, "_CHUNK_BUDGET", 3 * len(rows))
+            got = knn_minority(minority(schema, rows), k, metric)
+            assert tuple(map(tuple, got.lists.tolist())) == sorted_neighbors(
+                rows, k, metric
+            ), (kind, rows, k)
+
+
+def test_streamed_search_memory_is_bounded(monkeypatch):
+    t, d, budget = 3000, 8, 3000 * 64
+
+    class RecordingMetric:
+        """Euclidean distances, recording the rows of every pairwise call."""
+
+        def __init__(self, schema):
+            self.inner = EuclideanMetric(schema)
+            self.blocks = []
+
+        def pairwise(self, ds, rows=slice(None)):
+            self.blocks.append(range(len(ds))[rows])
+            return self.inner.pairwise(ds, rows)
+
+    rng = np.random.default_rng(35)
+    schema = schema_d(d)
+    ds = minority(schema, [tuple(row) for row in rng.normal(size=(t, d)).tolist()])
+    metric = RecordingMetric(schema)
+    monkeypatch.setattr(distance, "_CHUNK_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        knn_minority(ds, 5, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t * t * 8 / 4  # a quarter of one dense float64 T x T matrix
+    assert sorted(i for block in metric.blocks for i in block) == list(range(t))
+    assert all(len(block) * t <= budget for block in metric.blocks)
 
 
 def test_distances_nondecreasing_and_dominating():

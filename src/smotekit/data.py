@@ -163,8 +163,8 @@ class Dataset:
     ``codes`` an integer block (rows x nominal features) whose entries index
     the first-appearance ``intern`` tables, and ``minority`` a boolean mask.
     Every layer reads the blocks; ``rows`` and ``labels`` rebuild tuples from
-    them on each access and are meant for callers that hold row tuples, such
-    as a plain-callable metric. Subsets and resampled sets share their parent's intern tables.
+    them on each access and are meant for the CSV, provenance and test
+    boundaries. Subsets and resampled sets share their parent's intern tables.
     ``minority_token`` and ``majority_token`` preserve the class spellings of
     the source file so a save/load round trip is exact.
     """

@@ -9,11 +9,10 @@ Three semantics, one per schema shape:
 * all-nominal: the value difference metric (VDM), where two categories are
   close when their class-conditional distributions are close.
 
-Each metric also exists as a small callable class whose vectorized
-``pairwise(ds, rows)`` method reads a Dataset's column blocks and returns the
-distances from the rows in the slice ``rows`` to every row of ``ds``, a fresh
-``(len(rows), len(ds))`` array; the neighbor search calls it one row block
-at a time.
+Each metric is a small class whose vectorized ``pairwise(ds, rows)`` method
+reads a Dataset's column blocks and returns the distances from the rows in
+the slice ``rows`` to every row of ``ds``, a fresh ``(len(rows), len(ds))``
+array; the neighbor search calls it one row block at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CONTINUOUS, Dataset, FeatureSchema, Row
+from .data import NOMINAL, Dataset, FeatureSchema
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
 # Floats per broadcast-difference chunk, 512KB. A chunk that stays in the CPU
@@ -31,23 +30,6 @@ _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32
 # chunk (two-core Xeon VM). einsum sums each entry the same way whatever the
 # chunk's row count, so the chunk size never changes a distance.
 _DIFF_BUDGET = 1 << 16
-
-
-def _check_arity(a: Row, b: Row, schema: FeatureSchema) -> None:
-    arity = len(schema.features)
-    if len(a) != arity or len(b) != arity:
-        raise ValueError(
-            f"vector length mismatch: {len(a)} and {len(b)} against "
-            f"{arity} schema features"
-        )
-
-
-def euclidean(a: Row, b: Row, schema: FeatureSchema) -> float:
-    """Euclidean distance; the schema must be all-continuous."""
-    if not schema.all_continuous:
-        raise ValueError("euclidean distance requires an all-continuous schema")
-    _check_arity(a, b, schema)
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
 @dataclass(frozen=True)
@@ -80,25 +62,6 @@ def compute_med(minority: Dataset) -> NcDistanceParams:
     else:
         stds = matrix.std(axis=0, ddof=1)
     return NcDistanceParams(med=float(np.median(stds)))
-
-
-def nc_distance(a: Row, b: Row, schema: FeatureSchema, params: NcDistanceParams) -> float:
-    """Mixed-schema distance: continuous squared differences plus Med**2 per
-    differing nominal feature, square-rooted.
-
-    Degenerates to Euclidean distance when the schema is all-continuous. With
-    ``med == 0`` nominal differences are invisible: that is documented
-    behavior, not an error.
-    """
-    _check_arity(a, b, schema)
-    total = 0.0
-    med_sq = params.med * params.med
-    for (x, y), kind in zip(zip(a, b), schema.kinds):
-        if kind == CONTINUOUS:
-            total += (x - y) ** 2
-        elif x != y:
-            total += med_sq
-    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -152,37 +115,6 @@ class VdmTable:
         return cls(tuple(counts), k_exp=k_exp, r=r)
 
 
-def vdm_delta(table: VdmTable, feature: int, v1: str, v2: str) -> float:
-    """Category-pair distance: sum over classes of |C1i/C1 - C2i/C2| ** k_exp."""
-    counts = table.counts[feature]
-    try:
-        c1 = counts[v1]
-    except KeyError:
-        raise ValueError(f"unseen category {v1!r} for feature {feature}") from None
-    try:
-        c2 = counts[v2]
-    except KeyError:
-        raise ValueError(f"unseen category {v2!r} for feature {feature}") from None
-    total1 = c1[0] + c1[1]
-    total2 = c2[0] + c2[1]
-    delta = 0.0
-    for i in range(2):
-        delta += abs(c1[i] / total1 - c2[i] / total2) ** table.k_exp
-    return delta
-
-
-def vdm_distance(table: VdmTable, x: Row, y: Row) -> float:
-    """Vector distance: sum over features of vdm_delta(...) ** r, weights fixed to 1."""
-    if len(x) != table.n_features or len(y) != table.n_features:
-        raise ValueError(
-            f"vector length mismatch: {len(x)} and {len(y)} against "
-            f"{table.n_features} table features"
-        )
-    return sum(
-        vdm_delta(table, f, x[f], y[f]) ** table.r for f in range(table.n_features)
-    )
-
-
 def _chunked_sq_euclidean(matrix: np.ndarray, rows: slice) -> np.ndarray:
     """Exact squared Euclidean distances from ``matrix[rows]`` to every row,
     via broadcast differences.
@@ -200,6 +132,19 @@ def _chunked_sq_euclidean(matrix: np.ndarray, rows: slice) -> np.ndarray:
     return out
 
 
+def _check_kinds(ds: Dataset, kinds: tuple[str, ...]) -> None:
+    """Reject a dataset whose features differ in number or kind from the
+    metric's, so no column is silently ignored or indexed past."""
+    got = ds.schema.kinds
+    if len(got) != len(kinds):
+        raise ValueError(
+            f"vector length mismatch: {len(got)} dataset features against "
+            f"{len(kinds)} metric features"
+        )
+    if got != kinds:
+        raise ValueError(f"feature kinds mismatch: dataset {got} against metric {kinds}")
+
+
 class EuclideanMetric:
     """Euclidean distance bound to an all-continuous schema."""
 
@@ -208,16 +153,21 @@ class EuclideanMetric:
             raise ValueError("EuclideanMetric requires an all-continuous schema")
         self.schema = schema
 
-    def __call__(self, a: Row, b: Row) -> float:
-        return euclidean(a, b, self.schema)
-
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
+        _check_kinds(ds, self.schema.kinds)
         sq = _chunked_sq_euclidean(ds.cont, rows)
         return np.sqrt(sq, out=sq)
 
 
 class NcMetric:
-    """Median-penalized mixed-schema distance bound to a schema and params."""
+    """Median-penalized mixed-schema distance bound to a schema and params:
+    continuous squared differences plus ``Med**2`` per differing nominal
+    feature, square-rooted.
+
+    Degenerates to Euclidean distance when the schema is all-continuous. With
+    ``med == 0`` nominal differences are invisible: that is documented
+    behavior, not an error.
+    """
 
     def __init__(self, schema: FeatureSchema, params: NcDistanceParams):
         if not schema.continuous_indices:
@@ -225,10 +175,8 @@ class NcMetric:
         self.schema = schema
         self.params = params
 
-    def __call__(self, a: Row, b: Row) -> float:
-        return nc_distance(a, b, self.schema, self.params)
-
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
+        _check_kinds(ds, self.schema.kinds)
         med_sq = self.params.med * self.params.med
         sq = _chunked_sq_euclidean(ds.cont, rows)
         for codes in ds.codes.T:
@@ -237,18 +185,21 @@ class NcMetric:
 
 
 class VdmMetric:
-    """Value difference metric over a VDM table's category counts."""
+    """Value difference metric over a VDM table's category counts.
+
+    A category pair's delta is the sum over classes of
+    ``|C1i/C1 - C2i/C2| ** k_exp``; a row pair's distance is the sum over
+    features of ``delta ** r``, weights fixed to 1.
+    """
 
     def __init__(self, table: VdmTable):
         self.table = table
-
-    def __call__(self, x: Row, y: Row) -> float:
-        return vdm_distance(self.table, x, y)
 
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
         """Distances from ``ds[rows]`` to every row of an all-nominal dataset;
         each feature's category-pair deltas are taken over ``ds``'s intern
         codes. Every row of ``ds`` is checked for unseen categories."""
+        _check_kinds(ds, (NOMINAL,) * self.table.n_features)
         n = len(ds)
         out = np.zeros((len(ds.codes[rows]), n))
         for f, counts in enumerate(self.table.counts):

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .data import ClassLabel
-
 ANCHOR_FAMILY = "anchor"
 
 
@@ -34,57 +32,6 @@ class ConfusionMatrix:
         for name in ("tp", "fp", "tn", "fn"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(
-    predicted: Sequence[ClassLabel], actual: Sequence[ClassLabel]
-) -> ConfusionMatrix:
-    """Tally predictions against truth; minority is the positive class."""
-    if len(predicted) != len(actual):
-        raise ValueError(
-            f"{len(predicted)} predictions against {len(actual)} actual labels"
-        )
-    if not predicted:
-        raise ValueError("need at least one row")
-    tp = fp = tn = fn = 0
-    for pred, act in zip(predicted, actual):
-        pred_min = ClassLabel(pred) is ClassLabel.MINORITY
-        act_min = ClassLabel(act) is ClassLabel.MINORITY
-        if pred_min and act_min:
-            tp += 1
-        elif pred_min:
-            fp += 1
-        elif act_min:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def metrics(cm: ConfusionMatrix) -> dict:
-    """Summary rates for one confusion matrix.
-
-    ``accuracy``, ``error_rate``, ``precision``, and ``recall`` are fractions
-    in [0, 1]; ``tp_rate`` and ``fp_rate`` are the ROC percentages in
-    [0, 100]. A rate whose denominator is zero is reported as None, never 0.
-    """
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    pos = cm.tp + cm.fn
-    neg = cm.tn + cm.fp
-    predicted_pos = cm.tp + cm.fp
-    return {
-        "accuracy": (cm.tp + cm.tn) / cm.total,
-        "error_rate": (cm.fp + cm.fn) / cm.total,
-        "tp_rate": 100.0 * cm.tp / pos if pos else None,
-        "fp_rate": 100.0 * cm.fp / neg if neg else None,
-        "precision": cm.tp / predicted_pos if predicted_pos else None,
-        "recall": cm.tp / pos if pos else None,
-    }
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClassLabel, Dataset, Row, save_csv
+from .data import Dataset, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
 
@@ -160,22 +160,6 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
         means=means,
         variances=variances,
         nominal_loglik=nominal_loglik,
-    )
-
-
-def score(model: TrainedModel, row: Row) -> float:
-    """Posterior minority probability for one row."""
-    one = Dataset(model.schema, (row,), (ClassLabel.MAJORITY,))
-    return float(model.score_rows(one)[0])
-
-
-def predict(model: TrainedModel, row: Row, threshold: float) -> ClassLabel:
-    """Minority iff the score reaches the threshold; 0 labels everything
-    minority, 1 labels everything with score < 1 majority."""
-    return (
-        ClassLabel.MINORITY
-        if score(model, row) >= threshold
-        else ClassLabel.MAJORITY
     )
 
 

@@ -9,12 +9,11 @@ T x T. No spatial index; the interface leaves room for one later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import distance
-from .data import Dataset, Row
+from .data import Dataset
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +39,9 @@ class NeighborList:
 
 
 def knn_minority(
-    minority: Dataset, k: int, metric: Callable[[Row, Row], float]
+    minority: Dataset,
+    k: int,
+    metric: distance.EuclideanMetric | distance.NcMetric | distance.VdmMetric,
 ) -> NeighborList:
     """k nearest minority neighbors of every minority row.
 
@@ -48,10 +49,9 @@ def knn_minority(
         minority: the minority rows only, as a minority Dataset; synthetic
             rows never join the candidate pool.
         k: neighbors requested; each list is clamped to ``min(k, T - 1)``.
-        metric: pairwise distance. Objects exposing a vectorized
-            ``pairwise(dataset, rows)`` method (the metric classes in
-            :mod:`smotekit.distance`) are called once per block of rows; any
-            plain callable ``metric(a, b) -> float`` on row tuples also works.
+        metric: a metric object of :mod:`smotekit.distance`; its vectorized
+            ``pairwise(dataset, rows)`` method is called once per block of
+            rows.
 
     Ties resolve by ascending row index, so the output is deterministic for
     a fixed input order.
@@ -64,14 +64,6 @@ def knn_minority(
     if not minority.minority.all():
         raise ValueError("knn_minority expects a minority-only dataset slice")
     w = min(k, t - 1)
-    if not hasattr(metric, "pairwise"):
-        rows = minority.rows
-        dist = np.empty((t, t))
-        for i in range(t):
-            dist[i, i] = 0.0
-            for j in range(i + 1, t):
-                dist[i, j] = dist[j, i] = metric(rows[i], rows[j])
-        return NeighborList(_top_k(dist, 0, w))
     lists = np.empty((t, w), dtype=np.intp)
     step = max(1, distance._CHUNK_BUDGET // t)
     for start in range(0, t, step):

@@ -19,9 +19,9 @@ from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcDistanceParams,
+    NcMetric,
+    VdmMetric,
     VdmTable,
-    nc_distance,
-    vdm_delta,
 )
 from smotekit.evaluate import RocCurve, RocPoint, auc, convex_hull
 from smotekit.neighbors import NeighborList, knn_minority
@@ -89,11 +89,12 @@ def test_criterion_02_mixed_distance_worked_example():
     f2 = (4.0, 6.0, 5.0, "A", "D", "E")
     failures = []
     for med in (0.0, 1.0, 2.5):
-        got = nc_distance(f1, f2, schema, NcDistanceParams(med))
+        metric = NcMetric(schema, NcDistanceParams(med))
+        got = metric.pairwise(minority(schema, [f1, f2]))[0, 1]
         want = math.sqrt(29.0 + 2.0 * med * med)
         if abs(got - want) > 1e-12:
             failures.append((med, got, want))
-    report(2, "nc_distance equals sqrt(29 + 2 Med^2) within 1e-12", failures)
+    report(2, "NcMetric distance equals sqrt(29 + 2 Med^2) within 1e-12", failures)
 
 
 def test_criterion_03_nominal_vote_worked_example():
@@ -238,16 +239,16 @@ def test_criterion_09_vdm_axioms():
         ]
         table = VdmTable.from_dataset(Dataset(nominal_schema(1), tuple(rows), tuple(labels)))
         seen = list(table.counts[0])
-        for v1 in seen:
-            if vdm_delta(table, 0, v1, v1) != 0.0:
+        # one-feature rows at r = 1: each distance is the category pair's delta
+        delta = VdmMetric(table).pairwise(minority(nominal_schema(1), [(v,) for v in seen]))
+        for i, v1 in enumerate(seen):
+            if delta[i, i] != 0.0:
                 failures.append((case, "identity", v1))
-            for v2 in seen:
-                d12 = vdm_delta(table, 0, v1, v2)
-                if d12 != vdm_delta(table, 0, v2, v1):
+            for j, v2 in enumerate(seen):
+                if delta[i, j] != delta[j, i]:
                     failures.append((case, "symmetry", v1, v2))
-                for v3 in seen:
-                    bound = vdm_delta(table, 0, v1, v3) + vdm_delta(table, 0, v3, v2)
-                    if d12 > bound + 1e-12:
+                for m, v3 in enumerate(seen):
+                    if delta[i, j] > delta[i, m] + delta[m, j] + 1e-12:
                         failures.append((case, "triangle", v1, v2, v3))
     report(9, "VDM delta: symmetric, zero on identity, triangle within 1e-12", failures)
 

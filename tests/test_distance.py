@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import metric_oracle
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -11,10 +12,6 @@ from smotekit.distance import (
     VdmMetric,
     VdmTable,
     compute_med,
-    euclidean,
-    nc_distance,
-    vdm_delta,
-    vdm_distance,
 )
 
 CONT2 = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
@@ -41,10 +38,19 @@ def minority(schema, rows):
     return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
 
 
+def nominal_schema(d):
+    return FeatureSchema(tuple((f"g{i}", "nominal") for i in range(d)), "cls")
+
+
 def vdm_table(rows, labels):
     """VDM table of all-nominal rows with the given labels."""
-    schema = FeatureSchema(tuple((f"g{i}", "nominal") for i in range(len(rows[0]))), "cls")
+    schema = nominal_schema(len(rows[0]))
     return VdmTable.from_dataset(Dataset(schema, tuple(rows), tuple(labels)))
+
+
+def distances(metric, schema, rows):
+    """The metric's full distance matrix over the rows."""
+    return metric.pairwise(minority(schema, rows))
 
 
 F1 = (1.0, 2.0, 3.0, "A", "B", "C")
@@ -52,38 +58,53 @@ F2 = (4.0, 6.0, 5.0, "A", "D", "E")
 
 
 def test_euclidean_worked_pair():
-    assert euclidean((6.0, 4.0), (4.0, 3.0), CONT2) == math.sqrt(5.0)
+    got = distances(EuclideanMetric(CONT2), CONT2, [(6.0, 4.0), (4.0, 3.0)])
+    assert got[0, 1] == math.sqrt(5.0)
 
 
 def test_euclidean_rejects_nominal_schema():
     with pytest.raises(ValueError, match="continuous"):
-        euclidean(("A", "B", "C"), ("A", "B", "C"), NOM3)
+        EuclideanMetric(NOM3)
 
 
 def test_euclidean_rejects_arity_mismatch():
-    with pytest.raises(ValueError, match="length"):
-        euclidean((1.0,), (1.0, 2.0), CONT2)
+    cont1 = FeatureSchema((("f1", "continuous"),), "cls")
+    mixed2 = FeatureSchema((("f1", "continuous"), ("g", "nominal")), "cls")
+    metrics = (EuclideanMetric(CONT2), NcMetric(CONT2, NcDistanceParams(1.0)))
+    for metric in metrics:
+        for schema, rows in ((cont1, [(1.0,), (2.0,)]), (CONT3, [(1.0, 2.0, 3.0)] * 2)):
+            with pytest.raises(ValueError, match="length"):
+                distances(metric, schema, rows)
+        # the right width with a nominal column the metric would not read
+        with pytest.raises(ValueError, match="kinds"):
+            distances(metric, mixed2, [(1.0, "a"), (1.0, "b")])
 
 
 @pytest.mark.parametrize("med", [0.0, 1.0, 2.5])
 def test_nc_distance_mixed_pair(med):
     # two nominal mismatches (B/D, C/E) on top of squared gaps 9 + 16 + 4
-    got = nc_distance(F1, F2, MIXED6, NcDistanceParams(med))
+    got = distances(NcMetric(MIXED6, NcDistanceParams(med)), MIXED6, [F1, F2])[0, 1]
     assert got == pytest.approx(math.sqrt(29.0 + 2.0 * med * med), abs=1e-12)
 
 
+# NcMetric needs one continuous feature; a column equal in every row adds 0
+CONST_NOM3 = FeatureSchema((("x", "continuous"),) + NOM3.features, "cls")
+
+
 def test_nc_distance_all_nominal_counts_mismatches():
-    params = NcDistanceParams(2.0)
-    a = ("A", "B", "C")
-    b = ("X", "Y", "Z")
-    assert nc_distance(a, b, NOM3, params) == pytest.approx(math.sqrt(12.0), abs=1e-12)
-    c = ("A", "B", "Z")
-    assert nc_distance(a, c, NOM3, params) == pytest.approx(2.0, abs=1e-12)
+    metric = NcMetric(CONST_NOM3, NcDistanceParams(2.0))
+    a = (0.0, "A", "B", "C")
+    b = (0.0, "X", "Y", "Z")
+    c = (0.0, "A", "B", "Z")
+    got = distances(metric, CONST_NOM3, [a, b, c])
+    assert got[0, 1] == pytest.approx(math.sqrt(12.0), abs=1e-12)
+    assert got[0, 2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_nc_distance_zero_med_hides_nominal_differences():
-    params = NcDistanceParams(0.0)
-    assert nc_distance(("A",), ("B",), FeatureSchema((("g", "nominal"),), "cls"), params) == 0.0
+    schema = FeatureSchema((("x", "continuous"), ("g", "nominal")), "cls")
+    metric = NcMetric(schema, NcDistanceParams(0.0))
+    assert distances(metric, schema, [(0.0, "A"), (0.0, "B")])[0, 1] == 0.0
 
 
 def test_nc_distance_matches_euclidean_on_continuous_schema():
@@ -92,8 +113,9 @@ def test_nc_distance_matches_euclidean_on_continuous_schema():
         a = tuple(float(v) for v in rng.normal(size=3))
         b = tuple(float(v) for v in rng.normal(size=3))
         med = float(rng.uniform(0, 10))
-        assert nc_distance(a, b, CONT3, NcDistanceParams(med)) == pytest.approx(
-            euclidean(a, b, CONT3), abs=0
+        nc = distances(NcMetric(CONT3, NcDistanceParams(med)), CONT3, [a, b])
+        assert nc[0, 1] == pytest.approx(
+            distances(EuclideanMetric(CONT3), CONT3, [a, b])[0, 1], abs=0
         )
 
 
@@ -107,10 +129,11 @@ def test_nc_distance_axioms():
         schema = FeatureSchema(
             (("x", "continuous"), ("c", "nominal"), ("y", "continuous")), "cls"
         )
-        dab = nc_distance(a, b, schema, params)
+        got = distances(NcMetric(schema, params), schema, [a, b])
+        dab = got[0, 1]
         assert dab >= 0.0
-        assert dab == nc_distance(b, a, schema, params)
-        assert nc_distance(a, a, schema, params) == 0.0
+        assert dab == got[1, 0]
+        assert got[0, 0] == 0.0
         if a != b:
             assert dab > 0.0
 
@@ -155,28 +178,45 @@ def _toy_table():
 
 def test_vdm_delta_toy_counts():
     table = _toy_table()
-    assert vdm_delta(table, 0, "V1", "V2") == 2.0
-    assert vdm_delta(table, 0, "V1", "V1") == 0.0
-    assert vdm_delta(table, 0, "V2", "V1") == 2.0
+    got = distances(VdmMetric(table), nominal_schema(1), [("V1",), ("V2",)])
+    assert got[0, 1] == 2.0
+    assert got[0, 0] == 0.0
+    assert got[1, 0] == 2.0
 
 
 def test_vdm_delta_unseen_category():
+    # every row of ds is checked, also one outside the requested row block
+    ds = minority(nominal_schema(1), [("V1",), ("V9",)])
     with pytest.raises(ValueError, match="unseen"):
-        vdm_delta(_toy_table(), 0, "V1", "V9")
+        VdmMetric(_toy_table()).pairwise(ds, slice(0, 1))
 
 
 def test_vdm_distance_sums_feature_deltas():
     rows = [("V1", "V1")] * 3 + [("V2", "V2")] * 2
     labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
     table = vdm_table(rows, labels)
-    assert vdm_distance(table, ("V1", "V1"), ("V2", "V2")) == 4.0
-    assert vdm_distance(table, ("V1", "V1"), ("V1", "V2")) == 2.0
-    assert vdm_distance(table, ("V1", "V1"), ("V1", "V1")) == 0.0
+    probe = [("V1", "V1"), ("V2", "V2"), ("V1", "V2")]
+    got = distances(VdmMetric(table), nominal_schema(2), probe)
+    assert got[0, 1] == 4.0
+    assert got[0, 2] == 2.0
+    assert got[0, 0] == 0.0
 
 
 def test_vdm_distance_rejects_arity_mismatch():
+    # a one-feature table must not ignore the second column ...
+    wide = minority(nominal_schema(2), [("V1", "x"), ("V1", "y")])
     with pytest.raises(ValueError, match="length"):
-        vdm_distance(_toy_table(), ("V1", "V1"), ("V1",))
+        VdmMetric(_toy_table()).pairwise(wide)
+    # ... nor index past the columns of a narrower dataset
+    rows = [("V1", "V1")] * 3 + [("V2", "V2")] * 2
+    labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
+    narrow = minority(nominal_schema(1), [("V1",), ("V2",)])
+    with pytest.raises(ValueError, match="length"):
+        VdmMetric(vdm_table(rows, labels)).pairwise(narrow)
+    # ... nor one nominal column short when the width matches
+    mixed = FeatureSchema((("g0", "nominal"), ("x", "continuous")), "cls")
+    with pytest.raises(ValueError, match="kinds"):
+        VdmMetric(vdm_table(rows, labels)).pairwise(minority(mixed, [("V1", 1.0)] * 2))
 
 
 def _random_table(rng, n_features=1, n_values=4, n_rows=40):
@@ -196,17 +236,13 @@ def test_vdm_delta_axioms_random_tables():
     rng = np.random.default_rng(23)
     for _ in range(100):
         table, values, rows = _random_table(rng)
-        seen = list(table.counts[0])
-        for v1 in seen:
-            assert vdm_delta(table, 0, v1, v1) == 0.0
-            for v2 in seen:
-                d12 = vdm_delta(table, 0, v1, v2)
-                assert d12 == vdm_delta(table, 0, v2, v1)
-                assert d12 >= 0.0
-                for v3 in seen:
-                    assert d12 <= (
-                        vdm_delta(table, 0, v1, v3) + vdm_delta(table, 0, v3, v2)
-                    ) + 1e-12
+        seen = [(value,) for value in table.counts[0]]
+        got = distances(VdmMetric(table), nominal_schema(1), seen)
+        assert np.all(np.diag(got) == 0.0)
+        assert np.array_equal(got, got.T)
+        assert np.all(got >= 0.0)
+        # got[i, j] <= got[i, m] + got[m, j] for every m
+        assert np.all(got[:, None, :] <= got[:, :, None] + got[None, :, :] + 1e-12)
 
 
 def test_vdm_distance_is_pseudometric():
@@ -214,11 +250,11 @@ def test_vdm_distance_is_pseudometric():
     for _ in range(25):
         table, values, rows = _random_table(rng, n_features=3, n_rows=60)
         pick = lambda: rows[int(rng.integers(len(rows)))]
-        x, y, z = pick(), pick(), pick()
-        dxy = vdm_distance(table, x, y)
-        assert dxy == vdm_distance(table, y, x)
-        assert vdm_distance(table, x, x) == 0.0
-        assert dxy <= vdm_distance(table, x, z) + vdm_distance(table, z, y) + 1e-12
+        got = distances(VdmMetric(table), NOM3, [pick(), pick(), pick()])
+        dxy = got[0, 1]
+        assert dxy == got[1, 0]
+        assert got[0, 0] == 0.0
+        assert dxy <= got[0, 2] + got[2, 1] + 1e-12
 
 
 def test_vdm_table_from_dataset_requires_all_nominal():
@@ -232,39 +268,31 @@ def test_vdm_table_from_dataset_requires_all_nominal():
 
 
 def test_metric_objects_agree_with_functions():
+    """Each metric's pairwise distances against the per-pair oracles, and
+    every row block against the matching rows of the full matrix."""
     rng = np.random.default_rng(25)
     cont_rows = [tuple(float(v) for v in rng.normal(size=3)) for _ in range(12)]
-    em = EuclideanMetric(CONT3)
-    pair = em.pairwise(minority(CONT3, cont_rows))
-    for i in range(12):
-        for j in range(12):
-            assert pair[i, j] == pytest.approx(
-                euclidean(cont_rows[i], cont_rows[j], CONT3), abs=1e-9
-            )
-
     mixed_rows = [
         (float(rng.normal()), float(rng.normal()), float(rng.normal()),
          str(rng.choice(["A", "B"])), str(rng.choice(["C", "D"])),
          str(rng.choice(["E", "F"])))
         for _ in range(10)
     ]
-    params = NcDistanceParams(1.25)
-    nm = NcMetric(MIXED6, params)
-    pair = nm.pairwise(minority(MIXED6, mixed_rows))
-    for i in range(10):
-        for j in range(10):
-            assert pair[i, j] == pytest.approx(
-                nc_distance(mixed_rows[i], mixed_rows[j], MIXED6, params), abs=1e-9
-            )
-
     table, values, nom_rows = _random_table(rng, n_features=3, n_rows=30)
-    vm = VdmMetric(table)
-    pair = vm.pairwise(minority(NOM3, nom_rows[:10]))
-    for i in range(10):
-        for j in range(10):
-            assert pair[i, j] == pytest.approx(
-                vdm_distance(table, nom_rows[i], nom_rows[j]), abs=1e-12
-            )
+    cases = (
+        (EuclideanMetric(CONT3), CONT3, cont_rows, 1e-9),
+        (NcMetric(MIXED6, NcDistanceParams(1.25)), MIXED6, mixed_rows, 1e-9),
+        (VdmMetric(table), NOM3, nom_rows[:10], 1e-12),
+    )
+    for metric, schema, rows, tol in cases:
+        oracle = metric_oracle(metric)
+        ds = minority(schema, rows)
+        full = metric.pairwise(ds)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                assert full[i, j] == pytest.approx(oracle(a, b), abs=tol)
+        for block in (slice(0, 1), slice(0, 4), slice(3, 7), slice(7, None)):
+            assert np.array_equal(metric.pairwise(ds, block), full[block])
 
 
 def test_vdm_pairwise_rejects_unseen_category():

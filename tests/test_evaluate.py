@@ -14,13 +14,12 @@ from smotekit.evaluate import (
     auc,
     auc_e4,
     build_family_curve,
-    confusion,
     convex_hull,
-    metrics,
     write_hull_csv,
     write_points_csv,
     write_summary_json,
 )
+from smotekit.model import confusion_from_scores
 
 MIN = ClassLabel.MINORITY
 MAJ = ClassLabel.MAJORITY
@@ -30,52 +29,62 @@ def curve(*coords, family="f"):
     return RocCurve(family, tuple(RocPoint(x, y) for x, y in coords))
 
 
+def tally(predicted, actual):
+    """Confusion of predicted labels; scores 1.0/0.0 stand for minority/majority."""
+    scores = [1.0 if label is MIN else 0.0 for label in predicted]
+    return confusion_from_scores(scores, [label is MIN for label in actual], 0.5)
+
+
 def test_confusion_perfect():
     actual = [MIN] * 3 + [MAJ] * 7
-    cm = confusion(actual, actual)
+    cm = tally(actual, actual)
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (3, 0, 7, 0)
 
 
 def test_confusion_all_negative():
     actual = [MIN] * 2 + [MAJ] * 8
-    cm = confusion([MAJ] * 10, actual)
+    cm = tally([MAJ] * 10, actual)
     assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, 8, 2)
-    assert metrics(cm)["accuracy"] == pytest.approx(0.8)
 
 
 def test_confusion_default_accuracy_at_scale():
-    # 11183 rows with 260 positives, everything predicted negative
+    # 11183 rows with 260 positives, everything predicted negative: the
+    # default accuracy 10923 / 11183 = 97.68%
     actual = [MIN] * 260 + [MAJ] * 10923
-    cm = confusion([MAJ] * 11183, actual)
-    assert metrics(cm)["accuracy"] * 100 == pytest.approx(97.68, abs=0.005)
+    cm = tally([MAJ] * 11183, actual)
+    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (0, 0, 10923, 260)
 
 
 def test_confusion_rejects_length_mismatch():
     with pytest.raises(ValueError, match="against"):
-        confusion([MIN], [MIN, MAJ])
+        tally([MIN], [MIN, MAJ])
+
+
+def one_fold_point(cm):
+    """The ROC point of a grid cell with one fold."""
+    (point,) = build_family_curve("f", [("cell", [cm])]).points
+    return point
 
 
 def test_metrics_hand_arithmetic():
-    m = metrics(ConfusionMatrix(tp=50, fp=10, tn=90, fn=50))
-    assert m["recall"] == pytest.approx(0.5)
-    assert m["precision"] == pytest.approx(5.0 / 6.0)
-    assert m["fp_rate"] == pytest.approx(10.0)
-    assert m["tp_rate"] == pytest.approx(50.0)
-    assert m["accuracy"] == pytest.approx(140.0 / 200.0)
-    assert m["error_rate"] == pytest.approx(60.0 / 200.0)
+    point = one_fold_point(ConfusionMatrix(tp=50, fp=10, tn=90, fn=50))
+    assert point.fp_rate == pytest.approx(10.0)
+    assert point.tp_rate == pytest.approx(50.0)
 
 
 def test_metrics_absent_on_zero_denominator():
-    m = metrics(ConfusionMatrix(tp=0, fp=0, tn=5, fn=5))
-    assert m["precision"] is None
-    assert m["recall"] == 0.0
-    m = metrics(ConfusionMatrix(tp=5, fp=0, tn=0, fn=0))
-    assert m["fp_rate"] is None
+    point = one_fold_point(ConfusionMatrix(tp=0, fp=0, tn=5, fn=5))
+    assert (point.fp_rate, point.tp_rate) == (0.0, 0.0)
+    # no negatives: the fp rate is undefined, never reported as 0
+    with pytest.raises(ValueError, match="missing one class"):
+        one_fold_point(ConfusionMatrix(tp=5, fp=0, tn=0, fn=0))
 
 
-def test_metrics_rejects_empty():
-    with pytest.raises(ValueError):
-        metrics(ConfusionMatrix(0, 0, 0, 0))
+def test_confusion_matrix_rejects_negative_counts():
+    for name in ("tp", "fp", "tn", "fn"):
+        counts = {**dict.fromkeys(("tp", "fp", "tn", "fn"), 1), name: -1}
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            ConfusionMatrix(**counts)
 
 
 def test_roc_point_bounds():

@@ -11,8 +11,6 @@ from smotekit.model import (
     ClassifierSpec,
     ExternalClassifier,
     confusion_from_scores,
-    predict,
-    score,
     train,
 )
 
@@ -24,6 +22,11 @@ NOM1 = FeatureSchema((("c", "nominal"),), "cls")
 
 def dataset(schema, rows, labels):
     return Dataset(schema, tuple(rows), tuple(labels), "pos", "neg")
+
+
+def score(model, row):
+    """Posterior minority probability of one row, through ``score_rows``."""
+    return float(model.score_rows(dataset(model.schema, [row], [MAJ]))[0])
 
 
 def blobs_1d():
@@ -131,16 +134,23 @@ def test_train_rejects_external_spec():
 
 
 def test_predict_extreme_thresholds():
+    # threshold 0 labels every row minority, 1 every row scoring below 1 majority
     model = train(blobs_1d(), ClassifierSpec())
-    rows = [(-1.0,), (3.0,), (7.0,)]
-    assert all(predict(model, r, 0.0) is MIN for r in rows)
-    assert all(predict(model, r, 1.0) is MAJ for r in rows)
+    probe = dataset(CONT1, [(-1.0,), (3.0,), (7.0,)], [MIN, MAJ, MAJ])
+    scores = model.score_rows(probe)
+    assert confusion_from_scores(scores, probe.minority, 0.0) == ConfusionMatrix(
+        tp=1, fp=2, tn=0, fn=0
+    )
+    assert confusion_from_scores(scores, probe.minority, 1.0) == ConfusionMatrix(
+        tp=0, fp=0, tn=2, fn=1
+    )
 
 
 def test_predict_threshold_is_inclusive():
     model = train(blobs_1d(), ClassifierSpec())
     assert score(model, (3.0,)) == 0.5
-    assert predict(model, (3.0,), 0.5) is MIN
+    cm = confusion_from_scores([score(model, (3.0,))], [True], 0.5)
+    assert cm == ConfusionMatrix(tp=1, fp=0, tn=0, fn=0)
 
 
 def test_label_swap_mirrors_scores():

@@ -126,13 +126,20 @@ def _read_points_csv(path: str) -> list[RocCurve]:
     curves: dict[str, list[RocPoint]] = {}
     order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"family", "fp_rate", "tp_rate"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"family", "fp_rate", "tp_rate"} <= set(header):
             raise DataError(
                 f"{path}: need columns family, fp_rate, tp_rate (optionally tag)"
             )
-        for line_no, record in enumerate(reader, start=2):
+        for line_no, fields in enumerate(reader, start=2):
+            if not fields:  # a blank line
+                continue
+            if len(fields) != len(header):
+                raise DataError(
+                    f"{path}: line {line_no} has {len(fields)} fields, expected {len(header)}"
+                )
+            record = dict(zip(header, fields))
             try:
                 point = RocPoint(
                     fp_rate=float(record["fp_rate"]),

@@ -114,13 +114,6 @@ class FeatureSchema:
             )
         return cls(tuple(features), class_columns[0])
 
-    def to_json(self, path: str | Path) -> None:
-        mapping = {name: kind for name, kind in self.features}
-        mapping[self.class_column] = "class"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(mapping, fh, indent=2)
-            fh.write("\n")
-
 
 def _intern_categories(schema: FeatureSchema, rows: Sequence[Row]):
     """First-appearance intern table per nominal feature (None for continuous)."""
@@ -137,8 +130,7 @@ def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
 
     This is the one place feature tuples become arrays: a float64 block of
     the continuous columns and an integer block of the nominal columns, both
-    in schema order. Codes index ``intern``; a token missing from its table
-    gets code -1.
+    in schema order. Codes index ``intern``, which must hold every token.
     """
     cont = np.empty((len(rows), len(schema.continuous_indices)))
     codes = np.empty((len(rows), len(schema.nominal_indices)), dtype=np.intp)
@@ -149,7 +141,7 @@ def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
         raise DataError("non-numeric value in a continuous column") from None
     for j, i in enumerate(schema.nominal_indices):
         table = intern[i]
-        codes[:, j] = [table.get(row[i], -1) for row in rows]
+        codes[:, j] = [table[row[i]] for row in rows]
     return cont, codes
 
 
@@ -161,12 +153,12 @@ class Dataset:
 
     ``cont`` is a C-contiguous float64 block (rows x continuous features),
     ``codes`` an integer block (rows x nominal features) whose entries index
-    the first-appearance ``intern`` tables, and ``minority`` a boolean mask.
-    Every layer reads the blocks; ``rows`` and ``labels`` rebuild tuples from
-    them on each access and are meant for the CSV, provenance and test
-    boundaries. Subsets and resampled sets share their parent's intern tables.
-    ``minority_token`` and ``majority_token`` preserve the class spellings of
-    the source file so a save/load round trip is exact.
+    the first-appearance ``intern`` tables built from ``rows``, and
+    ``minority`` a boolean mask. Every layer reads the blocks; ``rows`` and
+    ``labels`` rebuild tuples from them on each access and are meant for the
+    CSV, provenance and test boundaries. Subsets and resampled sets share
+    their parent's intern tables. ``minority_token`` and ``majority_token``
+    keep the source file's class spellings so a save/load round trip is exact.
     """
 
     def __init__(
@@ -176,17 +168,15 @@ class Dataset:
         labels: Sequence[ClassLabel],
         minority_token: str = "minority",
         majority_token: str = "majority",
-        intern: tuple = None,
     ):
         self.schema = schema
         self.minority_token = minority_token
         self.majority_token = majority_token
-        self.intern = intern
         self.__post_init__(rows, labels)
 
     def __post_init__(self, rows: Sequence[Row], labels: Sequence[ClassLabel]):
-        """Check ``rows`` and ``labels`` and build the blocks from them; a
-        step of its own, which ``bench/tracing.py`` times by this name."""
+        """Check ``rows`` and ``labels``, then intern and encode them; a step
+        of its own, which ``bench/tracing.py`` times by this name."""
         rows = tuple(rows)
         minority = np.array(
             [ClassLabel(lab) is ClassLabel.MINORITY for lab in labels], dtype=bool
@@ -197,11 +187,8 @@ class Dataset:
         for i, row in enumerate(rows):
             if len(row) != arity:
                 raise DataError(f"row {i} has {len(row)} entries, expected {arity}")
-        if self.intern is None:
-            self.intern = _intern_categories(self.schema, rows)
+        self.intern = _intern_categories(self.schema, rows)
         cont, codes = encode_rows(self.schema, rows, self.intern)
-        if (codes < 0).any():
-            raise DataError("a nominal value is missing from the given intern table")
         self._set_blocks(cont, codes, minority)
 
     def _set_blocks(self, cont: np.ndarray, codes: np.ndarray, minority: np.ndarray):
@@ -266,11 +253,11 @@ class Dataset:
     def n_majority(self) -> int:
         return len(self) - self.n_minority
 
-    def minority_indices(self) -> list[int]:
-        return np.flatnonzero(self.minority).tolist()
+    def minority_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.minority)
 
-    def majority_indices(self) -> list[int]:
-        return np.flatnonzero(~self.minority).tolist()
+    def majority_indices(self) -> np.ndarray:
+        return np.flatnonzero(~self.minority)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Row slice preserving schema, class tokens, and intern order."""
@@ -425,7 +412,7 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     rng = generator(seed, "stratified-folds")
-    fold_of_row = [0] * len(ds)
+    fold_of_row = np.zeros(len(ds), dtype=np.intp)
     for class_indices in (ds.minority_indices(), ds.majority_indices()):
         if len(class_indices) < n_folds:
             raise DataError(
@@ -433,6 +420,5 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
             )
         perm = rng.permutation(len(class_indices))
         offset = int(rng.integers(n_folds))
-        for position, p in enumerate(perm):
-            fold_of_row[class_indices[p]] = (offset + position) % n_folds
-    return FoldAssignment(tuple(fold_of_row), n_folds)
+        fold_of_row[class_indices[perm]] = (offset + np.arange(len(perm))) % n_folds
+    return FoldAssignment(tuple(fold_of_row.tolist()), n_folds)

@@ -70,18 +70,13 @@ class VdmTable:
 
     ``counts[f][value]`` is ``(minority_count, majority_count)`` for that
     category in the table's training rows; only categories seen there have
-    an entry. ``k_exp`` is the exponent inside the per-feature delta, ``r``
-    the exponent applied to deltas when summing across features; both
-    default to 1 (Manhattan-style accumulation).
+    an entry. The counts are all :class:`VdmMetric` needs: its exponents are
+    fixed at 1, as in the SMOTE paper's VDM.
     """
 
     counts: tuple
-    k_exp: int = 1
-    r: int = 1
 
     def __post_init__(self):
-        if self.k_exp < 1 or self.r < 1:
-            raise ValueError("k_exp and r must be at least 1")
         for f, table in enumerate(self.counts):
             for value, (n_min, n_maj) in table.items():
                 if n_min < 0 or n_maj < 0 or n_min + n_maj < 1:
@@ -90,12 +85,8 @@ class VdmTable:
                         f"({n_min}, {n_maj})"
                     )
 
-    @property
-    def n_features(self) -> int:
-        return len(self.counts)
-
     @classmethod
-    def from_dataset(cls, ds: Dataset, k_exp: int = 1, r: int = 1) -> "VdmTable":
+    def from_dataset(cls, ds: Dataset) -> "VdmTable":
         """Build from a training split (never test rows); all-nominal schema only."""
         if not ds.schema.all_nominal:
             raise ValueError("VDM tables require an all-nominal schema")
@@ -112,7 +103,7 @@ class VdmTable:
                     if a + b
                 }
             )
-        return cls(tuple(counts), k_exp=k_exp, r=r)
+        return cls(tuple(counts))
 
 
 def _chunked_sq_euclidean(matrix: np.ndarray, rows: slice) -> np.ndarray:
@@ -187,9 +178,11 @@ class NcMetric:
 class VdmMetric:
     """Value difference metric over a VDM table's category counts.
 
-    A category pair's delta is the sum over classes of
-    ``|C1i/C1 - C2i/C2| ** k_exp``; a row pair's distance is the sum over
-    features of ``delta ** r``, weights fixed to 1.
+    A category pair's delta is the sum over classes of ``|C1i/C1 - C2i/C2|``;
+    a row pair's distance is the sum over features of the deltas. This is
+    the VDM of the SMOTE paper (Chawla et al. 2002, after Cost and Salzberg)
+    with its constant exponent, "usually set to 1", and its feature
+    exponent both fixed at 1 (Manhattan accumulation) and every weight 1.
     """
 
     def __init__(self, table: VdmTable):
@@ -199,7 +192,7 @@ class VdmMetric:
         """Distances from ``ds[rows]`` to every row of an all-nominal dataset;
         each feature's category-pair deltas are taken over ``ds``'s intern
         codes. Every row of ``ds`` is checked for unseen categories."""
-        _check_kinds(ds, (NOMINAL,) * self.table.n_features)
+        _check_kinds(ds, (NOMINAL,) * len(self.table.counts))
         n = len(ds)
         out = np.zeros((len(ds.codes[rows]), n))
         for f, counts in enumerate(self.table.counts):
@@ -214,6 +207,6 @@ class VdmMetric:
                 raise ValueError(f"unseen category {value!r} for feature {f}")
             with np.errstate(invalid="ignore"):  # categories no row here uses
                 cond = freq / total
-            delta = np.abs(cond[:, None, :] - cond[None, :, :]) ** self.table.k_exp
-            out += (delta.sum(axis=2) ** self.table.r)[codes[rows, None], codes[None, :]]
+            delta = np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2)
+            out += delta[codes[rows, None], codes[None, :]]
         return out

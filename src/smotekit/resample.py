@@ -4,7 +4,9 @@ The over-sampling amount ``n_percent`` is interpreted in integral multiples of
 100: each minority row spawns ``floor(n_percent / 100)`` synthetic rows along
 segments toward its k nearest minority neighbors. Amounts under 100 instead
 select ``floor(n_percent/100 * T)`` distinct bases at random and give each one
-synthetic row. Three synthesis flavors cover the schema shapes:
+synthetic row. ``k`` enters only ``knn_minority``, which computes the neighbor
+lists once; synthesis reads the lists. Three synthesis flavors cover the
+schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
 
 * ``smote``: all-continuous; interpolate every coordinate.
 * ``smote_nc``: mixed; interpolate continuous coordinates, set each nominal
@@ -22,7 +24,7 @@ segment geometry after the fact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +36,6 @@ from .distance import (
     NcMetric,
     VdmMetric,
     VdmTable,
-    NcDistanceParams,
     compute_med,
 )
 from .errors import DataError
@@ -51,7 +52,7 @@ VARIANTS = ("smote", "smote_nc", "smote_n", "replicate")
 
 @dataclass(frozen=True)
 class SmoteParams:
-    """Over-sampling amount, neighbor count, seed, and sampling modes.
+    """Over-sampling amount, then keyword-only seed and sampling modes.
 
     ``gap_mode`` selects how many uniform draws shape one synthetic row:
     ``per-attribute`` (default) draws a fresh gap for every interpolated
@@ -63,7 +64,7 @@ class SmoteParams:
     """
 
     n_percent: int
-    k: int = 5
+    _: KW_ONLY
     seed: int = 0
     gap_mode: str = PER_ATTRIBUTE
     neighbor_mode: str = WITH_REPLACEMENT
@@ -71,8 +72,6 @@ class SmoteParams:
     def __post_init__(self):
         if self.n_percent < 0:
             raise ValueError(f"n_percent must be non-negative, got {self.n_percent}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
         if self.gap_mode not in (PER_ATTRIBUTE, SHARED):
             raise ValueError(f"unknown gap mode {self.gap_mode!r}")
         if self.neighbor_mode not in (WITH_REPLACEMENT, DISTINCT):
@@ -247,35 +246,30 @@ def smote(
 
 
 def smote_nc(
-    ds_minority: Dataset,
+    minority: Dataset,
     params: SmoteParams,
-    nc: NcDistanceParams,
     neighbors: NeighborList,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
     """Mixed-schema synthesis: interpolate continuous, vote nominal.
 
-    ``ds_minority`` must hold minority rows only; its intern tables drive vote
-    tie-breaking. ``nc`` carries the median penalty the neighbor lists were
-    computed under (validated, not re-used here: votes and interpolation need
-    no distances). Nominal values come from the k nearest neighbors of the
-    base, base excluded, so every synthetic row of one base shares its voted
-    nominal part.
+    ``minority`` must hold minority rows only; its intern tables drive vote
+    tie-breaking. The median penalty enters only the distances behind
+    ``neighbors``: votes and interpolation need none. Nominal values come
+    from the k nearest neighbors of the base, base excluded, so every
+    synthetic row of one base shares its voted nominal part.
     """
-    if ds_minority.schema.all_nominal:
+    if minority.schema.all_nominal:
         raise ValueError("all-nominal schema: use smote_n")
-    if nc.med < 0:  # NcDistanceParams already rejects this; keep the contract visible
-        raise ValueError("negative median penalty")
-    _check_source(ds_minority, neighbors, "smote_nc")
+    _check_source(minority, neighbors, "smote_nc")
     if rng is None:
         rng = generator(params.seed, "smote")
-    return _synthesize(ds_minority, params, neighbors, rng, base_votes=False)
+    return _synthesize(minority, params, neighbors, rng, base_votes=False)
 
 
 def smote_n(
     minority: Dataset,
     params: SmoteParams,
-    table: VdmTable,
     neighbors: NeighborList,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
@@ -288,12 +282,6 @@ def smote_n(
     """
     if not minority.schema.all_nominal:
         raise ValueError("smote_n requires all-nominal rows; use smote or smote_nc")
-    n_features = len(minority.schema.features)
-    if n_features != table.n_features:
-        raise ValueError(
-            f"rows have {n_features} features but the VDM table has "
-            f"{table.n_features}"
-        )
     _check_source(minority, neighbors, "smote_n")
     if rng is None:
         rng = generator(params.seed, "smote")
@@ -326,14 +314,14 @@ def under_sample(
     minority_count: int,
     plan: UnderSamplePlan,
     rng: np.random.Generator = None,
-) -> list[int]:
+) -> np.ndarray:
     """Choose the majority rows to keep so the minority class becomes roughly
     ``plan.percent`` percent of the majority class.
 
     The retained count is ``round(100 * minority_count / percent)`` (Python's
     ties-to-even rounding), capped at the available majority count; percents
     at or below 100 therefore shrink the majority, larger ones may be capped
-    into a no-op. Returns retained original indices in ascending order.
+    into a no-op. Returns the retained indices as an ascending np.intp array.
     """
     if minority_count < 1:
         raise ValueError(f"minority_count must be positive, got {minority_count}")
@@ -344,9 +332,9 @@ def under_sample(
     retained = min(target, available)
     majority = np.asarray(majority_indices, dtype=np.intp)
     if retained == available:
-        return np.sort(majority).tolist()
+        return np.sort(majority)
     chosen = rng.choice(available, size=retained, replace=False)
-    return np.sort(majority[chosen]).tolist()
+    return np.sort(majority[chosen])
 
 
 @dataclass
@@ -355,7 +343,7 @@ class PlanResult:
 
     dataset: Dataset
     batch: SyntheticBatch
-    retained_majority: list
+    retained_majority: np.ndarray
 
 
 def apply_plan_detailed(
@@ -424,7 +412,6 @@ def apply_plan_detailed(
             )
         params = SmoteParams(
             n_percent=over_percent,
-            k=k,
             seed=child_seed(seed, "over"),
             gap_mode=gap_mode,
             neighbor_mode=neighbor_mode,
@@ -433,13 +420,11 @@ def apply_plan_detailed(
             nbrs = knn_minority(minority, k, EuclideanMetric(schema))
             batch = smote(minority, params, nbrs)
         elif variant == "smote_nc":
-            nc = compute_med(minority)
-            nbrs = knn_minority(minority, k, NcMetric(schema, nc))
-            batch = smote_nc(minority, params, nc, nbrs)
+            nbrs = knn_minority(minority, k, NcMetric(schema, compute_med(minority)))
+            batch = smote_nc(minority, params, nbrs)
         else:
-            table = VdmTable.from_dataset(train)
-            nbrs = knn_minority(minority, k, VdmMetric(table))
-            batch = smote_n(minority, params, table, nbrs)
+            nbrs = knn_minority(minority, k, VdmMetric(VdmTable.from_dataset(train)))
+            batch = smote_n(minority, params, nbrs)
 
     if under_percent in (None, 0):
         retained = majority_idx

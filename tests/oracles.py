@@ -112,18 +112,18 @@ def nc_distance(a, b, kinds, med):
 
 
 def vdm_delta(table, feature, v1, v2):
-    """Category-pair delta: sum over classes of |C1i/C1 - C2i/C2| ** k_exp."""
+    """Category-pair delta: sum over classes of |C1i/C1 - C2i/C2|."""
     c1 = table.counts[feature][v1]
     c2 = table.counts[feature][v2]
     delta = 0.0
     for i in range(2):
-        delta += abs(c1[i] / sum(c1) - c2[i] / sum(c2)) ** table.k_exp
+        delta += abs(c1[i] / sum(c1) - c2[i] / sum(c2))
     return delta
 
 
 def vdm_distance(table, x, y):
-    """Sum over features of ``vdm_delta ** r``."""
-    return sum(vdm_delta(table, f, x[f], y[f]) ** table.r for f in range(len(x)))
+    """Sum over features of ``vdm_delta``."""
+    return sum(vdm_delta(table, f, x[f], y[f]) for f in range(len(x)))
 
 
 def metric_oracle(metric):

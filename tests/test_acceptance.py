@@ -57,7 +57,7 @@ def test_criterion_01_shared_gap_worked_example():
     schema = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
     ds = minority(schema, [(6.0, 4.0), (4.0, 3.0)])
     neighbors = NeighborList(((1,), (0,)))
-    params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
+    params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
     gaps = [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))]
     smote(ds, params, neighbors, rng=StubRng(0.0))  # warm numpy paths
     failures = []
@@ -104,12 +104,11 @@ def test_criterion_03_nominal_vote_worked_example():
         ("H", "B", "C", "D", "N"),
     ]
     ds = minority(nominal_schema(5), rows)
-    table = VdmTable.from_dataset(ds)
     neighbors = NeighborList(((1, 2), (0, 2), (0, 1)))
-    params = SmoteParams(n_percent=100, k=2, seed=0)
+    params = SmoteParams(n_percent=100, seed=0)
     failures = []
     for _ in range(2):  # deterministic: identical across invocations
-        batch = smote_n(ds, params, table, neighbors)
+        batch = smote_n(ds, params, neighbors)
         if batch.rows[0] != ("A", "B", "C", "D", "N"):
             failures.append(batch.rows[0])
     report(3, "smote_n vote produces FS = A B C D N deterministically", failures)
@@ -138,7 +137,7 @@ def test_criterion_05_count_exactness():
         rows = [tuple(float(v) for v in rng.normal(size=d)) for _ in range(t)]
         ds = minority(schema, rows)
         neighbors = knn_minority(ds, k, EuclideanMetric(schema))
-        params = SmoteParams(n_percent=n, k=k, seed=int(rng.integers(1 << 30)))
+        params = SmoteParams(n_percent=n, seed=int(rng.integers(1 << 30)))
         batch = smote(ds, params, neighbors)
         expected = (n * t) // 100 if n < 100 else (n // 100) * t
         if len(batch) != expected:
@@ -160,7 +159,7 @@ def test_criterion_06_provenance_audit():
     failures = []
 
     shared = smote(
-        ds, SmoteParams(10000, 5, seed=61, gap_mode=SHARED), neighbors
+        ds, SmoteParams(10000, seed=61, gap_mode=SHARED), neighbors
     )
     assert len(shared) == 10000
     prov = shared.provenance
@@ -175,7 +174,7 @@ def test_criterion_06_provenance_audit():
                 failures.append(("shared", b, j, got, expected))
 
     boxed = smote(
-        ds, SmoteParams(10000, 5, seed=62, gap_mode=PER_ATTRIBUTE), neighbors
+        ds, SmoteParams(10000, seed=62, gap_mode=PER_ATTRIBUTE), neighbors
     )
     assert len(boxed) == 10000
     prov = boxed.provenance

@@ -162,6 +162,23 @@ def test_evaluate_rejects_missing_columns(tmp_path, capsys):
     assert "need columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, fields", [("alpha,10", 2), ("alpha,10,80,extra", 4)])
+def test_evaluate_rejects_short_or_long_row(tmp_path, capsys, row, fields):
+    points = tmp_path / "points.csv"
+    points.write_text(f"family,fp_rate,tp_rate\nalpha,0,0\n{row}\n", encoding="utf-8")
+    rc = main(["evaluate", "--points", str(points), "--out", str(tmp_path / "e")])
+    assert rc == 3
+    assert f"line 3 has {fields} fields, expected 3" in capsys.readouterr().err
+
+
+def test_resample_rejects_k_below_one(toy, tmp_path, capsys):
+    rc = main(
+        ["smote", *data_args(toy), "--over", "100", "--k", "0", "--out", str(tmp_path / "x")]
+    )
+    assert rc == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+
+
 def experiment_args(toy, out):
     return [
         "experiment",

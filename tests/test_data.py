@@ -177,7 +177,10 @@ def test_csv_round_trip_spans_write_chunks(tmp_path):
 
 def test_schema_json_round_trip(tmp_path):
     path = tmp_path / "schema.json"
-    MIXED.to_json(path)
+    mapping = dict(MIXED.features)
+    mapping[MIXED.class_column] = "class"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(mapping, fh, indent=2)
     assert FeatureSchema.from_json(path) == MIXED
 
 
@@ -258,7 +261,8 @@ def test_folds_reject_thin_class():
 
 def test_label_partition():
     ds = _balanced_dataset(4, 9)
-    assert sorted(ds.minority_indices() + ds.majority_indices()) == list(range(13))
+    both = np.concatenate([ds.minority_indices(), ds.majority_indices()])
+    assert sorted(both) == list(range(13))
     assert ds.n_minority == 4
     assert ds.n_majority == 9
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
-    NcDistanceParams,
     NcMetric,
     VdmMetric,
     VdmTable,
@@ -53,7 +52,7 @@ PAIR_NEIGHBORS = NeighborList(((1,), (0,)))
 
 @pytest.mark.parametrize("gap", [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))])
 def test_shared_gap_interpolation_is_exact(gap):
-    params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
+    params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
     batch = smote(PAIR, params, PAIR_NEIGHBORS, rng=StubRng(gap))
     assert batch.rows[0] == (6.0 - 2.0 * gap, 4.0 - gap)
     assert batch.provenance.base_index[0] == 0
@@ -62,7 +61,7 @@ def test_shared_gap_interpolation_is_exact(gap):
 
 
 def test_gap_zero_reproduces_base():
-    params = SmoteParams(n_percent=100, k=1, seed=0)
+    params = SmoteParams(n_percent=100, seed=0)
     batch = smote(PAIR, params, PAIR_NEIGHBORS, rng=StubRng(0.0))
     assert batch.rows == [(6.0, 4.0), (4.0, 3.0)]
 
@@ -71,7 +70,7 @@ def test_count_t4_n200():
     rows = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     ds = minority(CONT2, rows)
     nbrs = knn_minority(ds, 3, EuclideanMetric(CONT2))
-    batch = smote(ds, SmoteParams(n_percent=200, k=3, seed=7), nbrs)
+    batch = smote(ds, SmoteParams(n_percent=200, seed=7), nbrs)
     assert len(batch) == 8
     per_base = np.bincount(batch.provenance.base_index, minlength=4)
     assert per_base.tolist() == [2, 2, 2, 2]
@@ -81,14 +80,14 @@ def test_under_100_selects_distinct_bases():
     rows = [(float(i), 0.0) for i in range(10)]
     ds = minority(CONT2, rows)
     nbrs = knn_minority(ds, 2, EuclideanMetric(CONT2))
-    batch = smote(ds, SmoteParams(n_percent=50, k=2, seed=3), nbrs)
+    batch = smote(ds, SmoteParams(n_percent=50, seed=3), nbrs)
     assert len(batch) == 5
     bases = batch.provenance.base_index.tolist()
     assert len(set(bases)) == 5
 
 
 def test_zero_percent_yields_empty_batch():
-    batch = smote(PAIR, SmoteParams(n_percent=0, k=1, seed=0), PAIR_NEIGHBORS)
+    batch = smote(PAIR, SmoteParams(n_percent=0, seed=0), PAIR_NEIGHBORS)
     assert len(batch) == 0
 
 
@@ -101,7 +100,7 @@ def test_count_exactness_randomized():
         rows = [tuple(map(float, rng.normal(size=2))) for _ in range(t)]
         ds = minority(CONT2, rows)
         nbrs = knn_minority(ds, k, EuclideanMetric(CONT2))
-        batch = smote(ds, SmoteParams(n_percent=n, k=k, seed=int(rng.integers(1 << 30))), nbrs)
+        batch = smote(ds, SmoteParams(n_percent=n, seed=int(rng.integers(1 << 30))), nbrs)
         if n < 100:
             expected = (n * t) // 100
         else:
@@ -115,7 +114,7 @@ def test_segment_membership_shared_gap():
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(3)), "cls")
     ds = minority(schema, rows)
     nbrs = knn_minority(ds, 5, EuclideanMetric(schema))
-    params = SmoteParams(n_percent=300, k=5, seed=9, gap_mode=SHARED)
+    params = SmoteParams(n_percent=300, seed=9, gap_mode=SHARED)
     batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
     prov = batch.provenance
@@ -134,7 +133,7 @@ def test_bounding_box_per_attribute_gap():
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(4)), "cls")
     ds = minority(schema, rows)
     nbrs = knn_minority(ds, 4, EuclideanMetric(schema))
-    params = SmoteParams(n_percent=400, k=4, seed=10, gap_mode=PER_ATTRIBUTE)
+    params = SmoteParams(n_percent=400, seed=10, gap_mode=PER_ATTRIBUTE)
     batch = smote(ds, params, nbrs)
     matrix = np.asarray(rows)
     prov = batch.provenance
@@ -151,7 +150,7 @@ def test_distinct_neighbor_mode_avoids_repeats_within_k():
     ds = minority(CONT2, rows)
     nbrs = knn_minority(ds, 5, EuclideanMetric(CONT2))
     params = SmoteParams(
-        n_percent=400, k=5, seed=11, neighbor_mode=DISTINCT
+        n_percent=400, seed=11, neighbor_mode=DISTINCT
     )
     batch = smote(ds, params, nbrs)
     seen = {}
@@ -167,7 +166,7 @@ def test_distinct_neighbor_mode_cycles_when_count_exceeds_k():
     rows = [(float(i), 0.0) for i in range(4)]
     ds = minority(CONT2, rows)
     nbrs = knn_minority(ds, 2, EuclideanMetric(CONT2))
-    params = SmoteParams(n_percent=500, k=2, seed=12, neighbor_mode=DISTINCT)
+    params = SmoteParams(n_percent=500, seed=12, neighbor_mode=DISTINCT)
     batch = smote(ds, params, nbrs)
     seen = {}
     prov = batch.provenance
@@ -183,17 +182,19 @@ def test_distinct_neighbor_mode_cycles_when_count_exceeds_k():
 def test_smote_rejects_nominal_rows():
     nominal = FeatureSchema((("g1", "nominal"), ("g2", "nominal")), "cls")
     with pytest.raises(ValueError, match="continuous"):
-        smote(minority(nominal, [("A", "B"), ("C", "D")]), SmoteParams(100, 1, 0), PAIR_NEIGHBORS)
+        smote(
+            minority(nominal, [("A", "B"), ("C", "D")]), SmoteParams(100, seed=0), PAIR_NEIGHBORS
+        )
 
 
 def test_smote_rejects_single_row():
     with pytest.raises(ValueError, match="at least 2"):
-        smote(minority(CONT2, [(1.0, 2.0)]), SmoteParams(100, 1, 0), NeighborList(((0,),)))
+        smote(minority(CONT2, [(1.0, 2.0)]), SmoteParams(100, seed=0), NeighborList(((0,),)))
 
 
 def test_smote_rejects_mismatched_neighbor_list():
     with pytest.raises(ValueError, match="neighbor list"):
-        smote(PAIR, SmoteParams(100, 1, 0), NeighborList(((1,), (0,), (0,))))
+        smote(PAIR, SmoteParams(100, seed=0), NeighborList(((1,), (0,), (0,))))
 
 
 def test_smote_determinism():
@@ -201,9 +202,9 @@ def test_smote_determinism():
     rows = [tuple(map(float, rng.normal(size=2))) for _ in range(12)]
     ds = minority(CONT2, rows)
     nbrs = knn_minority(ds, 3, EuclideanMetric(CONT2))
-    a = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
-    b = smote(ds, SmoteParams(300, 3, seed=77), nbrs)
-    c = smote(ds, SmoteParams(300, 3, seed=78), nbrs)
+    a = smote(ds, SmoteParams(300, seed=77), nbrs)
+    b = smote(ds, SmoteParams(300, seed=77), nbrs)
+    c = smote(ds, SmoteParams(300, seed=78), nbrs)
     assert a.rows == b.rows
     for column in ("base_index", "neighbor_index", "gaps"):
         assert np.array_equal(getattr(a.provenance, column), getattr(b.provenance, column))
@@ -227,17 +228,15 @@ def test_nc_vote_tie_skips_base_when_not_leading():
     # neighbor values A,A,B,C,C: A and C tie at 2, base holds B, so the
     # earliest-interned leader wins; intern order here is B,A,C
     ds = _nc_dataset(["A", "A", "B", "C", "C"])
-    nc = compute_med(ds)
-    params = SmoteParams(n_percent=100, k=5, seed=0)
-    batch = smote_nc(ds, params, nc, _full_lists(6), rng=StubRng(0.25))
+    params = SmoteParams(n_percent=100, seed=0)
+    batch = smote_nc(ds, params, _full_lists(6), rng=StubRng(0.25))
     assert batch.rows[0][1] == "A"
 
 
 def test_nc_vote_unanimous():
     ds = _nc_dataset(["Q", "Q", "Q"])
-    nc = NcDistanceParams(1.0)
-    params = SmoteParams(n_percent=100, k=3, seed=0)
-    batch = smote_nc(ds, params, nc, _full_lists(4), rng=StubRng(0.5))
+    params = SmoteParams(n_percent=100, seed=0)
+    batch = smote_nc(ds, params, _full_lists(4), rng=StubRng(0.5))
     assert batch.rows[0][1] == "Q"
 
 
@@ -245,17 +244,15 @@ def test_nc_vote_excludes_base():
     # single neighbor holds A; were the base's own B counted, the tie rule
     # would keep B
     ds = _nc_dataset(["A"])
-    nc = NcDistanceParams(1.0)
-    params = SmoteParams(n_percent=100, k=1, seed=0)
-    batch = smote_nc(ds, params, nc, NeighborList(((1,), (0,))), rng=StubRng(0.0))
+    params = SmoteParams(n_percent=100, seed=0)
+    batch = smote_nc(ds, params, NeighborList(((1,), (0,))), rng=StubRng(0.0))
     assert batch.rows[0][1] == "A"
 
 
 def test_nc_vote_tie_prefers_base_value():
     ds = _nc_dataset(["A", "B"])
-    nc = NcDistanceParams(1.0)
-    params = SmoteParams(n_percent=100, k=2, seed=0)
-    batch = smote_nc(ds, params, nc, _full_lists(3), rng=StubRng(0.0))
+    params = SmoteParams(n_percent=100, seed=0)
+    batch = smote_nc(ds, params, _full_lists(3), rng=StubRng(0.0))
     assert batch.rows[0][1] == "B"
 
 
@@ -265,10 +262,8 @@ def test_nc_continuous_part_interpolates():
         (("f1", "continuous"), ("f2", "continuous"), ("c", "nominal")), "cls"
     )
     ds = Dataset(schema, rows, (ClassLabel.MINORITY, ClassLabel.MINORITY))
-    params = SmoteParams(n_percent=100, k=1, seed=0, gap_mode=SHARED)
-    batch = smote_nc(
-        ds, params, NcDistanceParams(1.0), NeighborList(((1,), (0,))), rng=StubRng(0.5)
-    )
+    params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
+    batch = smote_nc(ds, params, NeighborList(((1,), (0,))), rng=StubRng(0.5))
     assert batch.rows[0] == (5.0, 3.5, "A")
 
 
@@ -276,7 +271,7 @@ def test_nc_rejects_all_nominal_schema():
     schema = FeatureSchema((("c", "nominal"),), "cls")
     ds = Dataset(schema, (("A",), ("B",)), (ClassLabel.MINORITY, ClassLabel.MINORITY))
     with pytest.raises(ValueError, match="smote_n"):
-        smote_nc(ds, SmoteParams(100, 1, 0), NcDistanceParams(0.0), NeighborList(((1,), (0,))))
+        smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
 
 
 def test_nc_rejects_majority_rows():
@@ -286,7 +281,7 @@ def test_nc_rejects_majority_rows():
         (ClassLabel.MINORITY, ClassLabel.MAJORITY),
     )
     with pytest.raises(ValueError, match="minority-only"):
-        smote_nc(ds, SmoteParams(100, 1, 0), NcDistanceParams(0.0), NeighborList(((1,), (0,))))
+        smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
 
 
 NOM5 = FeatureSchema(tuple((f"g{i}", "nominal") for i in range(5)), "cls")
@@ -301,9 +296,8 @@ def test_smote_n_worked_vote():
         ("H", "B", "C", "D", "N"),
     ]
     ds = minority(NOM5, rows)
-    table = VdmTable.from_dataset(ds)
-    params = SmoteParams(n_percent=100, k=2, seed=0)
-    batch = smote_n(ds, params, table, _full_lists(3))
+    params = SmoteParams(n_percent=100, seed=0)
+    batch = smote_n(ds, params, _full_lists(3))
     assert batch.rows[0] == ("A", "B", "C", "D", "N")
     assert batch.provenance.base_index[0] == 0
     assert batch.provenance.neighbor_index[0] == 0
@@ -312,23 +306,20 @@ def test_smote_n_worked_vote():
 
 def test_smote_n_unanimous():
     ds = minority(NOM2, [("A", "B")] * 3)
-    table = VdmTable.from_dataset(ds)
-    batch = smote_n(ds, SmoteParams(100, 2, 0), table, _full_lists(3))
+    batch = smote_n(ds, SmoteParams(100, seed=0), _full_lists(3))
     assert all(r == ("A", "B") for r in batch.rows)
 
 
 def test_smote_n_tie_keeps_base_value():
     ds = minority(NOM1, [("A",), ("B",)])
-    table = VdmTable.from_dataset(ds)
-    batch = smote_n(ds, SmoteParams(100, 1, 0), table, NeighborList(((1,), (0,))))
+    batch = smote_n(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
     assert batch.rows[0] == ("A",)
     assert batch.rows[1] == ("B",)
 
 
 def test_smote_n_deterministic_rows_per_base():
     ds = minority(NOM2, [("A", "B"), ("A", "C"), ("D", "C")])
-    table = VdmTable.from_dataset(ds)
-    batch = smote_n(ds, SmoteParams(300, 2, 5), table, _full_lists(3))
+    batch = smote_n(ds, SmoteParams(300, seed=5), _full_lists(3))
     assert len(batch) == 9
     by_base = {}
     for row, b in zip(batch.rows, batch.provenance.base_index.tolist()):
@@ -340,8 +331,7 @@ def test_smote_n_rejects_continuous():
     with pytest.raises(ValueError, match="nominal"):
         smote_n(
             minority(FeatureSchema((("x", "continuous"),), "cls"), [(1.0,), (2.0,)]),
-            SmoteParams(100, 1, 0),
-            VdmTable.from_dataset(minority(NOM1, [("A",)])),
+            SmoteParams(100, seed=0),
             NeighborList(((1,), (0,))),
         )
 
@@ -365,7 +355,7 @@ def test_under_sample_worked_percentages():
     majority = list(range(100, 300))
     assert len(under_sample(majority, 50, UnderSamplePlan(200, seed=1))) == 25
     assert len(under_sample(majority, 50, UnderSamplePlan(100, seed=1))) == 50
-    capped = under_sample(majority, 50, UnderSamplePlan(10, seed=1))
+    capped = under_sample(majority, 50, UnderSamplePlan(10, seed=1)).tolist()
     assert capped == majority
 
 
@@ -378,9 +368,9 @@ def test_under_sample_rounding_ties_to_even():
 
 def test_under_sample_sorted_subset_and_deterministic():
     majority = list(range(0, 400, 2))
-    a = under_sample(majority, 30, UnderSamplePlan(150, seed=5))
-    b = under_sample(majority, 30, UnderSamplePlan(150, seed=5))
-    c = under_sample(majority, 30, UnderSamplePlan(150, seed=6))
+    a = under_sample(majority, 30, UnderSamplePlan(150, seed=5)).tolist()
+    b = under_sample(majority, 30, UnderSamplePlan(150, seed=5)).tolist()
+    c = under_sample(majority, 30, UnderSamplePlan(150, seed=6)).tolist()
     assert a == b
     assert a != c
     assert a == sorted(a)
@@ -497,7 +487,7 @@ def _shifted(column, value):
     ids=["base-past-pool", "negative-neighbor", "gap-one", "negative-gap", "short"],
 )
 def test_audit_batch_rejects_foreign_indices(fault, message):
-    batch = smote(PAIR, SmoteParams(100, 1, 0), PAIR_NEIGHBORS, rng=StubRng(0.5))
+    batch = smote(PAIR, SmoteParams(100, seed=0), PAIR_NEIGHBORS, rng=StubRng(0.5))
     audit_batch(batch, 2)
     batch.provenance = fault(batch.provenance)
     with pytest.raises(DataError, match=message):
@@ -507,7 +497,7 @@ def test_audit_batch_rejects_foreign_indices(fault, message):
 def test_write_provenance_jsonl(tmp_path):
     batch = smote(
         PAIR,
-        SmoteParams(100, 1, 0, gap_mode=SHARED),
+        SmoteParams(100, seed=0, gap_mode=SHARED),
         PAIR_NEIGHBORS,
         rng=StubRng(0.25),
     )
@@ -526,13 +516,13 @@ def test_write_provenance_jsonl(tmp_path):
 
 def test_smote_params_validation():
     with pytest.raises(ValueError):
-        SmoteParams(-1, 1, 0)
+        SmoteParams(-1, seed=0)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        knn_minority(PAIR, 0, EuclideanMetric(CONT2))
     with pytest.raises(ValueError):
-        SmoteParams(100, 0, 0)
+        SmoteParams(100, seed=0, gap_mode="sometimes")
     with pytest.raises(ValueError):
-        SmoteParams(100, 1, 0, gap_mode="sometimes")
-    with pytest.raises(ValueError):
-        SmoteParams(100, 1, 0, neighbor_mode="psychic")
+        SmoteParams(100, seed=0, neighbor_mode="psychic")
     with pytest.raises(ValueError):
         UnderSamplePlan(0, seed=1)
 
@@ -585,7 +575,7 @@ def test_synthesis_count_box_and_vote_properties(
     shape, schema, pool, majority = data
     t = len(pool)
     params = SmoteParams(
-        n_percent=n_percent, k=k, seed=seed, gap_mode=gap_mode, neighbor_mode=neighbor_mode
+        n_percent=n_percent, seed=seed, gap_mode=gap_mode, neighbor_mode=neighbor_mode
     )
     if shape == "continuous":
         ds = minority(schema, pool)
@@ -596,7 +586,7 @@ def test_synthesis_count_box_and_vote_properties(
         ds = minority(schema, pool)
         nc = compute_med(ds)
         nbrs = knn_minority(ds, k, NcMetric(schema, nc))
-        batch = smote_nc(ds, params, nc, nbrs)
+        batch = smote_nc(ds, params, nbrs)
         vote_pool = pool
     else:
         full = Dataset(
@@ -607,7 +597,7 @@ def test_synthesis_count_box_and_vote_properties(
         ds = full.minority_subset()
         table = VdmTable.from_dataset(full)
         nbrs = knn_minority(ds, k, VdmMetric(table))
-        batch = smote_n(ds, params, table, nbrs)
+        batch = smote_n(ds, params, nbrs)
         vote_pool = pool + majority
 
     expected = (n_percent // 100) * t if n_percent >= 100 else n_percent * t // 100

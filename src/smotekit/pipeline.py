@@ -12,6 +12,11 @@ assignment:
 * ``threshold_sweep``: one model per fold on the raw split, swept over
   decision thresholds.
 
+Models on the unresampled training folds are fit once per fold for each
+distinct classifier setting: the raw point of every curve, the
+``priors_sweep`` cell whose multiplier matches the classifier's, and every
+``threshold_sweep`` cell score the same fits.
+
 Resampling happens inside each training fold only and is audited per cell so
 synthetic provenance can never reference test rows. Every (family, cell,
 fold) triple draws from its own named RNG substream, so cells are independent:
@@ -23,6 +28,7 @@ run can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import platform
@@ -46,6 +52,8 @@ from .evaluate import (
 )
 from .model import ClassifierSpec, ExternalClassifier, confusion_from_scores, train
 from .resample import (
+    GAP_MODES,
+    NEIGHBOR_MODES,
     PER_ATTRIBUTE,
     VARIANTS,
     WITH_REPLACEMENT,
@@ -122,30 +130,25 @@ class ExperimentConfig:
             raise ConfigError(f"n_folds must be at least 2, got {self.n_folds}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.gap_mode not in GAP_MODES:
+            raise ConfigError(f"unknown gap mode {self.gap_mode!r}")
+        if self.neighbor_mode not in NEIGHBOR_MODES:
+            raise ConfigError(f"unknown neighbor mode {self.neighbor_mode!r}")
         if self.under_basis not in ("pre", "post"):
             raise ConfigError(f"under_basis must be 'pre' or 'post', got {self.under_basis!r}")
 
     def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        raw["classifier"] = dataclasses.asdict(self.classifier)
-        for key, value in raw.items():
-            if isinstance(value, tuple):
-                raw[key] = list(value)
-        return raw
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        data = dict(raw)
-        spec = data.pop("classifier", None)
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name == "classifier":
-                continue
-            if f.name in data:
-                value = data.pop(f.name)
-                kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-        if data:
-            raise ConfigError(f"unknown config keys {sorted(data)}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+        spec = kwargs.pop("classifier", None)
         if spec is not None:
             kwargs["classifier"] = ClassifierSpec(**spec)
         return cls(**kwargs)
@@ -165,20 +168,11 @@ class ExperimentResult:
     config: dict
 
 
-def _base_family(curve_family: str) -> str:
-    return curve_family.split("@", 1)[0]
-
-
-def _make_scorer(spec: ClassifierSpec):
-    """Return scorer(train_ds, test) -> minority scores per row of the test set."""
+def _score(spec: ClassifierSpec, train_ds: Dataset, test: Dataset) -> np.ndarray:
+    """Fit ``spec`` on ``train_ds`` and return minority scores per test row."""
     if spec.kind == "external":
-        external = ExternalClassifier(spec.command)
-        return external.score
-
-    def nb_score(train_ds: Dataset, test: Dataset) -> np.ndarray:
-        return train(train_ds, spec).score_rows(test)
-
-    return nb_score
+        return ExternalClassifier(spec.command).score(train_ds, test)
+    return train(train_ds, spec).score_rows(test)
 
 
 def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
@@ -194,26 +188,27 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
         for f in range(cfg.n_folds)
     ]
 
-    scorer = _make_scorer(cfg.classifier)
     warnings_log: list[str] = []
     cell_sizes: dict = {}
 
-    def fold_cms(score, threshold: float) -> list:
-        return [
-            confusion_from_scores(score(train_ds, test), test.minority, threshold)
-            for train_ds, test in fold_data
-        ]
+    @functools.cache
+    def raw_scores(spec: ClassifierSpec) -> list:
+        """Per fold, scores from ``spec`` fit once on the unresampled split."""
+        return [_score(spec, train_ds, test) for train_ds, test in fold_data]
 
-    raw_cms = None
+    @functools.cache
+    def raw_cell(spec: ClassifierSpec, threshold: float) -> list:
+        """Per fold, the confusion matrix of ``raw_scores(spec)`` at ``threshold``."""
+        return [
+            confusion_from_scores(scores, test.minority, threshold)
+            for scores, (_, test) in zip(raw_scores(spec), fold_data)
+        ]
 
     def sweep(label: str, variant: str, cells) -> RocCurve:
         """One curve: the raw point, then each ``(tag, over, under)`` cell."""
-        nonlocal raw_cms
         results = []
         if cfg.include_raw_point:
-            if raw_cms is None:
-                raw_cms = fold_cms(scorer, cfg.classifier.threshold)
-            results.append(("raw", raw_cms))
+            results.append(("raw", raw_cell(cfg.classifier, cfg.classifier.threshold)))
             cell_sizes[(label, "raw")] = [
                 (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
             ]
@@ -239,7 +234,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     warnings_log.append(skip)
                     log.warning("%s", skip)
                     break
-                scores = scorer(resampled, test)
+                scores = _score(cfg.classifier, resampled, test)
                 cms.append(
                     confusion_from_scores(scores, test.minority, cfg.classifier.threshold)
                 )
@@ -267,22 +262,11 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             results = []
             for multiplier in cfg.prior_multipliers:
                 spec = dataclasses.replace(cfg.classifier, prior_multiplier=multiplier)
-                cms = fold_cms(_make_scorer(spec), spec.threshold)
-                results.append((f"prior={multiplier}", cms))
+                results.append((f"prior={multiplier}", raw_cell(spec, spec.threshold)))
             curves.append(build_family_curve("priors_sweep", results))
         else:  # threshold_sweep
-            fold_scores = [
-                (scorer(train_ds, test), test.minority) for train_ds, test in fold_data
-            ]
             results = [
-                (
-                    f"threshold={t}",
-                    [
-                        confusion_from_scores(scores, actual_min, t)
-                        for scores, actual_min in fold_scores
-                    ],
-                )
-                for t in cfg.thresholds
+                (f"threshold={t}", raw_cell(cfg.classifier, t)) for t in cfg.thresholds
             ]
             curves.append(build_family_curve("threshold_sweep", results))
 
@@ -294,7 +278,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     family_counts: dict[str, int] = {}
     for vertex in hull:
         hull_counts[vertex.family] = hull_counts.get(vertex.family, 0) + 1
-        base = _base_family(vertex.family)
+        base = vertex.family.split("@", 1)[0]
         if base != "anchor":
             family_counts[base] = family_counts.get(base, 0) + 1
     for family in cfg.families:
@@ -379,9 +363,18 @@ def emit_report(
 
 
 def load_manifest(path: str | Path) -> tuple:
-    """Read back a manifest: (ExperimentConfig, dataset_info dict or None)."""
+    """Read back a manifest: (ExperimentConfig, dataset_info dict or None).
+
+    A file that is not a manifest, or whose config does not validate, raises
+    ConfigError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "config" not in raw:
+    if not isinstance(raw, dict) or "config" not in raw:
         raise ConfigError(f"{path} does not look like a run manifest")
-    return ExperimentConfig.from_dict(raw["config"]), raw.get("dataset")
+    try:
+        cfg = ExperimentConfig.from_dict(raw["config"])
+        cfg.validate()
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad config: {exc}") from exc
+    return cfg, raw.get("dataset")

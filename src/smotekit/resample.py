@@ -47,6 +47,9 @@ SHARED = "shared"
 WITH_REPLACEMENT = "with-replacement"
 DISTINCT = "distinct"
 
+GAP_MODES = (PER_ATTRIBUTE, SHARED)
+NEIGHBOR_MODES = (WITH_REPLACEMENT, DISTINCT)
+
 VARIANTS = ("smote", "smote_nc", "smote_n", "replicate")
 
 
@@ -72,9 +75,9 @@ class SmoteParams:
     def __post_init__(self):
         if self.n_percent < 0:
             raise ValueError(f"n_percent must be non-negative, got {self.n_percent}")
-        if self.gap_mode not in (PER_ATTRIBUTE, SHARED):
+        if self.gap_mode not in GAP_MODES:
             raise ValueError(f"unknown gap mode {self.gap_mode!r}")
-        if self.neighbor_mode not in (WITH_REPLACEMENT, DISTINCT):
+        if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
 
 
@@ -364,7 +367,7 @@ def apply_plan_detailed(
         over_percent: synthetic amount; 0 disables over-sampling.
         under_percent: minority share target; 0 or None disables
             under-sampling.
-        k: neighbor count for the synthesis variants.
+        k: neighbor count for the synthesis variants; at least 1 for all.
         seed: root seed; over- and under-sampling run on independent
             substreams so toggling one never perturbs the other.
         variant: one of smote, smote_nc, smote_n, replicate.
@@ -387,6 +390,8 @@ def apply_plan_detailed(
         raise ValueError(f"under_basis must be 'pre' or 'post', got {under_basis!r}")
     if over_percent < 0:
         raise ValueError(f"over_percent must be non-negative, got {over_percent}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     minority = train.minority_subset()
     majority_idx = train.majority_indices()
 

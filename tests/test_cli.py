@@ -171,12 +171,20 @@ def test_evaluate_rejects_short_or_long_row(tmp_path, capsys, row, fields):
     assert f"line 3 has {fields} fields, expected 3" in capsys.readouterr().err
 
 
-def test_resample_rejects_k_below_one(toy, tmp_path, capsys):
-    rc = main(
-        ["smote", *data_args(toy), "--over", "100", "--k", "0", "--out", str(tmp_path / "x")]
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smote", "--over", "100"],
+        ["replicate", "--over", "100"],  # replication searches no neighbors
+        ["smote", "--over", "0"],  # no synthesis at all
+    ],
+    ids=["smote-over-100", "replicate-over-100", "smote-over-0"],
+)
+def test_resample_rejects_k_below_one(toy, tmp_path, capsys, argv):
+    rc = main([*argv, *data_args(toy), "--k", "0", "--out", str(tmp_path / "x")])
     assert rc == 2
-    assert "k must be at least 1" in capsys.readouterr().err
+    assert "k must be at least 1, got 0" in capsys.readouterr().err
+    assert not any((tmp_path / "x").glob("*"))
 
 
 def experiment_args(toy, out):
@@ -228,6 +236,34 @@ def test_experiment_from_manifest(toy, tmp_path):
     )
     assert rc == 0
     assert (out_a / "aucs.json").read_bytes() == (out_b / "aucs.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"config": 5},
+        {"config": {"classifier": {"bogus": 1}}},
+        {"config": {"k": "x"}},
+        {"config": {"gap_mode": "bogus"}},
+        5,
+    ],
+    ids=["config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object"],
+)
+def test_experiment_malformed_manifest_is_exit_2(toy, tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    rc = main(
+        [
+            "experiment",
+            "--from-manifest", str(path),
+            *data_args(toy),
+            "--out", str(tmp_path / "x"),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert str(path) in err
 
 
 def test_experiment_bad_family_is_exit_2(toy, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smotekit import pipeline
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
@@ -62,6 +63,11 @@ def test_config_validation_errors():
             families=("priors_sweep",),
             classifier=ClassifierSpec(kind="external", command="true"),
         ).validate()
+    # families that never synthesize must still reject bad synthesis modes
+    with pytest.raises(ConfigError, match="unknown gap mode 'bogus'"):
+        small_config(families=("plain_under",), gap_mode="bogus").validate()
+    with pytest.raises(ConfigError, match="unknown neighbor mode 'bogus'"):
+        small_config(families=("replicate",), neighbor_mode="bogus").validate()
 
 
 def test_config_round_trips_through_dict():
@@ -159,6 +165,55 @@ def test_priors_and_threshold_sweep_families():
     top = max(sweep.points, key=lambda p: (p.fp_rate, p.tp_rate))
     assert top.fp_rate == 100.0
     assert top.tp_rate == 100.0
+
+
+def test_unresampled_folds_fit_each_classifier_setting_once(monkeypatch):
+    fits = []
+    real_train = pipeline.train
+
+    def counting_train(train_ds, spec):
+        fits.append(spec)
+        return real_train(train_ds, spec)
+
+    monkeypatch.setattr(pipeline, "train", counting_train)
+    cfg = small_config(
+        families=("plain_under", "priors_sweep", "threshold_sweep"),
+        under_percents=(100,),
+        prior_multipliers=(1, 2),
+        thresholds=(0.5, 0.3),
+    )
+    result = run_experiment(gaussian_dataset(), cfg)
+    # per fold: the raw split once at prior 1, once at prior 2, one resampled cell
+    assert len(fits) == 3 * cfg.n_folds
+    points = {
+        (c.family, p.tag): (p.fp_rate, p.tp_rate) for c in result.curves for p in c.points
+    }
+    raw = points[("plain_under", "raw")]
+    assert points[("priors_sweep", "prior=1")] == raw
+    assert points[("threshold_sweep", "threshold=0.5")] == raw
+
+
+def test_external_scorer_runs_once_per_fold_on_the_raw_split(monkeypatch):
+    calls = []
+
+    class CountingScorer:
+        def __init__(self, command):
+            self.command = command
+
+        def score(self, train_ds, test):
+            calls.append(len(train_ds))
+            return np.where(test.cont[:, 0] > 0.75, 0.9, 0.1)
+
+    monkeypatch.setattr(pipeline, "ExternalClassifier", CountingScorer)
+    cfg = small_config(
+        families=("plain_under", "threshold_sweep"),
+        under_percents=(100,),
+        thresholds=(0.5, 0.3),
+        classifier=ClassifierSpec(kind="external", command="stub"),
+    )
+    run_experiment(gaussian_dataset(), cfg)
+    # per fold: the raw split once, the one resampled cell once
+    assert len(calls) == 2 * cfg.n_folds
 
 
 def test_replicate_family_runs():

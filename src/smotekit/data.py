@@ -5,21 +5,22 @@ held in read-only column blocks that every layer reads. Continuous entries are
 finite floats; nominal entries are category tokens interned in
 first-appearance order and stored as their codes, which makes majority-vote
 tie-breaking deterministic downstream. Feature tuples are built from the
-blocks only at the boundaries: CSV files and callers that ask for rows. The
-minority class must not outnumber the majority class at load time (later
-resampling may flip that freely).
+blocks only for callers that ask for rows; every text file is written from
+the blocks by :func:`write_lines`. The minority class must not outnumber the
+majority class at load time (later resampling may flip that freely).
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -145,7 +146,47 @@ def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
     return cont, codes
 
 
-_CSV_CHUNK_ROWS = 1024
+# Lines per write in write_lines, so a large file is never all text at once.
+_CHUNK_LINES = 1024
+CSV_END = csv.excel.lineterminator
+
+
+def quote_fields(tokens: Iterable[str], alone: bool = False) -> list[str]:
+    """Each token as ``csv.writer`` writes it as one field of a line: quoted
+    only when it holds a comma, a quote or a line break. ``alone`` is for
+    lines of one field, where the csv module writes an empty token as ``""``.
+    """
+    out = []
+    for token in tokens:
+        buf = io.StringIO()
+        csv.writer(buf).writerow((token, ""))
+        out.append(buf.getvalue()[: -1 - len(CSV_END)] or ('""' if alone else ""))
+    return out
+
+
+def csv_template(n_fields: int) -> list:
+    """The :func:`write_lines` template of a CSV line of ``n_fields`` fields."""
+    return [None, ","] * (n_fields - 1) + [None, CSV_END]
+
+
+def write_lines(path: str | Path, n_lines: int, fields, template: list, header=None) -> None:
+    """The one text writer: ``n_lines`` lines to ``path``, a chunk at a time.
+
+    ``template`` spells one line as literal pieces with ``None`` where a field
+    goes. ``fields(part)`` gives, for the lines in slice ``part``, one column
+    of field text per ``None``, in order. ``header``, if given, is written
+    first by ``csv.writer``.
+    """
+    slots = [i for i, piece in enumerate(template) if piece is None]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        for start in range(0, n_lines, _CHUNK_LINES):
+            part = slice(start, min(start + _CHUNK_LINES, n_lines))
+            text = template * (part.stop - start)
+            for slot, column in zip(slots, fields(part), strict=True):
+                text[slot :: len(template)] = column
+            fh.write("".join(text))
 
 
 class Dataset:
@@ -154,11 +195,12 @@ class Dataset:
     ``cont`` is a C-contiguous float64 block (rows x continuous features),
     ``codes`` an integer block (rows x nominal features) whose entries index
     the first-appearance ``intern`` tables built from ``rows``, and
-    ``minority`` a boolean mask. Every layer reads the blocks; ``rows`` and
-    ``labels`` rebuild tuples from them on each access and are meant for the
-    CSV, provenance and test boundaries. Subsets and resampled sets share
-    their parent's intern tables. ``minority_token`` and ``majority_token``
-    keep the source file's class spellings so a save/load round trip is exact.
+    ``minority`` a boolean mask. Every layer and every writer reads the
+    blocks; ``rows`` and ``labels`` rebuild tuples from them on each access
+    for ``__repr__``, ``SyntheticBatch.rows`` and tests only. Subsets and
+    resampled sets share their parent's intern tables. ``minority_token`` and
+    ``majority_token`` keep the source file's class spellings so a save/load
+    round trip is exact.
     """
 
     def __init__(
@@ -203,20 +245,16 @@ class Dataset:
         out._set_blocks(np.ascontiguousarray(cont, dtype=float), codes, minority)
         return out
 
-    def columns(self, part: slice = slice(None)) -> list[list]:
-        """One Python list per feature in schema order, of the rows in
-        ``part``: floats for continuous features, tokens for nominal ones."""
-        out: list = [None] * len(self.schema.features)
-        for j, i in enumerate(self.schema.continuous_indices):
-            out[i] = self.cont[part, j].tolist()
-        for j, i in enumerate(self.schema.nominal_indices):
-            tokens = list(self.intern[i])
-            out[i] = [tokens[c] for c in self.codes[part, j].tolist()]
-        return out
-
     @property
     def rows(self) -> tuple[Row, ...]:
-        return tuple(zip(*self.columns()))
+        """Feature tuples rebuilt from the blocks: floats in continuous
+        positions, tokens in nominal ones. No writer reads them."""
+        columns: list = [None] * len(self.schema.features)
+        for j, i in enumerate(self.schema.continuous_indices):
+            columns[i] = self.cont[:, j].tolist()
+        for j, i in enumerate(self.schema.nominal_indices):
+            columns[i] = np.array(list(self.intern[i]), dtype=object)[self.codes[:, j]].tolist()
+        return tuple(zip(*columns))
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
@@ -363,28 +401,32 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
 
 
 def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
-    """Write a Dataset as CSV in schema order; floats use repr for exact reload.
+    """Write a Dataset as CSV through :func:`write_lines`, straight from its
+    blocks: header in schema order, floats as ``repr`` for exact reload,
+    tokens quoted as the csv module quotes them.
 
     ``class_column=False`` leaves the class column out, as the external
     scorer's test file must.
     """
-    header = list(ds.schema.names)
-    if class_column:
-        header.append(ds.schema.class_column)
-    tokens = (ds.majority_token, ds.minority_token)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # a chunk of rows at a time, so a large set is never all text at once
-        for start in range(0, len(ds), _CSV_CHUNK_ROWS):
-            part = slice(start, start + _CSV_CHUNK_ROWS)
-            columns = [
-                [repr(value) for value in column] if kind == CONTINUOUS else column
-                for column, kind in zip(ds.columns(part), ds.schema.kinds)
-            ]
-            if class_column:
-                columns.append([tokens[m] for m in ds.minority[part].tolist()])
-            writer.writerows(zip(*columns))
+    schema = ds.schema
+    header = list(schema.names) + ([schema.class_column] if class_column else [])
+    tokens = [
+        np.array(quote_fields(ds.intern[i], len(header) == 1), dtype=object)
+        for i in schema.nominal_indices
+    ]
+    classes = np.array(quote_fields((ds.majority_token, ds.minority_token)), dtype=object)
+
+    def fields(part: slice) -> list:
+        columns: list = [None] * len(schema.features)
+        for j, i in enumerate(schema.continuous_indices):
+            columns[i] = map(float.__repr__, ds.cont[part, j].tolist())
+        for j, i in enumerate(schema.nominal_indices):
+            columns[i] = tokens[j][ds.codes[part, j]].tolist()
+        if class_column:
+            columns.append(classes[ds.minority[part].astype(np.intp)].tolist())
+        return columns
+
+    write_lines(path, len(ds), fields, csv_template(len(header)), header)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ output metadata so curves can be recomputed without it.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .data import csv_template, quote_fields, write_lines
 
 ANCHOR_FAMILY = "anchor"
 
@@ -185,34 +186,31 @@ def write_points_csv(
 ) -> None:
     """Plot-ready CSV of every measured point with an on-hull flag."""
     hull_coords = {(v.fp_rate, v.tp_rate) for v in hull}
-    records = []
-    for curve in curves:
-        for point in curve.points:
-            records.append(
-                (
-                    curve.family,
-                    point.tag,
-                    point.fp_rate,
-                    point.tp_rate,
-                    1 if (point.fp_rate, point.tp_rate) in hull_coords else 0,
-                )
-            )
-    records.sort(key=lambda r: (r[0], r[2], r[3], r[1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "tag", "fp_rate", "tp_rate", "on_hull"])
-        for family, tag, fp, tp, flag in records:
-            writer.writerow([family, tag, repr(fp), repr(tp), flag])
+    records = sorted(
+        (
+            (curve.family, p.tag, p.fp_rate, p.tp_rate, int((p.fp_rate, p.tp_rate) in hull_coords))
+            for curve in curves
+            for p in curve.points
+        ),
+        key=lambda r: (r[0], r[2], r[3], r[1]),
+    )
+    _write_report_csv(path, ["family", "tag", "fp_rate", "tp_rate", "on_hull"], records)
 
 
 def write_hull_csv(path: str | Path, hull: Sequence[HullVertex]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["family", "tag", "fp_rate", "tp_rate"])
-        for vertex in hull:
-            writer.writerow(
-                [vertex.family, vertex.tag, repr(vertex.fp_rate), repr(vertex.tp_rate)]
-            )
+    records = [(v.family, v.tag, v.fp_rate, v.tp_rate) for v in hull]
+    _write_report_csv(path, ["family", "tag", "fp_rate", "tp_rate"], records)
+
+
+def _write_report_csv(path: str | Path, header: list[str], records: list[tuple]) -> None:
+    """Records of (family, tag, number, ...) through the shared line writer;
+    numbers as ``repr``."""
+
+    def fields(part: slice) -> list:
+        family, tag, *numbers = zip(*records[part])
+        return [quote_fields(family), quote_fields(tag), *(map(repr, c) for c in numbers)]
+
+    write_lines(path, len(records), fields, csv_template(len(header)), header)
 
 
 def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = "origin") -> dict:

@@ -321,8 +321,9 @@ def emit_report(
     Files: ``roc_points.csv`` (family, tag, fp_rate, tp_rate, on_hull),
     ``hull.csv``, ``aucs.json`` (per-family AUC as fraction and x10^4
     integer, hull vertices and counts, the dominance statement, warnings),
-    and ``manifest.json`` (config, dataset info, library versions). All files
-    are deterministic: sorted content, no timestamps.
+    and ``manifest.json`` (config, ``dataset_info``: None or the ``data``,
+    ``schema`` and ``minority`` strings a rerun loads, library versions).
+    All files are deterministic: sorted content, no timestamps.
     """
     if not result.curves:
         raise ConfigError("nothing to report: no curves were produced")
@@ -365,11 +366,15 @@ def emit_report(
 def load_manifest(path: str | Path) -> tuple:
     """Read back a manifest: (ExperimentConfig, dataset_info dict or None).
 
-    A file that is not a manifest, or whose config does not validate, raises
-    ConfigError naming the file.
+    A file that is not a manifest, whose config does not validate, or whose
+    dataset is neither null nor an object of ``data``, ``schema`` and
+    ``minority`` strings raises ConfigError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "config" not in raw:
         raise ConfigError(f"{path} does not look like a run manifest")
     try:
@@ -377,4 +382,7 @@ def load_manifest(path: str | Path) -> tuple:
         cfg.validate()
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
-    return cfg, raw.get("dataset")
+    info, keys = raw.get("dataset"), ("data", "schema", "minority")
+    if info is not None and not (isinstance(info, dict) and all(isinstance(info.get(k), str) for k in keys)):
+        raise ConfigError(f"{path}: dataset must be null or hold data, schema and minority strings")
+    return cfg, info

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_lines
 from .distance import (
     EuclideanMetric,
     NcMetric,
@@ -479,29 +479,20 @@ def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> N
 
     ``gap`` is null for vote-only rows, a number when the row has one draw,
     and a list of the per-attribute draws otherwise. Keys are sorted; the
-    lines are formatted directly, in the bytes ``json.dumps(..., sort_keys=True)``
-    gives for the same record, and written in chunks of 1,024 lines.
+    lines go through the shared :func:`~smotekit.data.write_lines`, in the
+    bytes ``json.dumps(..., sort_keys=True)`` gives for the same record.
     """
     prov = batch.provenance
-    tail = f', "variant": {json.dumps(variant)}}}\n'
-    with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(prov), 1024):
-            chunk = slice(start, start + 1024)
-            gaps = prov.gaps[chunk]
-            if gaps.shape[1] == 0:
-                gap_text = ["null"] * len(gaps)
-            elif gaps.shape[1] == 1:
-                gap_text = map(repr, gaps[:, 0].tolist())
-            else:
-                gap_text = map(str, gaps.tolist())
-            fh.write(
-                "".join(
-                    f'{{"base_index": {base}, "gap": {gap}, '
-                    f'"neighbor_index": {neighbor}{tail}'
-                    for base, neighbor, gap in zip(
-                        prov.base_index[chunk].tolist(),
-                        prov.neighbor_index[chunk].tolist(),
-                        gap_text,
-                    )
-                )
-            )
+    width = prov.gaps.shape[1]
+    draws = [None, ", "] * width
+    gap = ["null"] if width == 0 else [None] if width == 1 else ["[", *draws[:-1], "]"]
+    template = [
+        '{"base_index": ', None, ', "gap": ', *gap, ', "neighbor_index": ', None,
+        f', "variant": {json.dumps(variant)}}}\n',
+    ]
+
+    def fields(part: slice) -> list:
+        columns = (prov.base_index[part], *prov.gaps[part].T, prov.neighbor_index[part])
+        return [map(repr, column.tolist()) for column in columns]
+
+    write_lines(path, len(prov), fields, template)

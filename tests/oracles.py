@@ -5,9 +5,13 @@ that agreement is evidence, not tautology: AUC by midpoint Riemann sums
 instead of trapezoids, hull membership by exhaustive pairwise domination
 instead of a chain scan, neighbors by a full stable sort instead of lexsort
 selection, distances by a loop over one pair of row tuples instead of
-vectorized blocks.
+vectorized blocks, and text files by ``csv.writer`` and ``json.dumps`` over
+one row at a time instead of column chunks.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -136,3 +140,25 @@ def metric_oracle(metric):
     if name == "VdmMetric":
         return lambda a, b: vdm_distance(metric.table, a, b)
     raise TypeError(f"no oracle for {name}")
+
+
+def csv_text(header, rows):
+    """``header`` and the row tuples as ``csv.writer`` writes them, with each
+    float field as its ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def provenance_text(base_index, neighbor_index, gaps, variant):
+    """One ``json.dumps(record, sort_keys=True)`` line per synthetic row: gap
+    null with no draws, a number with one, else the list of draws."""
+    lines = []
+    for base, neighbor, draws in zip(base_index, neighbor_index, gaps):
+        gap = None if not draws else draws[0] if len(draws) == 1 else list(draws)
+        record = {"variant": variant, "neighbor_index": neighbor, "gap": gap, "base_index": base}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)

@@ -239,27 +239,26 @@ def test_experiment_from_manifest(toy, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "manifest",
+    "text",
     [
-        {"config": 5},
-        {"config": {"classifier": {"bogus": 1}}},
-        {"config": {"k": "x"}},
-        {"config": {"gap_mode": "bogus"}},
-        5,
+        json.dumps({"config": 5}),
+        json.dumps({"config": {"classifier": {"bogus": 1}}}),
+        json.dumps({"config": {"k": "x"}}),
+        json.dumps({"config": {"gap_mode": "bogus"}}),
+        json.dumps(5),
+        json.dumps({"config": {}, "dataset": {"data": "x.csv"}}),
+        json.dumps({"config": {}, "dataset": 5}),
+        '{"config": {}, bogus}',
     ],
-    ids=["config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object"],
+    ids=[
+        "config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object",
+        "dataset-keys", "dataset-not-object", "not-json",
+    ],
 )
-def test_experiment_malformed_manifest_is_exit_2(toy, tmp_path, capsys, manifest):
+def test_experiment_malformed_manifest_is_exit_2(tmp_path, capsys, text):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest), encoding="utf-8")
-    rc = main(
-        [
-            "experiment",
-            "--from-manifest", str(path),
-            *data_args(toy),
-            "--out", str(tmp_path / "x"),
-        ]
-    )
+    path.write_text(text, encoding="utf-8")
+    rc = main(["experiment", "--from-manifest", str(path), "--out", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")

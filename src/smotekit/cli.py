@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .evaluate import RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import ClassifierSpec
 from .pipeline import ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import GAP_MODES, NEIGHBOR_MODES, VARIANTS, apply_plan_detailed, write_provenance
+from .resample import apply_plan_detailed, write_provenance
 
 
 def _int_list(text: str) -> list[int]:
@@ -52,13 +52,13 @@ def _add_resample_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=5, help="nearest neighbors (default 5)")
     parser.add_argument(
         "--gap-mode",
-        choices=GAP_MODES,
+        choices=["per-attribute", "shared"],
         default="per-attribute",
         help="uniform draws per synthetic row: one per coordinate, or one shared",
     )
     parser.add_argument(
         "--neighbor-mode",
-        choices=NEIGHBOR_MODES,
+        choices=["with-replacement", "distinct"],
         default="with-replacement",
         help="how repeat neighbor picks for one base are drawn",
     )
@@ -124,6 +124,7 @@ def _cmd_undersample(args) -> int:
 
 def _read_points_csv(path: str) -> list[RocCurve]:
     curves: dict[str, list[RocPoint]] = {}
+    order: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -147,10 +148,14 @@ def _read_points_csv(path: str) -> list[RocCurve]:
                 )
             except ValueError as exc:
                 raise DataError(f"{path}: line {line_no}: {exc}") from None
-            curves.setdefault(record["family"], []).append(point)
+            family = record["family"]
+            if family not in curves:
+                curves[family] = []
+                order.append(family)
+            curves[family].append(point)
     if not curves:
         raise DataError(f"{path}: no points")
-    return [RocCurve(family, tuple(points)) for family, points in curves.items()]
+    return [RocCurve(family, tuple(curves[family])) for family in order]
 
 
 def _print_aucs(aucs: dict) -> None:
@@ -174,15 +179,24 @@ def _cmd_evaluate(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.from_manifest:
         cfg, info = load_manifest(args.from_manifest)
-        given = [args.data, args.schema, args.minority]
-        if any(given) and not all(given):
-            raise ConfigError("--data, --schema, and --minority must be given together")
-        if any(given):
+        if args.data or args.schema or args.minority:
+            if not (args.data and args.schema and args.minority):
+                raise ConfigError(
+                    "--data, --schema, and --minority must be given together"
+                )
+            info = None
+        if info is None:
+            if not args.data:
+                raise ConfigError(
+                    "manifest records no dataset; pass --data/--schema/--minority"
+                )
             ds, info = _load(args)
-        elif info is None:
-            raise ConfigError("manifest records no dataset; pass --data/--schema/--minority")
         else:
-            ds = load_csv(info["data"], FeatureSchema.from_json(info["schema"]), info["minority"])
+            keys = ("data", "schema", "minority")
+            if not isinstance(info, dict) or not all(isinstance(info.get(k), str) for k in keys):
+                raise ConfigError(f"{args.from_manifest}: dataset lacks data/schema/minority paths")
+            schema = FeatureSchema.from_json(info["schema"])
+            ds = load_csv(info["data"], schema, info["minority"])
     else:
         for name in ("data", "schema", "minority"):
             if getattr(args, name) is None:
@@ -227,8 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for variant in VARIANTS:
-        name = variant.replace("_", "-")
+    for name, variant in (
+        ("smote", "smote"),
+        ("smote-nc", "smote_nc"),
+        ("smote-n", "smote_n"),
+        ("replicate", "replicate"),
+    ):
         p = sub.add_parser(name, help=f"write datasets augmented by {name}")
         _add_data_flags(p)
         p.add_argument(
@@ -276,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10)
     p.add_argument(
         "--variant",
-        choices=VARIANTS,
+        choices=["smote", "smote_nc", "smote_n", "replicate"],
         default="smote",
         help="synthesis variant used by the smote_under family",
     )
@@ -321,10 +339,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

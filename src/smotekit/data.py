@@ -146,47 +146,32 @@ def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
     return cont, codes
 
 
-# Lines per write in write_lines, so a large file is never all text at once.
 _CHUNK_LINES = 1024
 CSV_END = csv.excel.lineterminator
 
 
-def quote_fields(tokens: Iterable[str], alone: bool = False) -> list[str]:
-    """Each token as ``csv.writer`` writes it as one field of a line: quoted
-    only when it holds a comma, a quote or a line break. ``alone`` is for
-    lines of one field, where the csv module writes an empty token as ``""``.
-    """
+def quote_fields(tokens: Iterable[str], alone: bool = False) -> np.ndarray:
+    """An object array of each token as ``csv.writer`` writes it as one field
+    of a line: quoted only when it holds a comma, a quote or a line break.
+    ``alone`` is for lines of one field, where the csv module writes an empty
+    token as ``""``. Codes index the array."""
     out = []
     for token in tokens:
         buf = io.StringIO()
         csv.writer(buf).writerow((token, ""))
         out.append(buf.getvalue()[: -1 - len(CSV_END)] or ('""' if alone else ""))
-    return out
+    return np.array(out, dtype=object)
 
 
-def csv_template(n_fields: int) -> list:
-    """The :func:`write_lines` template of a CSV line of ``n_fields`` fields."""
-    return [None, ","] * (n_fields - 1) + [None, CSV_END]
-
-
-def write_lines(path: str | Path, n_lines: int, fields, template: list, header=None) -> None:
-    """The one text writer: ``n_lines`` lines to ``path``, a chunk at a time.
-
-    ``template`` spells one line as literal pieces with ``None`` where a field
-    goes. ``fields(part)`` gives, for the lines in slice ``part``, one column
-    of field text per ``None``, in order. ``header``, if given, is written
-    first by ``csv.writer``.
-    """
-    slots = [i for i, piece in enumerate(template) if piece is None]
+def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
+    """The one text writer: ``header``, if not None, by ``csv.writer``, then
+    ``chunk_text(part)`` for each slice ``part`` of at most 1,024 of the
+    ``n_lines`` lines, so a large file is never all text at once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             csv.writer(fh).writerow(header)
         for start in range(0, n_lines, _CHUNK_LINES):
-            part = slice(start, min(start + _CHUNK_LINES, n_lines))
-            text = template * (part.stop - start)
-            for slot, column in zip(slots, fields(part), strict=True):
-                text[slot :: len(template)] = column
-            fh.write("".join(text))
+            fh.write(chunk_text(slice(start, min(start + _CHUNK_LINES, n_lines))))
 
 
 class Dataset:
@@ -247,13 +232,12 @@ class Dataset:
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        """Feature tuples rebuilt from the blocks: floats in continuous
-        positions, tokens in nominal ones. No writer reads them."""
         columns: list = [None] * len(self.schema.features)
         for j, i in enumerate(self.schema.continuous_indices):
             columns[i] = self.cont[:, j].tolist()
         for j, i in enumerate(self.schema.nominal_indices):
-            columns[i] = np.array(list(self.intern[i]), dtype=object)[self.codes[:, j]].tolist()
+            tokens = list(self.intern[i])
+            columns[i] = [tokens[c] for c in self.codes[:, j].tolist()]
         return tuple(zip(*columns))
 
     @property
@@ -401,22 +385,18 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
 
 
 def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
-    """Write a Dataset as CSV through :func:`write_lines`, straight from its
-    blocks: header in schema order, floats as ``repr`` for exact reload,
-    tokens quoted as the csv module quotes them.
+    """Write a Dataset as CSV in schema order through :func:`write_lines`;
+    floats use repr for exact reload.
 
     ``class_column=False`` leaves the class column out, as the external
     scorer's test file must.
     """
     schema = ds.schema
     header = list(schema.names) + ([schema.class_column] if class_column else [])
-    tokens = [
-        np.array(quote_fields(ds.intern[i], len(header) == 1), dtype=object)
-        for i in schema.nominal_indices
-    ]
-    classes = np.array(quote_fields((ds.majority_token, ds.minority_token)), dtype=object)
+    tokens = [quote_fields(ds.intern[i], len(header) == 1) for i in schema.nominal_indices]
+    classes = quote_fields((ds.majority_token, ds.minority_token))
 
-    def fields(part: slice) -> list:
+    def chunk_text(part: slice) -> str:
         columns: list = [None] * len(schema.features)
         for j, i in enumerate(schema.continuous_indices):
             columns[i] = map(float.__repr__, ds.cont[part, j].tolist())
@@ -424,9 +404,9 @@ def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
             columns[i] = tokens[j][ds.codes[part, j]].tolist()
         if class_column:
             columns.append(classes[ds.minority[part].astype(np.intp)].tolist())
-        return columns
+        return CSV_END.join(map(",".join, zip(*columns))) + CSV_END
 
-    write_lines(path, len(ds), fields, csv_template(len(header)), header)
+    write_lines(path, header, len(ds), chunk_text)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .data import csv_template, quote_fields, write_lines
+from .data import CSV_END, quote_fields, write_lines
 
 ANCHOR_FAMILY = "anchor"
 
@@ -186,14 +186,12 @@ def write_points_csv(
 ) -> None:
     """Plot-ready CSV of every measured point with an on-hull flag."""
     hull_coords = {(v.fp_rate, v.tp_rate) for v in hull}
-    records = sorted(
-        (
-            (curve.family, p.tag, p.fp_rate, p.tp_rate, int((p.fp_rate, p.tp_rate) in hull_coords))
-            for curve in curves
-            for p in curve.points
-        ),
-        key=lambda r: (r[0], r[2], r[3], r[1]),
-    )
+    records = [
+        (curve.family, p.tag, p.fp_rate, p.tp_rate, int((p.fp_rate, p.tp_rate) in hull_coords))
+        for curve in curves
+        for p in curve.points
+    ]
+    records.sort(key=lambda r: (r[0], r[2], r[3], r[1]))
     _write_report_csv(path, ["family", "tag", "fp_rate", "tp_rate", "on_hull"], records)
 
 
@@ -203,14 +201,14 @@ def write_hull_csv(path: str | Path, hull: Sequence[HullVertex]) -> None:
 
 
 def _write_report_csv(path: str | Path, header: list[str], records: list[tuple]) -> None:
-    """Records of (family, tag, number, ...) through the shared line writer;
-    numbers as ``repr``."""
+    """Records of (family, tag, number, ...) through the shared writer."""
 
-    def fields(part: slice) -> list:
+    def chunk_text(part: slice) -> str:
         family, tag, *numbers = zip(*records[part])
-        return [quote_fields(family), quote_fields(tag), *(map(repr, c) for c in numbers)]
+        columns = [quote_fields(family), quote_fields(tag), *(map(repr, c) for c in numbers)]
+        return CSV_END.join(map(",".join, zip(*columns))) + CSV_END
 
-    write_lines(path, len(records), fields, csv_template(len(header)), header)
+    write_lines(path, header, len(records), chunk_text)
 
 
 def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = "origin") -> dict:

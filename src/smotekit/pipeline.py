@@ -321,9 +321,8 @@ def emit_report(
     Files: ``roc_points.csv`` (family, tag, fp_rate, tp_rate, on_hull),
     ``hull.csv``, ``aucs.json`` (per-family AUC as fraction and x10^4
     integer, hull vertices and counts, the dominance statement, warnings),
-    and ``manifest.json`` (config, ``dataset_info``: None or the ``data``,
-    ``schema`` and ``minority`` strings a rerun loads, library versions).
-    All files are deterministic: sorted content, no timestamps.
+    and ``manifest.json`` (config, dataset info, library versions). All files
+    are deterministic: sorted content, no timestamps.
     """
     if not result.curves:
         raise ConfigError("nothing to report: no curves were produced")
@@ -366,9 +365,8 @@ def emit_report(
 def load_manifest(path: str | Path) -> tuple:
     """Read back a manifest: (ExperimentConfig, dataset_info dict or None).
 
-    A file that is not a manifest, whose config does not validate, or whose
-    dataset is neither null nor an object of ``data``, ``schema`` and
-    ``minority`` strings raises ConfigError naming the file.
+    A file that is not JSON or not a manifest, or whose config does not
+    validate, raises ConfigError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -382,7 +380,4 @@ def load_manifest(path: str | Path) -> tuple:
         cfg.validate()
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad config: {exc}") from exc
-    info, keys = raw.get("dataset"), ("data", "schema", "minority")
-    if info is not None and not (isinstance(info, dict) and all(isinstance(info.get(k), str) for k in keys)):
-        raise ConfigError(f"{path}: dataset must be null or hold data, schema and minority strings")
-    return cfg, info
+    return cfg, raw.get("dataset")

@@ -483,16 +483,21 @@ def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> N
     bytes ``json.dumps(..., sort_keys=True)`` gives for the same record.
     """
     prov = batch.provenance
-    width = prov.gaps.shape[1]
-    draws = [None, ", "] * width
-    gap = ["null"] if width == 0 else [None] if width == 1 else ["[", *draws[:-1], "]"]
-    template = [
-        '{"base_index": ', None, ', "gap": ', *gap, ', "neighbor_index": ', None,
-        f', "variant": {json.dumps(variant)}}}\n',
-    ]
+    tail = f', "variant": {json.dumps(variant)}}}\n'
 
-    def fields(part: slice) -> list:
-        columns = (prov.base_index[part], *prov.gaps[part].T, prov.neighbor_index[part])
-        return [map(repr, column.tolist()) for column in columns]
+    def chunk_text(part: slice) -> str:
+        gaps = prov.gaps[part]
+        if gaps.shape[1] == 0:
+            gap_text = ["null"] * len(gaps)
+        elif gaps.shape[1] == 1:
+            gap_text = map(repr, gaps[:, 0].tolist())
+        else:
+            gap_text = map(str, gaps.tolist())
+        return "".join(
+            f'{{"base_index": {base}, "gap": {gap}, "neighbor_index": {neighbor}{tail}'
+            for base, neighbor, gap in zip(
+                prov.base_index[part].tolist(), prov.neighbor_index[part].tolist(), gap_text
+            )
+        )
 
-    write_lines(path, len(prov), fields, template)
+    write_lines(path, None, len(prov), chunk_text)

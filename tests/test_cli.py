@@ -239,30 +239,53 @@ def test_experiment_from_manifest(toy, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, with_data",
     [
-        json.dumps({"config": 5}),
-        json.dumps({"config": {"classifier": {"bogus": 1}}}),
-        json.dumps({"config": {"k": "x"}}),
-        json.dumps({"config": {"gap_mode": "bogus"}}),
-        json.dumps(5),
-        json.dumps({"config": {}, "dataset": {"data": "x.csv"}}),
-        json.dumps({"config": {}, "dataset": 5}),
-        '{"config": {}, bogus}',
+        (json.dumps({"config": 5}), True),
+        (json.dumps({"config": {"classifier": {"bogus": 1}}}), True),
+        (json.dumps({"config": {"k": "x"}}), True),
+        (json.dumps({"config": {"gap_mode": "bogus"}}), True),
+        (json.dumps(5), True),
+        # without --data/--schema/--minority the CLI loads the manifest's dataset
+        (json.dumps({"config": {}, "dataset": {"data": "x.csv"}}), False),
+        (json.dumps({"config": {}, "dataset": 5}), False),
+        ('{"config": {}, bogus}', True),
     ],
     ids=[
         "config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object",
         "dataset-keys", "dataset-not-object", "not-json",
     ],
 )
-def test_experiment_malformed_manifest_is_exit_2(tmp_path, capsys, text):
+def test_experiment_malformed_manifest_is_exit_2(toy, tmp_path, capsys, text, with_data):
     path = tmp_path / "manifest.json"
     path.write_text(text, encoding="utf-8")
-    rc = main(["experiment", "--from-manifest", str(path), "--out", str(tmp_path / "x")])
+    rc = main(
+        [
+            "experiment",
+            "--from-manifest", str(path),
+            *(data_args(toy) if with_data else []),
+            "--out", str(tmp_path / "x"),
+        ]
+    )
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "dataset", [{"path": "toy.csv"}, {"data": "x.csv"}, 5], ids=["free-form", "keys", "number"]
+)
+def test_experiment_manifest_dataset_is_ignored_with_data_flags(toy, tmp_path, dataset):
+    # emit_report records whatever dataset_info it is given; the data flags replace it
+    assert main(experiment_args(toy, tmp_path / "a")) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text(encoding="utf-8"))
+    manifest["dataset"] = dataset
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "b"
+    assert main(["experiment", "--from-manifest", str(path), *data_args(toy), "--out", str(out)]) == 0
+    assert (out / "aucs.json").read_bytes() == (tmp_path / "a" / "aucs.json").read_bytes()
 
 
 def test_experiment_bad_family_is_exit_2(toy, tmp_path, capsys):

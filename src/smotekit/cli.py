@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .evaluate import RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import ClassifierSpec
 from .pipeline import ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import apply_plan_detailed, write_provenance
+from .resample import apply_plan_detailed, variant_neighbors, write_provenance
 
 
 def _int_list(text: str) -> list[int]:
@@ -92,6 +92,10 @@ def _cmd_resample(args, variant: str) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     unders = args.under if args.under else [0]
+    neighbors = None
+    if variant != "replicate" and any(over > 0 for over in args.over):
+        # one search serves every --over x --under pair of this file
+        neighbors = variant_neighbors(ds, args.k, variant)
     for over in args.over:
         for under in unders:
             detail = apply_plan_detailed(
@@ -104,6 +108,7 @@ def _cmd_resample(args, variant: str) -> int:
                 gap_mode=args.gap_mode,
                 neighbor_mode=args.neighbor_mode,
                 under_basis=args.under_basis,
+                neighbors=neighbors,
             )
             stem = f"augmented_{variant}_o{over}_u{under}"
             _save(detail.dataset, out / f"{stem}.csv")

@@ -409,18 +409,31 @@ def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
     write_lines(path, header, len(ds), chunk_text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Cross-validation fold index per row."""
+    """Cross-validation fold index per row: ``fold_of_row`` is a read-only
+    ``np.intp`` array."""
 
-    fold_of_row: tuple[int, ...]
+    fold_of_row: np.ndarray
     n_folds: int
 
-    def test_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of_row) if f == fold]
+    def __post_init__(self):
+        fold_of_row = np.array(self.fold_of_row, dtype=np.intp)
+        fold_of_row.flags.writeable = False
+        object.__setattr__(self, "fold_of_row", fold_of_row)
 
-    def train_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.fold_of_row) if f != fold]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FoldAssignment):
+            return NotImplemented
+        return self.n_folds == other.n_folds and np.array_equal(
+            self.fold_of_row, other.fold_of_row
+        )
+
+    def test_indices(self, fold: int) -> np.ndarray:
+        return np.flatnonzero(self.fold_of_row == fold)
+
+    def train_indices(self, fold: int) -> np.ndarray:
+        return np.flatnonzero(self.fold_of_row != fold)
 
 
 def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
@@ -443,4 +456,4 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
         perm = rng.permutation(len(class_indices))
         offset = int(rng.integers(n_folds))
         fold_of_row[class_indices[perm]] = (offset + np.arange(len(perm))) % n_folds
-    return FoldAssignment(tuple(fold_of_row.tolist()), n_folds)
+    return FoldAssignment(fold_of_row, n_folds)

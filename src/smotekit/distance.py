@@ -28,7 +28,9 @@ _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32
 # Floats per broadcast-difference chunk, 512KB. A chunk that stays in the CPU
 # cache halved the time of a 900 x 900 x 8 distance matrix against one ~32MB
 # chunk (two-core Xeon VM). einsum sums each entry the same way whatever the
-# chunk's row count, so the chunk size never changes a distance.
+# chunk's row count, so the chunk size never changes a distance. The neighbor
+# search also selects each row set's lists in slices of this many floats, so
+# the distance block is its only larger array.
 _DIFF_BUDGET = 1 << 16
 
 

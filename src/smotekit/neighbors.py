@@ -3,7 +3,11 @@
 Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
 distance, then ascending row index. Distances are computed one row block at
 a time and each block keeps only its top k, so memory is O(block x T), not
-T x T. No spatial index; the interface leaves room for one later.
+T x T. ``knn_minority`` searches one minority; ``knn_per_fold`` makes one
+pass over a whole minority and selects every cross-validation fold's lists
+from the same distance blocks, each equal to a search of that fold's
+training minority alone. No spatial index; the interface leaves room for
+one later.
 """
 
 from __future__ import annotations
@@ -59,29 +63,82 @@ def knn_minority(
     t = len(minority)
     if t < 2:
         raise ValueError(f"need at least 2 rows for neighbor search, got {t}")
+    (lists,) = _search(minority, k, metric, [np.arange(t)])
+    return lists
+
+
+def knn_per_fold(
+    minority: Dataset,
+    k: int,
+    metric: distance.EuclideanMetric,
+    fold_of: np.ndarray,
+) -> list:
+    """Neighbor lists of every fold's training minority from one search.
+
+    ``fold_of[i]`` is the cross-validation fold of minority row ``i``. Entry
+    ``f`` of the result, for every fold ``f`` up to ``fold_of.max()``, equals
+    ``knn_minority(minority.subset(np.flatnonzero(fold_of != f)), k, metric)``,
+    or is None when that training minority has fewer than 2 rows.
+
+    One streamed pass over the whole minority serves every fold, so the
+    distance between two rows must not depend on the other rows of the set:
+    true of ``EuclideanMetric``, not of ``NcMetric`` or ``VdmMetric``, whose
+    median and category counts come from the training rows.
+    """
+    fold_of = np.asarray(fold_of)
+    if fold_of.shape != (len(minority),):
+        raise ValueError(
+            f"fold_of has shape {fold_of.shape}, expected ({len(minority)},)"
+        )
+    n_folds = int(fold_of.max()) + 1 if len(fold_of) else 0
+    train = [np.flatnonzero(fold_of != f) for f in range(n_folds)]
+    found = iter(_search(minority, k, metric, [rows for rows in train if len(rows) >= 2]))
+    return [next(found) if len(rows) >= 2 else None for rows in train]
+
+
+def _search(minority: Dataset, k: int, metric, members: list) -> list:
+    """The one block loop behind every neighbor search: the lists of each
+    row set in ``members`` (ascending minority row indices, at least 2
+    each), searched within that set, in the set's local indices.
+
+    Each block of ``distance._CHUNK_BUDGET // T`` rows is one
+    ``metric.pairwise`` call. Every set then selects its rows of the block
+    in slices of at most ``distance._DIFF_BUDGET // T`` rows, restricted to
+    its own columns, so the block is the only array of more than
+    ``_DIFF_BUDGET`` floats alive.
+    A set's rows and columns keep their global order, so the
+    ``(distance, index)`` tie rule is the one a search of the set alone uses.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not minority.minority.all():
-        raise ValueError("knn_minority expects a minority-only dataset slice")
-    w = min(k, t - 1)
-    lists = np.empty((t, w), dtype=np.intp)
+        raise ValueError("neighbor search expects a minority-only dataset slice")
+    if not members:
+        return []
+    t = len(minority)
+    lists = [np.empty((len(rows), min(k, len(rows) - 1)), dtype=np.intp) for rows in members]
     step = max(1, distance._CHUNK_BUDGET // t)
+    part = max(1, distance._DIFF_BUDGET // t)
     for start in range(0, t, step):
-        block = slice(start, start + step)
-        dist = np.asarray(metric.pairwise(minority, block), dtype=float)
-        lists[block] = _top_k(dist, start, w)
-    return NeighborList(lists)
+        dist = np.asarray(metric.pairwise(minority, slice(start, start + step)), dtype=float)
+        own = np.arange(len(dist))
+        dist[own, own + start] = np.inf  # a row never lists itself
+        for rows, out in zip(members, lists):
+            first, stop = np.searchsorted(rows, (start, start + len(dist)))
+            for a in range(first, stop, part):
+                b = min(a + part, stop)
+                if len(rows) == t:  # every row: a view, no copy
+                    sub = dist[a - start:b - start]
+                else:
+                    sub = dist[rows[a:b] - start][:, rows]
+                out[a:b] = _top_k(sub, out.shape[1])
+    return [NeighborList(out) for out in lists]
 
 
-def _top_k(dist: np.ndarray, first: int, w: int) -> np.ndarray:
+def _top_k(dist: np.ndarray, w: int) -> np.ndarray:
     """The ``w`` nearest columns of each row of ``dist``, ordered by
-    ``(distance, index)``; row ``i`` is point ``first + i`` and never lists
-    itself. Overwrites the self entries of ``dist``.
-    """
-    own = np.arange(len(dist))
-    dist[own, own + first] = np.inf
-    # a copy, so the whole (rows, T) partition is not kept alive by a view
-    cand = np.argpartition(dist, w - 1, axis=1)[:, :w].copy()
+    ``(distance, index)``."""
+    cand = np.argpartition(dist, w - 1, axis=1)[:, :w]
     near = np.take_along_axis(dist, cand, axis=1)
     top = np.take_along_axis(cand, np.lexsort((cand, near)), axis=1)
     # A row with more entries at or under its w-th distance than w had to

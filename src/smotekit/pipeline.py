@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, stratified_folds
+from .distance import EuclideanMetric
 from .errors import ConfigError
 from .evaluate import (
     RocCurve,
@@ -51,6 +52,7 @@ from .evaluate import (
     write_summary_json,
 )
 from .model import ClassifierSpec, ExternalClassifier, confusion_from_scores, train
+from .neighbors import knn_per_fold
 from .resample import (
     GAP_MODES,
     NEIGHBOR_MODES,
@@ -192,6 +194,14 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     cell_sizes: dict = {}
 
     @functools.cache
+    def smote_neighbors() -> list:
+        """Per fold, the Euclidean neighbor lists of the training minority,
+        all from one search over the whole minority; None for a fold whose
+        training minority is too thin to search."""
+        fold_of = folds.fold_of_row[ds.minority_indices()]
+        return knn_per_fold(ds.minority_subset(), cfg.k, EuclideanMetric(ds.schema), fold_of)
+
+    @functools.cache
     def raw_scores(spec: ClassifierSpec) -> list:
         """Per fold, scores from ``spec`` fit once on the unresampled split."""
         return [_score(spec, train_ds, test) for train_ds, test in fold_data]
@@ -212,6 +222,9 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             cell_sizes[(label, "raw")] = [
                 (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
             ]
+        # distances of smote's metric do not depend on the fold: search once.
+        # A schema smote cannot take is left to apply_plan_detailed to reject.
+        shared = variant == "smote" and ds.schema.all_continuous
         for tag, over, under in cells:
             cms = []
             sizes = []
@@ -226,6 +239,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     gap_mode=cfg.gap_mode,
                     neighbor_mode=cfg.neighbor_mode,
                     under_basis=cfg.under_basis,
+                    neighbors=smote_neighbors()[f] if shared and over > 0 else None,
                 )
                 audit_batch(detail.batch, train_ds.n_minority)
                 resampled = detail.dataset

@@ -4,9 +4,9 @@ The over-sampling amount ``n_percent`` is interpreted in integral multiples of
 100: each minority row spawns ``floor(n_percent / 100)`` synthetic rows along
 segments toward its k nearest minority neighbors. Amounts under 100 instead
 select ``floor(n_percent/100 * T)`` distinct bases at random and give each one
-synthetic row. ``k`` enters only ``knn_minority``, which computes the neighbor
-lists once; synthesis reads the lists. Three synthesis flavors cover the
-schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
+synthetic row. ``k`` enters only the neighbor search, which computes the
+neighbor lists once; synthesis reads the lists. Three synthesis flavors cover
+the schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
 
 * ``smote``: all-continuous; interpolate every coordinate.
 * ``smote_nc``: mixed; interpolate continuous coordinates, set each nominal
@@ -349,6 +349,50 @@ class PlanResult:
     retained_majority: np.ndarray
 
 
+def _check_synthesis(train: Dataset, n_minority: int, variant: str) -> None:
+    """Reject a synthesis variant whose schema or training minority cannot
+    feed its neighbor search."""
+    schema = train.schema
+    if variant == "smote" and not schema.all_continuous:
+        raise ValueError("variant 'smote' requires an all-continuous schema")
+    if variant == "smote_nc" and (schema.all_nominal or schema.all_continuous):
+        raise ValueError("variant 'smote_nc' requires a mixed schema")
+    if variant == "smote_n" and not schema.all_nominal:
+        raise ValueError("variant 'smote_n' requires an all-nominal schema")
+    if n_minority < 2:
+        raise DataError(
+            f"training minority has {n_minority} row(s); {variant} needs at "
+            "least 2 minority rows for neighbor search"
+        )
+
+
+def variant_neighbors(train: Dataset, k: int, variant: str) -> NeighborList:
+    """The neighbor lists of ``train``'s minority rows under the metric of a
+    synthesis variant: Euclidean for smote, the median-penalized distance
+    with the minority's ``Med`` for smote_nc, VDM over ``train``'s category
+    counts for smote_n.
+
+    Raises:
+        ValueError: ``k < 1``, a variant that searches no neighbors, or a
+            schema the variant cannot take.
+        DataError: a training minority of fewer than 2 rows.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if variant not in ("smote", "smote_nc", "smote_n"):
+        raise ValueError(f"variant {variant!r} searches no neighbors")
+    minority = train.minority_subset()
+    _check_synthesis(train, len(minority), variant)
+    schema = train.schema
+    if variant == "smote":
+        metric = EuclideanMetric(schema)
+    elif variant == "smote_nc":
+        metric = NcMetric(schema, compute_med(minority))
+    else:
+        metric = VdmMetric(VdmTable.from_dataset(train))
+    return knn_minority(minority, k, metric)
+
+
 def apply_plan_detailed(
     train: Dataset,
     over_percent: int,
@@ -359,6 +403,7 @@ def apply_plan_detailed(
     gap_mode: str = PER_ATTRIBUTE,
     neighbor_mode: str = WITH_REPLACEMENT,
     under_basis: str = "pre",
+    neighbors: NeighborList = None,
 ) -> PlanResult:
     """Compose over- and under-sampling on a training split.
 
@@ -374,6 +419,9 @@ def apply_plan_detailed(
         under_basis: "pre" (default) sizes the retained majority from the
             original minority count so sweeps share majority counts across
             over-sampling levels; "post" sizes it from the augmented count.
+        neighbors: the lists of ``train``'s minority rows, as
+            :func:`variant_neighbors` gives them, to reuse one search across
+            calls; None (default) searches here. Synthesis variants only.
 
     Returns:
         A PlanResult: the new dataset (the input is untouched) with rows in
@@ -403,18 +451,9 @@ def apply_plan_detailed(
             minority, over_percent, seed=child_seed(seed, "over")
         )
     else:
-        schema = train.schema
-        if variant == "smote" and not schema.all_continuous:
-            raise ValueError("variant 'smote' requires an all-continuous schema")
-        if variant == "smote_nc" and (schema.all_nominal or schema.all_continuous):
-            raise ValueError("variant 'smote_nc' requires a mixed schema")
-        if variant == "smote_n" and not schema.all_nominal:
-            raise ValueError("variant 'smote_n' requires an all-nominal schema")
-        if len(minority) < 2:
-            raise DataError(
-                f"training minority has {len(minority)} row(s); {variant} needs at "
-                "least 2 minority rows for neighbor search"
-            )
+        _check_synthesis(train, len(minority), variant)
+        if neighbors is None:
+            neighbors = variant_neighbors(train, k, variant)
         params = SmoteParams(
             n_percent=over_percent,
             seed=child_seed(seed, "over"),
@@ -422,14 +461,11 @@ def apply_plan_detailed(
             neighbor_mode=neighbor_mode,
         )
         if variant == "smote":
-            nbrs = knn_minority(minority, k, EuclideanMetric(schema))
-            batch = smote(minority, params, nbrs)
+            batch = smote(minority, params, neighbors)
         elif variant == "smote_nc":
-            nbrs = knn_minority(minority, k, NcMetric(schema, compute_med(minority)))
-            batch = smote_nc(minority, params, nbrs)
+            batch = smote_nc(minority, params, neighbors)
         else:
-            nbrs = knn_minority(minority, k, VdmMetric(VdmTable.from_dataset(train)))
-            batch = smote_n(minority, params, nbrs)
+            batch = smote_n(minority, params, neighbors)
 
     if under_percent in (None, 0):
         retained = majority_idx

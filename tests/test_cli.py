@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smotekit
+from smotekit import distance
 from smotekit.cli import main
 from smotekit.data import FeatureSchema, load_csv
 
@@ -185,6 +186,37 @@ def test_resample_rejects_k_below_one(toy, tmp_path, capsys, argv):
     assert rc == 2
     assert "k must be at least 1, got 0" in capsys.readouterr().err
     assert not any((tmp_path / "x").glob("*"))
+
+
+def test_resample_searches_neighbors_once_per_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(82)
+    lines = ["x,y,g,cls"] + [
+        f"{x!r},{y!r},{'abc'[i % 3]},{'pos' if i < 20 else 'neg'}"
+        for i, (x, y) in enumerate(rng.normal(size=(120, 2)).tolist())
+    ]
+    data = tmp_path / "mixed.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "mixed.schema.json"
+    schema.write_text(
+        json.dumps({"x": "continuous", "y": "continuous", "g": "nominal", "cls": "class"}),
+        encoding="utf-8",
+    )
+    calls = []
+    real_pairwise = distance.NcMetric.pairwise
+
+    def counting_pairwise(self, ds, rows=slice(None)):
+        calls.append(len(ds))
+        return real_pairwise(self, ds, rows)
+
+    monkeypatch.setattr(distance.NcMetric, "pairwise", counting_pairwise)
+    out = tmp_path / "aug"
+    argv = ["smote-nc", "--data", str(data), "--schema", str(schema), "--minority", "pos"]
+    assert main([*argv, "--over", "100,200,300", "--out", str(out)]) == 0
+    assert calls == [20]  # three augmented files, one search
+    for over in (100, 200, 300):
+        path = out / f"augmented_smote_nc_o{over}_u0.csv"
+        written = load_csv(path, FeatureSchema.from_json(schema), "pos")
+        assert (written.n_minority, written.n_majority) == (20 + over // 100 * 20, 100)
 
 
 def experiment_args(toy, out):

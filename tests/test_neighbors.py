@@ -1,6 +1,6 @@
 """Neighbor-list behavior: exactness against a brute-force oracle, the
-never-self rule, clamping, deterministic tie order, and the memory bound of
-the streamed search."""
+never-self rule, clamping, deterministic tie order, the per-fold lists of one
+shared search, and the memory bound of the streamed search."""
 
 import tracemalloc
 
@@ -17,7 +17,7 @@ from smotekit.distance import (
     VdmMetric,
     VdmTable,
 )
-from smotekit.neighbors import NeighborList, knn_minority
+from smotekit.neighbors import NeighborList, knn_minority, knn_per_fold
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 
@@ -139,20 +139,23 @@ def test_matches_oracle_random_datasets(monkeypatch):
             ), (kind, rows, k)
 
 
-def test_streamed_search_memory_is_bounded(monkeypatch):
+class RecordingMetric:
+    """Euclidean distances, recording the rows of every pairwise call."""
+
+    def __init__(self, schema):
+        self.inner = EuclideanMetric(schema)
+        self.blocks = []
+
+    def pairwise(self, ds, rows=slice(None)):
+        self.blocks.append(range(len(ds))[rows])
+        return self.inner.pairwise(ds, rows)
+
+
+def check_search_memory(monkeypatch, search):
+    """Run ``search(ds, metric)`` on 3,000 8-d rows in 64-row blocks; its
+    peak stays under a quarter of one dense float64 T x T matrix, and the
+    blocks cover every row once."""
     t, d, budget = 3000, 8, 3000 * 64
-
-    class RecordingMetric:
-        """Euclidean distances, recording the rows of every pairwise call."""
-
-        def __init__(self, schema):
-            self.inner = EuclideanMetric(schema)
-            self.blocks = []
-
-        def pairwise(self, ds, rows=slice(None)):
-            self.blocks.append(range(len(ds))[rows])
-            return self.inner.pairwise(ds, rows)
-
     rng = np.random.default_rng(35)
     schema = schema_d(d)
     ds = minority(schema, [tuple(row) for row in rng.normal(size=(t, d)).tolist()])
@@ -160,13 +163,77 @@ def test_streamed_search_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(distance, "_CHUNK_BUDGET", budget)
     tracemalloc.start()
     try:
-        knn_minority(ds, 5, metric)
+        search(ds, metric)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < t * t * 8 / 4  # a quarter of one dense float64 T x T matrix
+    assert peak < t * t * 8 / 4
     assert sorted(i for block in metric.blocks for i in block) == list(range(t))
     assert all(len(block) * t <= budget for block in metric.blocks)
+
+
+def test_streamed_search_memory_is_bounded(monkeypatch):
+    check_search_memory(monkeypatch, lambda ds, metric: knn_minority(ds, 5, metric))
+
+
+def test_per_fold_search_memory_is_bounded(monkeypatch):
+    # five folds select from the same blocks; no per-fold T-wide copy
+    check_search_memory(
+        monkeypatch,
+        lambda ds, metric: knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
+    )
+
+
+def fold_case(rng, n_folds, offset):
+    """A minority of 1-3 continuous features rounded to 0.1, with duplicated
+    rows, shifted by ``offset``, and a fold per row (every fold used)."""
+    t = int(rng.integers(n_folds, 50))
+    d = int(rng.integers(1, 4))
+    x = np.round(rng.normal(size=(t, d)), 1)
+    x[t // 2] = x[0]
+    x[-1] = x[1]
+    schema = schema_d(d)
+    rows = [tuple(row) for row in (x + offset).tolist()]
+    fold_of = rng.permutation(np.arange(t) % n_folds)
+    return minority(schema, rows), EuclideanMetric(schema), fold_of
+
+
+@pytest.mark.parametrize("n_folds", range(2, 11))
+def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
+    # ties from rounding, duplicates, a +1e8 offset where cancellation
+    # bites, k up to the whole minority, and 7-row blocks selected in 3-row
+    # slices; each fold must equal a search of its training minority alone
+    rng = np.random.default_rng(36 + n_folds)
+    for offset in (0.0, 1e8):
+        for _ in range(4):
+            ds, metric, fold_of = fold_case(rng, n_folds, offset)
+            t = len(ds)
+            monkeypatch.setattr(distance, "_CHUNK_BUDGET", 7 * t)
+            monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
+            for k in (1, int(rng.integers(2, 8)), t):
+                got = knn_per_fold(ds, k, metric, fold_of)
+                assert len(got) == n_folds
+                for f, lists in enumerate(got):
+                    train = ds.subset(np.flatnonzero(fold_of != f))
+                    if len(train) < 2:
+                        assert lists is None
+                        continue
+                    want = knn_minority(train, k, metric).lists
+                    assert lists.lists.shape == want.shape
+                    assert lists.lists.tolist() == want.tolist(), (n_folds, offset, k, f)
+
+
+def test_knn_per_fold_thin_folds_get_none():
+    # fold 1's training minority is row 0 alone, fold 2's is empty
+    ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
+    got = knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
+    assert [lists is None for lists in got] == [False, True]
+    assert got[0].lists.tolist() == [[1], [0]]
+    assert knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 0, 0]))[0] is None
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        knn_per_fold(ds, 0, EuclideanMetric(CONT1), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="shape"):
+        knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1]))
 
 
 def test_distances_nondecreasing_and_dominating():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smotekit import pipeline
+from smotekit import distance, pipeline
 from smotekit.data import ClassLabel, Dataset, FeatureSchema
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
@@ -214,6 +214,29 @@ def test_external_scorer_runs_once_per_fold_on_the_raw_split(monkeypatch):
     run_experiment(gaussian_dataset(), cfg)
     # per fold: the raw split once, the one resampled cell once
     assert len(calls) == 2 * cfg.n_folds
+
+
+def test_smote_experiment_searches_neighbors_once(monkeypatch):
+    calls = []
+    real_pairwise = distance.EuclideanMetric.pairwise
+
+    def counting_pairwise(self, ds, rows=slice(None)):
+        calls.append(len(ds))
+        return real_pairwise(self, ds, rows)
+
+    monkeypatch.setattr(distance.EuclideanMetric, "pairwise", counting_pairwise)
+    ds = gaussian_dataset(n_min=40, n_maj=120)
+    cfg = small_config(over_percents=(100, 300), under_percents=(100, 200), n_folds=5)
+    shared = run_experiment(ds, cfg)
+    # 4 cells x 5 folds read one pass over the whole minority, one block
+    assert calls == [40]
+
+    calls.clear()
+    monkeypatch.setattr(pipeline, "knn_per_fold", lambda *args: [None] * cfg.n_folds)
+    per_cell = run_experiment(ds, cfg)
+    assert calls == [32] * 20  # each (cell, fold) searches its own minority
+    assert shared.aucs == per_cell.aucs
+    assert shared.curves == per_cell.curves
 
 
 def test_replicate_family_runs():

@@ -1,13 +1,16 @@
 """Datasets with mixed continuous/nominal features, CSV I/O, and stratified folds.
 
 A dataset is a table of feature vectors plus a binary class label per row,
-held in read-only column blocks that every layer reads. Continuous entries are
-finite floats; nominal entries are category tokens interned in
-first-appearance order and stored as their codes, which makes majority-vote
-tie-breaking deterministic downstream. Feature tuples are built from the
-blocks only for callers that ask for rows; every text file is written from
-the blocks by :func:`write_lines`. The minority class must not outnumber the
-majority class at load time (later resampling may flip that freely).
+held in read-only column blocks that every layer reads. It is built in one
+way, from one column per feature and one minority flag per row;
+:func:`load_csv` parses each record straight into per-column buffers.
+Continuous entries are finite floats; nominal entries are category tokens
+interned in first-appearance order and stored as their codes, which makes
+majority-vote tie-breaking deterministic downstream. Feature tuples are built
+from the blocks only for callers that ask for rows; every text file is
+written from the blocks by :func:`write_lines`. The minority class must not
+outnumber the majority class at load time (later resampling may flip that
+freely).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,15 +32,6 @@ from .rng import generator
 
 CONTINUOUS = "continuous"
 NOMINAL = "nominal"
-
-# A feature vector: floats in continuous positions, str tokens in nominal ones.
-Row = tuple
-
-
-class ClassLabel(str, Enum):
-    MINORITY = "minority"
-    MAJORITY = "majority"
-
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -116,36 +110,6 @@ class FeatureSchema:
         return cls(tuple(features), class_columns[0])
 
 
-def _intern_categories(schema: FeatureSchema, rows: Sequence[Row]):
-    """First-appearance intern table per nominal feature (None for continuous)."""
-    return tuple(
-        {value: code for code, value in enumerate(dict.fromkeys(row[i] for row in rows))}
-        if kind == NOMINAL
-        else None
-        for i, kind in enumerate(schema.kinds)
-    )
-
-
-def encode_rows(schema: FeatureSchema, rows: Sequence[Row], intern: tuple):
-    """The continuous block and the nominal code block of ``rows``.
-
-    This is the one place feature tuples become arrays: a float64 block of
-    the continuous columns and an integer block of the nominal columns, both
-    in schema order. Codes index ``intern``, which must hold every token.
-    """
-    cont = np.empty((len(rows), len(schema.continuous_indices)))
-    codes = np.empty((len(rows), len(schema.nominal_indices)), dtype=np.intp)
-    try:
-        for j, i in enumerate(schema.continuous_indices):
-            cont[:, j] = [row[i] for row in rows]
-    except (TypeError, ValueError):
-        raise DataError("non-numeric value in a continuous column") from None
-    for j, i in enumerate(schema.nominal_indices):
-        table = intern[i]
-        codes[:, j] = [table[row[i]] for row in rows]
-    return cont, codes
-
-
 _CHUNK_LINES = 1024
 CSV_END = csv.excel.lineterminator
 
@@ -177,46 +141,59 @@ def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
 class Dataset:
     """A binary-class table held as three read-only column blocks.
 
-    ``cont`` is a C-contiguous float64 block (rows x continuous features),
-    ``codes`` an integer block (rows x nominal features) whose entries index
-    the first-appearance ``intern`` tables built from ``rows``, and
-    ``minority`` a boolean mask. Every layer and every writer reads the
-    blocks; ``rows`` and ``labels`` rebuild tuples from them on each access
-    for ``__repr__``, ``SyntheticBatch.rows`` and tests only. Subsets and
-    resampled sets share their parent's intern tables. ``minority_token`` and
-    ``majority_token`` keep the source file's class spellings so a save/load
-    round trip is exact.
+    ``Dataset(schema, columns, minority)`` takes one column per schema
+    feature, floats for a continuous feature and str tokens for a nominal
+    one, and one bool per row that is True for a minority row. It interns
+    each nominal column's tokens in first-appearance order and builds
+    ``cont``, a C-contiguous float64 block (rows x continuous features),
+    ``codes``, an integer block (rows x nominal features) whose entries index
+    those ``intern`` tables, and the boolean ``minority`` mask. Every layer
+    and every writer reads the blocks; ``rows`` rebuilds feature tuples from
+    them on each access, for ``__repr__``, ``SyntheticBatch.rows`` and tests
+    only. Subsets and resampled sets share their parent's intern tables.
+    ``minority_token`` and ``majority_token`` keep the source file's class
+    spellings so a save/load round trip is exact.
     """
 
     def __init__(
         self,
         schema: FeatureSchema,
-        rows: Sequence[Row],
-        labels: Sequence[ClassLabel],
+        columns: Sequence[Sequence],
+        minority: Sequence[bool],
         minority_token: str = "minority",
         majority_token: str = "majority",
     ):
         self.schema = schema
         self.minority_token = minority_token
         self.majority_token = majority_token
-        self.__post_init__(rows, labels)
+        self.__post_init__(columns, minority)
 
-    def __post_init__(self, rows: Sequence[Row], labels: Sequence[ClassLabel]):
-        """Check ``rows`` and ``labels``, then intern and encode them; a step
-        of its own, which ``bench/tracing.py`` times by this name."""
-        rows = tuple(rows)
-        minority = np.array(
-            [ClassLabel(lab) is ClassLabel.MINORITY for lab in labels], dtype=bool
-        )
-        if len(rows) != len(minority):
-            raise DataError(f"{len(rows)} rows but {len(minority)} labels")
-        arity = len(self.schema.features)
-        for i, row in enumerate(rows):
-            if len(row) != arity:
-                raise DataError(f"row {i} has {len(row)} entries, expected {arity}")
-        self.intern = _intern_categories(self.schema, rows)
-        cont, codes = encode_rows(self.schema, rows, self.intern)
-        self._set_blocks(cont, codes, minority)
+    def __post_init__(self, columns: Sequence[Sequence], minority: Sequence[bool]):
+        """Check ``columns`` and ``minority``, then intern and encode them; a
+        step of its own, which ``bench/tracing.py`` times by this name."""
+        schema = self.schema
+        if len(columns) != len(schema.features):
+            raise DataError(f"{len(columns)} columns, expected {len(schema.features)}")
+        flags = np.asarray(minority)
+        if flags.ndim != 1 or (flags.size and flags.dtype != bool):
+            raise DataError("minority must hold one bool per row")
+        n = len(flags)
+        for name, column in zip(schema.names, columns):
+            if len(column) != n:
+                raise DataError(f"column {name!r} has {len(column)} entries, expected {n}")
+        cont = np.empty((n, len(schema.continuous_indices)))
+        try:
+            for j, i in enumerate(schema.continuous_indices):
+                cont[:, j] = columns[i]
+        except (TypeError, ValueError):
+            raise DataError("non-numeric value in a continuous column") from None
+        intern: list = [None] * len(schema.features)
+        codes = np.empty((n, len(schema.nominal_indices)), dtype=np.intp)
+        for j, i in enumerate(schema.nominal_indices):
+            table = intern[i] = {}
+            codes[:, j] = [table.setdefault(token, len(table)) for token in columns[i]]
+        self.intern = tuple(intern)
+        self._set_blocks(cont, codes, flags.astype(bool))
 
     def _set_blocks(self, cont: np.ndarray, codes: np.ndarray, minority: np.ndarray):
         for block in (cont, codes, minority):
@@ -230,29 +207,27 @@ class Dataset:
         out._set_blocks(np.ascontiguousarray(cont, dtype=float), codes, minority)
         return out
 
-    @property
-    def rows(self) -> tuple[Row, ...]:
+    def _columns(self) -> list[list]:
         columns: list = [None] * len(self.schema.features)
         for j, i in enumerate(self.schema.continuous_indices):
             columns[i] = self.cont[:, j].tolist()
         for j, i in enumerate(self.schema.nominal_indices):
             tokens = list(self.intern[i])
             columns[i] = [tokens[c] for c in self.codes[:, j].tolist()]
-        return tuple(zip(*columns))
+        return columns
 
     @property
-    def labels(self) -> tuple[ClassLabel, ...]:
-        return tuple(
-            ClassLabel.MINORITY if m else ClassLabel.MAJORITY for m in self.minority.tolist()
-        )
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*self._columns()))
 
     def __len__(self) -> int:
         return len(self.minority)
 
     def __repr__(self) -> str:
         return (
-            f"Dataset(schema={self.schema!r}, rows={self.rows!r}, "
-            f"labels={self.labels!r}, minority_token={self.minority_token!r}, "
+            f"Dataset(schema={self.schema!r}, columns={self._columns()!r}, "
+            f"minority={self.minority.tolist()!r}, "
+            f"minority_token={self.minority_token!r}, "
             f"majority_token={self.majority_token!r}, intern={self.intern!r})"
         )
 
@@ -325,15 +300,16 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
         feature_cols = [col_of[name] for name in schema.names]
         class_col = col_of[schema.class_column]
 
-        rows: list[Row] = []
-        tokens: list[str] = []
+        columns = [array("d") if kind == CONTINUOUS else [] for kind in schema.kinds]
+        cells = tuple(zip(schema.names, schema.kinds, feature_cols, columns))
+        minority = bytearray()
+        classes: set[str] = set()
         for line_no, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(
                     f"{path}: line {line_no} has {len(record)} fields, expected {len(header)}"
                 )
-            values = []
-            for (name, kind), col in zip(schema.features, feature_cols):
+            for name, kind, col, column in cells:
                 raw = record[col]
                 if raw == "":
                     raise DataError(f"{path}: line {line_no}: missing value in column {name!r}")
@@ -350,16 +326,16 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
                             f"{path}: line {line_no}: non-finite value {raw!r} "
                             f"in continuous column {name!r}"
                         )
-                    values.append(value)
+                    column.append(value)
                 else:
-                    values.append(raw)
+                    column.append(raw)
             token = record[class_col]
             if token == "":
                 raise DataError(f"{path}: line {line_no}: missing class value")
-            rows.append(tuple(values))
-            tokens.append(token)
+            classes.add(token)
+            minority.append(token == minority_label)
 
-    distinct = sorted(set(tokens))
+    distinct = sorted(classes)
     if minority_label not in distinct:
         raise DataError(
             f"{path}: unknown class value: minority label {minority_label!r} "
@@ -371,11 +347,9 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
             f"{path}: expected exactly two class values, found {distinct}; "
             "collapse multi-class data before loading"
         )
-    labels = [
-        ClassLabel.MINORITY if tok == minority_label else ClassLabel.MAJORITY
-        for tok in tokens
-    ]
-    ds = Dataset(schema, rows, labels, minority_label, others[0])
+    ds = Dataset(
+        schema, columns, np.frombuffer(minority, dtype=bool), minority_label, others[0]
+    )
     if ds.n_minority > ds.n_majority:
         raise DataError(
             f"{path}: minority class {minority_label!r} has {ds.n_minority} rows, "

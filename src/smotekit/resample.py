@@ -322,9 +322,12 @@ def under_sample(
     ``plan.percent`` percent of the majority class.
 
     The retained count is ``round(100 * minority_count / percent)`` (Python's
-    ties-to-even rounding), capped at the available majority count; percents
-    at or below 100 therefore shrink the majority, larger ones may be capped
-    into a no-op. Returns the retained indices as an ascending np.intp array.
+    ties-to-even rounding), capped at the available majority count: 100 keeps
+    as many majority rows as there are minority rows, a larger percent keeps
+    fewer, and a smaller one keeps more, so a small enough percent is capped
+    into a no-op. With 20 minority and 100 majority rows, 10 keeps all 100,
+    200 keeps 10 and 1000 keeps 2. Returns the retained indices as an
+    ascending np.intp array.
     """
     if minority_count < 1:
         raise ValueError(f"minority_count must be positive, got {minority_count}")
@@ -383,11 +386,16 @@ def variant_neighbors(train: Dataset, k: int, variant: str) -> NeighborList:
         raise ValueError(f"variant {variant!r} searches no neighbors")
     minority = train.minority_subset()
     _check_synthesis(train, len(minority), variant)
-    schema = train.schema
+    return _search(train, minority, k, variant)
+
+
+def _search(train: Dataset, minority: Dataset, k: int, variant: str) -> NeighborList:
+    """:func:`variant_neighbors` on ``minority``, ``train``'s minority rows,
+    once its checks have passed."""
     if variant == "smote":
-        metric = EuclideanMetric(schema)
+        metric = EuclideanMetric(train.schema)
     elif variant == "smote_nc":
-        metric = NcMetric(schema, compute_med(minority))
+        metric = NcMetric(train.schema, compute_med(minority))
     else:
         metric = VdmMetric(VdmTable.from_dataset(train))
     return knn_minority(minority, k, metric)
@@ -453,7 +461,7 @@ def apply_plan_detailed(
     else:
         _check_synthesis(train, len(minority), variant)
         if neighbors is None:
-            neighbors = variant_neighbors(train, k, variant)
+            neighbors = _search(train, minority, k, variant)
         params = SmoteParams(
             n_percent=over_percent,
             seed=child_seed(seed, "over"),

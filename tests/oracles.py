@@ -6,7 +6,8 @@ instead of trapezoids, hull membership by exhaustive pairwise domination
 instead of a chain scan, neighbors by a full stable sort instead of lexsort
 selection, distances by a loop over one pair of row tuples instead of
 vectorized blocks, and text files by ``csv.writer`` and ``json.dumps`` over
-one row at a time instead of column chunks.
+one row at a time instead of column chunks. :func:`dataset_from_rows` lets a
+test write a table as row tuples and labels.
 """
 
 import csv
@@ -15,6 +16,20 @@ import json
 import math
 
 import numpy as np
+
+from smotekit.data import Dataset
+
+# The label of one row for dataset_from_rows: its minority flag.
+MINORITY, MAJORITY = True, False
+
+
+def dataset_from_rows(schema, rows, labels, minority_token="minority", majority_token="majority"):
+    """A Dataset of row tuples (floats in continuous positions, str tokens in
+    nominal ones) and one MINORITY or MAJORITY label per row, built from the
+    columns the rows transpose into."""
+    rows = tuple(rows)
+    columns = [[row[i] for row in rows] for i in range(len(schema.features))]
+    return Dataset(schema, columns, list(labels), minority_token, majority_token)
 
 
 def finalize_curve(points, anchor="origin"):

@@ -14,8 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hull_membership, riemann_auc, sorted_neighbors
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from oracles import (
+    MAJORITY,
+    MINORITY,
+    dataset_from_rows,
+    hull_membership,
+    riemann_auc,
+    sorted_neighbors,
+)
+from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcDistanceParams,
@@ -46,7 +53,7 @@ def report(number: int, label: str, failures: list) -> None:
 
 def minority(schema, rows):
     """The rows as a minority-only Dataset."""
-    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+    return dataset_from_rows(schema, tuple(rows), (MINORITY,) * len(rows))
 
 
 def nominal_schema(d):
@@ -233,10 +240,10 @@ def test_criterion_09_vdm_axioms():
             (str(rng.choice(values)),) for _ in range(int(rng.integers(5, 60)))
         ]
         labels = [
-            ClassLabel.MINORITY if rng.random() < 0.4 else ClassLabel.MAJORITY
+            MINORITY if rng.random() < 0.4 else MAJORITY
             for _ in rows
         ]
-        table = VdmTable.from_dataset(Dataset(nominal_schema(1), tuple(rows), tuple(labels)))
+        table = VdmTable.from_dataset(dataset_from_rows(nominal_schema(1), rows, labels))
         seen = list(table.counts[0])
         # one-feature rows at r = 1: each distance is the category pair's delta
         delta = VdmMetric(table).pairwise(minority(nominal_schema(1), [(v,) for v in seen]))
@@ -294,11 +301,11 @@ def overlapping_gaussians(seed=111):
     labels = []
     for _ in range(100):
         rows.append(tuple(float(v) for v in rng.normal(loc=1.0, size=5)))
-        labels.append(ClassLabel.MINORITY)
+        labels.append(MINORITY)
     for _ in range(2000):
         rows.append(tuple(float(v) for v in rng.normal(loc=0.0, size=5)))
-        labels.append(ClassLabel.MAJORITY)
-    return Dataset(SCHEMA_5D, tuple(rows), tuple(labels), "pos", "neg")
+        labels.append(MAJORITY)
+    return dataset_from_rows(SCHEMA_5D, tuple(rows), tuple(labels), "pos", "neg")
 
 
 def desk_scale_config():

@@ -1,13 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import MAJORITY, MINORITY, dataset_from_rows
 from smotekit.data import (
-    ClassLabel,
     Dataset,
     FeatureSchema,
     load_csv,
@@ -34,7 +35,7 @@ def test_load_smallest_valid_file(tmp_path):
     assert ds.n_minority == 1
     assert ds.n_majority == 2
     assert ds.rows[0] == (1.0, 2.0)
-    assert ds.labels[0] is ClassLabel.MINORITY
+    assert ds.minority.tolist() == [True, False, False]
     assert ds.minority_token == "pos"
     assert ds.majority_token == "neg"
 
@@ -117,6 +118,91 @@ def test_load_rejects_minority_outnumbering_majority(tmp_path):
         load_csv(path, CONT2, "pos")
 
 
+LOAD_ERRORS = [
+    ("", "empty file"),
+    ("a,a,cls\n", "duplicate column names in header"),
+    ("a,cls\n1,pos\n", "missing columns ['b', 'color']"),
+    ("a,color,b,cls,z\n", "unexpected columns ['z']"),
+    ("a,color,b,cls\n1,x,2,pos\n3,x,4\n", "line 3 has 3 fields, expected 4"),
+    ("a,color,b,cls\n1,x,,pos\n", "line 2: missing value in column 'b'"),
+    ("a,color,b,cls\n1,x,2,neg\n3,,4,pos\n", "line 3: missing value in column 'color'"),
+    (
+        "a,color,b,cls\n1,x,2,neg\n1,x,2,neg\noops,x,4,pos\n",
+        "line 4: non-numeric value 'oops' in continuous column 'a'",
+    ),
+    (
+        "a,color,b,cls\n1,x,2,neg\n3,x,nan,pos\n",
+        "line 3: non-finite value 'nan' in continuous column 'b'",
+    ),
+    ("a,color,b,cls\n1,x,2,\n", "line 2: missing class value"),
+    (
+        "a,color,b,cls\n1,x,2,yes\n3,x,4,no\n",
+        "unknown class value: minority label 'pos' not present (classes found: ['no', 'yes'])",
+    ),
+    (
+        "a,color,b,cls\n1,x,2,pos\n3,x,4,neg\n5,x,6,maybe\n",
+        "expected exactly two class values, found ['maybe', 'neg', 'pos']; "
+        "collapse multi-class data before loading",
+    ),
+    (
+        "a,color,b,cls\n1,x,2,pos\n3,x,4,pos\n5,x,6,neg\n",
+        "minority class 'pos' has 2 rows, more than the majority class; "
+        "check the minority label",
+    ),
+    # the first bad cell in file order wins: line 3's column b before line
+    # 4's column a, and a bad cell before any class-count check
+    (
+        "a,color,b,cls\n1,x,2,pos\n3,x,inf,neg\n,x,4,neg\n5,x,6,maybe\n",
+        "line 3: non-finite value 'inf' in continuous column 'b'",
+    ),
+    (
+        "a,color,b,cls\n1,x,2,pos\n3,,4,neg\n5,x,oops,neg\n",
+        "line 3: missing value in column 'color'",
+    ),
+    (
+        "a,color,b,cls\n1,x,2,pos\n3,x,4,maybe\n5,x,6,neg\n7,x,z,neg\n",
+        "line 5: non-numeric value 'z' in continuous column 'b'",
+    ),
+    # within one line, schema order: 'a' before 'b' whatever the header order
+    (
+        "b,cls,color,a\noops,pos,x,inf\n",
+        "line 2: non-finite value 'inf' in continuous column 'a'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", LOAD_ERRORS)
+def test_load_error_messages_are_pinned(tmp_path, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        load_csv(path, MIXED, "pos")
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_load_memory_is_bounded(tmp_path):
+    # the records go straight into column buffers, not row tuples
+    n, d = 20_000, 8
+    schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(d)), "cls")
+    values = np.random.default_rng(12).normal(size=(n, d)).tolist()
+    lines = [",".join([*schema.names, "cls"])]
+    lines += [
+        ",".join([*map(repr, row), "neg" if i % 4 else "pos"]) for i, row in enumerate(values)
+    ]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    del values, lines
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, schema, "pos")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n_minority == n // 4
+    blocks = ds.cont.nbytes + ds.codes.nbytes + ds.minority.nbytes
+    assert peak <= 3 * blocks
+
+
 def test_nominal_intern_order_is_first_appearance(tmp_path):
     path = tmp_path / "colors.csv"
     write_csv(
@@ -149,8 +235,8 @@ def test_csv_round_trip_identity(tmp_path):
                     float(rng.normal()) / 7.0,
                 )
             )
-            labels.append(ClassLabel.MINORITY if i < n_min else ClassLabel.MAJORITY)
-        ds = Dataset(MIXED, tuple(rows), tuple(labels), "pos", "neg")
+            labels.append(MINORITY if i < n_min else MAJORITY)
+        ds = dataset_from_rows(MIXED, tuple(rows), tuple(labels), "pos", "neg")
         path = tmp_path / f"round{trial}.csv"
         save_csv(ds, path)
         again = load_csv(path, MIXED, "pos")
@@ -165,8 +251,8 @@ def test_csv_round_trip_spans_write_chunks(tmp_path):
         (float(rng.normal()), str(rng.choice(["x", "y"])), float(rng.normal()) * 1e-300)
         for _ in range(n)
     )
-    labels = tuple(ClassLabel.MINORITY if i % 5 == 0 else ClassLabel.MAJORITY for i in range(n))
-    ds = Dataset(MIXED, rows, labels, "pos", "neg")
+    labels = tuple(MINORITY if i % 5 == 0 else MAJORITY for i in range(n))
+    ds = dataset_from_rows(MIXED, rows, labels, "pos", "neg")
     path = tmp_path / "big.csv"
     save_csv(ds, path)
     assert "np.float64(" not in path.read_text(encoding="utf-8")
@@ -194,10 +280,10 @@ def test_schema_json_requires_single_class_column(tmp_path):
 def _balanced_dataset(n_min, n_maj):
     rows = tuple((float(i), float(i) * 2) for i in range(n_min + n_maj))
     labels = tuple(
-        ClassLabel.MINORITY if i < n_min else ClassLabel.MAJORITY
+        MINORITY if i < n_min else MAJORITY
         for i in range(n_min + n_maj)
     )
-    return Dataset(CONT2, rows, labels)
+    return dataset_from_rows(CONT2, rows, labels)
 
 
 def test_folds_exact_split():
@@ -205,20 +291,15 @@ def test_folds_exact_split():
     fa = stratified_folds(ds, 10, seed=3)
     for fold in range(10):
         test = fa.test_indices(fold)
-        assert sum(1 for i in test if ds.labels[i] is ClassLabel.MINORITY) == 1
-        assert sum(1 for i in test if ds.labels[i] is ClassLabel.MAJORITY) == 2
+        assert np.count_nonzero(ds.minority[test]) == 1
+        assert np.count_nonzero(~ds.minority[test]) == 2
 
 
 def test_folds_remainder_spreads_to_one_fold():
     ds = _balanced_dataset(11, 20)
     fa = stratified_folds(ds, 10, seed=3)
     minority_per_fold = sorted(
-        sum(
-            1
-            for i in fa.test_indices(fold)
-            if ds.labels[i] is ClassLabel.MINORITY
-        )
-        for fold in range(10)
+        int(np.count_nonzero(ds.minority[fa.test_indices(fold)])) for fold in range(10)
     )
     assert minority_per_fold == [1] * 9 + [2]
 
@@ -275,25 +356,34 @@ def test_subset_preserves_interning():
         (7.0, "red", 8.0),
     )
     labels = (
-        ClassLabel.MINORITY,
-        ClassLabel.MAJORITY,
-        ClassLabel.MAJORITY,
-        ClassLabel.MAJORITY,
+        MINORITY,
+        MAJORITY,
+        MAJORITY,
+        MAJORITY,
     )
-    ds = Dataset(MIXED, rows, labels)
+    ds = dataset_from_rows(MIXED, rows, labels)
     sub = ds.subset([2, 3])
     assert sub.intern[1] == {"green": 0, "red": 1, "blue": 2}
     assert sub.rows == (rows[2], rows[3])
 
 
-def test_dataset_rejects_ragged_rows():
-    with pytest.raises(DataError, match="entries"):
-        Dataset(CONT2, ((1.0, 2.0), (1.0,)), (ClassLabel.MINORITY, ClassLabel.MAJORITY))
+def test_dataset_rejects_a_column_count_other_than_the_schemas():
+    for columns in ([[1.0, 3.0]], [[1.0, 3.0], [2.0, 4.0], [5.0, 6.0]]):
+        with pytest.raises(DataError, match=f"^{len(columns)} columns, expected 2$"):
+            Dataset(CONT2, columns, [True, False])
 
 
-def test_dataset_rejects_label_length_mismatch():
-    with pytest.raises(DataError, match="labels"):
-        Dataset(CONT2, ((1.0, 2.0),), (ClassLabel.MINORITY, ClassLabel.MAJORITY))
+def test_dataset_rejects_a_column_of_another_length():
+    with pytest.raises(DataError, match=r"^column 'b' has 1 entries, expected 2$"):
+        Dataset(CONT2, [[1.0, 3.0], [2.0]], [True, False])
+    with pytest.raises(DataError, match=r"^column 'a' has 2 entries, expected 1$"):
+        Dataset(CONT2, [[1.0, 3.0], [2.0, 4.0]], [True])
+
+
+def test_dataset_rejects_minority_flags_that_are_not_bools():
+    for minority in (["minority", "majority"], [1, 0], [[True, False]]):
+        with pytest.raises(DataError, match="one bool per row"):
+            Dataset(CONT2, [[1.0, 3.0], [2.0, 4.0]], minority)
 
 
 @st.composite
@@ -312,7 +402,7 @@ def _tables(draw):
     }
     rows = draw(st.lists(st.tuples(*(cell[kind] for kind in kinds)), max_size=8))
     labels = draw(
-        st.lists(st.sampled_from(list(ClassLabel)), min_size=len(rows), max_size=len(rows))
+        st.lists(st.sampled_from([MINORITY, MAJORITY]), min_size=len(rows), max_size=len(rows))
     )
     return schema, rows, labels
 
@@ -321,11 +411,11 @@ def _tables(draw):
 @given(table=_tables(), data=st.data())
 def test_blocks_round_trip_rows_labels_and_subsets(table, data):
     schema, rows, labels = table
-    ds = Dataset(schema, tuple(rows), tuple(labels))
+    ds = dataset_from_rows(schema, tuple(rows), tuple(labels))
     # repr tells -0.0 from 0.0 and a Python float from a numpy scalar
     assert repr(ds.rows) == repr(tuple(rows))
-    assert ds.labels == tuple(labels)
-    assert ds.n_minority == labels.count(ClassLabel.MINORITY)
+    assert ds.minority.tolist() == labels
+    assert ds.n_minority == labels.count(MINORITY)
     assert ds.cont.shape == (len(rows), len(schema.continuous_indices))
     assert ds.codes.shape == (len(rows), len(schema.nominal_indices))
     assert ds.cont.dtype == np.float64 and ds.cont.flags.c_contiguous
@@ -334,7 +424,7 @@ def test_blocks_round_trip_rows_labels_and_subsets(table, data):
     idx = data.draw(picks)
     sub = ds.subset(idx)
     assert repr(sub.rows) == repr(tuple(rows[i] for i in idx))
-    assert sub.labels == tuple(labels[i] for i in idx)
+    assert sub.minority.tolist() == [labels[i] for i in idx]
     assert sub.intern is ds.intern
     for block in (ds.cont, ds.codes, ds.minority, sub.cont, sub.codes, sub.minority):
         assert block.flags.writeable is False

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import metric_oracle
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle
+from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcDistanceParams,
@@ -35,7 +35,7 @@ NOM3 = FeatureSchema(
 
 def minority(schema, rows):
     """The rows as a minority-only Dataset."""
-    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+    return dataset_from_rows(schema, tuple(rows), (MINORITY,) * len(rows))
 
 
 def nominal_schema(d):
@@ -45,7 +45,7 @@ def nominal_schema(d):
 def vdm_table(rows, labels):
     """VDM table of all-nominal rows with the given labels."""
     schema = nominal_schema(len(rows[0]))
-    return VdmTable.from_dataset(Dataset(schema, tuple(rows), tuple(labels)))
+    return VdmTable.from_dataset(dataset_from_rows(schema, tuple(rows), tuple(labels)))
 
 
 def distances(metric, schema, rows):
@@ -172,7 +172,7 @@ def test_compute_med_requires_continuous_feature():
 def _toy_table():
     # V1 appears 3 times, all minority; V2 twice, all majority
     rows = [("V1",)] * 3 + [("V2",)] * 2
-    labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
+    labels = [MINORITY] * 3 + [MAJORITY] * 2
     return vdm_table(rows, labels)
 
 
@@ -193,7 +193,7 @@ def test_vdm_delta_unseen_category():
 
 def test_vdm_distance_sums_feature_deltas():
     rows = [("V1", "V1")] * 3 + [("V2", "V2")] * 2
-    labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
+    labels = [MINORITY] * 3 + [MAJORITY] * 2
     table = vdm_table(rows, labels)
     probe = [("V1", "V1"), ("V2", "V2"), ("V1", "V2")]
     got = distances(VdmMetric(table), nominal_schema(2), probe)
@@ -209,7 +209,7 @@ def test_vdm_distance_rejects_arity_mismatch():
         VdmMetric(_toy_table()).pairwise(wide)
     # ... nor index past the columns of a narrower dataset
     rows = [("V1", "V1")] * 3 + [("V2", "V2")] * 2
-    labels = [ClassLabel.MINORITY] * 3 + [ClassLabel.MAJORITY] * 2
+    labels = [MINORITY] * 3 + [MAJORITY] * 2
     narrow = minority(nominal_schema(1), [("V1",), ("V2",)])
     with pytest.raises(ValueError, match="length"):
         VdmMetric(vdm_table(rows, labels)).pairwise(narrow)
@@ -226,7 +226,7 @@ def _random_table(rng, n_features=1, n_values=4, n_rows=40):
         for _ in range(n_rows)
     ]
     labels = [
-        ClassLabel.MINORITY if rng.random() < 0.4 else ClassLabel.MAJORITY
+        MINORITY if rng.random() < 0.4 else MAJORITY
         for _ in range(n_rows)
     ]
     return vdm_table(rows, labels), values, rows
@@ -258,10 +258,10 @@ def test_vdm_distance_is_pseudometric():
 
 
 def test_vdm_table_from_dataset_requires_all_nominal():
-    ds = Dataset(
+    ds = dataset_from_rows(
         CONT2,
         ((1.0, 2.0), (3.0, 4.0)),
-        (ClassLabel.MINORITY, ClassLabel.MAJORITY),
+        (MINORITY, MAJORITY),
     )
     with pytest.raises(ValueError, match="nominal"):
         VdmTable.from_dataset(ds)

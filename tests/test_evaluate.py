@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import MAJORITY as MAJ
+from oracles import MINORITY as MIN
 from oracles import hull_membership, riemann_auc
-from smotekit.data import ClassLabel
 from smotekit.evaluate import (
     ANCHOR_FAMILY,
     ConfusionMatrix,
@@ -20,9 +21,6 @@ from smotekit.evaluate import (
     write_summary_json,
 )
 from smotekit.model import confusion_from_scores
-
-MIN = ClassLabel.MINORITY
-MAJ = ClassLabel.MAJORITY
 
 
 def curve(*coords, family="f"):

@@ -4,7 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from oracles import MAJORITY as MAJ
+from oracles import MINORITY as MIN
+from oracles import dataset_from_rows
+from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError, DataError
 from smotekit.evaluate import ConfusionMatrix
 from smotekit.model import (
@@ -14,14 +17,12 @@ from smotekit.model import (
     train,
 )
 
-MIN = ClassLabel.MINORITY
-MAJ = ClassLabel.MAJORITY
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 NOM1 = FeatureSchema((("c", "nominal"),), "cls")
 
 
 def dataset(schema, rows, labels):
-    return Dataset(schema, tuple(rows), tuple(labels), "pos", "neg")
+    return dataset_from_rows(schema, tuple(rows), tuple(labels), "pos", "neg")
 
 
 def score(model, row):

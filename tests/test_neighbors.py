@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import metric_oracle, sorted_neighbors
+from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle, sorted_neighbors
 from smotekit import distance
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcDistanceParams,
@@ -24,7 +24,7 @@ CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 
 def minority(schema, rows):
     """The rows as a minority-only Dataset."""
-    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+    return dataset_from_rows(schema, tuple(rows), (MINORITY,) * len(rows))
 
 
 def schema_d(d):
@@ -67,7 +67,7 @@ def test_requires_two_rows():
 
 
 def test_rejects_majority_rows():
-    ds = Dataset(CONT1, ((0.0,), (1.0,)), (ClassLabel.MINORITY, ClassLabel.MAJORITY))
+    ds = dataset_from_rows(CONT1, ((0.0,), (1.0,)), (MINORITY, MAJORITY))
     with pytest.raises(ValueError, match="minority-only"):
         knn_minority(ds, 1, EuclideanMetric(CONT1))
 
@@ -101,8 +101,8 @@ def tie_heavy_case(rng, kind):
         return schema, rows, NcMetric(schema, NcDistanceParams(med))
     # the table sees every minority category, plus majority rows of its own
     extra = [draw() for _ in range(20)]
-    labels = (ClassLabel.MINORITY,) * t + (ClassLabel.MAJORITY,) * len(extra)
-    table = VdmTable.from_dataset(Dataset(schema, tuple(rows + extra), labels))
+    labels = (MINORITY,) * t + (MAJORITY,) * len(extra)
+    table = VdmTable.from_dataset(dataset_from_rows(schema, tuple(rows + extra), labels))
     return schema, rows, VdmMetric(table)
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import MAJORITY, MINORITY, dataset_from_rows
 from smotekit import distance, pipeline
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
 from smotekit.pipeline import (
@@ -25,11 +26,11 @@ def gaussian_dataset(n_min=20, n_maj=60, seed=71, shift=1.5):
     labels = []
     for _ in range(n_min):
         rows.append(tuple(float(v) for v in rng.normal(loc=shift, size=2)))
-        labels.append(ClassLabel.MINORITY)
+        labels.append(MINORITY)
     for _ in range(n_maj):
         rows.append(tuple(float(v) for v in rng.normal(loc=0.0, size=2)))
-        labels.append(ClassLabel.MAJORITY)
-    return Dataset(SCHEMA, tuple(rows), tuple(labels), "pos", "neg")
+        labels.append(MAJORITY)
+    return dataset_from_rows(SCHEMA, tuple(rows), tuple(labels), "pos", "neg")
 
 
 def small_config(**overrides):

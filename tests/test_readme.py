@@ -42,4 +42,6 @@ def test_resampling_surface_is_pinned():
     }
     assert names == {("minority", "params", "neighbors", "rng")}
     assert [f.name for f in dataclasses.fields(VdmTable)] == ["counts"]
-    assert "intern" not in inspect.signature(Dataset.__init__).parameters
+    assert tuple(inspect.signature(Dataset.__init__).parameters) == (
+        "self", "schema", "columns", "minority", "minority_token", "majority_token"
+    )

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smotekit.data import ClassLabel, Dataset, FeatureSchema
+from oracles import MAJORITY, MINORITY, dataset_from_rows
+from smotekit.data import Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
     NcMetric,
@@ -43,7 +44,7 @@ MIXED = FeatureSchema(
 
 def minority(schema, rows):
     """The rows as a minority-only Dataset."""
-    return Dataset(schema, tuple(rows), (ClassLabel.MINORITY,) * len(rows))
+    return dataset_from_rows(schema, tuple(rows), (MINORITY,) * len(rows))
 
 
 PAIR = minority(CONT2, [(6.0, 4.0), (4.0, 3.0)])
@@ -214,8 +215,8 @@ def test_smote_determinism():
 def _nc_dataset(nominals, base_value="B"):
     """Minority-only mixed dataset: row 0 is the base, the rest its neighbors."""
     rows = [(0.0, base_value)] + [(float(i + 1), v) for i, v in enumerate(nominals)]
-    labels = tuple([ClassLabel.MINORITY] * len(rows))
-    return Dataset(MIXED, tuple(rows), labels)
+    labels = tuple([MINORITY] * len(rows))
+    return dataset_from_rows(MIXED, tuple(rows), labels)
 
 
 def _full_lists(t):
@@ -261,7 +262,7 @@ def test_nc_continuous_part_interpolates():
     schema = FeatureSchema(
         (("f1", "continuous"), ("f2", "continuous"), ("c", "nominal")), "cls"
     )
-    ds = Dataset(schema, rows, (ClassLabel.MINORITY, ClassLabel.MINORITY))
+    ds = dataset_from_rows(schema, rows, (MINORITY, MINORITY))
     params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
     batch = smote_nc(ds, params, NeighborList(((1,), (0,))), rng=StubRng(0.5))
     assert batch.rows[0] == (5.0, 3.5, "A")
@@ -269,16 +270,16 @@ def test_nc_continuous_part_interpolates():
 
 def test_nc_rejects_all_nominal_schema():
     schema = FeatureSchema((("c", "nominal"),), "cls")
-    ds = Dataset(schema, (("A",), ("B",)), (ClassLabel.MINORITY, ClassLabel.MINORITY))
+    ds = dataset_from_rows(schema, (("A",), ("B",)), (MINORITY, MINORITY))
     with pytest.raises(ValueError, match="smote_n"):
         smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
 
 
 def test_nc_rejects_majority_rows():
-    ds = Dataset(
+    ds = dataset_from_rows(
         MIXED,
         ((0.0, "A"), (1.0, "B")),
-        (ClassLabel.MINORITY, ClassLabel.MAJORITY),
+        (MINORITY, MAJORITY),
     )
     with pytest.raises(ValueError, match="minority-only"):
         smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
@@ -382,10 +383,10 @@ def _plan_dataset(n_min=50, n_maj=200):
     rng = np.random.default_rng(45)
     rows = tuple(tuple(map(float, rng.normal(size=2))) for _ in range(n_min + n_maj))
     labels = tuple(
-        ClassLabel.MINORITY if i < n_min else ClassLabel.MAJORITY
+        MINORITY if i < n_min else MAJORITY
         for i in range(n_min + n_maj)
     )
-    return Dataset(CONT2, rows, labels)
+    return dataset_from_rows(CONT2, rows, labels)
 
 
 def test_apply_plan_pure_balancing():
@@ -408,9 +409,26 @@ def test_apply_plan_under_basis_pre_and_post():
 def test_apply_plan_noop_preserves_content():
     ds = _plan_dataset(10, 30)
     out = apply_plan_detailed(ds, 0, None, k=5, seed=1).dataset
-    assert sorted(zip(out.rows, out.labels), key=repr) == sorted(
-        zip(ds.rows, ds.labels), key=repr
+    assert sorted(zip(out.rows, out.minority.tolist()), key=repr) == sorted(
+        zip(ds.rows, ds.minority.tolist()), key=repr
     )
+
+
+def test_apply_plan_builds_the_training_minority_once(monkeypatch):
+    # the neighbor search reads the minority apply_plan_detailed built
+    calls = []
+    build = Dataset.minority_subset
+
+    def counted(ds):
+        calls.append(len(ds))
+        return build(ds)
+
+    monkeypatch.setattr(Dataset, "minority_subset", counted)
+    ds = _plan_dataset(10, 40)
+    for variant in ("smote", "replicate"):
+        calls.clear()
+        apply_plan_detailed(ds, 200, 100, k=3, seed=2, variant=variant)
+        assert calls == [50]
 
 
 def test_apply_plan_row_order_and_detail():
@@ -421,8 +439,8 @@ def test_apply_plan_row_order_and_detail():
     assert list(out.rows[:10]) == minority_rows
     assert list(out.rows[10:30]) == list(result.batch.rows)
     assert [ds.rows[i] for i in result.retained_majority] == list(out.rows[30:])
-    assert all(label is ClassLabel.MINORITY for label in out.labels[:30])
-    assert all(label is ClassLabel.MAJORITY for label in out.labels[30:])
+    assert out.minority[:30].all()
+    assert not out.minority[30:].any()
     audit_batch(result.batch, 10)
 
 
@@ -589,10 +607,10 @@ def test_synthesis_count_box_and_vote_properties(
         batch = smote_nc(ds, params, nbrs)
         vote_pool = pool
     else:
-        full = Dataset(
+        full = dataset_from_rows(
             schema,
             tuple(pool + majority),
-            tuple([ClassLabel.MINORITY] * t + [ClassLabel.MAJORITY] * len(majority)),
+            tuple([MINORITY] * t + [MAJORITY] * len(majority)),
         )
         ds = full.minority_subset()
         table = VdmTable.from_dataset(full)

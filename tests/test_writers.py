@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from smotekit.data import CONTINUOUS, NOMINAL, ClassLabel, Dataset, FeatureSchema, save_csv
+from smotekit.data import CONTINUOUS, NOMINAL, FeatureSchema, save_csv
 from smotekit.evaluate import HullVertex, RocCurve, RocPoint, write_hull_csv, write_points_csv
 from smotekit.resample import Provenance, SyntheticBatch, write_provenance
 
@@ -38,9 +38,11 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, data):
     value = {CONTINUOUS: FLOATS, NOMINAL: TOKENS}
     pool = data.draw(st.lists(st.tuples(*(value[kind] for kind in kinds)), min_size=1, max_size=8))
     rows = _spread(data, pool, data.draw(st.sampled_from(ROW_COUNTS)))
-    labels = _spread(data, [ClassLabel.MINORITY, ClassLabel.MAJORITY], len(rows))
-    tokens = {ClassLabel.MINORITY: data.draw(TOKENS), ClassLabel.MAJORITY: data.draw(TOKENS)}
-    ds = Dataset(schema, rows, labels, tokens[ClassLabel.MINORITY], tokens[ClassLabel.MAJORITY])
+    labels = _spread(data, [oracles.MINORITY, oracles.MAJORITY], len(rows))
+    tokens = {oracles.MINORITY: data.draw(TOKENS), oracles.MAJORITY: data.draw(TOKENS)}
+    ds = oracles.dataset_from_rows(
+        schema, rows, labels, tokens[oracles.MINORITY], tokens[oracles.MAJORITY]
+    )
     path = tmp_path / "out.csv"
 
     save_csv(ds, path)
@@ -56,7 +58,8 @@ def test_save_csv_quotes_an_empty_field_alone_on_its_line(tmp_path):
     # the csv module writes a line of one empty field as "", not as a blank line
     schema = FeatureSchema((("f0", NOMINAL),), "class")
     rows = [("",), ("a,b",), ("",)]
-    ds = Dataset(schema, rows, [ClassLabel.MINORITY, ClassLabel.MAJORITY, ClassLabel.MAJORITY])
+    labels = [oracles.MINORITY, oracles.MAJORITY, oracles.MAJORITY]
+    ds = oracles.dataset_from_rows(schema, rows, labels)
     save_csv(ds, tmp_path / "out.csv", class_column=False)
     assert (tmp_path / "out.csv").read_bytes() == oracles.csv_text(schema.names, rows).encode()
 
@@ -122,7 +125,8 @@ def test_save_csv_memory_is_bounded(tmp_path):
         tuple((f"c{i}", CONTINUOUS) for i in range(6)) + (("n0", NOMINAL),), "class"
     )
     rows = [(*values, f"v{i % 7}") for i, values in enumerate(rng.normal(size=(n, 6)).tolist())]
-    ds = Dataset(schema, rows, [ClassLabel.MINORITY if i % 3 else ClassLabel.MAJORITY for i in range(n)])
+    labels = [oracles.MINORITY if i % 3 else oracles.MAJORITY for i in range(n)]
+    ds = oracles.dataset_from_rows(schema, rows, labels)
     del rows
     path = tmp_path / "big.csv"
     tracemalloc.start()

@@ -15,24 +15,26 @@ from pathlib import Path
 
 from .data import FeatureSchema, load_csv, save_csv
 from .errors import ConfigError, DataError
-from .evaluate import RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
-from .model import ClassifierSpec
-from .pipeline import ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import apply_plan_detailed, variant_neighbors, write_provenance
+from .evaluate import ANCHORS, RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
+from .model import CLASSIFIER_KINDS, ClassifierSpec
+from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, run_experiment
+from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, variant_neighbors, write_provenance
+
+_DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+def _comma_list(cast, noun: str):
+    """An argparse type: a comma-separated list of ``cast`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated {noun} list, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
+_int_list = _comma_list(int, "integer")
+_float_list = _comma_list(float, "float")
 
 
 def _add_data_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -48,24 +50,24 @@ def _add_data_flags(parser: argparse.ArgumentParser, required: bool = True) -> N
 
 
 def _add_resample_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root RNG seed (default 0)")
-    parser.add_argument("--k", type=int, default=5, help="nearest neighbors (default 5)")
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="root RNG seed (default %(default)s)")
+    parser.add_argument("--k", type=int, default=_DEFAULTS.k, help="nearest neighbors (default %(default)s)")
     parser.add_argument(
         "--gap-mode",
-        choices=["per-attribute", "shared"],
-        default="per-attribute",
+        choices=GAP_MODES,
+        default=_DEFAULTS.gap_mode,
         help="uniform draws per synthetic row: one per coordinate, or one shared",
     )
     parser.add_argument(
         "--neighbor-mode",
-        choices=["with-replacement", "distinct"],
-        default="with-replacement",
+        choices=NEIGHBOR_MODES,
+        default=_DEFAULTS.neighbor_mode,
         help="how repeat neighbor picks for one base are drawn",
     )
     parser.add_argument(
         "--under-basis",
-        choices=["pre", "post"],
-        default="pre",
+        choices=UNDER_BASES,
+        default=_DEFAULTS.under_basis,
         help="size under-sampling from the original or the augmented minority count",
     )
     parser.add_argument("--out", required=True, help="output directory")
@@ -246,12 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, variant in (
-        ("smote", "smote"),
-        ("smote-nc", "smote_nc"),
-        ("smote-n", "smote_n"),
-        ("replicate", "replicate"),
-    ):
+    for variant in VARIANTS:
+        name = variant.replace("_", "-")
         p = sub.add_parser(name, help=f"write datasets augmented by {name}")
         _add_data_flags(p)
         p.add_argument(
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("undersample", help="write under-sampled datasets")
     _add_data_flags(p)
     p.add_argument("--under", type=_int_list, required=True, help="under-sampling percents")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_undersample)
 
@@ -280,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV with family,fp_rate,tp_rate[,tag]")
     p.add_argument(
         "--auc-anchor",
-        choices=["origin", "leftmost"],
-        default="origin",
+        choices=ANCHORS,
+        default=ANCHORS[0],
         help="prepend a (0,0) anchor (default) or integrate from the leftmost point",
     )
     p.add_argument("--out", required=True)
@@ -291,36 +289,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p, required=False)
     p.add_argument(
         "--families",
-        default="smote_under,plain_under",
-        help="comma list of smote_under,plain_under,replicate,priors_sweep,threshold_sweep",
+        default=",".join(_DEFAULTS.families),
+        help=f"comma list of {','.join(FAMILIES)}",
     )
-    p.add_argument("--over", type=_int_list, default=list(ExperimentConfig().over_percents))
-    p.add_argument("--under", type=_int_list, default=list(ExperimentConfig().under_percents))
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--over", type=_int_list, default=list(_DEFAULTS.over_percents))
+    p.add_argument("--under", type=_int_list, default=list(_DEFAULTS.under_percents))
+    p.add_argument("--folds", type=int, default=_DEFAULTS.n_folds)
     p.add_argument(
         "--variant",
-        choices=["smote", "smote_nc", "smote_n", "replicate"],
-        default="smote",
+        choices=VARIANTS,
+        default=_DEFAULTS.variant,
         help="synthesis variant used by the smote_under family",
     )
-    p.add_argument("--classifier", choices=["naive_bayes", "external"], default="naive_bayes")
+    p.add_argument("--classifier", choices=CLASSIFIER_KINDS, default=_DEFAULTS.classifier.kind)
     p.add_argument(
         "--classifier-command",
-        default=None,
+        default=_DEFAULTS.classifier.command,
         help="external scorer invoked as: CMD train.csv test.csv scores.txt",
     )
-    p.add_argument("--prior-multiplier", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--prior-multiplier", type=float, default=_DEFAULTS.classifier.prior_multiplier)
+    p.add_argument("--threshold", type=float, default=_DEFAULTS.classifier.threshold)
     p.add_argument(
         "--prior-multipliers",
         type=_float_list,
-        default=list(ExperimentConfig().prior_multipliers),
+        default=list(_DEFAULTS.prior_multipliers),
         help="multipliers swept by the priors_sweep family",
     )
     p.add_argument(
         "--thresholds",
         type=_float_list,
-        default=list(ExperimentConfig().thresholds),
+        default=list(_DEFAULTS.thresholds),
         help="thresholds swept by the threshold_sweep family",
     )
     p.add_argument(

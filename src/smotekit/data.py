@@ -187,6 +187,8 @@ class Dataset:
                 cont[:, j] = columns[i]
         except (TypeError, ValueError):
             raise DataError("non-numeric value in a continuous column") from None
+        if not np.isfinite(cont).all():
+            raise DataError("non-finite value in a continuous column")
         intern: list = [None] * len(schema.features)
         codes = np.empty((n, len(schema.nominal_indices)), dtype=np.intp)
         for j, i in enumerate(schema.nominal_indices):
@@ -304,6 +306,7 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
         cells = tuple(zip(schema.names, schema.kinds, feature_cols, columns))
         minority = bytearray()
         classes: set[str] = set()
+        tokens: dict[str, str] = {}  # one str object per distinct nominal token
         for line_no, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise DataError(
@@ -328,7 +331,7 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
                         )
                     column.append(value)
                 else:
-                    column.append(raw)
+                    column.append(tokens.setdefault(raw, raw))
             token = record[class_col]
             if token == "":
                 raise DataError(f"{path}: line {line_no}: missing class value")
@@ -383,35 +386,9 @@ def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
     write_lines(path, header, len(ds), chunk_text)
 
 
-@dataclass(frozen=True, eq=False)
-class FoldAssignment:
-    """Cross-validation fold index per row: ``fold_of_row`` is a read-only
-    ``np.intp`` array."""
-
-    fold_of_row: np.ndarray
-    n_folds: int
-
-    def __post_init__(self):
-        fold_of_row = np.array(self.fold_of_row, dtype=np.intp)
-        fold_of_row.flags.writeable = False
-        object.__setattr__(self, "fold_of_row", fold_of_row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FoldAssignment):
-            return NotImplemented
-        return self.n_folds == other.n_folds and np.array_equal(
-            self.fold_of_row, other.fold_of_row
-        )
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of_row != fold)
-
-
-def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
-    """Assign rows to folds so per-fold class counts differ by at most one.
+def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> np.ndarray:
+    """The cross-validation fold of every row, as a read-only ``np.intp``
+    array, so that per-fold class counts differ by at most one.
 
     Shuffles each class independently and deals the rows round-robin from a
     random starting fold, so the remainder rows do not pile onto fold 0.
@@ -430,4 +407,5 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> FoldAssignment:
         perm = rng.permutation(len(class_indices))
         offset = int(rng.integers(n_folds))
         fold_of_row[class_indices[perm]] = (offset + np.arange(len(perm))) % n_folds
-    return FoldAssignment(fold_of_row, n_folds)
+    fold_of_row.flags.writeable = False
+    return fold_of_row

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .data import CSV_END, quote_fields, write_lines
 
 ANCHOR_FAMILY = "anchor"
+ANCHORS = ("origin", "leftmost")  # AUC anchoring rules, the default first
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class RocCurve:
         )
 
 
-def auc(curve: RocCurve, anchor: str = "origin") -> float:
+def auc(curve: RocCurve, anchor: str = ANCHORS[0]) -> float:
     """Trapezoid area under the curve on the [0, 1] scale.
 
     The point sequence is finalized before integrating: points sort by
@@ -73,8 +74,8 @@ def auc(curve: RocCurve, anchor: str = "origin") -> float:
     ``anchor="leftmost"`` integrates from the leftmost measured point
     instead, leaving the spanned area as-is.
     """
-    if anchor not in ("origin", "leftmost"):
-        raise ValueError(f"anchor must be 'origin' or 'leftmost', got {anchor!r}")
+    if anchor not in ANCHORS:
+        raise ValueError(f"anchor must be {' or '.join(map(repr, ANCHORS))}, got {anchor!r}")
     if not curve.points:
         raise ValueError("cannot integrate an empty curve")
     pts = [(p.fp_rate, p.tp_rate) for p in curve.points]
@@ -211,7 +212,7 @@ def _write_report_csv(path: str | Path, header: list[str], records: list[tuple])
     write_lines(path, header, len(records), chunk_text)
 
 
-def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = "origin") -> dict:
+def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = ANCHORS[0]) -> dict:
     """The ``aucs.json`` core: the AUC anchoring rule, per-family AUC as a
     fraction and as ``auc_e4``, and the hull vertices."""
     return {

@@ -30,6 +30,8 @@ from .evaluate import ConfusionMatrix
 _VARIANCE_FLOOR_SCALE = 1e-9
 _DEGENERATE_FLOOR = 1e-12
 
+CLASSIFIER_KINDS = ("naive_bayes", "external")
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
@@ -46,7 +48,7 @@ class ClassifierSpec:
     command: str = None
 
     def __post_init__(self):
-        if self.kind not in ("naive_bayes", "external"):
+        if self.kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
         if self.prior_multiplier <= 0:
             raise ConfigError(

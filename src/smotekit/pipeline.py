@@ -57,6 +57,7 @@ from .resample import (
     GAP_MODES,
     NEIGHBOR_MODES,
     PER_ATTRIBUTE,
+    UNDER_BASES,
     VARIANTS,
     WITH_REPLACEMENT,
     apply_plan_detailed,
@@ -136,8 +137,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown gap mode {self.gap_mode!r}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ConfigError(f"unknown neighbor mode {self.neighbor_mode!r}")
-        if self.under_basis not in ("pre", "post"):
-            raise ConfigError(f"under_basis must be 'pre' or 'post', got {self.under_basis!r}")
+        if self.under_basis not in UNDER_BASES:
+            known = " or ".join(map(repr, UNDER_BASES))
+            raise ConfigError(f"under_basis must be {known}, got {self.under_basis!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -186,7 +188,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
     fold_data = [
-        (ds.subset(folds.train_indices(f)), ds.subset(folds.test_indices(f)))
+        (ds.subset(np.flatnonzero(folds != f)), ds.subset(np.flatnonzero(folds == f)))
         for f in range(cfg.n_folds)
     ]
 
@@ -198,7 +200,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
         """Per fold, the Euclidean neighbor lists of the training minority,
         all from one search over the whole minority; None for a fold whose
         training minority is too thin to search."""
-        fold_of = folds.fold_of_row[ds.minority_indices()]
+        fold_of = folds[ds.minority_indices()]
         return knn_per_fold(ds.minority_subset(), cfg.k, EuclideanMetric(ds.schema), fold_of)
 
     @functools.cache

@@ -51,6 +51,10 @@ GAP_MODES = (PER_ATTRIBUTE, SHARED)
 NEIGHBOR_MODES = (WITH_REPLACEMENT, DISTINCT)
 
 VARIANTS = ("smote", "smote_nc", "smote_n", "replicate")
+UNDER_BASES = ("pre", "post")
+
+# The one schema shape each synthesis variant takes.
+_SHAPES = {"smote": "all-continuous", "smote_nc": "mixed", "smote_n": "all-nominal"}
 
 
 @dataclass(frozen=True)
@@ -177,31 +181,44 @@ def _vote(codes: np.ndarray, lists: np.ndarray, base_votes: bool) -> np.ndarray:
     return np.where(own_votes == top, codes, leader)
 
 
-def _check_source(minority: Dataset, neighbors: NeighborList, variant: str) -> None:
-    if not minority.minority.all():
+def _check_shape(schema, variant: str) -> None:
+    """Reject a schema of another shape than the one ``variant`` takes."""
+    shape = (
+        "all-continuous" if schema.all_continuous
+        else "all-nominal" if schema.all_nominal
+        else "mixed"
+    )
+    if shape != _SHAPES[variant]:
+        raise ValueError(f"{variant} takes {_SHAPES[variant]} features, got {shape} features")
+
+
+def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> SyntheticBatch:
+    """The synthesis behind smote, smote_nc and smote_n.
+
+    ``source`` must be a minority-only slice of at least 2 rows in the
+    schema shape ``variant`` takes, with one neighbor list per row; ``rng``
+    None draws from the seeded substream ``(params.seed, "smote")``. Every
+    synthetic row of a base carries the base's voted nominal codes (see
+    :func:`_vote`); the base joins the vote only when no continuous
+    coordinate is interpolated, as in smote_n. After the base choice, one
+    call draws every neighbor pick, then every gap, and interpolates and
+    clips the whole continuous block to the base/neighbor boxes at once.
+    With no continuous columns nothing more is drawn and each row records
+    its base as its neighbor, with no gaps.
+    """
+    _check_shape(source.schema, variant)
+    if not source.minority.all():
         raise ValueError(f"{variant} expects a minority-only dataset slice")
-    t = len(minority)
+    t = len(source)
     if t < 2:
         raise ValueError(f"need at least 2 minority rows, got {t}")
-    if len(neighbors.lists) != t:
-        raise ValueError(
-            f"neighbor list covers {len(neighbors.lists)} rows, expected {t}"
-        )
-
-
-def _synthesize(source: Dataset, params, neighbors, rng, base_votes) -> SyntheticBatch:
-    """The synthesis shared by smote, smote_nc and smote_n.
-
-    Every synthetic row of a base carries the base's voted nominal codes
-    (see :func:`_vote`). After the base choice, one call draws every
-    neighbor pick, then every gap, and interpolates and clips the whole
-    continuous block to the base/neighbor boxes at once. With no continuous
-    columns nothing more is drawn and each row records its base as its
-    neighbor, with no gaps.
-    """
-    cont = source.cont
     lists = neighbors.lists
-    bases, per_base = _plan_bases(params.n_percent, len(source), rng)
+    if len(lists) != t:
+        raise ValueError(f"neighbor list covers {len(lists)} rows, expected {t}")
+    if rng is None:
+        rng = generator(params.seed, "smote")
+    cont = source.cont
+    bases, per_base = _plan_bases(params.n_percent, t, rng)
     origin = np.repeat(bases, per_base)
     n, d = len(origin), cont.shape[1]
     base = cont[origin]
@@ -213,7 +230,7 @@ def _synthesize(source: Dataset, params, neighbors, rng, base_votes) -> Syntheti
         new = np.clip(base + gaps * (nb - base), np.minimum(base, nb), np.maximum(base, nb))
     else:
         partner, gaps, new = origin, np.empty((n, 0)), base
-    voted = _vote(source.codes, lists, base_votes)
+    voted = _vote(source.codes, lists, base_votes=not d)
     data = source.with_blocks(new, voted[origin], np.ones(n, dtype=bool))
     return SyntheticBatch(data, Provenance(origin, partner, gaps))
 
@@ -240,12 +257,7 @@ def smote(
         the base/neighbor bounding box, which only matters when float
         rounding at gap values near 1 would overshoot by an ulp.
     """
-    if not minority.schema.all_continuous:
-        raise ValueError("smote requires all-continuous rows; use smote_nc or smote_n")
-    _check_source(minority, neighbors, "smote")
-    if rng is None:
-        rng = generator(params.seed, "smote")
-    return _synthesize(minority, params, neighbors, rng, base_votes=False)
+    return _synthesize("smote", minority, params, neighbors, rng)
 
 
 def smote_nc(
@@ -262,12 +274,7 @@ def smote_nc(
     from the k nearest neighbors of the base, base excluded, so every
     synthetic row of one base shares its voted nominal part.
     """
-    if minority.schema.all_nominal:
-        raise ValueError("all-nominal schema: use smote_n")
-    _check_source(minority, neighbors, "smote_nc")
-    if rng is None:
-        rng = generator(params.seed, "smote")
-    return _synthesize(minority, params, neighbors, rng, base_votes=False)
+    return _synthesize("smote_nc", minority, params, neighbors, rng)
 
 
 def smote_n(
@@ -283,12 +290,7 @@ def smote_n(
     the neighbor lists; random draws occur only in the under-100 base
     selection.
     """
-    if not minority.schema.all_nominal:
-        raise ValueError("smote_n requires all-nominal rows; use smote or smote_nc")
-    _check_source(minority, neighbors, "smote_n")
-    if rng is None:
-        rng = generator(params.seed, "smote")
-    return _synthesize(minority, params, neighbors, rng, base_votes=True)
+    return _synthesize("smote_n", minority, params, neighbors, rng)
 
 
 def replicate_oversample(
@@ -355,13 +357,7 @@ class PlanResult:
 def _check_synthesis(train: Dataset, n_minority: int, variant: str) -> None:
     """Reject a synthesis variant whose schema or training minority cannot
     feed its neighbor search."""
-    schema = train.schema
-    if variant == "smote" and not schema.all_continuous:
-        raise ValueError("variant 'smote' requires an all-continuous schema")
-    if variant == "smote_nc" and (schema.all_nominal or schema.all_continuous):
-        raise ValueError("variant 'smote_nc' requires a mixed schema")
-    if variant == "smote_n" and not schema.all_nominal:
-        raise ValueError("variant 'smote_n' requires an all-nominal schema")
+    _check_shape(train.schema, variant)
     if n_minority < 2:
         raise DataError(
             f"training minority has {n_minority} row(s); {variant} needs at "
@@ -382,7 +378,7 @@ def variant_neighbors(train: Dataset, k: int, variant: str) -> NeighborList:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if variant not in ("smote", "smote_nc", "smote_n"):
+    if variant not in _SHAPES:
         raise ValueError(f"variant {variant!r} searches no neighbors")
     minority = train.minority_subset()
     _check_synthesis(train, len(minority), variant)
@@ -442,8 +438,8 @@ def apply_plan_detailed(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if under_basis not in ("pre", "post"):
-        raise ValueError(f"under_basis must be 'pre' or 'post', got {under_basis!r}")
+    if under_basis not in UNDER_BASES:
+        raise ValueError(f"under_basis must be {' or '.join(map(repr, UNDER_BASES))}, got {under_basis!r}")
     if over_percent < 0:
         raise ValueError(f"over_percent must be non-negative, got {over_percent}")
     if k < 1:
@@ -468,12 +464,8 @@ def apply_plan_detailed(
             gap_mode=gap_mode,
             neighbor_mode=neighbor_mode,
         )
-        if variant == "smote":
-            batch = smote(minority, params, neighbors)
-        elif variant == "smote_nc":
-            batch = smote_nc(minority, params, neighbors)
-        else:
-            batch = smote_n(minority, params, neighbors)
+        synthesize = {"smote": smote, "smote_nc": smote_nc, "smote_n": smote_n}[variant]
+        batch = synthesize(minority, params, neighbors)
 
     if under_percent in (None, 0):
         retained = majority_idx

@@ -192,15 +192,48 @@ def test_load_memory_is_bounded(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     del values, lines
+    ds, peak = _load_peak(path, schema)
+    assert ds.n_minority == n // 4
+    assert peak <= 3 * _block_bytes(ds)
+
+
+def test_load_memory_is_bounded_with_nominal_columns(tmp_path):
+    # a nominal column holds one str object per distinct token while loading
+    n = 20_000
+    schema = FeatureSchema(
+        tuple((f"f{i}", "continuous") for i in range(4))
+        + tuple((f"g{i}", "nominal") for i in range(4)),
+        "cls",
+    )
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(n, 4)).tolist()
+    categories = rng.integers(20, size=(n, 4)).tolist()
+    lines = [",".join([*schema.names, "cls"])]
+    lines += [
+        ",".join([*map(repr, row), *(f"cat{c}" for c in cats), "neg" if i % 4 else "pos"])
+        for i, (row, cats) in enumerate(zip(values, categories))
+    ]
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    del values, categories, lines
+    ds, peak = _load_peak(path, schema)
+    assert [len(table) for table in ds.intern[4:]] == [20] * 4
+    assert peak <= 3 * _block_bytes(ds)
+
+
+def _load_peak(path, schema):
+    """The dataset ``load_csv`` builds and its ``tracemalloc`` peak."""
     tracemalloc.start()
     try:
         ds = load_csv(path, schema, "pos")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ds.n_minority == n // 4
-    blocks = ds.cont.nbytes + ds.codes.nbytes + ds.minority.nbytes
-    assert peak <= 3 * blocks
+    return ds, peak
+
+
+def _block_bytes(ds):
+    return ds.cont.nbytes + ds.codes.nbytes + ds.minority.nbytes
 
 
 def test_nominal_intern_order_is_first_appearance(tmp_path):
@@ -288,18 +321,18 @@ def _balanced_dataset(n_min, n_maj):
 
 def test_folds_exact_split():
     ds = _balanced_dataset(10, 20)
-    fa = stratified_folds(ds, 10, seed=3)
+    folds = stratified_folds(ds, 10, seed=3)
     for fold in range(10):
-        test = fa.test_indices(fold)
+        test = np.flatnonzero(folds == fold)
         assert np.count_nonzero(ds.minority[test]) == 1
         assert np.count_nonzero(~ds.minority[test]) == 2
 
 
 def test_folds_remainder_spreads_to_one_fold():
     ds = _balanced_dataset(11, 20)
-    fa = stratified_folds(ds, 10, seed=3)
+    folds = stratified_folds(ds, 10, seed=3)
     minority_per_fold = sorted(
-        int(np.count_nonzero(ds.minority[fa.test_indices(fold)])) for fold in range(10)
+        int(np.count_nonzero(ds.minority[np.flatnonzero(folds == fold)])) for fold in range(10)
     )
     assert minority_per_fold == [1] * 9 + [2]
 
@@ -309,8 +342,8 @@ def test_folds_deterministic_and_seed_sensitive():
     a = stratified_folds(ds, 5, seed=42)
     b = stratified_folds(ds, 5, seed=42)
     c = stratified_folds(ds, 5, seed=43)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_folds_class_counts_differ_by_at_most_one():
@@ -320,18 +353,29 @@ def test_folds_class_counts_differ_by_at_most_one():
         n_min = int(rng.integers(n_folds, 40))
         n_maj = int(rng.integers(n_min, 80))
         ds = _balanced_dataset(n_min, n_maj)
-        fa = stratified_folds(ds, n_folds, seed=int(rng.integers(1 << 30)))
+        folds = stratified_folds(ds, n_folds, seed=int(rng.integers(1 << 30)))
         for indices in (ds.minority_indices(), ds.majority_indices()):
             counts = [0] * n_folds
             for i in indices:
-                counts[fa.fold_of_row[i]] += 1
+                counts[folds[i]] += 1
             assert max(counts) - min(counts) <= 1
         # train/test partition the rows for every fold
         for fold in range(n_folds):
-            train = set(fa.train_indices(fold))
-            test = set(fa.test_indices(fold))
+            train = set(np.flatnonzero(folds != fold))
+            test = set(np.flatnonzero(folds == fold))
             assert train | test == set(range(len(ds)))
             assert not train & test
+
+
+def test_folds_are_one_read_only_intp_array():
+    ds = _balanced_dataset(10, 20)
+    folds = stratified_folds(ds, 5, seed=1)
+    assert isinstance(folds, np.ndarray)
+    assert folds.dtype == np.intp
+    assert folds.shape == (len(ds),)
+    assert not folds.flags.writeable
+    with pytest.raises(ValueError):
+        folds[0] = 1
 
 
 def test_folds_reject_thin_class():
@@ -384,6 +428,12 @@ def test_dataset_rejects_minority_flags_that_are_not_bools():
     for minority in (["minority", "majority"], [1, 0], [[True, False]]):
         with pytest.raises(DataError, match="one bool per row"):
             Dataset(CONT2, [[1.0, 3.0], [2.0, 4.0]], minority)
+
+
+def test_dataset_rejects_non_finite_continuous_values():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DataError, match="^non-finite value in a continuous column$"):
+            Dataset(MIXED, [[1.0, bad], ["x", "y"], [2.0, 4.0]], [True, False])
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """README.md names only what the package has."""
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from smotekit.cli import build_parser
 from smotekit.data import Dataset
 from smotekit.distance import VdmTable
 from smotekit.resample import SmoteParams, smote, smote_n, smote_nc
@@ -45,3 +47,25 @@ def test_resampling_surface_is_pinned():
     assert tuple(inspect.signature(Dataset.__init__).parameters) == (
         "self", "schema", "columns", "minority", "minority_token", "majority_token"
     )
+
+
+def test_readme_names_every_cli_flag():
+    """README.md names every long option and every choice of every
+    subcommand as a whole word: ``--threshold`` is not found in
+    ``--thresholds``."""
+    text = README.read_text("utf-8")
+    (subcommands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    missing = set()
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            words = [o for o in action.option_strings if o.startswith("--")]
+            words += list(action.choices or ())
+            for word in words:
+                if not re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text):
+                    missing.add(f"{name} {word}")
+    assert not missing, f"README.md does not name: {sorted(missing)}"

@@ -467,6 +467,38 @@ def test_apply_plan_rejects_wrong_schema_for_variant():
         apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_n")
 
 
+SHAPED_ROWS = {
+    "all-continuous": (CONT2, [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0)]),
+    "mixed": (MIXED, [(0.0, "A"), (1.0, "B"), (2.0, "A")]),
+    "all-nominal": (NOM2, [("A", "B"), ("A", "C"), ("D", "C")]),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPED_ROWS)
+@pytest.mark.parametrize(
+    "variant, synthesize, takes",
+    [
+        ("smote", smote, "all-continuous"),
+        ("smote_nc", smote_nc, "mixed"),
+        ("smote_n", smote_n, "all-nominal"),
+    ],
+    ids=["smote", "smote_nc", "smote_n"],
+)
+def test_each_variant_takes_one_schema_shape(variant, synthesize, takes, shape):
+    schema, rows = SHAPED_ROWS[shape]
+    train = dataset_from_rows(schema, tuple(rows) * 2, (MINORITY,) * 3 + (MAJORITY,) * 3)
+    params = SmoteParams(100, seed=0)
+    if shape == takes:
+        assert len(synthesize(train.minority_subset(), params, _full_lists(3))) == 3
+        assert len(apply_plan_detailed(train, 100, None, k=2, seed=0, variant=variant).batch) == 3
+        return
+    message = f"^{variant} takes {takes} features, got {shape} features$"
+    with pytest.raises(ValueError, match=message):
+        synthesize(train.minority_subset(), params, _full_lists(3))
+    with pytest.raises(ValueError, match=message):
+        apply_plan_detailed(train, 100, None, k=2, seed=0, variant=variant)
+
+
 def test_apply_plan_determinism():
     ds = _plan_dataset(20, 60)
     a = apply_plan_detailed(ds, 200, 150, k=5, seed=123).dataset

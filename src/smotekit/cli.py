@@ -21,6 +21,8 @@ from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, ru
 from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, variant_neighbors, write_provenance
 
 _DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
+# experiment flags that keep their meaning beside --from-manifest
+_MANIFEST_FLAGS = ("--data", "--schema", "--minority", "--out", "--from-manifest")
 
 
 def _comma_list(cast, noun: str):
@@ -35,6 +37,16 @@ def _comma_list(cast, noun: str):
 
 _int_list = _comma_list(int, "integer")
 _float_list = _comma_list(float, "float")
+
+
+def _noting(action_class):
+    """``action_class`` that also appends its option to ``namespace.given``,
+    so a flag given with its default value still counts as given."""
+    class Noting(action_class):
+        def __call__(self, parser, namespace, values, option_string=None):
+            super().__call__(parser, namespace, values, option_string)
+            namespace.given += (self.option_strings[0],)
+    return Noting
 
 
 def _add_data_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -185,6 +197,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.from_manifest:
+        dropped = [flag for flag in dict.fromkeys(args.given) if flag not in _MANIFEST_FLAGS]
+        if dropped:
+            raise ConfigError(f"{', '.join(dropped)} cannot be given with --from-manifest")
         cfg, info = load_manifest(args.from_manifest)
         if args.data or args.schema or args.minority:
             if not (args.data and args.schema and args.minority):
@@ -286,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run resampling grids under cross-validation")
+    p.register("action", None, _noting(argparse._StoreAction))
+    p.register("action", "store_true", _noting(argparse._StoreTrueAction))
+    p.set_defaults(given=())
     _add_data_flags(p, required=False)
     p.add_argument(
         "--families",

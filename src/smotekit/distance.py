@@ -34,18 +34,7 @@ _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32
 _DIFF_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
-class NcDistanceParams:
-    """Median penalty for nominal mismatches in mixed-schema distances."""
-
-    med: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.med) or self.med < 0:
-            raise ValueError(f"med must be finite and non-negative, got {self.med}")
-
-
-def compute_med(minority: Dataset) -> NcDistanceParams:
+def compute_med(minority: Dataset) -> float:
     """Median of the minority class's per-feature sample standard deviations.
 
     ``minority`` holds the minority rows only. Standard deviations use the
@@ -63,7 +52,7 @@ def compute_med(minority: Dataset) -> NcDistanceParams:
         stds = np.zeros(matrix.shape[1])
     else:
         stds = matrix.std(axis=0, ddof=1)
-    return NcDistanceParams(med=float(np.median(stds)))
+    return float(np.median(stds))
 
 
 @dataclass(frozen=True)
@@ -153,24 +142,26 @@ class EuclideanMetric:
 
 
 class NcMetric:
-    """Median-penalized mixed-schema distance bound to a schema and params:
-    continuous squared differences plus ``Med**2`` per differing nominal
-    feature, square-rooted.
+    """Median-penalized mixed-schema distance bound to a schema and the
+    median penalty ``med``: continuous squared differences plus ``med**2``
+    per differing nominal feature, square-rooted.
 
     Degenerates to Euclidean distance when the schema is all-continuous. With
     ``med == 0`` nominal differences are invisible: that is documented
     behavior, not an error.
     """
 
-    def __init__(self, schema: FeatureSchema, params: NcDistanceParams):
+    def __init__(self, schema: FeatureSchema, med: float):
         if not schema.continuous_indices:
             raise ValueError("NcMetric requires at least one continuous feature")
+        if not math.isfinite(med) or med < 0:
+            raise ValueError(f"med must be finite and non-negative, got {med}")
         self.schema = schema
-        self.params = params
+        self.med = med
 
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
         _check_kinds(ds, self.schema.kinds)
-        med_sq = self.params.med * self.params.med
+        med_sq = self.med * self.med
         sq = _chunked_sq_euclidean(ds.cont, rows)
         for codes in ds.codes.T:
             sq += med_sq * (codes[rows, None] != codes[None, :])

@@ -9,7 +9,7 @@ scaled by a multiplier and renormalized, which sweeps the operating point the
 same way moving the decision threshold does.
 
 External classifiers plug in through a file contract, see
-:class:`ExternalClassifier`.
+:func:`score_external`.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
     if spec.kind != "naive_bayes":
         raise ConfigError(
             "train() fits the built-in naive Bayes; run external classifiers "
-            "through ExternalClassifier"
+            "through score_external"
         )
     n_min = ds.n_minority
     n_maj = ds.n_majority
@@ -183,9 +183,9 @@ def confusion_from_scores(
     )
 
 
-@dataclass
-class ExternalClassifier:
-    """Adapter for a user-supplied scoring command.
+def score_external(command: str, train_ds: Dataset, test: Dataset) -> np.ndarray:
+    """Minority scores of ``test`` from a user-supplied scoring command fit
+    on ``train_ds``.
 
     File contract, all paths passed as arguments:
 
@@ -200,43 +200,29 @@ class ExternalClassifier:
     The command must exit 0 on success; any other exit code, a malformed or
     wrongly sized score file, or scores outside [0, 1] raise DataError.
     """
-
-    command: str
-
-    def score(self, train_ds: Dataset, test: Dataset) -> np.ndarray:
-        with tempfile.TemporaryDirectory(prefix="smotekit-ext-") as tmp:
-            tmp_path = Path(tmp)
-            train_csv = tmp_path / "train.csv"
-            test_csv = tmp_path / "test.csv"
-            scores_out = tmp_path / "scores.txt"
-            save_csv(train_ds, train_csv)
-            save_csv(test, test_csv, class_column=False)
-            argv = shlex.split(self.command) + [
-                str(train_csv),
-                str(test_csv),
-                str(scores_out),
-            ]
-            proc = subprocess.run(argv, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise DataError(
-                    f"external classifier exited {proc.returncode}: "
-                    f"{proc.stderr.strip()[-500:]}"
-                )
-            try:
-                lines = scores_out.read_text(encoding="utf-8").splitlines()
-            except FileNotFoundError:
-                raise DataError(
-                    "external classifier wrote no score file"
-                ) from None
-        if len(lines) != len(test):
+    with tempfile.TemporaryDirectory(prefix="smotekit-ext-") as tmp:
+        tmp_path = Path(tmp)
+        train_csv = tmp_path / "train.csv"
+        test_csv = tmp_path / "test.csv"
+        scores_out = tmp_path / "scores.txt"
+        save_csv(train_ds, train_csv)
+        save_csv(test, test_csv, class_column=False)
+        argv = shlex.split(command) + [str(train_csv), str(test_csv), str(scores_out)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        if proc.returncode != 0:
             raise DataError(
-                f"external classifier wrote {len(lines)} scores for "
-                f"{len(test)} test rows"
+                f"external classifier exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
             )
         try:
-            values = np.array([float(line) for line in lines])
-        except ValueError:
-            raise DataError("external classifier wrote a non-numeric score") from None
-        if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
-            raise DataError("external classifier scores must lie in [0, 1]")
-        return values
+            lines = scores_out.read_text(encoding="utf-8").splitlines()
+        except FileNotFoundError:
+            raise DataError("external classifier wrote no score file") from None
+    if len(lines) != len(test):
+        raise DataError(f"external classifier wrote {len(lines)} scores for {len(test)} test rows")
+    try:
+        values = np.array([float(line) for line in lines])
+    except ValueError:
+        raise DataError("external classifier wrote a non-numeric score") from None
+    if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
+        raise DataError("external classifier scores must lie in [0, 1]")
+    return values

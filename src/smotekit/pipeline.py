@@ -51,7 +51,7 @@ from .evaluate import (
     write_points_csv,
     write_summary_json,
 )
-from .model import ClassifierSpec, ExternalClassifier, confusion_from_scores, train
+from .model import ClassifierSpec, confusion_from_scores, score_external, train
 from .neighbors import knn_per_fold
 from .resample import (
     GAP_MODES,
@@ -175,7 +175,7 @@ class ExperimentResult:
 def _score(spec: ClassifierSpec, train_ds: Dataset, test: Dataset) -> np.ndarray:
     """Fit ``spec`` on ``train_ds`` and return minority scores per test row."""
     if spec.kind == "external":
-        return ExternalClassifier(spec.command).score(train_ds, test)
+        return score_external(spec.command, train_ds, test)
     return train(train_ds, spec).score_rows(test)
 
 

@@ -120,18 +120,6 @@ class SyntheticBatch:
         return len(self.data)
 
 
-@dataclass(frozen=True)
-class UnderSamplePlan:
-    """Target minority share (percent) and seed for majority under-sampling."""
-
-    percent: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.percent <= 0:
-            raise ValueError(f"percent must be positive, got {self.percent}")
-
-
 def _plan_bases(n_percent: int, t: int, rng: np.random.Generator):
     """Rewrite the over-sampling amount into (base indices, rows per base)."""
     if n_percent == 0:
@@ -195,16 +183,16 @@ def _check_shape(schema, variant: str) -> None:
 def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> SyntheticBatch:
     """The synthesis behind smote, smote_nc and smote_n.
 
-    ``source`` must be a minority-only slice of at least 2 rows in the
-    schema shape ``variant`` takes, with one neighbor list per row; ``rng``
-    None draws from the seeded substream ``(params.seed, "smote")``. Every
-    synthetic row of a base carries the base's voted nominal codes (see
-    :func:`_vote`); the base joins the vote only when no continuous
-    coordinate is interpolated, as in smote_n. After the base choice, one
-    call draws every neighbor pick, then every gap, and interpolates and
-    clips the whole continuous block to the base/neighbor boxes at once.
-    With no continuous columns nothing more is drawn and each row records
-    its base as its neighbor, with no gaps.
+    ``source`` must be a minority-only slice of T >= 2 rows in the schema
+    shape ``variant`` takes, with one neighbor list per row, each index in
+    ``[0, T)``; ``rng`` None draws from the seeded substream
+    ``(params.seed, "smote")``. Every synthetic row of a base carries the
+    base's voted nominal codes (see :func:`_vote`); the base joins the vote
+    only when no continuous coordinate is interpolated, as in smote_n. After
+    the base choice, one call draws every neighbor pick, then every gap, and
+    interpolates and clips the whole continuous block to the base/neighbor
+    boxes at once. With no continuous columns nothing more is drawn and each
+    row records its base as its neighbor, with no gaps.
     """
     _check_shape(source.schema, variant)
     if not source.minority.all():
@@ -215,6 +203,9 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
     lists = neighbors.lists
     if len(lists) != t:
         raise ValueError(f"neighbor list covers {len(lists)} rows, expected {t}")
+    outside = (lists < 0) | (lists >= t)
+    if outside.any():
+        raise ValueError(f"neighbor index {lists[outside][0]} outside [0, {t})")
     if rng is None:
         rng = generator(params.seed, "smote")
     cont = source.cont
@@ -317,11 +308,12 @@ def replicate_oversample(
 def under_sample(
     majority_indices: Sequence[int],
     minority_count: int,
-    plan: UnderSamplePlan,
+    percent: int,
+    seed: int = 0,
     rng: np.random.Generator = None,
 ) -> np.ndarray:
     """Choose the majority rows to keep so the minority class becomes roughly
-    ``plan.percent`` percent of the majority class.
+    ``percent`` percent of the majority class.
 
     The retained count is ``round(100 * minority_count / percent)`` (Python's
     ties-to-even rounding), capped at the available majority count: 100 keeps
@@ -331,12 +323,14 @@ def under_sample(
     200 keeps 10 and 1000 keeps 2. Returns the retained indices as an
     ascending np.intp array.
     """
+    if percent <= 0:
+        raise ValueError(f"percent must be positive, got {percent}")
     if minority_count < 1:
         raise ValueError(f"minority_count must be positive, got {minority_count}")
     if rng is None:
-        rng = generator(plan.seed, "under-sample")
+        rng = generator(seed, "under-sample")
     available = len(majority_indices)
-    target = round(100 * minority_count / plan.percent)
+    target = round(100 * minority_count / percent)
     retained = min(target, available)
     majority = np.asarray(majority_indices, dtype=np.intp)
     if retained == available:
@@ -473,8 +467,7 @@ def apply_plan_detailed(
         basis = len(minority)
         if under_basis == "post":
             basis += len(batch)
-        plan = UnderSamplePlan(percent=under_percent, seed=child_seed(seed, "under"))
-        retained = under_sample(majority_idx, basis, plan)
+        retained = under_sample(majority_idx, basis, under_percent, child_seed(seed, "under"))
 
     parts = (minority, batch.data, train.subset(retained))
     dataset = train.with_blocks(

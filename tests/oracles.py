@@ -151,7 +151,7 @@ def metric_oracle(metric):
     if name == "EuclideanMetric":
         return euclidean
     if name == "NcMetric":
-        return lambda a, b: nc_distance(a, b, metric.schema.kinds, metric.params.med)
+        return lambda a, b: nc_distance(a, b, metric.schema.kinds, metric.med)
     if name == "VdmMetric":
         return lambda a, b: vdm_distance(metric.table, a, b)
     raise TypeError(f"no oracle for {name}")

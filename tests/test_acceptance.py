@@ -25,7 +25,6 @@ from oracles import (
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
-    NcDistanceParams,
     NcMetric,
     VdmMetric,
     VdmTable,
@@ -37,7 +36,6 @@ from smotekit.resample import (
     PER_ATTRIBUTE,
     SHARED,
     SmoteParams,
-    UnderSamplePlan,
     smote,
     smote_n,
     under_sample,
@@ -96,7 +94,7 @@ def test_criterion_02_mixed_distance_worked_example():
     f2 = (4.0, 6.0, 5.0, "A", "D", "E")
     failures = []
     for med in (0.0, 1.0, 2.5):
-        metric = NcMetric(schema, NcDistanceParams(med))
+        metric = NcMetric(schema, med)
         got = metric.pairwise(minority(schema, [f1, f2]))[0, 1]
         want = math.sqrt(29.0 + 2.0 * med * med)
         if abs(got - want) > 1e-12:
@@ -125,7 +123,7 @@ def test_criterion_04_under_sampling_semantics():
     majority = list(range(1000, 1200))
     failures = []
     for percent, expected in ((200, 25), (100, 50)):
-        got = len(under_sample(majority, 50, UnderSamplePlan(percent, seed=3)))
+        got = len(under_sample(majority, 50, percent, seed=3))
         if got != expected:
             failures.append((percent, got, expected))
     report(4, "minority 50 / majority 200: percent 200 keeps 25, percent 100 keeps 50", failures)

@@ -271,6 +271,31 @@ def test_experiment_from_manifest(toy, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--k", "9"], "--k"),
+        (["--k", "5"], "--k"),  # given with its default value: still given
+        (["--folds", "3", "--seed", "99", "--no-raw-point"], "--folds, --seed, --no-raw-point"),
+    ],
+    ids=["k", "k-at-default", "several"],
+)
+def test_experiment_grid_flags_beside_manifest_are_exit_2(toy, tmp_path, capsys, extra, named):
+    out_a = tmp_path / "a"
+    assert main(experiment_args(toy, out_a)) == 0
+    manifest = str(out_a / "manifest.json")
+    capsys.readouterr()
+    rc = main(["experiment", "--from-manifest", manifest, *extra, "--out", str(tmp_path / "b")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {named} cannot be given with --from-manifest")
+    assert not (tmp_path / "b").exists()
+    # the same manifest with only --out still replays the original run
+    out_c = tmp_path / "c"
+    assert main(["experiment", "--from-manifest", manifest, "--out", str(out_c)]) == 0
+    assert (out_c / "aucs.json").read_bytes() == (out_a / "aucs.json").read_bytes()
+
+
+@pytest.mark.parametrize(
     "text, with_data",
     [
         (json.dumps({"config": 5}), True),

@@ -7,7 +7,6 @@ from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
-    NcDistanceParams,
     NcMetric,
     VdmMetric,
     VdmTable,
@@ -70,7 +69,7 @@ def test_euclidean_rejects_nominal_schema():
 def test_euclidean_rejects_arity_mismatch():
     cont1 = FeatureSchema((("f1", "continuous"),), "cls")
     mixed2 = FeatureSchema((("f1", "continuous"), ("g", "nominal")), "cls")
-    metrics = (EuclideanMetric(CONT2), NcMetric(CONT2, NcDistanceParams(1.0)))
+    metrics = (EuclideanMetric(CONT2), NcMetric(CONT2, 1.0))
     for metric in metrics:
         for schema, rows in ((cont1, [(1.0,), (2.0,)]), (CONT3, [(1.0, 2.0, 3.0)] * 2)):
             with pytest.raises(ValueError, match="length"):
@@ -83,7 +82,7 @@ def test_euclidean_rejects_arity_mismatch():
 @pytest.mark.parametrize("med", [0.0, 1.0, 2.5])
 def test_nc_distance_mixed_pair(med):
     # two nominal mismatches (B/D, C/E) on top of squared gaps 9 + 16 + 4
-    got = distances(NcMetric(MIXED6, NcDistanceParams(med)), MIXED6, [F1, F2])[0, 1]
+    got = distances(NcMetric(MIXED6, med), MIXED6, [F1, F2])[0, 1]
     assert got == pytest.approx(math.sqrt(29.0 + 2.0 * med * med), abs=1e-12)
 
 
@@ -92,7 +91,7 @@ CONST_NOM3 = FeatureSchema((("x", "continuous"),) + NOM3.features, "cls")
 
 
 def test_nc_distance_all_nominal_counts_mismatches():
-    metric = NcMetric(CONST_NOM3, NcDistanceParams(2.0))
+    metric = NcMetric(CONST_NOM3, 2.0)
     a = (0.0, "A", "B", "C")
     b = (0.0, "X", "Y", "Z")
     c = (0.0, "A", "B", "Z")
@@ -103,7 +102,7 @@ def test_nc_distance_all_nominal_counts_mismatches():
 
 def test_nc_distance_zero_med_hides_nominal_differences():
     schema = FeatureSchema((("x", "continuous"), ("g", "nominal")), "cls")
-    metric = NcMetric(schema, NcDistanceParams(0.0))
+    metric = NcMetric(schema, 0.0)
     assert distances(metric, schema, [(0.0, "A"), (0.0, "B")])[0, 1] == 0.0
 
 
@@ -113,7 +112,7 @@ def test_nc_distance_matches_euclidean_on_continuous_schema():
         a = tuple(float(v) for v in rng.normal(size=3))
         b = tuple(float(v) for v in rng.normal(size=3))
         med = float(rng.uniform(0, 10))
-        nc = distances(NcMetric(CONT3, NcDistanceParams(med)), CONT3, [a, b])
+        nc = distances(NcMetric(CONT3, med), CONT3, [a, b])
         assert nc[0, 1] == pytest.approx(
             distances(EuclideanMetric(CONT3), CONT3, [a, b])[0, 1], abs=0
         )
@@ -121,7 +120,7 @@ def test_nc_distance_matches_euclidean_on_continuous_schema():
 
 def test_nc_distance_axioms():
     rng = np.random.default_rng(22)
-    params = NcDistanceParams(1.75)
+    med = 1.75
     cats = ["p", "q", "r"]
     for _ in range(100):
         a = (float(rng.normal()), str(rng.choice(cats)), float(rng.normal()))
@@ -129,7 +128,7 @@ def test_nc_distance_axioms():
         schema = FeatureSchema(
             (("x", "continuous"), ("c", "nominal"), ("y", "continuous")), "cls"
         )
-        got = distances(NcMetric(schema, params), schema, [a, b])
+        got = distances(NcMetric(schema, med), schema, [a, b])
         dab = got[0, 1]
         assert dab >= 0.0
         assert dab == got[1, 0]
@@ -138,30 +137,38 @@ def test_nc_distance_axioms():
             assert dab > 0.0
 
 
+@pytest.mark.parametrize("med", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_nc_metric_rejects_bad_med(med):
+    with pytest.raises(ValueError, match="med must be finite and non-negative"):
+        NcMetric(MIXED6, med)
+
+
 def test_compute_med_even_feature_count():
     # column f scaled so its sample std is exactly s_f; std((0,1,2)) with the
     # n-1 denominator is 1
     stds = (1.0, 2.0, 3.0, 10.0)
     schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(4)), "cls")
     rows = [tuple(j * s for s in stds) for j in range(3)]
-    assert compute_med(minority(schema, rows)).med == 2.5
+    med = compute_med(minority(schema, rows))
+    assert type(med) is float
+    assert med == 2.5
 
 
 def test_compute_med_single_feature():
     schema = FeatureSchema((("f", "continuous"),), "cls")
     rows = [(0.0,), (2.5,), (5.0,)]
-    assert compute_med(minority(schema, rows)).med == 2.5
+    assert compute_med(minority(schema, rows)) == 2.5
 
 
 def test_compute_med_ignores_nominal_columns():
     rows = [(0.0, "A"), (2.0, "B"), (4.0, "A")]
     schema = FeatureSchema((("f", "continuous"), ("g", "nominal")), "cls")
-    assert compute_med(minority(schema, rows)).med == 2.0
+    assert compute_med(minority(schema, rows)) == 2.0
 
 
 def test_compute_med_single_row_is_zero():
     schema = FeatureSchema((("f", "continuous"),), "cls")
-    assert compute_med(minority(schema, [(7.0,)])).med == 0.0
+    assert compute_med(minority(schema, [(7.0,)])) == 0.0
 
 
 def test_compute_med_requires_continuous_feature():
@@ -281,7 +288,7 @@ def test_metric_objects_agree_with_functions():
     table, values, nom_rows = _random_table(rng, n_features=3, n_rows=30)
     cases = (
         (EuclideanMetric(CONT3), CONT3, cont_rows, 1e-9),
-        (NcMetric(MIXED6, NcDistanceParams(1.25)), MIXED6, mixed_rows, 1e-9),
+        (NcMetric(MIXED6, 1.25), MIXED6, mixed_rows, 1e-9),
         (VdmMetric(table), NOM3, nom_rows[:10], 1e-12),
     )
     for metric, schema, rows, tol in cases:

@@ -12,8 +12,8 @@ from smotekit.errors import ConfigError, DataError
 from smotekit.evaluate import ConfusionMatrix
 from smotekit.model import (
     ClassifierSpec,
-    ExternalClassifier,
     confusion_from_scores,
+    score_external,
     train,
 )
 
@@ -240,41 +240,39 @@ def _write_stub(tmp_path, body, name="stub.py"):
 
 
 def test_external_classifier_contract(tmp_path):
-    ext = ExternalClassifier(_write_stub(tmp_path, STUB_OK))
-    got = ext.score(_mixed_dataset(), _test_set([(2.0, "A"), (5.5, "B")]))
+    command = _write_stub(tmp_path, STUB_OK)
+    got = score_external(command, _mixed_dataset(), _test_set([(2.0, "A"), (5.5, "B")]))
     assert got.tolist() == [1.0, 0.0]
 
 
 def test_external_classifier_nonzero_exit(tmp_path):
-    ext = ExternalClassifier(
-        _write_stub(tmp_path, "import sys; sys.exit(7)", "dies.py")
-    )
+    command = _write_stub(tmp_path, "import sys; sys.exit(7)", "dies.py")
     with pytest.raises(DataError, match="exited 7"):
-        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
+        score_external(command, _mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_short_output(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('0.5\\n')\n"
-    ext = ExternalClassifier(_write_stub(tmp_path, body, "short.py"))
+    command = _write_stub(tmp_path, body, "short.py")
     with pytest.raises(DataError, match="scores for"):
-        ext.score(_mixed_dataset(), _test_set([(2.0, "A"), (3.0, "B")]))
+        score_external(command, _mixed_dataset(), _test_set([(2.0, "A"), (3.0, "B")]))
 
 
 def test_external_classifier_out_of_range(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('1.5\\n')\n"
-    ext = ExternalClassifier(_write_stub(tmp_path, body, "range.py"))
+    command = _write_stub(tmp_path, body, "range.py")
     with pytest.raises(DataError, match=r"\[0, 1\]"):
-        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
+        score_external(command, _mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_non_numeric(tmp_path):
     body = "import sys\nopen(sys.argv[3], 'w').write('maybe\\n')\n"
-    ext = ExternalClassifier(_write_stub(tmp_path, body, "text.py"))
+    command = _write_stub(tmp_path, body, "text.py")
     with pytest.raises(DataError, match="non-numeric"):
-        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
+        score_external(command, _mixed_dataset(), _test_set([(2.0, "A")]))
 
 
 def test_external_classifier_missing_file(tmp_path):
-    ext = ExternalClassifier(_write_stub(tmp_path, "pass", "noop.py"))
+    command = _write_stub(tmp_path, "pass", "noop.py")
     with pytest.raises(DataError, match="no score file"):
-        ext.score(_mixed_dataset(), _test_set([(2.0, "A")]))
+        score_external(command, _mixed_dataset(), _test_set([(2.0, "A")]))

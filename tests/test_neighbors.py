@@ -12,7 +12,6 @@ from smotekit import distance
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
-    NcDistanceParams,
     NcMetric,
     VdmMetric,
     VdmTable,
@@ -98,7 +97,7 @@ def tie_heavy_case(rng, kind):
         return schema, rows, EuclideanMetric(schema)
     if kind == "nc":
         med = float(rng.choice([0.0, 0.5, 1.0, 1.5]))
-        return schema, rows, NcMetric(schema, NcDistanceParams(med))
+        return schema, rows, NcMetric(schema, med)
     # the table sees every minority category, plus majority rows of its own
     extra = [draw() for _ in range(20)]
     labels = (MINORITY,) * t + (MAJORITY,) * len(extra)
@@ -119,7 +118,7 @@ def sqrt_rounding_case(kind):
     rows = [row + ("a",) * n_nom for row in rows]
     if kind == "euclidean":
         return schema, rows, EuclideanMetric(schema)
-    return schema, rows, NcMetric(schema, NcDistanceParams(1.0))
+    return schema, rows, NcMetric(schema, 1.0)
 
 
 def test_matches_oracle_random_datasets(monkeypatch):

@@ -197,15 +197,11 @@ def test_unresampled_folds_fit_each_classifier_setting_once(monkeypatch):
 def test_external_scorer_runs_once_per_fold_on_the_raw_split(monkeypatch):
     calls = []
 
-    class CountingScorer:
-        def __init__(self, command):
-            self.command = command
+    def counting_scorer(command, train_ds, test):
+        calls.append(len(train_ds))
+        return np.where(test.cont[:, 0] > 0.75, 0.9, 0.1)
 
-        def score(self, train_ds, test):
-            calls.append(len(train_ds))
-            return np.where(test.cont[:, 0] > 0.75, 0.9, 0.1)
-
-    monkeypatch.setattr(pipeline, "ExternalClassifier", CountingScorer)
+    monkeypatch.setattr(pipeline, "score_external", counting_scorer)
     cfg = small_config(
         families=("plain_under", "threshold_sweep"),
         under_percents=(100,),

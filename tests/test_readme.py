@@ -4,11 +4,13 @@ import argparse
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import smotekit
 from smotekit.cli import build_parser
 from smotekit.data import Dataset
 from smotekit.distance import VdmTable
@@ -30,6 +32,24 @@ def test_readme_dotted_names_resolve():
         if obj is None:
             missing.append(dotted)
     assert not missing, f"README.md names what smotekit lacks: {missing}"
+
+
+def test_readme_names_every_public_class():
+    """README.md names, as a whole word, every class a smotekit module
+    defines at top level without a leading underscore."""
+    text = README.read_text("utf-8")
+    missing = []
+    for info in pkgutil.iter_modules(smotekit.__path__):
+        module = importlib.import_module(f"smotekit.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and obj.__module__ == module.__name__
+                and not name.startswith("_")
+                and not re.search(rf"(?<!\w){name}(?!\w)", text)
+            ):
+                missing.append(f"{info.name}.{name}")
+    assert not missing, f"README.md does not name: {missing}"
 
 
 def test_resampling_surface_is_pinned():

@@ -24,7 +24,6 @@ from smotekit.resample import (
     SHARED,
     WITH_REPLACEMENT,
     SmoteParams,
-    UnderSamplePlan,
     apply_plan_detailed,
     audit_batch,
     replicate_oversample,
@@ -354,24 +353,24 @@ def test_replicate_membership_and_count():
 
 def test_under_sample_worked_percentages():
     majority = list(range(100, 300))
-    assert len(under_sample(majority, 50, UnderSamplePlan(200, seed=1))) == 25
-    assert len(under_sample(majority, 50, UnderSamplePlan(100, seed=1))) == 50
-    capped = under_sample(majority, 50, UnderSamplePlan(10, seed=1)).tolist()
+    assert len(under_sample(majority, 50, 200, seed=1)) == 25
+    assert len(under_sample(majority, 50, 100, seed=1)) == 50
+    capped = under_sample(majority, 50, 10, seed=1).tolist()
     assert capped == majority
 
 
 def test_under_sample_rounding_ties_to_even():
     majority = list(range(50))
     # 100*5/200 = 2.5 rounds to 2; 100*15/200 = 7.5 rounds to 8
-    assert len(under_sample(majority, 5, UnderSamplePlan(200, seed=2))) == 2
-    assert len(under_sample(majority, 15, UnderSamplePlan(200, seed=2))) == 8
+    assert len(under_sample(majority, 5, 200, seed=2)) == 2
+    assert len(under_sample(majority, 15, 200, seed=2)) == 8
 
 
 def test_under_sample_sorted_subset_and_deterministic():
     majority = list(range(0, 400, 2))
-    a = under_sample(majority, 30, UnderSamplePlan(150, seed=5)).tolist()
-    b = under_sample(majority, 30, UnderSamplePlan(150, seed=5)).tolist()
-    c = under_sample(majority, 30, UnderSamplePlan(150, seed=6)).tolist()
+    a = under_sample(majority, 30, 150, seed=5).tolist()
+    b = under_sample(majority, 30, 150, seed=5).tolist()
+    c = under_sample(majority, 30, 150, seed=6).tolist()
     assert a == b
     assert a != c
     assert a == sorted(a)
@@ -499,6 +498,28 @@ def test_each_variant_takes_one_schema_shape(variant, synthesize, takes, shape):
         apply_plan_detailed(train, 100, None, k=2, seed=0, variant=variant)
 
 
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "T"])
+@pytest.mark.parametrize(
+    "variant, synthesize, shape",
+    [
+        ("smote", smote, "all-continuous"),
+        ("smote_nc", smote_nc, "mixed"),
+        ("smote_n", smote_n, "all-nominal"),
+    ],
+    ids=["smote", "smote_nc", "smote_n"],
+)
+def test_synthesis_rejects_neighbor_index_outside_minority(variant, synthesize, shape, bad):
+    schema, rows = SHAPED_ROWS[shape]
+    train = dataset_from_rows(schema, tuple(rows) * 2, (MINORITY,) * 3 + (MAJORITY,) * 3)
+    # the first index outside [0, 3) in row order is named, not the later 7
+    neighbors = NeighborList(((1,), (bad,), (7,)))
+    message = rf"^neighbor index {bad} outside \[0, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        synthesize(train.minority_subset(), SmoteParams(100, seed=1), neighbors)
+    with pytest.raises(ValueError, match=message):
+        apply_plan_detailed(train, 100, None, k=1, seed=1, variant=variant, neighbors=neighbors)
+
+
 def test_apply_plan_determinism():
     ds = _plan_dataset(20, 60)
     a = apply_plan_detailed(ds, 200, 150, k=5, seed=123).dataset
@@ -573,8 +594,8 @@ def test_smote_params_validation():
         SmoteParams(100, seed=0, gap_mode="sometimes")
     with pytest.raises(ValueError):
         SmoteParams(100, seed=0, neighbor_mode="psychic")
-    with pytest.raises(ValueError):
-        UnderSamplePlan(0, seed=1)
+    with pytest.raises(ValueError, match="percent must be positive"):
+        under_sample([1, 2], 1, 0, seed=1)
 
 
 def _expected_vote(values, base_value, first_seen):
@@ -634,8 +655,8 @@ def test_synthesis_count_box_and_vote_properties(
         vote_pool = pool
     elif shape == "mixed":
         ds = minority(schema, pool)
-        nc = compute_med(ds)
-        nbrs = knn_minority(ds, k, NcMetric(schema, nc))
+        med = compute_med(ds)
+        nbrs = knn_minority(ds, k, NcMetric(schema, med))
         batch = smote_nc(ds, params, nbrs)
         vote_pool = pool
     else:

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, stratified_folds
-from .distance import EuclideanMetric
 from .errors import ConfigError
 from .evaluate import (
     RocCurve,
@@ -52,7 +51,6 @@ from .evaluate import (
     write_summary_json,
 )
 from .model import ClassifierSpec, confusion_from_scores, score_external, train
-from .neighbors import knn_per_fold
 from .resample import (
     GAP_MODES,
     NEIGHBOR_MODES,
@@ -62,6 +60,7 @@ from .resample import (
     WITH_REPLACEMENT,
     apply_plan_detailed,
     audit_batch,
+    fold_neighbors,
 )
 from .rng import child_seed
 
@@ -196,12 +195,9 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     cell_sizes: dict = {}
 
     @functools.cache
-    def smote_neighbors() -> list:
-        """Per fold, the Euclidean neighbor lists of the training minority,
-        all from one search over the whole minority; None for a fold whose
-        training minority is too thin to search."""
-        fold_of = folds[ds.minority_indices()]
-        return knn_per_fold(ds.minority_subset(), cfg.k, EuclideanMetric(ds.schema), fold_of)
+    def shared_neighbors(variant: str) -> list:
+        """Per fold, the neighbor lists every cell of ``variant`` shares."""
+        return fold_neighbors(ds, folds, cfg.k, variant)
 
     @functools.cache
     def raw_scores(spec: ClassifierSpec) -> list:
@@ -224,9 +220,6 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             cell_sizes[(label, "raw")] = [
                 (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
             ]
-        # distances of smote's metric do not depend on the fold: search once.
-        # A schema smote cannot take is left to apply_plan_detailed to reject.
-        shared = variant == "smote" and ds.schema.all_continuous
         for tag, over, under in cells:
             cms = []
             sizes = []
@@ -241,7 +234,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     gap_mode=cfg.gap_mode,
                     neighbor_mode=cfg.neighbor_mode,
                     under_basis=cfg.under_basis,
-                    neighbors=smote_neighbors()[f] if shared and over > 0 else None,
+                    neighbors=shared_neighbors(variant)[f] if over > 0 else None,
                 )
                 audit_batch(detail.batch, train_ds.n_minority)
                 resampled = detail.dataset

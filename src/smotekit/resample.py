@@ -39,7 +39,7 @@ from .distance import (
     compute_med,
 )
 from .errors import DataError
-from .neighbors import NeighborList, knn_minority
+from .neighbors import NeighborList, knn_minority, knn_per_fold
 from .rng import child_seed, generator
 
 PER_ATTRIBUTE = "per-attribute"
@@ -288,7 +288,6 @@ def replicate_oversample(
     minority: Dataset,
     n_percent: int,
     seed: int = 0,
-    rng: np.random.Generator = None,
 ) -> SyntheticBatch:
     """Over-sample by exact replication: floor(N/100) * T rows of the
     minority-only Dataset ``minority``, drawn uniformly with replacement. The
@@ -298,10 +297,8 @@ def replicate_oversample(
     t = len(minority)
     if t < 1:
         raise ValueError("need at least 1 minority row")
-    if rng is None:
-        rng = generator(seed, "replicate")
     count = (n_percent // 100) * t
-    picks = rng.integers(0, t, size=count)
+    picks = generator(seed, "replicate").integers(0, t, size=count)
     return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((count, 1))))
 
 
@@ -310,7 +307,6 @@ def under_sample(
     minority_count: int,
     percent: int,
     seed: int = 0,
-    rng: np.random.Generator = None,
 ) -> np.ndarray:
     """Choose the majority rows to keep so the minority class becomes roughly
     ``percent`` percent of the majority class.
@@ -327,15 +323,13 @@ def under_sample(
         raise ValueError(f"percent must be positive, got {percent}")
     if minority_count < 1:
         raise ValueError(f"minority_count must be positive, got {minority_count}")
-    if rng is None:
-        rng = generator(seed, "under-sample")
     available = len(majority_indices)
     target = round(100 * minority_count / percent)
     retained = min(target, available)
     majority = np.asarray(majority_indices, dtype=np.intp)
     if retained == available:
         return np.sort(majority)
-    chosen = rng.choice(available, size=retained, replace=False)
+    chosen = generator(seed, "under-sample").choice(available, size=retained, replace=False)
     return np.sort(majority[chosen])
 
 
@@ -376,19 +370,32 @@ def variant_neighbors(train: Dataset, k: int, variant: str) -> NeighborList:
         raise ValueError(f"variant {variant!r} searches no neighbors")
     minority = train.minority_subset()
     _check_synthesis(train, len(minority), variant)
-    return _search(train, minority, k, variant)
+    return knn_minority(minority, k, _metric(train, minority, variant))
 
 
-def _search(train: Dataset, minority: Dataset, k: int, variant: str) -> NeighborList:
-    """:func:`variant_neighbors` on ``minority``, ``train``'s minority rows,
-    once its checks have passed."""
+def _metric(train: Dataset, minority: Dataset, variant: str):
+    """The distance of a synthesis variant, fitted to ``train`` and its
+    minority rows ``minority``."""
     if variant == "smote":
-        metric = EuclideanMetric(train.schema)
-    elif variant == "smote_nc":
-        metric = NcMetric(train.schema, compute_med(minority))
-    else:
-        metric = VdmMetric(VdmTable.from_dataset(train))
-    return knn_minority(minority, k, metric)
+        return EuclideanMetric(train.schema)
+    if variant == "smote_nc":
+        return NcMetric(train.schema, compute_med(minority))
+    return VdmMetric(VdmTable.from_dataset(train))
+
+
+def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
+    """Per fold (``folds[i]`` the fold of row ``i`` of ``ds``), the lists of
+    its training minority that every cell of ``variant`` shares, or None
+    where :func:`apply_plan_detailed` searches on each call. Only smote's
+    distances do not depend on the fold (SMOTE-NC's ``Med`` and SMOTE-N's
+    VDM counts are fitted to it), so one pass serves every fold; a fold too
+    thin to search gets None. A schema smote cannot take raises ValueError.
+    """
+    if variant != "smote":
+        return [None] * (int(folds.max()) + 1)
+    _check_shape(ds.schema, variant)
+    minority = ds.minority_subset()
+    return knn_per_fold(minority, k, _metric(ds, minority, variant), folds[ds.minority_indices()])
 
 
 def apply_plan_detailed(
@@ -451,7 +458,7 @@ def apply_plan_detailed(
     else:
         _check_synthesis(train, len(minority), variant)
         if neighbors is None:
-            neighbors = _search(train, minority, k, variant)
+            neighbors = knn_minority(minority, k, _metric(train, minority, variant))
         params = SmoteParams(
             n_percent=over_percent,
             seed=child_seed(seed, "over"),

@@ -26,11 +26,9 @@ def spawn_key(*labels: object) -> tuple[int, ...]:
 
 
 def generator(seed: int, *labels: object) -> np.random.Generator:
-    """Return the PCG64 generator for ``seed`` and an optional substream label path."""
-    if labels:
-        seq = np.random.SeedSequence(seed, spawn_key=spawn_key(*labels))
-    else:
-        seq = np.random.SeedSequence(seed)
+    """Return the PCG64 generator of the substream that the label path ``labels``
+    names under ``seed``; every caller names one."""
+    seq = np.random.SeedSequence(seed, spawn_key=spawn_key(*labels))
     return np.random.Generator(np.random.PCG64(seq))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,25 @@ def toy(tmp_path):
     schema = tmp_path / "toy.schema.json"
     schema.write_text(
         json.dumps({"x": "continuous", "y": "continuous", "cls": "class"}),
+        encoding="utf-8",
+    )
+    return data, schema
+
+
+@pytest.fixture
+def mixed(tmp_path):
+    """Writes a 20 minority / 100 majority dataset, two continuous features
+    and one nominal, plus its schema sidecar."""
+    rng = np.random.default_rng(82)
+    lines = ["x,y,g,cls"] + [
+        f"{x!r},{y!r},{'abc'[i % 3]},{'pos' if i < 20 else 'neg'}"
+        for i, (x, y) in enumerate(rng.normal(size=(120, 2)).tolist())
+    ]
+    data = tmp_path / "mixed.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "mixed.schema.json"
+    schema.write_text(
+        json.dumps({"x": "continuous", "y": "continuous", "g": "nominal", "cls": "class"}),
         encoding="utf-8",
     )
     return data, schema
@@ -188,19 +208,8 @@ def test_resample_rejects_k_below_one(toy, tmp_path, capsys, argv):
     assert not any((tmp_path / "x").glob("*"))
 
 
-def test_resample_searches_neighbors_once_per_file(tmp_path, monkeypatch):
-    rng = np.random.default_rng(82)
-    lines = ["x,y,g,cls"] + [
-        f"{x!r},{y!r},{'abc'[i % 3]},{'pos' if i < 20 else 'neg'}"
-        for i, (x, y) in enumerate(rng.normal(size=(120, 2)).tolist())
-    ]
-    data = tmp_path / "mixed.csv"
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    schema = tmp_path / "mixed.schema.json"
-    schema.write_text(
-        json.dumps({"x": "continuous", "y": "continuous", "g": "nominal", "cls": "class"}),
-        encoding="utf-8",
-    )
+def test_resample_searches_neighbors_once_per_file(mixed, tmp_path, monkeypatch):
+    data, schema = mixed
     calls = []
     real_pairwise = distance.NcMetric.pairwise
 
@@ -356,6 +365,68 @@ def test_experiment_bad_family_is_exit_2(toy, tmp_path, capsys):
     )
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_experiment_smote_on_mixed_features_is_exit_2(mixed, tmp_path, capsys):
+    rc = main(
+        ["experiment", *data_args(mixed), "--variant", "smote", "--out", str(tmp_path / "x")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: smote takes all-continuous features, got mixed features\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_plain_under_on_mixed_features_needs_no_smote_shape(mixed, tmp_path):
+    # over-sampling at 0 percent leaves the default smote variant unchecked
+    out = tmp_path / "report"
+    argv = ["experiment", *data_args(mixed), "--families", "plain_under", "--folds", "4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert set(json.loads((out / "aucs.json").read_text("utf-8"))["aucs"]) == {"plain_under"}
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--data", "x.csv"], "--data, --schema, and --minority must be given together"),
+        ([], "manifest records no dataset; pass --data/--schema/--minority"),
+    ],
+    ids=["partial-data-flags", "no-dataset"],
+)
+def test_experiment_manifest_without_a_dataset_is_exit_2(tmp_path, capsys, flags, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": {}}), encoding="utf-8")
+    rc = main(["experiment", "--from-manifest", str(path), *flags, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cause, message",
+    [
+        ("short-line", "toy.csv: line 3 has 2 fields, expected 3"),
+        ("schema-not-json", "toy.schema.json is not valid JSON: "),
+        ("scorer-exit", "external classifier exited 4: "),
+    ],
+)
+def test_experiment_data_errors_are_exit_3(toy, tmp_path, capsys, cause, message):
+    data, schema = toy
+    argv = [*experiment_args(toy, tmp_path / "x")]
+    if cause == "short-line":
+        lines = data.read_text("utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    elif cause == "schema-not-json":
+        schema.write_text("x: continuous\n", encoding="utf-8")
+    else:
+        scorer = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(4)'"
+        argv += ["--classifier", "external", "--classifier-command", scorer]
+    rc = main(argv)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert message in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_folds_above_minority_count_is_exit_3(toy, tmp_path, capsys):

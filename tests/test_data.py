@@ -310,6 +310,37 @@ def test_schema_json_requires_single_class_column(tmp_path):
         FeatureSchema.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "features, class_column, message",
+    [
+        ((), "cls", "schema declares no features"),
+        ((("a", "continuous"), ("a", "nominal")), "cls", "duplicate feature names in schema"),
+        ((("", "continuous"),), "cls", "empty feature name in schema"),
+        ((("a", "ordinal"),), "cls", "unknown feature kind 'ordinal' for column 'a'"),
+        ((("a", "continuous"),), "", "empty class column name"),
+        ((("a", "continuous"),), "a", "class column duplicates a feature name"),
+    ],
+    ids=["no-features", "duplicate", "empty-name", "unknown-kind", "empty-class", "class-is-feature"],
+)
+def test_schema_rejects_malformed_declarations(features, class_column, message):
+    with pytest.raises(DataError) as caught:
+        FeatureSchema(features, class_column)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{bogus", "is not valid JSON: "), ('["a", "b"]', "must hold a JSON object")],
+    ids=["not-json", "not-object"],
+)
+def test_schema_json_rejects_a_file_that_is_not_an_object(tmp_path, text, message):
+    path = tmp_path / "schema.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        FeatureSchema.from_json(path)
+    assert str(caught.value).startswith(f"schema file {path} {message}")
+
+
 def _balanced_dataset(n_min, n_maj):
     rows = tuple((float(i), float(i) * 2) for i in range(n_min + n_maj))
     labels = tuple(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows
-from smotekit import distance, pipeline
+from smotekit import distance, pipeline, resample
 from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
@@ -64,6 +64,24 @@ def test_config_validation_errors():
             families=("priors_sweep",),
             classifier=ClassifierSpec(kind="external", command="true"),
         ).validate()
+    with pytest.raises(ConfigError, match="^under_percents is empty but an under-sampling"):
+        small_config(families=("plain_under",), under_percents=()).validate()
+    with pytest.raises(ConfigError, match="^prior_multipliers is empty but priors_sweep"):
+        small_config(families=("priors_sweep",), prior_multipliers=()).validate()
+    with pytest.raises(ConfigError, match="^thresholds is empty but threshold_sweep"):
+        small_config(families=("threshold_sweep",), thresholds=()).validate()
+    with pytest.raises(ConfigError, match="^over_percents must be positive$"):
+        small_config(over_percents=(100, 0)).validate()
+    with pytest.raises(ConfigError, match="^prior multipliers must be positive$"):
+        small_config(prior_multipliers=(1, -2)).validate()
+    with pytest.raises(ConfigError, match=r"^thresholds must lie in \[0, 1\]$"):
+        small_config(thresholds=(0.5, 1.5)).validate()
+    with pytest.raises(ConfigError, match="^k must be at least 1, got 0$"):
+        small_config(k=0).validate()
+    with pytest.raises(ConfigError, match="^unknown variant 'smote_x'$"):
+        small_config(variant="smote_x").validate()
+    with pytest.raises(ConfigError, match="^under_basis must be 'pre' or 'post', got 'mid'$"):
+        small_config(under_basis="mid").validate()
     # families that never synthesize must still reject bad synthesis modes
     with pytest.raises(ConfigError, match="unknown gap mode 'bogus'"):
         small_config(families=("plain_under",), gap_mode="bogus").validate()
@@ -229,11 +247,59 @@ def test_smote_experiment_searches_neighbors_once(monkeypatch):
     assert calls == [40]
 
     calls.clear()
-    monkeypatch.setattr(pipeline, "knn_per_fold", lambda *args: [None] * cfg.n_folds)
+    monkeypatch.setattr(resample, "knn_per_fold", lambda *args: [None] * cfg.n_folds)
     per_cell = run_experiment(ds, cfg)
     assert calls == [32] * 20  # each (cell, fold) searches its own minority
     assert shared.aucs == per_cell.aucs
     assert shared.curves == per_cell.curves
+
+
+MIXED = FeatureSchema((("x", "continuous"), ("g", "nominal")), "cls")
+NOMINAL = FeatureSchema((("g", "nominal"), ("h", "nominal")), "cls")
+
+
+def categorical_dataset(schema, n_min=20, n_maj=60, seed=73):
+    """Continuous features as in :func:`gaussian_dataset`; nominal ones drawn
+    from a, b, c with the minority leaning to c."""
+    rng = np.random.default_rng(seed)
+    rows, labels = [], []
+    for label, n, lean in ((MINORITY, n_min, (0.2, 0.3, 0.5)), (MAJORITY, n_maj, (0.5, 0.3, 0.2))):
+        for _ in range(n):
+            rows.append(tuple(
+                float(rng.normal(loc=1.5 if label else 0.0)) if kind == "continuous"
+                else str(rng.choice(["a", "b", "c"], p=lean))
+                for kind in schema.kinds
+            ))
+            labels.append(label)
+    return dataset_from_rows(schema, tuple(rows), tuple(labels), "pos", "neg")
+
+
+@pytest.mark.parametrize("variant, schema", [("smote_nc", MIXED), ("smote_n", NOMINAL)])
+def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant, schema):
+    # Med and the VDM counts are fitted to each training fold: no list is shared
+    searches = []
+    real_knn = resample.knn_minority
+
+    def counting_knn(minority, k, metric):
+        searches.append(len(minority))
+        return real_knn(minority, k, metric)
+
+    monkeypatch.setattr(resample, "knn_minority", counting_knn)
+    cfg = small_config(over_percents=(100, 300), variant=variant)
+    result = run_experiment(categorical_dataset(schema), cfg)
+    # 2 over x 2 under cells x 4 folds, each over its own 15-row training minority
+    assert searches == [15] * 16
+
+    def law(over, under):  # every training fold holds 15 minority, 45 majority
+        return [(15 * (1 + over // 100), min(round(100 * 15 / under), 45))] * 4
+
+    expected = {("plain_under", f"under={u}"): law(0, u) for u in (100, 200)}
+    for over in (100, 300):
+        expected[(f"smote_under@{over}", "raw")] = [(15, 45)] * 4
+        for u in (100, 200):
+            expected[(f"smote_under@{over}", f"over={over},under={u}")] = law(over, u)
+    expected[("plain_under", "raw")] = [(15, 45)] * 4
+    assert result.cell_sizes == expected
 
 
 def test_replicate_family_runs():

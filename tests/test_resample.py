@@ -26,11 +26,13 @@ from smotekit.resample import (
     SmoteParams,
     apply_plan_detailed,
     audit_batch,
+    fold_neighbors,
     replicate_oversample,
     smote,
     smote_n,
     smote_nc,
     under_sample,
+    variant_neighbors,
     write_provenance,
 )
 from stub_rng import StubRng
@@ -464,6 +466,23 @@ def test_apply_plan_rejects_wrong_schema_for_variant():
         apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_nc")
     with pytest.raises(ValueError, match="nominal"):
         apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_n")
+
+
+def test_fold_neighbors_shares_lists_for_smote_alone():
+    ds = _plan_dataset(12, 24)
+    folds = np.arange(len(ds)) % 3
+    shared = fold_neighbors(ds, folds, 3, "smote")
+    for f, lists in enumerate(shared):
+        train = ds.subset(np.flatnonzero(folds != f))
+        assert lists.lists.tolist() == variant_neighbors(train, 3, "smote").lists.tolist()
+    for variant in ("smote_nc", "smote_n", "replicate"):
+        assert fold_neighbors(ds, folds, 3, variant) == [None] * 3
+    # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
+    thin = _plan_dataset(3, 6)
+    assert all(fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
+    assert fold_neighbors(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
+    with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
+        fold_neighbors(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
 
 
 SHAPED_ROWS = {

@@ -247,11 +247,11 @@ def _cmd_experiment(args) -> int:
             include_raw_point=not args.no_raw_point,
         )
     result = run_experiment(ds, cfg)
+    for warning in result.warnings:  # also when no curve is left to report
+        print(f"warning: {warning}", file=sys.stderr)
     paths = emit_report(result, args.out, dataset_info=info)
     _print_aucs(result.aucs)
     print(result.statement)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     print(f"report written to {Path(args.out).resolve()}")
     return 0
 

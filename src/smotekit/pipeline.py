@@ -12,10 +12,15 @@ assignment:
 * ``threshold_sweep``: one model per fold on the raw split, swept over
   decision thresholds.
 
-Models on the unresampled training folds are fit once per fold for each
-distinct classifier setting: the raw point of every curve, the
+The grid of cells is laid out first; then the folds run one at a time. A fold
+builds its training and test split once, fits each distinct classifier
+setting once on the unresampled split (the raw point of every curve, the
 ``priors_sweep`` cell whose multiplier matches the classifier's, and every
-``threshold_sweep`` cell score the same fits.
+``threshold_sweep`` cell score the same fits) and runs every resampling cell
+on that split, so memory does not grow with the number of folds. A cell that
+any fold skips (under-sampling left no majority rows, or the training minority
+is too thin for the variant's neighbor search) is dropped with one warning,
+and a curve with no cell left is dropped.
 
 Resampling happens inside each training fold only and is audited per cell so
 synthetic provenance can never reference test rows. Every (family, cell,
@@ -28,9 +33,7 @@ run can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
-import logging
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .data import Dataset, stratified_folds
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluate import (
     RocCurve,
     auc,
@@ -63,8 +66,6 @@ from .resample import (
     fold_neighbors,
 )
 from .rng import child_seed
-
-log = logging.getLogger(__name__)
 
 FAMILIES = ("smote_under", "plain_under", "replicate", "priors_sweep", "threshold_sweep")
 
@@ -181,107 +182,105 @@ def _score(spec: ClassifierSpec, train_ds: Dataset, test: Dataset) -> np.ndarray
 def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured family over a shared fold assignment.
 
-    Grid cells whose under-sampling would leave no majority rows are skipped
-    with a warning instead of failing the run.
+    The grid is laid out first, one ``(label, variant, cells)`` entry per
+    curve; then the folds run one at a time, so one training split is alive
+    at a time. Warnings and curves follow grid order. A cell that any fold
+    skips is dropped with a warning, and a curve left with no points is
+    dropped (its warnings stay); see the module docstring for the rules.
     """
     cfg.validate()
     folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
-    fold_data = [
-        (ds.subset(np.flatnonzero(folds != f)), ds.subset(np.flatnonzero(folds == f)))
-        for f in range(cfg.n_folds)
-    ]
-
-    warnings_log: list[str] = []
-    cell_sizes: dict = {}
-
-    @functools.cache
-    def shared_neighbors(variant: str) -> list:
-        """Per fold, the neighbor lists every cell of ``variant`` shares."""
-        return fold_neighbors(ds, folds, cfg.k, variant)
-
-    @functools.cache
-    def raw_scores(spec: ClassifierSpec) -> list:
-        """Per fold, scores from ``spec`` fit once on the unresampled split."""
-        return [_score(spec, train_ds, test) for train_ds, test in fold_data]
-
-    @functools.cache
-    def raw_cell(spec: ClassifierSpec, threshold: float) -> list:
-        """Per fold, the confusion matrix of ``raw_scores(spec)`` at ``threshold``."""
-        return [
-            confusion_from_scores(scores, test.minority, threshold)
-            for scores, (_, test) in zip(raw_scores(spec), fold_data)
-        ]
-
-    def sweep(label: str, variant: str, cells) -> RocCurve:
-        """One curve: the raw point, then each ``(tag, over, under)`` cell."""
-        results = []
-        if cfg.include_raw_point:
-            results.append(("raw", raw_cell(cfg.classifier, cfg.classifier.threshold)))
-            cell_sizes[(label, "raw")] = [
-                (fd[0].n_minority, fd[0].n_majority) for fd in fold_data
-            ]
-        for tag, over, under in cells:
-            cms = []
-            sizes = []
-            for f, (train_ds, test) in enumerate(fold_data):
-                detail = apply_plan_detailed(
-                    train_ds,
-                    over,
-                    under,
-                    cfg.k,
-                    child_seed(cfg.seed, label, tag, f),
-                    variant,
-                    gap_mode=cfg.gap_mode,
-                    neighbor_mode=cfg.neighbor_mode,
-                    under_basis=cfg.under_basis,
-                    neighbors=shared_neighbors(variant)[f] if over > 0 else None,
-                )
-                audit_batch(detail.batch, train_ds.n_minority)
-                resampled = detail.dataset
-                if resampled.n_majority == 0:
-                    skip = f"{label} cell {tag}: under-sampling emptied the majority class"
-                    warnings_log.append(skip)
-                    log.warning("%s", skip)
-                    break
-                scores = _score(cfg.classifier, resampled, test)
-                cms.append(
-                    confusion_from_scores(scores, test.minority, cfg.classifier.threshold)
-                )
-                sizes.append((resampled.n_minority, resampled.n_majority))
-            else:  # no fold skipped the cell
-                cell_sizes[(label, tag)] = sizes
-                results.append((tag, cms))
-        return build_family_curve(label, results)
-
-    curves: list[RocCurve] = []
+    spec = cfg.classifier
+    # a cell is (tag, plan, spec, threshold): plan is the (over, under) pair
+    # the training split is resampled by, or None for spec fit on the raw split
+    raw = [("raw", None, spec, spec.threshold)] if cfg.include_raw_point else []
+    grid = []  # variant is None for the sweeps that never resample
     for family in cfg.families:
         if family in ("smote_under", "replicate"):
             variant = "replicate" if family == "replicate" else cfg.variant
             for over in cfg.over_percents:
                 cells = [
-                    (f"over={over},under={under}", over, under)
+                    (f"over={over},under={under}", (over, under), spec, spec.threshold)
                     for under in cfg.under_percents
                 ]
-                curves.append(sweep(f"{family}@{over}", variant, cells))
+                grid.append((f"{family}@{over}", variant, raw + cells))
         elif family == "plain_under":
             # over-sampling at 0 percent leaves the variant inert
-            cells = [(f"under={under}", 0, under) for under in cfg.under_percents]
-            curves.append(sweep("plain_under", cfg.variant, cells))
+            cells = [(f"under={u}", (0, u), spec, spec.threshold) for u in cfg.under_percents]
+            grid.append(("plain_under", cfg.variant, raw + cells))
         elif family == "priors_sweep":
-            results = []
-            for multiplier in cfg.prior_multipliers:
-                spec = dataclasses.replace(cfg.classifier, prior_multiplier=multiplier)
-                results.append((f"prior={multiplier}", raw_cell(spec, spec.threshold)))
-            curves.append(build_family_curve("priors_sweep", results))
-        else:  # threshold_sweep
-            results = [
-                (f"threshold={t}", raw_cell(cfg.classifier, t)) for t in cfg.thresholds
+            cells = [
+                (f"prior={m}", None, dataclasses.replace(spec, prior_multiplier=m), spec.threshold)
+                for m in cfg.prior_multipliers
             ]
-            curves.append(build_family_curve("threshold_sweep", results))
+            grid.append(("priors_sweep", None, cells))
+        else:  # threshold_sweep
+            cells = [(f"threshold={t}", None, spec, t) for t in cfg.thresholds]
+            grid.append(("threshold_sweep", None, cells))
+    raw_cells = dict.fromkeys((s, t) for *_, cs in grid for _, plan, s, t in cs if plan is None)
+    # only smote_under cells synthesize with cfg.variant; the others ignore the lists
+    neighbors = [None] * cfg.n_folds
+    if "smote_under" in cfg.families:
+        neighbors = fold_neighbors(ds, folds, cfg.k, cfg.variant)
+
+    runs: dict = {}  # (label, tag) -> per fold, (confusion matrix, training set size)
+    skipped: dict = {}  # (label, tag) -> why the first fold to skip it did
+    for f in range(cfg.n_folds):
+        train_ds = ds.subset(np.flatnonzero(folds != f))
+        test = ds.subset(np.flatnonzero(folds == f))
+        scores = {s: _score(s, train_ds, test) for s in dict.fromkeys(s for s, _ in raw_cells)}
+        raw_cms = {(s, t): confusion_from_scores(scores[s], test.minority, t) for s, t in raw_cells}
+        for label, variant, cells in grid:
+            for tag, plan, cell_spec, t in cells:
+                key = (label, tag)
+                if key in skipped:
+                    continue
+                if plan is None:
+                    size = (train_ds.n_minority, train_ds.n_majority)
+                    runs.setdefault(key, []).append((raw_cms[(cell_spec, t)], size))
+                    continue
+                try:
+                    detail = apply_plan_detailed(
+                        train_ds,
+                        *plan,
+                        cfg.k,
+                        child_seed(cfg.seed, label, tag, f),
+                        variant,
+                        gap_mode=cfg.gap_mode,
+                        neighbor_mode=cfg.neighbor_mode,
+                        under_basis=cfg.under_basis,
+                        neighbors=neighbors[f],
+                    )
+                except DataError as exc:  # the training minority is too thin to search
+                    skipped[key] = f"{label} cell {tag}: fold {f}: {exc}"
+                    continue
+                audit_batch(detail.batch, train_ds.n_minority)
+                resampled = detail.dataset
+                if resampled.n_majority == 0:
+                    skipped[key] = f"{label} cell {tag}: under-sampling emptied the majority class"
+                    continue
+                cm = confusion_from_scores(_score(cell_spec, resampled, test), test.minority, t)
+                runs.setdefault(key, []).append((cm, (resampled.n_minority, resampled.n_majority)))
+
+    warnings_log: list[str] = []
+    cell_sizes: dict = {}
+    curves: list[RocCurve] = []
+    for label, variant, cells in grid:
+        results = []
+        for tag, *_ in cells:
+            key = (label, tag)
+            if key in skipped:
+                warnings_log.append(skipped[key])
+                continue
+            results.append((tag, [cm for cm, _ in runs[key]]))
+            if variant is not None:
+                cell_sizes[key] = [size for _, size in runs[key]]
+        if results:
+            curves.append(build_family_curve(label, results))
 
     curves.sort(key=lambda c: c.family)
     aucs = {curve.family: auc(curve) for curve in curves}
-    hull = convex_hull(curves)
+    hull = convex_hull(curves) if curves else []  # emit_report rejects no curves
 
     hull_counts: dict[str, int] = {}
     family_counts: dict[str, int] = {}

@@ -444,7 +444,7 @@ def test_experiment_folds_above_minority_count_is_exit_3(toy, tmp_path, capsys):
     assert "25 folds" in err
 
 
-def test_experiment_thin_training_minority_is_exit_3(tmp_path, capsys):
+def test_experiment_thin_training_minority_skips_its_cells(tmp_path, capsys):
     # 2 minority rows over 2 folds leave 1 minority row in each training fold
     lines = ["x,y,cls"] + [f"{i}.0,{i % 3}.0,{'pos' if i < 2 else 'neg'}" for i in range(22)]
     data = tmp_path / "thin.csv"
@@ -461,10 +461,41 @@ def test_experiment_thin_training_minority_is_exit_3(tmp_path, capsys):
             "--out", str(tmp_path / "x"),
         ]
     )
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "data error" in err
-    assert "at least 2 minority rows" in err
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: smote_under@100 cell over=100,under=100: fold 0: training minority has "
+        "1 row(s); smote needs at least 2 minority rows for neighbor search"
+    ]
+    points = (tmp_path / "x" / "roc_points.csv").read_text("utf-8")
+    assert "smote_under@100,raw," in points
+    assert "plain_under,under=100," in points
+
+
+@pytest.mark.parametrize(
+    "families, under, extra, rc, err",
+    [
+        ("smote_under,plain_under", "100,100000", [], 0, [
+            "warning: smote_under@100 cell over=100,under=100000: "
+            "under-sampling emptied the majority class",
+            "warning: plain_under cell under=100000: under-sampling emptied the majority class",
+        ]),
+        ("plain_under", "100000", ["--no-raw-point"], 2, [
+            "warning: plain_under cell under=100000: under-sampling emptied the majority class",
+            "configuration error: nothing to report: no curves were produced",
+        ]),
+    ],
+)
+def test_experiment_reports_each_skipped_cell_once(toy, tmp_path, families, under, extra, rc, err):
+    # run as a process: the stderr a user sees, with no test log capture
+    args = experiment_args(toy, tmp_path / "report") + extra
+    args[args.index("--families") + 1] = families
+    args[args.index("--under") + 1] = under
+    env = {**os.environ, "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smotekit.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.splitlines() == err
 
 
 def test_experiment_requires_data_without_manifest(tmp_path, capsys):

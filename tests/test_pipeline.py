@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows
 from smotekit import distance, pipeline, resample
-from smotekit.data import FeatureSchema
+from smotekit.data import Dataset, FeatureSchema
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
 from smotekit.pipeline import (
@@ -149,6 +151,44 @@ def test_run_experiment_skips_emptying_cells():
     assert any("emptied the majority" in w for w in result.warnings)
     plain = next(c for c in result.curves if c.family == "plain_under")
     assert all("100000" not in p.tag for p in plain.points)
+
+
+def test_curve_with_every_cell_skipped_is_dropped(tmp_path):
+    ds = gaussian_dataset()
+    cfg = small_config(
+        families=("plain_under", "threshold_sweep"),
+        under_percents=(100000,),
+        thresholds=(0.5, 0.2),
+        include_raw_point=False,
+    )
+    result = run_experiment(ds, cfg)
+    assert [c.family for c in result.curves] == ["threshold_sweep"]
+    assert set(result.aucs) == {"threshold_sweep"}
+    assert result.warnings == [
+        "plain_under cell under=100000: under-sampling emptied the majority class"
+    ]
+    cfg.families = ("plain_under",)
+    alone = run_experiment(ds, cfg)
+    assert alone.curves == []
+    with pytest.raises(ConfigError, match="nothing to report"):
+        emit_report(alone, tmp_path / "never")
+
+
+def test_run_experiment_memory_does_not_grow_with_folds():
+    # the folds run one at a time: only one training split is alive
+    schema = FeatureSchema(tuple((f"x{i}", "continuous") for i in range(8)), "cls")
+    values = np.random.default_rng(3).normal(size=(20_200, 8))
+    values[:200] += 1.0
+    ds = Dataset(schema, list(values.T), np.arange(20_200) < 200, "pos", "neg")
+    peaks = {}
+    for n_folds in (2, 10):
+        tracemalloc.start()
+        try:
+            run_experiment(ds, small_config(n_folds=n_folds))
+            peaks[n_folds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10] <= 1.25 * peaks[2], peaks
 
 
 def test_run_experiment_deterministic():
@@ -300,6 +340,35 @@ def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant
             expected[(f"smote_under@{over}", f"over={over},under={u}")] = law(over, u)
     expected[("plain_under", "raw")] = [(15, 45)] * 4
     assert result.cell_sizes == expected
+
+
+def test_report_bytes_and_cell_sizes_are_pinned(tmp_path):
+    # All five families, smote_nc, and a skipped cell in five curves. These
+    # digests may change only together with a CHANGES.md entry that records
+    # an intended change of output.
+    cfg = small_config(
+        families=("smote_under", "plain_under", "replicate", "priors_sweep", "threshold_sweep"),
+        over_percents=(100, 300),
+        under_percents=(50, 100, 100000),
+        variant="smote_nc",
+        prior_multipliers=(1, 4),
+        thresholds=(0.5, 0.2),
+    )
+    result = run_experiment(categorical_dataset(MIXED), cfg)
+    assert len(result.warnings) == 5
+    paths = emit_report(result, tmp_path)
+    digests = {
+        name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+        for name in ("roc_points", "hull", "aucs")
+    }
+    sizes = repr(sorted(result.cell_sizes.items())).encode()
+    digests["cell_sizes"] = hashlib.sha256(sizes).hexdigest()
+    assert digests == {
+        "roc_points": "6361c59d83f7c8f49361bf9bb979b235f1469ea0fbb5eeed4128403503b44ddd",
+        "hull": "65778127fcd3cc8884a316447044af8ce957d7ff79163b85fd125889c2ce63a0",
+        "aucs": "9ba7b585068b75f444d38e8a993b925bef494a4cf562a3e217416d989de88518",
+        "cell_sizes": "e954718568674d70db065bf8e1c2799486829a667c8e8df19fbd57b282b986a0",
+    }
 
 
 def test_replicate_family_runs():

@@ -127,6 +127,7 @@ def _cmd_resample(args, variant: str) -> int:
             stem = f"augmented_{variant}_o{over}_u{under}"
             _save(detail.dataset, out / f"{stem}.csv")
             write_provenance(out / f"{stem}.provenance.jsonl", detail.batch, variant)
+            del detail  # one resampled set alive at a time
     return 0
 
 
@@ -138,6 +139,7 @@ def _cmd_undersample(args) -> int:
         # over_percent 0 skips synthesis entirely, so the variant is inert here
         detail = apply_plan_detailed(ds, 0, under, 1, args.seed, "smote")
         _save(detail.dataset, out / f"undersampled_u{under}.csv")
+        del detail  # one resampled set alive at a time
     return 0
 
 

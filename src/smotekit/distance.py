@@ -12,7 +12,10 @@ Three semantics, one per schema shape:
 Each metric is a small class whose vectorized ``pairwise(ds, rows)`` method
 reads a Dataset's column blocks and returns the distances from the rows in
 the slice ``rows`` to every row of ``ds``, a fresh ``(len(rows), len(ds))``
-array; the neighbor search calls it one row block at a time.
+array, the only one of its size a call makes: differences, ``Med**2``
+penalties and VDM deltas are added in row chunks of ``_DIFF_BUDGET`` floats,
+each entry summing its features in one order. The neighbor search calls
+``pairwise`` one row block at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .data import NOMINAL, Dataset, FeatureSchema
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
-# Floats per broadcast-difference chunk, 512KB. A chunk that stays in the CPU
+# Floats per row chunk of ``pairwise``, 512KB. A chunk that stays in the CPU
 # cache halved the time of a 900 x 900 x 8 distance matrix against one ~32MB
 # chunk (two-core Xeon VM). einsum sums each entry the same way whatever the
 # chunk's row count, so the chunk size never changes a distance. The neighbor
@@ -107,11 +110,17 @@ def _chunked_sq_euclidean(matrix: np.ndarray, rows: slice) -> np.ndarray:
     n, d = matrix.shape
     block = matrix[rows]
     out = np.empty((len(block), n))
-    step = max(1, _DIFF_BUDGET // max(1, n * d))
-    for s in range(0, len(block), step):
-        diff = block[s:s + step, None, :] - matrix[None, :, :]
-        out[s:s + step] = np.einsum("ijk,ijk->ij", diff, diff)
+    for part in _row_chunks(len(block), n * d):
+        diff = block[part, None, :] - matrix[None, :, :]
+        out[part] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
+
+
+def _row_chunks(n_rows: int, width: int) -> list:
+    """Slices over ``n_rows`` rows of ``width`` floats each, at most
+    ``_DIFF_BUDGET`` floats per slice (at least one row)."""
+    step = max(1, _DIFF_BUDGET // max(1, width))
+    return [slice(s, s + step) for s in range(0, n_rows, step)]
 
 
 def _check_kinds(ds: Dataset, kinds: tuple[str, ...]) -> None:
@@ -163,8 +172,9 @@ class NcMetric:
         _check_kinds(ds, self.schema.kinds)
         med_sq = self.med * self.med
         sq = _chunked_sq_euclidean(ds.cont, rows)
-        for codes in ds.codes.T:
-            sq += med_sq * (codes[rows, None] != codes[None, :])
+        for part in _row_chunks(len(sq), len(ds)):
+            for mine, codes in zip(ds.codes[rows][part].T, ds.codes.T):
+                sq[part] += med_sq * (mine[:, None] != codes[None, :])
         return np.sqrt(sq, out=sq)
 
 
@@ -186,8 +196,7 @@ class VdmMetric:
         each feature's category-pair deltas are taken over ``ds``'s intern
         codes. Every row of ``ds`` is checked for unseen categories."""
         _check_kinds(ds, (NOMINAL,) * len(self.table.counts))
-        n = len(ds)
-        out = np.zeros((len(ds.codes[rows]), n))
+        deltas = []
         for f, counts in enumerate(self.table.counts):
             codes = ds.codes[:, f]
             freq = np.array(
@@ -200,6 +209,9 @@ class VdmMetric:
                 raise ValueError(f"unseen category {value!r} for feature {f}")
             with np.errstate(invalid="ignore"):  # categories no row here uses
                 cond = freq / total
-            delta = np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2)
-            out += delta[codes[rows, None], codes[None, :]]
+            deltas.append(np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2))
+        out = np.zeros((len(ds.codes[rows]), len(ds)))
+        for part in _row_chunks(len(out), len(ds)):
+            for delta, mine, codes in zip(deltas, ds.codes[rows][part].T, ds.codes.T):
+                out[part] += delta[mine[:, None], codes[None, :]]
         return out

@@ -29,6 +29,7 @@ from .evaluate import ConfusionMatrix
 
 _VARIANCE_FLOOR_SCALE = 1e-9
 _DEGENERATE_FLOOR = 1e-12
+_SCORER_TIMEOUT_S = 600  # seconds one external scorer run may take
 
 CLASSIFIER_KINDS = ("naive_bayes", "external")
 
@@ -197,7 +198,8 @@ def score_external(command: str, train_ds: Dataset, test: Dataset) -> np.ndarray
     * ``scores_out``: the command must write one line per test row, in test
       row order, each a float in [0, 1] scoring the minority class.
 
-    The command must exit 0 on success; any other exit code, a malformed or
+    The command must exit 0 on success; any other exit code, a run past
+    ``_SCORER_TIMEOUT_S`` seconds (the command is killed), a malformed or
     wrongly sized score file, or scores outside [0, 1] raise DataError.
     """
     with tempfile.TemporaryDirectory(prefix="smotekit-ext-") as tmp:
@@ -208,7 +210,10 @@ def score_external(command: str, train_ds: Dataset, test: Dataset) -> np.ndarray
         save_csv(train_ds, train_csv)
         save_csv(test, test_csv, class_column=False)
         argv = shlex.split(command) + [str(train_csv), str(test_csv), str(scores_out)]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        try:
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=_SCORER_TIMEOUT_S)
+        except subprocess.TimeoutExpired as exc:
+            raise DataError(f"external classifier {command!r} ran past {exc.timeout} s") from None
         if proc.returncode != 0:
             raise DataError(
                 f"external classifier exited {proc.returncode}: {proc.stderr.strip()[-500:]}"

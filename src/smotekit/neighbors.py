@@ -2,12 +2,12 @@
 
 Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
 distance, then ascending row index. Distances are computed one row block at
-a time and each block keeps only its top k, so memory is O(block x T), not
-T x T. ``knn_minority`` searches one minority; ``knn_per_fold`` makes one
-pass over a whole minority and selects every cross-validation fold's lists
-from the same distance blocks, each equal to a search of that fold's
-training minority alone. No spatial index; the interface leaves room for
-one later.
+a time; each keeps only its top k and is released before the next, so for
+every metric memory is one block, O(block x T), not T x T. ``knn_minority``
+searches one minority; ``knn_per_fold`` makes one pass over a whole minority
+and selects every cross-validation fold's lists from the same distance
+blocks, each equal to a search of that fold's training minority alone. No
+spatial index; the interface leaves room for one later.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def _search(minority: Dataset, k: int, metric, members: list) -> list:
     Each block of ``distance._CHUNK_BUDGET // T`` rows is one
     ``metric.pairwise`` call. Every set then selects its rows of the block
     in slices of at most ``distance._DIFF_BUDGET // T`` rows, restricted to
-    its own columns, so the block is the only array of more than
-    ``_DIFF_BUDGET`` floats alive.
+    its own columns. Block and slice are dropped before the next call, so
+    one block is the only array of more than ``_DIFF_BUDGET`` floats alive.
     A set's rows and columns keep their global order, so the
     ``(distance, index)`` tie rule is the one a search of the set alone uses.
     """
@@ -132,6 +132,7 @@ def _search(minority: Dataset, k: int, metric, members: list) -> list:
                 else:
                     sub = dist[rows[a:b] - start][:, rows]
                 out[a:b] = _top_k(sub, out.shape[1])
+        dist = sub = None  # release this block before the metric builds the next
     return [NeighborList(out) for out in lists]
 
 

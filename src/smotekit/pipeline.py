@@ -239,6 +239,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     size = (train_ds.n_minority, train_ds.n_majority)
                     runs.setdefault(key, []).append((raw_cms[(cell_spec, t)], size))
                     continue
+                detail = resampled = None  # one resampled set alive at a time
                 try:
                     detail = apply_plan_detailed(
                         train_ds,

@@ -218,7 +218,11 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
         partner = lists[origin, picks]
         gaps = rng.random((n, 1) if params.gap_mode == SHARED else (n, d))
         nb = cont[partner]
-        new = np.clip(base + gaps * (nb - base), np.minimum(base, nb), np.maximum(base, nb))
+        # base + gaps * (nb - base) and its box clip, in place (nb becomes the top)
+        new = nb - base
+        new *= gaps
+        new += base
+        np.clip(new, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=new)
     else:
         partner, gaps, new = origin, np.empty((n, 0)), base
     voted = _vote(source.codes, lists, base_votes=not d)

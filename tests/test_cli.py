@@ -1,16 +1,19 @@
+import hashlib
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smotekit
-from smotekit import distance
+from smotekit import distance, model
 from smotekit.cli import main
 from smotekit.data import FeatureSchema, load_csv
 
@@ -56,6 +59,25 @@ def mixed(tmp_path):
     return data, schema
 
 
+@pytest.fixture
+def nominal(tmp_path):
+    """Writes a 20 minority / 60 majority dataset of three nominal features
+    plus its schema sidecar."""
+    rng = np.random.default_rng(83)
+    lines = ["a,b,c,cls"] + [
+        ",".join([*(str(v) for v in row), "pos" if i < 20 else "neg"])
+        for i, row in enumerate(rng.integers(0, 4, size=(80, 3)).tolist())
+    ]
+    data = tmp_path / "nominal.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "nominal.schema.json"
+    schema.write_text(
+        json.dumps({"a": "nominal", "b": "nominal", "c": "nominal", "cls": "class"}),
+        encoding="utf-8",
+    )
+    return data, schema
+
+
 def data_args(toy):
     data, schema = toy
     return ["--data", str(data), "--schema", str(schema), "--minority", "pos"]
@@ -94,6 +116,56 @@ def test_smote_with_under_grid(toy, tmp_path):
     tokens = [line.rsplit(",", 1)[1] for line in lines[1:]]
     assert tokens.count("pos") == 40
     assert tokens.count("neg") == 10  # pre basis: round(100*20/200)
+
+
+# (augmented CSV, provenance sidecar) sha256 per (subcommand, --gap-mode)
+RESAMPLE_DIGESTS = {
+    ("smote", "per-attribute"): (
+        "b10e28adbabbc7b371a1b42e721b1efb6b9c94d0aae892e50015ee11f53f160a",
+        "0b5a2f2cc7499c678265754a762cd8fbf1d669fb19356af7ab6289c064d91f31",
+    ),
+    ("smote", "shared"): (
+        "5ccc800e8c09e01cbd63f0778d85543422217abfe8e41658d359835a03a0b48b",
+        "ee6c1fd80ac57f7fb627c2bd4e5d2235c582acb9358ed32548a45f90ec7ee260",
+    ),
+    ("smote-nc", "per-attribute"): (
+        "1d1fbaa275a186a5753d3d8ce1df77d0674c2b90893b9928f51be837e77c08d8",
+        "e02dc93e16371f9437e120a63ba1e621c3f5dd9a88e310510a6ac590e442150d",
+    ),
+    ("smote-nc", "shared"): (
+        "77e06ce9ff35b7c9c1282a2f53d423889174d52613a290427439c4a56640fb79",
+        "5d92eeaa031cce1c51e0028478786e9d516e6c6406ea2cd55e87efbcaa9e46fd",
+    ),
+    # no continuous feature, so the gap mode draws nothing
+    ("smote-n", "per-attribute"): (
+        "098469fbc177d68aadfb2acdbe0f96945334df275eccb39d0027178201844cd9",
+        "530b663643f022204ef8de0c914a1830a03d8765245e3c323eb6edf8c539f954",
+    ),
+    ("smote-n", "shared"): (
+        "098469fbc177d68aadfb2acdbe0f96945334df275eccb39d0027178201844cd9",
+        "530b663643f022204ef8de0c914a1830a03d8765245e3c323eb6edf8c539f954",
+    ),
+}
+
+
+@pytest.mark.parametrize("gap_mode", ["per-attribute", "shared"])
+@pytest.mark.parametrize(
+    "command, data", [("smote", "toy"), ("smote-nc", "mixed"), ("smote-n", "nominal")]
+)
+def test_resample_bytes_are_pinned(request, tmp_path, command, data, gap_mode):
+    # Interpolated values are otherwise checked only to 1 ulp. These digests
+    # may change only together with a CHANGES.md entry that records an
+    # intended change of output.
+    out = tmp_path / "aug"
+    argv = [command, *data_args(request.getfixturevalue(data)), "--over", "500", "--under", "150"]
+    argv += ["--k", "3", "--seed", "13", "--gap-mode", gap_mode]
+    assert main([*argv, "--out", str(out)]) == 0
+    stem = out / f"augmented_{command.replace('-', '_')}_o500_u150"
+    digests = tuple(
+        hashlib.sha256(Path(f"{stem}{suffix}").read_bytes()).hexdigest()
+        for suffix in (".csv", ".provenance.jsonl")
+    )
+    assert digests == RESAMPLE_DIGESTS[(command, gap_mode)]
 
 
 def test_undersample_subcommand(toy, tmp_path):
@@ -226,6 +298,33 @@ def test_resample_searches_neighbors_once_per_file(mixed, tmp_path, monkeypatch)
         path = out / f"augmented_smote_nc_o{over}_u0.csv"
         written = load_csv(path, FeatureSchema.from_json(schema), "pos")
         assert (written.n_minority, written.n_majority) == (20 + over // 100 * 20, 100)
+
+
+def test_resample_holds_one_resampled_set_at_a_time(tmp_path):
+    # the --over 2000 set is released before the --over 4000 one is built
+    rng = np.random.default_rng(84)
+    lines = ["x,y,z,w,g,h,cls"] + [
+        ",".join([*map(repr, x), "abc"[i % 3], "de"[i % 2], "pos" if i < 200 else "neg"])
+        for i, x in enumerate(rng.normal(size=(600, 4)).tolist())
+    ]
+    data = tmp_path / "mixed.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "mixed.schema.json"
+    kinds = dict.fromkeys("xyzw", "continuous") | {"g": "nominal", "h": "nominal"}
+    schema.write_text(json.dumps(kinds | {"cls": "class"}), encoding="utf-8")
+
+    def peak(overs):
+        argv = ["smote-nc", *data_args((data, schema)), "--over", overs]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / overs)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("4000")  # the first run also allocates one-time caches
+    alone = peak("4000")
+    assert peak("2000,4000") <= 1.1 * alone
 
 
 def experiment_args(toy, out):
@@ -426,6 +525,18 @@ def test_experiment_data_errors_are_exit_3(toy, tmp_path, capsys, cause, message
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_scorer_past_its_time_limit_is_exit_3(toy, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(model, "_SCORER_TIMEOUT_S", 0.2)
+    scorer = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
+    argv = [*experiment_args(toy, tmp_path / "x"), "--classifier", "external"]
+    start = time.perf_counter()
+    assert main([*argv, "--classifier-command", scorer]) == 3
+    assert time.perf_counter() - start < 10  # killed, not waited for
+    err = capsys.readouterr().err
+    assert err == f"data error: external classifier {scorer!r} ran past 0.2 s\n"
     assert not (tmp_path / "x").exists()
 
 

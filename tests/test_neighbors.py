@@ -139,10 +139,10 @@ def test_matches_oracle_random_datasets(monkeypatch):
 
 
 class RecordingMetric:
-    """Euclidean distances, recording the rows of every pairwise call."""
+    """A metric's distances, recording the rows of every pairwise call."""
 
-    def __init__(self, schema):
-        self.inner = EuclideanMetric(schema)
+    def __init__(self, inner):
+        self.inner = inner
         self.blocks = []
 
     def pairwise(self, ds, rows=slice(None)):
@@ -150,35 +150,63 @@ class RecordingMetric:
         return self.inner.pairwise(ds, rows)
 
 
-def check_search_memory(monkeypatch, search):
-    """Run ``search(ds, metric)`` on 3,000 8-d rows in 64-row blocks; its
-    peak stays under a quarter of one dense float64 T x T matrix, and the
-    blocks cover every row once."""
-    t, d, budget = 3000, 8, 3000 * 64
+def memory_case(kind, t):
+    """A minority of ``t`` rows and its metric: 8 continuous features for
+    ``euclidean``, 6 continuous and 2 nominal for ``nc``, 4 nominal for
+    ``vdm``."""
     rng = np.random.default_rng(35)
-    schema = schema_d(d)
-    ds = minority(schema, [tuple(row) for row in rng.normal(size=(t, d)).tolist()])
-    metric = RecordingMetric(schema)
+    n_cont, n_nom = {"euclidean": (8, 0), "nc": (6, 2), "vdm": (0, 4)}[kind]
+    schema = FeatureSchema(
+        tuple((f"x{i}", "continuous") for i in range(n_cont))
+        + tuple((f"g{i}", "nominal") for i in range(n_nom)),
+        "cls",
+    )
+    cont = rng.normal(size=(t, n_cont)).tolist()
+    nom = rng.integers(0, 5, size=(t, n_nom)).tolist()
+    ds = minority(schema, [tuple(x) + tuple("abcde"[v] for v in g) for x, g in zip(cont, nom)])
+    if kind == "euclidean":
+        return ds, EuclideanMetric(schema)
+    if kind == "nc":
+        return ds, NcMetric(schema, distance.compute_med(ds))
+    return ds, VdmMetric(VdmTable.from_dataset(ds))
+
+
+def check_search_memory(monkeypatch, kind, search):
+    """Run ``search(ds, metric)`` on 3,000 rows in 512-row blocks: the
+    distance block is the only large array alive, so the peak stays within
+    1.25 blocks plus the neighbor lists, and the blocks cover every row
+    once."""
+    t, budget = 3000, 3000 * 512
+    ds, inner = memory_case(kind, t)
+    metric = RecordingMetric(inner)
     monkeypatch.setattr(distance, "_CHUNK_BUDGET", budget)
     tracemalloc.start()
     try:
-        search(ds, metric)
+        found = search(ds, metric)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < t * t * 8 / 4
+    lists = sum(nl.lists.nbytes for nl in found)
+    assert peak <= 1.25 * budget * 8 + lists, peak / (budget * 8)
     assert sorted(i for block in metric.blocks for i in block) == list(range(t))
     assert all(len(block) * t <= budget for block in metric.blocks)
 
 
 def test_streamed_search_memory_is_bounded(monkeypatch):
-    check_search_memory(monkeypatch, lambda ds, metric: knn_minority(ds, 5, metric))
+    check_search_memory(monkeypatch, "euclidean", lambda ds, metric: [knn_minority(ds, 5, metric)])
+
+
+@pytest.mark.parametrize("kind", ["nc", "vdm"])
+def test_fold_fitted_metric_search_memory_is_bounded(monkeypatch, kind):
+    # the nominal terms are added row chunk by row chunk, not block-wide
+    check_search_memory(monkeypatch, kind, lambda ds, metric: [knn_minority(ds, 5, metric)])
 
 
 def test_per_fold_search_memory_is_bounded(monkeypatch):
     # five folds select from the same blocks; no per-fold T-wide copy
     check_search_memory(
         monkeypatch,
+        "euclidean",
         lambda ds, metric: knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
     )
 

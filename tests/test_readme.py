@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import smotekit
+from smotekit import model
 from smotekit.cli import build_parser
 from smotekit.data import Dataset
 from smotekit.distance import VdmTable
@@ -89,3 +90,8 @@ def test_readme_names_every_cli_flag():
                 if not re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text):
                     missing.add(f"{name} {word}")
     assert not missing, f"README.md does not name: {sorted(missing)}"
+
+
+def test_readme_states_the_external_scorer_time_limit():
+    text = " ".join(README.read_text("utf-8").split())
+    assert f"may take at most {model._SCORER_TIMEOUT_S} seconds" in text

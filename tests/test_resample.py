@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ def test_bounding_box_per_attribute_gap():
         nb = matrix[j]
         for value, lo, hi in zip(row, np.minimum(base, nb), np.maximum(base, nb)):
             assert lo <= value <= hi
+
+
+@pytest.mark.parametrize("gap_mode", [PER_ATTRIBUTE, SHARED])
+def test_smote_memory_is_a_few_outputs(gap_mode):
+    # the interpolation and the box clip run in place: no temporary the size
+    # of the output beyond the base, neighbor, gap and lower-bound arrays
+    rng = np.random.default_rng(44)
+    schema = FeatureSchema(tuple((f"f{i}", "continuous") for i in range(8)), "cls")
+    ds = minority(schema, [tuple(row) for row in rng.normal(size=(200, 8)).tolist()])
+    nbrs = knn_minority(ds, 5, EuclideanMetric(schema))
+    params = SmoteParams(n_percent=4000, seed=11, gap_mode=gap_mode)
+    tracemalloc.start()
+    try:
+        batch = smote(ds, params, nbrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = batch.data.cont.nbytes
+    assert output == 8000 * 8 * 8
+    assert peak <= 6 * output, peak / output
 
 
 def test_distinct_neighbor_mode_avoids_repeats_within_k():

@@ -12,28 +12,35 @@ Three semantics, one per schema shape:
 Each metric is a small class whose vectorized ``pairwise(ds, rows)`` method
 reads a Dataset's column blocks and returns the distances from the rows in
 the slice ``rows`` to every row of ``ds``, a fresh ``(len(rows), len(ds))``
-array, the only one of its size a call makes: differences, ``Med**2``
-penalties and VDM deltas are added in row chunks of ``_DIFF_BUDGET`` floats,
-each entry summing its features in one order. The neighbor search calls
-``pairwise`` one row block at a time.
+array, the only one of its size a call makes. All three run one
+accumulation loop, ``_sum_terms``: in row chunks of ``_DIFF_BUDGET``
+floats, it writes one feature's term (a squared difference, a ``Med**2``
+penalty or a VDM delta) into a reused chunk buffer and adds it to the
+output, feature by feature. Every entry is thus summed left to right,
+continuous features first, as ``sum((x - y) * (x - y) ...)`` plus each
+differing nominal feature's ``med * med`` would sum it in Python, so a
+distance has the same bits on every platform and for every chunk size.
+The neighbor search calls ``pairwise`` one row block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
 from .data import NOMINAL, Dataset, FeatureSchema
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
-# Floats per row chunk of ``pairwise``, 512KB. A chunk that stays in the CPU
-# cache halved the time of a 900 x 900 x 8 distance matrix against one ~32MB
-# chunk (two-core Xeon VM). einsum sums each entry the same way whatever the
-# chunk's row count, so the chunk size never changes a distance. The neighbor
-# search also selects each row set's lists in slices of this many floats, so
-# the distance block is its only larger array.
+# Floats per row chunk of ``pairwise``, 512KB: the chunk buffer and the
+# output rows it is added to stay in the CPU cache across a chunk's features.
+# Each entry is summed feature by feature whatever the chunk's row count, so
+# the chunk size never changes a distance. The neighbor search also selects
+# each row set's lists in slices of this many floats, so the distance block
+# is its only larger array.
 _DIFF_BUDGET = 1 << 16
 
 
@@ -100,27 +107,57 @@ class VdmTable:
         return cls(tuple(counts))
 
 
-def _chunked_sq_euclidean(matrix: np.ndarray, rows: slice) -> np.ndarray:
-    """Exact squared Euclidean distances from ``matrix[rows]`` to every row,
-    via broadcast differences.
+def _sum_terms(terms: list, n_rows: int, n_cols: int) -> np.ndarray:
+    """The one accumulation loop of every metric: a fresh ``(n_rows,
+    n_cols)`` array whose entry ``(i, j)`` sums every term's ``(i, j)``
+    value, added left to right in ``terms`` order.
 
-    Avoids the |x|^2 + |y|^2 - 2xy trick so equal rows come out exactly 0 and
-    tie-breaking stays reproducible.
+    A term is ``(put, mine, theirs)``: ``put(mine[part], theirs, buf)``
+    writes the values of the rows ``part`` against every column into
+    ``buf``. Rows go in chunks of at most ``_DIFF_BUDGET`` floats through
+    one reused chunk buffer, so the result is the only array of its size,
+    and an entry's sum never depends on the chunk.
     """
-    n, d = matrix.shape
-    block = matrix[rows]
-    out = np.empty((len(block), n))
-    for part in _row_chunks(len(block), n * d):
-        diff = block[part, None, :] - matrix[None, :, :]
-        out[part] = np.einsum("ijk,ijk->ij", diff, diff)
+    step = max(1, _DIFF_BUDGET // max(1, n_cols))
+    out = np.zeros((n_rows, n_cols))
+    buf = np.empty((min(step, n_rows), n_cols))
+    for start in range(0, n_rows, step):
+        acc = out[start:start + step]
+        term = buf[:len(acc)]
+        for put, mine, theirs in terms:
+            put(mine[start:start + step], theirs, term)
+            acc += term
     return out
 
 
-def _row_chunks(n_rows: int, width: int) -> list:
-    """Slices over ``n_rows`` rows of ``width`` floats each, at most
-    ``_DIFF_BUDGET`` floats per slice (at least one row)."""
-    step = max(1, _DIFF_BUDGET // max(1, width))
-    return [slice(s, s + step) for s in range(0, n_rows, step)]
+def _terms(puts, block: np.ndarray, rows: slice) -> list:
+    """One term per column of ``block``, left to right, each with the next
+    of ``puts``: the column's entries in ``rows`` against all of them."""
+    return list(zip(puts, block[rows].T, np.ascontiguousarray(block.T)))
+
+
+def _put_sq_diff(mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
+    """``(x - y) * (x - y)`` for every ``x`` of ``mine`` against every ``y``
+    of ``theirs``.
+
+    Differences, not the |x|^2 + |y|^2 - 2xy trick, so equal rows come out
+    exactly 0 and tie-breaking stays reproducible.
+    """
+    np.subtract(mine[:, None], theirs, out=out)
+    np.multiply(out, out, out=out)
+
+
+def _put_penalty(med_sq: float, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
+    """``med_sq`` where the category codes differ, else 0."""
+    np.not_equal(mine[:, None], theirs, out=out)
+    out *= med_sq
+
+
+def _put_delta(delta: np.ndarray, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
+    """The category-pair deltas ``delta[x, y]`` of the codes ``mine``
+    against the codes ``theirs``."""
+    # codes are always in range: "clip" only avoids "raise"'s buffered out
+    np.take(delta[mine], theirs, axis=1, out=out, mode="clip")
 
 
 def _check_kinds(ds: Dataset, kinds: tuple[str, ...]) -> None:
@@ -146,7 +183,7 @@ class EuclideanMetric:
 
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
         _check_kinds(ds, self.schema.kinds)
-        sq = _chunked_sq_euclidean(ds.cont, rows)
+        sq = _sum_terms(_terms(repeat(_put_sq_diff), ds.cont, rows), len(ds.cont[rows]), len(ds))
         return np.sqrt(sq, out=sq)
 
 
@@ -170,11 +207,10 @@ class NcMetric:
 
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
         _check_kinds(ds, self.schema.kinds)
-        med_sq = self.med * self.med
-        sq = _chunked_sq_euclidean(ds.cont, rows)
-        for part in _row_chunks(len(sq), len(ds)):
-            for mine, codes in zip(ds.codes[rows][part].T, ds.codes.T):
-                sq[part] += med_sq * (mine[:, None] != codes[None, :])
+        penalty = partial(_put_penalty, self.med * self.med)
+        terms = _terms(repeat(_put_sq_diff), ds.cont, rows)
+        terms += _terms(repeat(penalty), ds.codes, rows)  # after every continuous term
+        sq = _sum_terms(terms, len(ds.cont[rows]), len(ds))
         return np.sqrt(sq, out=sq)
 
 
@@ -210,8 +246,5 @@ class VdmMetric:
             with np.errstate(invalid="ignore"):  # categories no row here uses
                 cond = freq / total
             deltas.append(np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2))
-        out = np.zeros((len(ds.codes[rows]), len(ds)))
-        for part in _row_chunks(len(out), len(ds)):
-            for delta, mine, codes in zip(deltas, ds.codes[rows][part].T, ds.codes.T):
-                out[part] += delta[mine[:, None], codes[None, :]]
-        return out
+        terms = _terms([partial(_put_delta, delta) for delta in deltas], ds.codes, rows)
+        return _sum_terms(terms, len(ds.codes[rows]), len(ds))

@@ -139,7 +139,8 @@ def _search(minority: Dataset, k: int, metric, members: list) -> list:
 def _top_k(dist: np.ndarray, w: int) -> np.ndarray:
     """The ``w`` nearest columns of each row of ``dist``, ordered by
     ``(distance, index)``."""
-    cand = np.argpartition(dist, w - 1, axis=1)[:, :w]
+    # a copy, so the T-wide index array is freed before the tie pass below
+    cand = np.argpartition(dist, w - 1, axis=1)[:, :w].copy()
     near = np.take_along_axis(dist, cand, axis=1)
     top = np.take_along_axis(cand, np.lexsort((cand, near)), axis=1)
     # A row with more entries at or under its w-th distance than w had to

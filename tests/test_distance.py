@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle
+from smotekit import distance
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -116,6 +117,70 @@ def test_nc_distance_matches_euclidean_on_continuous_schema():
         assert nc[0, 1] == pytest.approx(
             distances(EuclideanMetric(CONT3), CONT3, [a, b])[0, 1], abs=0
         )
+
+
+CONT6 = FeatureSchema(tuple((f"x{i}", "continuous") for i in range(6)), "cls")
+# the same six continuous features with two nominal ones between them
+MIXED8 = FeatureSchema(
+    (("x0", "continuous"), ("g0", "nominal"), ("x1", "continuous"),
+     ("x2", "continuous"), ("g1", "nominal"), ("x3", "continuous"),
+     ("x4", "continuous"), ("x5", "continuous")),
+    "cls",
+)
+
+
+def left_to_right(schema, med):
+    """The pure-Python distance of two rows: continuous squared differences
+    summed left to right, then ``med * med`` per differing nominal feature,
+    in feature order, then the square root."""
+
+    def dist(a, b):
+        total = sum((a[i] - b[i]) * (a[i] - b[i]) for i in schema.continuous_indices)
+        for i in schema.nominal_indices:
+            if a[i] != b[i]:
+                total += med * med
+        return math.sqrt(total)
+
+    return dist
+
+
+def summation_rows(rng, schema):
+    """Random, 0.1-rounded, half-duplicated and +1e8-offset row sets of 24
+    rows; rows 12-23 repeat the nominal tokens of rows 0-11."""
+    x = rng.normal(size=(24, len(schema.continuous_indices)))
+    duplicated = x.copy()
+    duplicated[12:] = x[:12]
+    tokens = rng.choice(list("abc"), size=(12, len(schema.nominal_indices))).tolist() * 2
+    for cont in (x, np.round(x, 1), duplicated, x + 1e8):
+        rows = []
+        for values, nom in zip(cont.tolist(), tokens):
+            values, nom = iter(values), iter(nom)
+            rows.append(tuple(
+                next(values) if kind == "continuous" else str(next(nom))
+                for kind in schema.kinds
+            ))
+        yield rows
+
+
+@pytest.mark.parametrize("schema", [CONT6, MIXED8])
+def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
+    # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in slices
+    rng = np.random.default_rng(37)
+    for rows in summation_rows(rng, schema):
+        ds = minority(schema, rows)
+        if schema.all_continuous:
+            metric, med = EuclideanMetric(schema), 0.0
+        else:
+            med = compute_med(ds)
+            metric = NcMetric(schema, med)
+        dist = left_to_right(schema, med)
+        want = np.array([[dist(a, b) for b in rows] for a in rows])
+        for chunk_rows in (None, 1, 3, 7):
+            if chunk_rows:
+                monkeypatch.setattr(distance, "_DIFF_BUDGET", chunk_rows * len(rows))
+            assert np.array_equal(metric.pairwise(ds), want)
+            for block in (slice(0, 1), slice(5, 16), slice(19, None)):
+                assert np.array_equal(metric.pairwise(ds, block), want[block])
 
 
 def test_nc_distance_axioms():

@@ -171,12 +171,12 @@ def memory_case(kind, t):
     return ds, VdmMetric(VdmTable.from_dataset(ds))
 
 
-def check_search_memory(monkeypatch, kind, search):
-    """Run ``search(ds, metric)`` on 3,000 rows in 512-row blocks: the
-    distance block is the only large array alive, so the peak stays within
-    1.25 blocks plus the neighbor lists, and the blocks cover every row
-    once."""
-    t, budget = 3000, 3000 * 512
+def check_search_memory(monkeypatch, kind, search, block_rows=512, bound=1.25):
+    """Run ``search(ds, metric)`` on 3,000 rows in ``block_rows``-row blocks:
+    the distance block is the only large array alive, so the peak stays
+    within ``bound`` blocks plus the neighbor lists, and the blocks cover
+    every row once."""
+    t, budget = 3000, 3000 * block_rows
     ds, inner = memory_case(kind, t)
     metric = RecordingMetric(inner)
     monkeypatch.setattr(distance, "_CHUNK_BUDGET", budget)
@@ -187,7 +187,7 @@ def check_search_memory(monkeypatch, kind, search):
     finally:
         tracemalloc.stop()
     lists = sum(nl.lists.nbytes for nl in found)
-    assert peak <= 1.25 * budget * 8 + lists, peak / (budget * 8)
+    assert peak <= bound * budget * 8 + lists, peak / (budget * 8)
     assert sorted(i for block in metric.blocks for i in block) == list(range(t))
     assert all(len(block) * t <= budget for block in metric.blocks)
 
@@ -200,6 +200,18 @@ def test_streamed_search_memory_is_bounded(monkeypatch):
 def test_fold_fitted_metric_search_memory_is_bounded(monkeypatch, kind):
     # the nominal terms are added row chunk by row chunk, not block-wide
     check_search_memory(monkeypatch, kind, lambda ds, metric: [knn_minority(ds, 5, metric)])
+
+
+def test_selection_frees_its_partition_indices(monkeypatch):
+    # in 256-row blocks a T-wide argpartition index array kept alive through
+    # the tie pass is a larger share of the block: 1.25 blocks, not 1.17
+    check_search_memory(
+        monkeypatch,
+        "vdm",
+        lambda ds, metric: [knn_minority(ds, 5, metric)],
+        block_rows=256,
+        bound=1.2,
+    )
 
 
 def test_per_fold_search_memory_is_bounded(monkeypatch):

@@ -59,10 +59,13 @@ def compute_med(minority: Dataset) -> float:
         raise ValueError("compute_med requires at least one minority row")
     matrix = minority.cont
     if matrix.shape[0] == 1:
-        stds = np.zeros(matrix.shape[1])
-    else:
-        stds = matrix.std(axis=0, ddof=1)
-    return float(np.median(stds))
+        return 0.0
+    # the middle of the sorted values: np.median's first call imports numpy.ma
+    stds = np.sort(matrix.std(axis=0, ddof=1))
+    mid = len(stds) // 2
+    if len(stds) % 2:
+        return float(stds[mid])
+    return float((stds[mid - 1] + stds[mid]) / 2)
 
 
 @dataclass(frozen=True)

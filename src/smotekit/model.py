@@ -14,8 +14,6 @@ External classifiers plug in through a file contract, see
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -67,13 +65,22 @@ class ClassifierSpec:
             raise ConfigError("external classifier needs a command")
 
 
+def _log_priors(multiplier: float, n_min: int, n_maj: int) -> tuple:
+    """Log (minority, majority) priors: the minority count scaled by
+    ``multiplier`` and renormalized against the majority count."""
+    scaled = multiplier * n_min
+    priors = (scaled / (scaled + n_maj), n_maj / (scaled + n_maj))
+    return float(np.log(priors[0])), float(np.log(priors[1]))
+
+
 @dataclass
 class TrainedModel:
     """Fitted naive Bayes parameters; class order is (minority, majority)."""
 
     schema: object
     intern: tuple  # the training set's intern tables
-    log_priors: tuple
+    class_counts: tuple  # (minority, majority) training rows
+    log_priors: tuple  # at the fitted prior multiplier
     means: np.ndarray  # shape (2, n_continuous)
     variances: np.ndarray  # shape (2, n_continuous), floored positive
     # per nominal feature, shape (2, n_codes + 1): log P(value | class) by
@@ -81,32 +88,53 @@ class TrainedModel:
     # a token outside the intern table
     nominal_loglik: list
 
-    def score_rows(self, test: Dataset) -> np.ndarray:
+    def score_rows(self, test: Dataset, multipliers=None) -> np.ndarray:
         """Posterior minority probability of every row of ``test``, vectorized.
 
         ``test`` has the training schema; its nominal codes are mapped into
         the training intern tables, one lookup per category, and a token the
-        training tables lack scores with the fallback column.
+        training tables lack scores with the fallback column. A ``test`` that
+        shares the training intern tables, as every split of one dataset
+        does, needs no mapping.
+
+        With ``multipliers=None`` the scores are 1-D, at the fitted prior.
+        Otherwise there is one row of scores per multiplier, each as if the
+        model had been trained with that ``prior_multiplier``: the likelihood
+        terms are computed once, and every row adds them to its own log
+        priors in the same order, so it equals a separate fit bit for bit.
         """
+        if multipliers is None:
+            priors = [self.log_priors]
+        else:
+            priors = [_log_priors(m, *self.class_counts) for m in multipliers]
+        # per class, the continuous sum and then one term per nominal feature
+        terms = [[], []]
         x = test.cont
-        log_min = np.full(len(test), self.log_priors[0])
-        log_maj = np.full(len(test), self.log_priors[1])
         if x.shape[1]:
-            for c, acc in enumerate((log_min, log_maj)):
+            for c, acc in enumerate(terms):
                 diff = x - self.means[c]
-                acc += (
-                    -0.5 * (np.log(2.0 * np.pi * self.variances[c])
-                            + diff * diff / self.variances[c])
-                ).sum(axis=1)
+                acc.append(
+                    (-0.5 * (np.log(2.0 * np.pi * self.variances[c])
+                             + diff * diff / self.variances[c])).sum(axis=1)
+                )
         for table, i, column in zip(
             self.nominal_loglik, self.schema.nominal_indices, test.codes.T
         ):
             known = self.intern[i]
-            lookup = np.array([known.get(token, -1) for token in test.intern[i]], dtype=int)
-            log_min += table[0, lookup[column]]
-            log_maj += table[1, lookup[column]]
+            if test.intern[i] is not known:
+                lookup = np.array([known.get(token, -1) for token in test.intern[i]], dtype=int)
+                column = lookup[column]
+            for c, acc in enumerate(terms):
+                acc.append(table[c, column])
+        # shape (2, multipliers, rows): each class's log posterior from its prior
+        priors = np.array(priors, dtype=float).reshape(-1, 2).T
+        log_post = np.repeat(priors[:, :, None], len(test), axis=2)
+        for c, acc in enumerate(terms):
+            for term in acc:
+                log_post[c] += term
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(log_maj - log_min))
+            scores = 1.0 / (1.0 + np.exp(log_post[1] - log_post[0]))
+        return scores[0] if multipliers is None else scores
 
 
 def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
@@ -130,8 +158,6 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
     n_maj = ds.n_majority
     if n_min == 0 or n_maj == 0:
         raise ValueError("training set must contain both classes")
-    scaled = spec.prior_multiplier * n_min
-    priors = (scaled / (scaled + n_maj), n_maj / (scaled + n_maj))
     masks = (ds.minority, ~ds.minority)
 
     cont = ds.cont
@@ -159,29 +185,37 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
     return TrainedModel(
         schema=ds.schema,
         intern=ds.intern,
-        log_priors=(float(np.log(priors[0])), float(np.log(priors[1]))),
+        class_counts=(n_min, n_maj),
+        log_priors=_log_priors(spec.prior_multiplier, n_min, n_maj),
         means=means,
         variances=variances,
         nominal_loglik=nominal_loglik,
     )
 
 
-def confusion_from_scores(
-    scores: np.ndarray, actual_min: np.ndarray, threshold: float
-) -> ConfusionMatrix:
-    """Confusion matrix from precomputed scores at one threshold;
-    ``actual_min`` is the boolean mask of the rows truly in the minority."""
+def confusion_from_scores(scores: np.ndarray, actual_min: np.ndarray, thresholds):
+    """Confusion matrices from precomputed scores, all thresholds in one pass.
+
+    ``actual_min`` is the boolean mask of the rows truly in the minority; a
+    row is predicted minority when its score is ``>=`` the threshold. One
+    threshold gives one :class:`ConfusionMatrix`, a sequence of thresholds a
+    list with one matrix per threshold, in order.
+    """
     scores = np.asarray(scores, dtype=float)
     actual_min = np.asarray(actual_min, dtype=bool)
     if len(scores) != len(actual_min):
         raise ValueError(f"{len(scores)} scores against {len(actual_min)} labels")
-    predicted_min = scores >= threshold
-    return ConfusionMatrix(
-        tp=int(np.sum(predicted_min & actual_min)),
-        fp=int(np.sum(predicted_min & ~actual_min)),
-        tn=int(np.sum(~predicted_min & ~actual_min)),
-        fn=int(np.sum(~predicted_min & actual_min)),
-    )
+    cuts = np.asarray(thresholds, dtype=float)
+    predicted_min = scores >= cuts.reshape(-1, 1)
+    tps = np.count_nonzero(predicted_min & actual_min, axis=1)
+    fps = np.count_nonzero(predicted_min, axis=1) - tps
+    n_min = int(np.count_nonzero(actual_min))
+    n_maj = len(scores) - n_min
+    matrices = [
+        ConfusionMatrix(tp=tp, fp=fp, tn=n_maj - fp, fn=n_min - tp)
+        for tp, fp in zip(tps.tolist(), fps.tolist())
+    ]
+    return matrices if cuts.ndim else matrices[0]
 
 
 def score_external(command: str, train_ds: Dataset, test: Dataset) -> np.ndarray:
@@ -202,6 +236,9 @@ def score_external(command: str, train_ds: Dataset, test: Dataset) -> np.ndarray
     ``_SCORER_TIMEOUT_S`` seconds (the command is killed), a malformed or
     wrongly sized score file, or scores outside [0, 1] raise DataError.
     """
+    import shlex
+    import subprocess
+
     with tempfile.TemporaryDirectory(prefix="smotekit-ext-") as tmp:
         tmp_path = Path(tmp)
         train_csv = tmp_path / "train.csv"

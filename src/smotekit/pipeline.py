@@ -13,10 +13,10 @@ assignment:
   decision thresholds.
 
 The grid of cells is laid out first; then the folds run one at a time. A fold
-builds its training and test split once, fits each distinct classifier
-setting once on the unresampled split (the raw point of every curve, the
-``priors_sweep`` cell whose multiplier matches the classifier's, and every
-``threshold_sweep`` cell score the same fits) and runs every resampling cell
+builds its training and test split once, fits the classifier once on the
+unresampled split (the raw point of every curve, every ``priors_sweep`` cell,
+whose multiplier moves only the two log priors, and every
+``threshold_sweep`` cell score that one fit) and runs every resampling cell
 on that split, so memory does not grow with the number of folds. A cell that
 any fold skips (under-sampling left no majority rows, or the training minority
 is too thin for the variant's neighbor search) is dropped with one warning,
@@ -179,6 +179,30 @@ def _score(spec: ClassifierSpec, train_ds: Dataset, test: Dataset) -> np.ndarray
     return train(train_ds, spec).score_rows(test)
 
 
+def _raw_confusions(raw_cells, train_ds: Dataset, test: Dataset) -> dict:
+    """Confusion matrix per ``(spec, threshold)`` cell fit on the raw split.
+
+    The specs differ only in prior multiplier, and only naive Bayes runs more
+    than one, so all of them score from one fit; each score vector is tallied
+    at all of its thresholds in one pass.
+    """
+    thresholds: dict = {}  # spec -> thresholds its scores are tallied at
+    for s, t in raw_cells:
+        thresholds.setdefault(s, []).append(t)
+    specs = list(thresholds)
+    if not specs:
+        return {}
+    if specs[0].kind == "external":
+        swept = [score_external(specs[0].command, train_ds, test)]
+    else:
+        swept = train(train_ds, specs[0]).score_rows(test, [s.prior_multiplier for s in specs])
+    cms = {}
+    for s, scores in zip(specs, swept):
+        tallies = confusion_from_scores(scores, test.minority, thresholds[s])
+        cms.update(((s, t), cm) for t, cm in zip(thresholds[s], tallies))
+    return cms
+
+
 def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured family over a shared fold assignment.
 
@@ -228,8 +252,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     for f in range(cfg.n_folds):
         train_ds = ds.subset(np.flatnonzero(folds != f))
         test = ds.subset(np.flatnonzero(folds == f))
-        scores = {s: _score(s, train_ds, test) for s in dict.fromkeys(s for s, _ in raw_cells)}
-        raw_cms = {(s, t): confusion_from_scores(scores[s], test.minority, t) for s, t in raw_cells}
+        raw_cms = _raw_confusions(raw_cells, train_ds, test)
         for label, variant, cells in grid:
             for tag, plan, cell_spec, t in cells:
                 key = (label, tag)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle
+import smotekit
 from smotekit import distance
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
@@ -234,6 +239,37 @@ def test_compute_med_ignores_nominal_columns():
 def test_compute_med_single_row_is_zero():
     schema = FeatureSchema((("f", "continuous"),), "cls")
     assert compute_med(minority(schema, [(7.0,)])) == 0.0
+
+
+def test_compute_med_equals_numpy_median():
+    # small integer values repeat columns often, so tied deviations are common
+    rng = np.random.default_rng(65)
+    for _ in range(2000):
+        n_features = int(rng.integers(1, 13))
+        n_rows = int(rng.integers(1, 5))
+        values = rng.integers(0, 3, size=(n_rows, n_features)) * rng.choice([0.5, 1.0, 3.0])
+        schema = FeatureSchema(
+            tuple((f"f{i}", "continuous") for i in range(n_features)), "cls"
+        )
+        ds = minority(schema, [tuple(map(float, row)) for row in values])
+        stds = ds.cont.std(axis=0, ddof=1) if n_rows > 1 else np.zeros(n_features)
+        assert compute_med(ds) == float(np.median(stds))
+
+
+def test_compute_med_leaves_numpy_ma_unloaded():
+    # np.median's first call in a process imports numpy.ma
+    env = {**os.environ, "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1])}
+    code = (
+        "import sys\n"
+        "from smotekit.data import Dataset, FeatureSchema\n"
+        "from smotekit.distance import compute_med\n"
+        "schema = FeatureSchema((('f', 'continuous'), ('g', 'continuous')), 'cls')\n"
+        "ds = Dataset(schema, [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]], [True] * 3, 'pos', 'neg')\n"
+        "print(compute_med(ds), 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1.5", "False"]
 
 
 def test_compute_med_requires_continuous_feature():

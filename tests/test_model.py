@@ -1,5 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from oracles import MAJORITY as MAJ
 from oracles import MINORITY as MIN
 from oracles import dataset_from_rows
+import smotekit
 from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError, DataError
 from smotekit.evaluate import ConfusionMatrix
@@ -16,6 +21,7 @@ from smotekit.model import (
     score_external,
     train,
 )
+from smotekit.pipeline import DEFAULT_MULTIPLIERS
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 NOM1 = FeatureSchema((("c", "nominal"),), "cls")
@@ -196,6 +202,74 @@ def test_threshold_sweep_monotone_and_consistent():
         assert cm == ConfusionMatrix(**tallied)
         assert cm.tp >= prev_tp and cm.fp >= prev_fp
         prev_tp, prev_fp = cm.tp, cm.fp
+
+
+def _random_mixed(rng, n, tokens="ABCD"):
+    """Rows of two continuous and two nominal features; every third row minority."""
+    rows = [
+        (float(rng.normal()), float(rng.normal(2.0)), str(rng.choice(list(tokens))),
+         str(rng.choice(list(tokens))))
+        for _ in range(n)
+    ]
+    labels = [MIN if i % 3 == 0 else MAJ for i in range(n)]
+    schema = FeatureSchema(
+        (("x", "continuous"), ("y", "continuous"), ("c", "nominal"), ("d", "nominal")), "cls"
+    )
+    return dataset(schema, rows, labels)
+
+
+def test_prior_sweep_scores_equal_separate_fits_bit_for_bit():
+    ds = _random_mixed(np.random.default_rng(63), 90)
+    train_ds, test = ds.subset(range(60)), ds.subset(range(60, 90))
+    spec = ClassifierSpec(prior_multiplier=3)
+    model = train(train_ds, spec)
+    swept = model.score_rows(test, DEFAULT_MULTIPLIERS)
+    assert swept.shape == (len(DEFAULT_MULTIPLIERS), len(test))
+    for m, scores in zip(DEFAULT_MULTIPLIERS, swept):
+        alone = train(train_ds, dataclasses.replace(spec, prior_multiplier=m)).score_rows(test)
+        assert np.array_equal(scores, alone), m
+    assert np.array_equal(model.score_rows(test), model.score_rows(test, [3])[0])
+
+
+def test_shared_intern_tables_score_like_remapped_ones():
+    # the test split shares the training intern tables and skips the remap;
+    # the same rows loaded on their own (another token order, so other
+    # codes) go through it; "D" appears only in the test rows
+    ds = _random_mixed(np.random.default_rng(64), 80, tokens="ABC")
+    extra = dataset(ds.schema, [(0.5, 2.5, "D", "A"), (0.1, 1.0, "B", "D")], [MAJ, MIN])
+    rows = ds.rows + extra.rows
+    labels = [MIN if m else MAJ for m in np.concatenate([ds.minority, extra.minority])]
+    full = dataset(ds.schema, rows, labels)
+    train_ds, shared = full.subset(range(60)), full.subset(range(60, 82))
+    own = dataset(ds.schema, list(reversed(shared.rows)), list(reversed(labels[60:])))
+    model = train(train_ds, ClassifierSpec())
+    assert all(shared.intern[i] is model.intern[i] for i in ds.schema.nominal_indices)
+    assert all(own.intern[i] != model.intern[i] for i in ds.schema.nominal_indices)
+    scores = model.score_rows(shared)
+    assert np.array_equal(scores, model.score_rows(own)[::-1])
+    # a category no table holds scores like one the training split lacks
+    unseen = model.score_rows(dataset(ds.schema, [(0.5, 2.5, "Z", "A")], [MAJ]))
+    assert scores[20] == unseen[0]
+
+
+def test_multi_threshold_tallies_equal_single_ones_on_exact_ties():
+    # every threshold equals some score, so the >= edge is hit on each one
+    scores = np.array([0.0, 0.1, 0.25, 0.25, 0.5, 0.5, 0.75, 1.0, 0.1, 0.5])
+    actual = np.array([False, True, False, True, True, False, True, True, False, False])
+    thresholds = [0.5, 0.25, 0.1, 0.0, 1.0, 0.75, 0.5]
+    tallies = confusion_from_scores(scores, actual, thresholds)
+    assert tallies == [confusion_from_scores(scores, actual, t) for t in thresholds]
+    assert tallies[0] == ConfusionMatrix(tp=3, fp=2, tn=3, fn=2)
+    assert confusion_from_scores(scores, actual, []) == []
+
+
+def test_importing_the_cli_leaves_subprocess_unloaded():
+    # the external scorer imports subprocess and shlex when it runs
+    env = {**os.environ, "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1])}
+    code = "import sys, smotekit.cli; print(sorted({'subprocess', 'shlex'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 MIXED = FeatureSchema((("x", "continuous"), ("c", "nominal")), "cls")

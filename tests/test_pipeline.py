@@ -242,8 +242,8 @@ def test_unresampled_folds_fit_each_classifier_setting_once(monkeypatch):
         thresholds=(0.5, 0.3),
     )
     result = run_experiment(gaussian_dataset(), cfg)
-    # per fold: the raw split once at prior 1, once at prior 2, one resampled cell
-    assert len(fits) == 3 * cfg.n_folds
+    # per fold: the raw split once for both priors, one resampled cell
+    assert len(fits) == 2 * cfg.n_folds
     points = {
         (c.family, p.tag): (p.fp_rate, p.tp_rate) for c in result.curves for p in c.points
     }

@@ -61,8 +61,8 @@ class ClassifierSpec:
                 "usual [1, 50] sweep range",
                 stacklevel=2,
             )
-        if self.kind == "external" and not self.command:
-            raise ConfigError("external classifier needs a command")
+        if self.kind == "external" and not (isinstance(self.command, str) and self.command):
+            raise ConfigError(f"external classifier needs a command string, got {self.command!r}")
 
 
 def _log_priors(multiplier: float, n_min: int, n_maj: int) -> tuple:

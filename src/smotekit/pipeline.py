@@ -81,6 +81,10 @@ DEFAULT_THRESHOLDS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     families: tuple = ("smote_under", "plain_under")
@@ -119,6 +123,21 @@ class ExperimentConfig:
                 raise ConfigError("priors_sweep requires the built-in naive Bayes")
         if "threshold_sweep" in self.families and not self.thresholds:
             raise ConfigError("thresholds is empty but threshold_sweep is selected")
+        for name in ("k", "n_folds", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("over_percents", "under_percents"):
+            values = getattr(self, name)
+            if not all(map(_is_int, values)):
+                raise ConfigError(f"{name} must be integers, got {list(values)!r}")
+        if not isinstance(self.include_raw_point, bool):
+            value = self.include_raw_point
+            raise ConfigError(f"include_raw_point must be true or false, got {value!r}")
+        for name in ("over_percents", "under_percents", "prior_multipliers", "thresholds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):  # 2 and 2.0 are one value
+                raise ConfigError(f"duplicate {name}")
         if any(p <= 0 for p in self.over_percents):
             raise ConfigError("over_percents must be positive")
         if any(p <= 0 for p in self.under_percents):
@@ -172,26 +191,16 @@ class ExperimentResult:
     config: dict
 
 
-def _score(spec: ClassifierSpec, train_ds: Dataset, test: Dataset) -> np.ndarray:
-    """Fit ``spec`` on ``train_ds`` and return minority scores per test row."""
-    if spec.kind == "external":
-        return score_external(spec.command, train_ds, test)
-    return train(train_ds, spec).score_rows(test)
+def _confusions(cells, train_ds: Dataset, test: Dataset) -> dict:
+    """Confusion matrix per ``(spec, threshold)`` of the non-empty ``cells``.
 
-
-def _raw_confusions(raw_cells, train_ds: Dataset, test: Dataset) -> dict:
-    """Confusion matrix per ``(spec, threshold)`` cell fit on the raw split.
-
-    The specs differ only in prior multiplier, and only naive Bayes runs more
-    than one, so all of them score from one fit; each score vector is tallied
-    at all of its thresholds in one pass.
+    The specs may differ only in prior multiplier: all of them score from one
+    fit or scorer run on ``train_ds``, tallied at all of their thresholds.
     """
     thresholds: dict = {}  # spec -> thresholds its scores are tallied at
-    for s, t in raw_cells:
+    for s, t in cells:
         thresholds.setdefault(s, []).append(t)
     specs = list(thresholds)
-    if not specs:
-        return {}
     if specs[0].kind == "external":
         swept = [score_external(specs[0].command, train_ds, test)]
     else:
@@ -252,7 +261,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     for f in range(cfg.n_folds):
         train_ds = ds.subset(np.flatnonzero(folds != f))
         test = ds.subset(np.flatnonzero(folds == f))
-        raw_cms = _raw_confusions(raw_cells, train_ds, test)
+        raw_cms = _confusions(raw_cells, train_ds, test) if raw_cells else {}
         for label, variant, cells in grid:
             for tag, plan, cell_spec, t in cells:
                 key = (label, tag)
@@ -283,7 +292,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                 if resampled.n_majority == 0:
                     skipped[key] = f"{label} cell {tag}: under-sampling emptied the majority class"
                     continue
-                cm = confusion_from_scores(_score(cell_spec, resampled, test), test.minority, t)
+                cm = _confusions([(cell_spec, t)], resampled, test)[(cell_spec, t)]
                 runs.setdefault(key, []).append((cm, (resampled.n_minority, resampled.n_majority)))
 
     warnings_log: list[str] = []

@@ -327,6 +327,11 @@ def test_resample_holds_one_resampled_set_at_a_time(tmp_path):
     assert peak("2000,4000") <= 1.1 * alone
 
 
+def small_grid_manifest(**settings):
+    grid = {"families": ["plain_under"], "under_percents": [100], "n_folds": 2}
+    return json.dumps({"config": {**grid, **settings}})
+
+
 def experiment_args(toy, out):
     return [
         "experiment",
@@ -415,10 +420,19 @@ def test_experiment_grid_flags_beside_manifest_are_exit_2(toy, tmp_path, capsys,
         (json.dumps({"config": {}, "dataset": {"data": "x.csv"}}), False),
         (json.dumps({"config": {}, "dataset": 5}), False),
         ('{"config": {}, bogus}', True),
+        # ill-typed settings, each in an otherwise small valid grid
+        (small_grid_manifest(k=2.5), True),
+        (small_grid_manifest(n_folds=3.0), True),
+        (small_grid_manifest(families=["smote_under"], over_percents=[150.5]), True),
+        (small_grid_manifest(classifier={"kind": "external", "command": 5}), True),
+        (small_grid_manifest(include_raw_point="no"), True),
+        (small_grid_manifest(under_percents=[True]), True),
+        (small_grid_manifest(seed=1.5), True),
     ],
     ids=[
         "config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object",
-        "dataset-keys", "dataset-not-object", "not-json",
+        "dataset-keys", "dataset-not-object", "not-json", "k-float", "n-folds-float",
+        "over-float", "command-not-str", "raw-point-not-bool", "under-bool", "seed-float",
     ],
 )
 def test_experiment_malformed_manifest_is_exit_2(toy, tmp_path, capsys, text, with_data):

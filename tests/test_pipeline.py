@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows
 from smotekit import distance, pipeline, resample
-from smotekit.data import Dataset, FeatureSchema
+from smotekit.cli import main
+from smotekit.data import Dataset, FeatureSchema, save_csv
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
 from smotekit.pipeline import (
@@ -48,7 +49,7 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_config_validation_errors():
+def test_config_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="empty"):
         small_config(families=()).validate()
     with pytest.raises(ConfigError, match="unknown families"):
@@ -89,6 +90,38 @@ def test_config_validation_errors():
         small_config(families=("plain_under",), gap_mode="bogus").validate()
     with pytest.raises(ConfigError, match="unknown neighbor mode 'bogus'"):
         small_config(families=("replicate",), neighbor_mode="bogus").validate()
+    # a repeated grid value would run its cells twice and report its curve twice
+    with pytest.raises(ConfigError, match="^duplicate over_percents$"):
+        small_config(over_percents=(200, 200)).validate()
+    with pytest.raises(ConfigError, match="^duplicate under_percents$"):
+        small_config(under_percents=(50, 100, 50)).validate()
+    with pytest.raises(ConfigError, match="^duplicate prior_multipliers$"):
+        small_config(families=("priors_sweep",), prior_multipliers=(2, 2.0)).validate()
+    with pytest.raises(ConfigError, match="^duplicate thresholds$"):
+        small_config(families=("threshold_sweep",), thresholds=(0.5, 0.3, 0.5)).validate()
+    # settings read from a manifest are typed only by its JSON
+    with pytest.raises(ConfigError, match="^k must be an integer, got 2.5$"):
+        small_config(k=2.5).validate()
+    with pytest.raises(ConfigError, match="^n_folds must be an integer, got 3.0$"):
+        small_config(n_folds=3.0).validate()
+    with pytest.raises(ConfigError, match="^seed must be an integer, got '5'$"):
+        small_config(seed="5").validate()
+    with pytest.raises(ConfigError, match=r"^over_percents must be integers, got \[150.5\]$"):
+        small_config(over_percents=(150.5,)).validate()
+    with pytest.raises(ConfigError, match=r"^under_percents must be integers, got \[True\]$"):
+        small_config(under_percents=(True,)).validate()
+    with pytest.raises(ConfigError, match="^include_raw_point must be true or false, got 'no'$"):
+        small_config(include_raw_point="no").validate()
+    with pytest.raises(ConfigError, match="^external classifier needs a command string, got 5$"):
+        ClassifierSpec(kind="external", command=5)
+    data = tmp_path / "toy.csv"
+    save_csv(gaussian_dataset(), data)
+    schema = tmp_path / "toy.schema.json"
+    schema.write_text(json.dumps({"x": "continuous", "y": "continuous", "cls": "class"}))
+    data_args = ["--data", str(data), "--schema", str(schema), "--minority", "pos"]
+    out = tmp_path / "out"
+    assert main(["experiment", *data_args, "--over", "200,200", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_round_trips_through_dict():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -226,28 +227,10 @@ def _cmd_experiment(args) -> int:
             if getattr(args, name) is None:
                 raise ConfigError(f"--{name} is required without --from-manifest")
         ds, info = _load(args)
-        classifier = ClassifierSpec(
-            kind=args.classifier,
-            prior_multiplier=args.prior_multiplier,
-            threshold=args.threshold,
-            command=args.classifier_command,
-        )
-        cfg = ExperimentConfig(
-            families=tuple(args.families.split(",")),
-            over_percents=tuple(args.over),
-            under_percents=tuple(args.under),
-            k=args.k,
-            n_folds=args.folds,
-            seed=args.seed,
-            variant=args.variant,
-            classifier=classifier,
-            prior_multipliers=tuple(args.prior_multipliers),
-            thresholds=tuple(args.thresholds),
-            gap_mode=args.gap_mode,
-            neighbor_mode=args.neighbor_mode,
-            under_basis=args.under_basis,
-            include_raw_point=not args.no_raw_point,
-        )
+        flags = vars(args)  # each grid flag's dest is the field it sets
+        config = {f.name: flags[f.name] for f in dataclasses.fields(ExperimentConfig) if f.name in flags}
+        config["classifier"] = {f.name: flags[f.name] for f in dataclasses.fields(ClassifierSpec)}
+        cfg = ExperimentConfig.from_dict(config)
     result = run_experiment(ds, cfg)
     for warning in result.warnings:  # also when no curve is left to report
         print(f"warning: {warning}", file=sys.stderr)
@@ -263,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smotekit",
         description="Minority over-sampling, majority under-sampling, and ROC evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     for variant in VARIANTS:
         name = variant.replace("_", "-")
@@ -304,26 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run resampling grids under cross-validation")
     p.register("action", None, _noting(argparse._StoreAction))
-    p.register("action", "store_true", _noting(argparse._StoreTrueAction))
+    p.register("action", "store_false", _noting(argparse._StoreFalseAction))
     p.set_defaults(given=())
     _add_data_flags(p, required=False)
     p.add_argument(
         "--families",
-        default=",".join(_DEFAULTS.families),
+        type=lambda text: text.split(","),  # empty items kept: validate rejects them
+        default=list(_DEFAULTS.families),
         help=f"comma list of {','.join(FAMILIES)}",
     )
-    p.add_argument("--over", type=_int_list, default=list(_DEFAULTS.over_percents))
-    p.add_argument("--under", type=_int_list, default=list(_DEFAULTS.under_percents))
-    p.add_argument("--folds", type=int, default=_DEFAULTS.n_folds)
+    p.add_argument("--over", dest="over_percents", type=_int_list, default=list(_DEFAULTS.over_percents))
+    p.add_argument("--under", dest="under_percents", type=_int_list, default=list(_DEFAULTS.under_percents))
+    p.add_argument("--folds", dest="n_folds", type=int, default=_DEFAULTS.n_folds)
     p.add_argument(
         "--variant",
         choices=VARIANTS,
         default=_DEFAULTS.variant,
         help="synthesis variant used by the smote_under family",
     )
-    p.add_argument("--classifier", choices=CLASSIFIER_KINDS, default=_DEFAULTS.classifier.kind)
+    p.add_argument("--classifier", dest="kind", choices=CLASSIFIER_KINDS, default=_DEFAULTS.classifier.kind)
     p.add_argument(
         "--classifier-command",
+        dest="command",
         default=_DEFAULTS.classifier.command,
         help="external scorer invoked as: CMD train.csv test.csv scores.txt",
     )
@@ -343,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-raw-point",
-        action="store_true",
+        dest="include_raw_point",
+        action="store_false",
         help="do not prepend the unresampled operating point to each curve",
     )
     p.add_argument(

@@ -232,22 +232,24 @@ class VdmMetric:
 
     def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
         """Distances from ``ds[rows]`` to every row of an all-nominal dataset;
-        each feature's category-pair deltas are taken over ``ds``'s intern
-        codes. Every row of ``ds`` is checked for unseen categories."""
+        each feature's category-pair deltas are taken over the categories
+        ``ds``'s rows hold, not over its intern table, which a subset shares
+        with the whole file. Every row of ``ds`` is checked for unseen
+        categories."""
         _check_kinds(ds, (NOMINAL,) * len(self.table.counts))
-        deltas = []
+        deltas, local = [], np.empty_like(ds.codes)  # local: codes into the held categories
         for f, counts in enumerate(self.table.counts):
-            codes = ds.codes[:, f]
+            held, local[:, f] = np.unique(ds.codes[:, f], return_inverse=True)
+            tokens = list(ds.intern[f])
             freq = np.array(
-                [counts.get(value, (0, 0)) for value in ds.intern[f]], dtype=float
+                [counts.get(tokens[c], (0, 0)) for c in held.tolist()], dtype=float
             ).reshape(-1, 2)
             total = freq.sum(axis=1, keepdims=True)
-            unseen = total[codes, 0] == 0
+            unseen = total[local[:, f], 0] == 0
             if unseen.any():
-                value = list(ds.intern[f])[codes[unseen.argmax()]]
+                value = tokens[ds.codes[unseen.argmax(), f]]
                 raise ValueError(f"unseen category {value!r} for feature {f}")
-            with np.errstate(invalid="ignore"):  # categories no row here uses
-                cond = freq / total
+            cond = freq / total
             deltas.append(np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2))
-        terms = _terms([partial(_put_delta, delta) for delta in deltas], ds.codes, rows)
+        terms = _terms([partial(_put_delta, delta) for delta in deltas], local, rows)
         return _sum_terms(terms, len(ds.codes[rows]), len(ds))

@@ -14,6 +14,8 @@ External classifiers plug in through a file contract, see
 
 from __future__ import annotations
 
+import math
+import numbers
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -30,6 +32,10 @@ _DEGENERATE_FLOOR = 1e-12
 _SCORER_TIMEOUT_S = 600  # seconds one external scorer run may take
 
 CLASSIFIER_KINDS = ("naive_bayes", "external")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,16 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
+        for name in ("prior_multiplier", "threshold"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.prior_multiplier <= 0:
             raise ConfigError(
                 f"prior_multiplier must be positive, got {self.prior_multiplier}"
             )
+        if not math.isfinite(self.prior_multiplier):
+            raise ConfigError(f"prior_multiplier must be finite, got {self.prior_multiplier}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
         if not (1.0 <= self.prior_multiplier <= 50.0):

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +54,7 @@ from .evaluate import (
     write_points_csv,
     write_summary_json,
 )
-from .model import ClassifierSpec, confusion_from_scores, score_external, train
+from .model import ClassifierSpec, _is_real, confusion_from_scores, score_external, train
 from .resample import (
     GAP_MODES,
     NEIGHBOR_MODES,
@@ -131,6 +132,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if not all(map(_is_int, values)):
                 raise ConfigError(f"{name} must be integers, got {list(values)!r}")
+        for name in ("prior_multipliers", "thresholds"):
+            values = getattr(self, name)
+            if not all(map(_is_real, values)):
+                raise ConfigError(f"{name} must be numbers, got {list(values)!r}")
         if not isinstance(self.include_raw_point, bool):
             value = self.include_raw_point
             raise ConfigError(f"include_raw_point must be true or false, got {value!r}")
@@ -144,6 +149,9 @@ class ExperimentConfig:
             raise ConfigError("under_percents must be positive")
         if any(m <= 0 for m in self.prior_multipliers):
             raise ConfigError("prior multipliers must be positive")
+        if not all(map(math.isfinite, self.prior_multipliers)):
+            values = list(self.prior_multipliers)
+            raise ConfigError(f"prior_multipliers must be finite, got {values!r}")
         if any(not (0.0 <= t <= 1.0) for t in self.thresholds):
             raise ConfigError("thresholds must lie in [0, 1]")
         if self.k < 1:

@@ -383,6 +383,59 @@ def test_experiment_from_manifest(toy, tmp_path):
     assert (out_a / "aucs.json").read_bytes() == (out_b / "aucs.json").read_bytes()
 
 
+def test_experiment_flags_land_on_their_fields(toy, tmp_path):
+    # every grid and classifier flag at a value other than its default
+    script = tmp_path / "scorer.py"  # scores every test row 0.5
+    script.write_text(
+        "import sys\nn = sum(1 for _ in open(sys.argv[2])) - 1\n"
+        "open(sys.argv[3], 'w').write('0.5\\n' * n)\n",
+        encoding="utf-8",
+    )
+    scorer = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    out = tmp_path / "report"
+    argv = [
+        "experiment", *data_args(toy),
+        "--families", "smote_under,threshold_sweep",
+        "--over", "150",
+        "--under", "50,100",
+        "--folds", "3",
+        "--seed", "7",
+        "--k", "2",
+        "--variant", "replicate",
+        "--classifier", "external",
+        "--classifier-command", scorer,
+        "--prior-multiplier", "2",
+        "--threshold", "0.4",
+        "--prior-multipliers", "3,4",
+        "--thresholds", "0.6,0.2",
+        "--no-raw-point",
+        "--gap-mode", "shared",
+        "--neighbor-mode", "distinct",
+        "--under-basis", "post",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {
+        "families": ["smote_under", "threshold_sweep"],
+        "over_percents": [150],
+        "under_percents": [50, 100],
+        "k": 2,
+        "n_folds": 3,
+        "seed": 7,
+        "variant": "replicate",
+        "classifier": {
+            "kind": "external", "prior_multiplier": 2.0, "threshold": 0.4, "command": scorer,
+        },
+        "prior_multipliers": [3.0, 4.0],
+        "thresholds": [0.6, 0.2],
+        "gap_mode": "shared",
+        "neighbor_mode": "distinct",
+        "under_basis": "post",
+        "include_raw_point": False,
+    }
+
+
 @pytest.mark.parametrize(
     "extra, named",
     [
@@ -428,11 +481,23 @@ def test_experiment_grid_flags_beside_manifest_are_exit_2(toy, tmp_path, capsys,
         (small_grid_manifest(include_raw_point="no"), True),
         (small_grid_manifest(under_percents=[True]), True),
         (small_grid_manifest(seed=1.5), True),
+        # non-finite and boolean classifier values
+        (small_grid_manifest(families=["priors_sweep"], prior_multipliers=[1, float("nan")]), True),
+        (small_grid_manifest(families=["priors_sweep"], prior_multipliers=[float("inf")]), True),
+        (small_grid_manifest(prior_multipliers=[True]), True),
+        (small_grid_manifest(thresholds=[True]), True),
+        (small_grid_manifest(thresholds=[0.5, False]), True),
+        (small_grid_manifest(classifier={"prior_multiplier": float("nan")}), True),
+        (small_grid_manifest(classifier={"prior_multiplier": float("inf")}), True),
+        (small_grid_manifest(classifier={"prior_multiplier": True}), True),
+        (small_grid_manifest(classifier={"threshold": True}), True),
     ],
     ids=[
         "config-not-object", "classifier-key", "k-not-int", "gap-mode", "not-object",
         "dataset-keys", "dataset-not-object", "not-json", "k-float", "n-folds-float",
         "over-float", "command-not-str", "raw-point-not-bool", "under-bool", "seed-float",
+        "multipliers-nan", "multipliers-inf", "multipliers-bool", "thresholds-bool",
+        "thresholds-false", "multiplier-nan", "multiplier-inf", "multiplier-bool", "threshold-bool",
     ],
 )
 def test_experiment_malformed_manifest_is_exit_2(toy, tmp_path, capsys, text, with_data):

@@ -167,10 +167,36 @@ def summation_rows(rng, schema):
         yield rows
 
 
-@pytest.mark.parametrize("schema", [CONT6, MIXED8])
-def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
-    # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in slices
-    rng = np.random.default_rng(37)
+NOM4 = nominal_schema(4)
+
+
+def vdm_left_to_right(table):
+    """The pure-Python VDM distance of two rows: per feature, left to right,
+    ``|pmin_a - pmin_b| + |pmaj_a - pmaj_b|`` from the table's counts."""
+
+    def dist(a, b):
+        total = 0.0
+        for f, counts in enumerate(table.counts):
+            (min_a, maj_a), (min_b, maj_b) = counts[a[f]], counts[b[f]]
+            n_a, n_b = min_a + maj_a, min_b + maj_b
+            total += abs(min_a / n_a - min_b / n_b) + abs(maj_a / n_a - maj_b / n_b)
+        return total
+
+    return dist
+
+
+def summation_cases(rng, schema):
+    """(rows, their Dataset, metric, pure-Python distance) per row set. An
+    all-nominal schema's one row set is the first 24 of 60 labeled rows whose
+    features hold 2, 3, 5 and 7 categories, a subset sharing the intern
+    tables of the 60 rows, which the VDM table counts."""
+    if schema.all_nominal:
+        rows = [tuple(f"v{v}" for v in rng.integers(0, (2, 3, 5, 7))) for _ in range(60)]
+        labels = [MINORITY if low else MAJORITY for low in rng.random(60) < 0.4]
+        full = dataset_from_rows(schema, rows, labels)
+        table = VdmTable.from_dataset(full)
+        yield rows[:24], full.subset(range(24)), VdmMetric(table), vdm_left_to_right(table)
+        return
     for rows in summation_rows(rng, schema):
         ds = minority(schema, rows)
         if schema.all_continuous:
@@ -178,7 +204,14 @@ def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
         else:
             med = compute_med(ds)
             metric = NcMetric(schema, med)
-        dist = left_to_right(schema, med)
+        yield rows, ds, metric, left_to_right(schema, med)
+
+
+@pytest.mark.parametrize("schema", [CONT6, MIXED8, NOM4])
+def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
+    # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in slices
+    rng = np.random.default_rng(37)
+    for rows, ds, metric, dist in summation_cases(rng, schema):
         want = np.array([[dist(a, b) for b in rows] for a in rows])
         for chunk_rows in (None, 1, 3, 7):
             if chunk_rows:
@@ -293,9 +326,10 @@ def test_vdm_delta_toy_counts():
 
 
 def test_vdm_delta_unseen_category():
-    # every row of ds is checked, also one outside the requested row block
-    ds = minority(nominal_schema(1), [("V1",), ("V9",)])
-    with pytest.raises(ValueError, match="unseen"):
+    # every row of ds is checked, also one outside the requested row block;
+    # the subset's intern table also holds V8, which none of its rows do
+    ds = minority(nominal_schema(1), [("V1",), ("V8",), ("V9",)]).subset([0, 2])
+    with pytest.raises(ValueError, match="^unseen category 'V9' for feature 0$"):
         VdmMetric(_toy_table()).pairwise(ds, slice(0, 1))
 
 

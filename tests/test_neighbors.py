@@ -153,9 +153,10 @@ class RecordingMetric:
 def memory_case(kind, t):
     """A minority of ``t`` rows and its metric: 8 continuous features for
     ``euclidean``, 6 continuous and 2 nominal for ``nc``, 4 nominal for
-    ``vdm``."""
+    ``vdm`` and ``vdm_many``. The ``vdm_many`` minority is a subset of a file
+    whose 2,000 majority rows add 2,000 categories to its first feature."""
     rng = np.random.default_rng(35)
-    n_cont, n_nom = {"euclidean": (8, 0), "nc": (6, 2), "vdm": (0, 4)}[kind]
+    n_cont, n_nom = {"euclidean": (8, 0), "nc": (6, 2), "vdm": (0, 4), "vdm_many": (0, 4)}[kind]
     schema = FeatureSchema(
         tuple((f"x{i}", "continuous") for i in range(n_cont))
         + tuple((f"g{i}", "nominal") for i in range(n_nom)),
@@ -163,7 +164,12 @@ def memory_case(kind, t):
     )
     cont = rng.normal(size=(t, n_cont)).tolist()
     nom = rng.integers(0, 5, size=(t, n_nom)).tolist()
-    ds = minority(schema, [tuple(x) + tuple("abcde"[v] for v in g) for x, g in zip(cont, nom)])
+    rows = [tuple(x) + tuple("abcde"[v] for v in g) for x, g in zip(cont, nom)]
+    if kind == "vdm_many":  # the subset shares the file's intern tables
+        rows += [(f"m{i}", "a", "a", "a") for i in range(2000)]
+        ds = dataset_from_rows(schema, rows, (MINORITY,) * t + (MAJORITY,) * 2000).subset(range(t))
+    else:
+        ds = minority(schema, rows)
     if kind == "euclidean":
         return ds, EuclideanMetric(schema)
     if kind == "nc":
@@ -196,7 +202,7 @@ def test_streamed_search_memory_is_bounded(monkeypatch):
     check_search_memory(monkeypatch, "euclidean", lambda ds, metric: [knn_minority(ds, 5, metric)])
 
 
-@pytest.mark.parametrize("kind", ["nc", "vdm"])
+@pytest.mark.parametrize("kind", ["nc", "vdm", "vdm_many"])
 def test_fold_fitted_metric_search_memory_is_bounded(monkeypatch, kind):
     # the nominal terms are added row chunk by row chunk, not block-wide
     check_search_memory(monkeypatch, kind, lambda ds, metric: [knn_minority(ds, 5, metric)])

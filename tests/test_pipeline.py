@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -49,7 +50,7 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="empty"):
         small_config(families=()).validate()
     with pytest.raises(ConfigError, match="unknown families"):
@@ -114,6 +115,23 @@ def test_config_validation_errors(tmp_path):
         small_config(include_raw_point="no").validate()
     with pytest.raises(ConfigError, match="^external classifier needs a command string, got 5$"):
         ClassifierSpec(kind="external", command=5)
+    # a multiplier must be a finite positive number, a threshold a number
+    for multipliers in [(1, math.nan), (math.inf,)]:
+        with pytest.raises(ConfigError, match=r"^prior_multipliers must be finite, got \["):
+            small_config(families=("priors_sweep",), prior_multipliers=multipliers).validate()
+    with pytest.raises(ConfigError, match=r"^prior_multipliers must be numbers, got \[True\]$"):
+        small_config(prior_multipliers=(True,)).validate()
+    with pytest.raises(ConfigError, match=r"^thresholds must be numbers, got \[True\]$"):
+        small_config(thresholds=(True,)).validate()
+    with pytest.raises(ConfigError, match=r"^thresholds must be numbers, got \[0.5, False\]$"):
+        small_config(thresholds=(0.5, False)).validate()
+    for multiplier in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=f"^prior_multiplier must be finite, got {multiplier}$"):
+            ClassifierSpec(prior_multiplier=multiplier)
+    with pytest.raises(ConfigError, match="^prior_multiplier must be a number, got True$"):
+        ClassifierSpec(prior_multiplier=True)
+    with pytest.raises(ConfigError, match="^threshold must be a number, got True$"):
+        ClassifierSpec(threshold=True)
     data = tmp_path / "toy.csv"
     save_csv(gaussian_dataset(), data)
     schema = tmp_path / "toy.schema.json"
@@ -121,6 +139,9 @@ def test_config_validation_errors(tmp_path):
     data_args = ["--data", str(data), "--schema", str(schema), "--minority", "pos"]
     out = tmp_path / "out"
     assert main(["experiment", *data_args, "--over", "200,200", "--out", str(out)]) == 2
+    assert main(["experiment", *data_args, "--prior-multiplier", "nan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "configuration error: prior_multiplier must be finite, got nan"
     assert not out.exists()
 
 

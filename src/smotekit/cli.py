@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -147,7 +148,7 @@ def _cmd_undersample(args) -> int:
 def _read_points_csv(path: str) -> list[RocCurve]:
     curves: dict[str, list[RocPoint]] = {}
     order: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not {"family", "fp_rate", "tp_rate"} <= set(header):
@@ -356,5 +357,24 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point of ``smotekit`` and ``python -m smotekit.cli``.
+
+    Runs :func:`main`, flushes stdout and stderr, then ends the process with
+    ``os._exit`` so the interpreter does not free every module and array one
+    by one on the way out; every file smotekit writes is closed before
+    :func:`main` returns. ``--help``, a usage error, a crash or a flush that
+    fails take the normal exit path instead.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when its descriptor was closed at start-up
+                stream.flush()
+    except (OSError, ValueError):  # a broken pipe or closed stream: the normal exit reports it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

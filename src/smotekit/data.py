@@ -88,7 +88,7 @@ class FeatureSchema:
         "outcome": "class"}``. Key order defines feature order; exactly one
         column must be marked ``class``.
         """
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -268,7 +268,8 @@ class Dataset:
 
 
 def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Dataset:
-    """Load a UTF-8 CSV with a header row into a Dataset.
+    """Load a UTF-8 CSV with a header row, and an optional byte-order mark,
+    into a Dataset.
 
     Args:
         path: CSV file whose header holds exactly the schema's columns
@@ -284,7 +285,7 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
             the majority class.
     """
     expected = set(schema.names) | {schema.class_column}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -417,7 +417,7 @@ def load_manifest(path: str | Path) -> tuple:
     A file that is not JSON or not a manifest, or whose config does not
     validate, raises ConfigError naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:

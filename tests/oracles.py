@@ -6,18 +6,27 @@ instead of trapezoids, hull membership by exhaustive pairwise domination
 instead of a chain scan, neighbors by a full stable sort instead of lexsort
 selection, distances by a loop over one pair of row tuples instead of
 vectorized blocks, and text files by ``csv.writer`` and ``json.dumps`` over
-one row at a time instead of column chunks. :func:`dataset_from_rows` lets a
-test write a table as row tuples and labels.
+one row at a time instead of column chunks. :func:`reference_experiment`
+runs an experiment cell by cell, each cell and fold searching its own
+neighbors and fitting its own model, where ``run_experiment`` runs fold by
+fold and shares both. :func:`dataset_from_rows` lets a test write a table as
+row tuples and labels.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import numpy as np
 
-from smotekit.data import Dataset
+from smotekit.data import Dataset, stratified_folds
+from smotekit.errors import DataError
+from smotekit.evaluate import auc, build_family_curve, convex_hull
+from smotekit.model import confusion_from_scores, score_external, train
+from smotekit.resample import apply_plan_detailed, variant_neighbors
+from smotekit.rng import child_seed
 
 # The label of one row for dataset_from_rows: its minority flag.
 MINORITY, MAJORITY = True, False
@@ -177,3 +186,92 @@ def provenance_text(base_index, neighbor_index, gaps, variant):
         record = {"variant": variant, "neighbor_index": neighbor, "gap": gap, "base_index": base}
         lines.append(json.dumps(record, sort_keys=True) + "\n")
     return "".join(lines)
+
+
+def _reference_grid(cfg):
+    """``(label, variant, cells)`` per curve in family order; a cell is
+    ``(tag, plan, spec, threshold)`` with ``plan`` the (over, under) pair the
+    training split is resampled by, or None to fit on the split as it is."""
+    spec = cfg.classifier
+    raw = [("raw", None, spec, spec.threshold)] if cfg.include_raw_point else []
+    for family in cfg.families:
+        if family in ("smote_under", "replicate"):
+            variant = "replicate" if family == "replicate" else cfg.variant
+            for over in cfg.over_percents:
+                cells = [
+                    (f"over={over},under={u}", (over, u), spec, spec.threshold)
+                    for u in cfg.under_percents
+                ]
+                yield f"{family}@{over}", variant, raw + cells
+        elif family == "plain_under":
+            cells = [(f"under={u}", (0, u), spec, spec.threshold) for u in cfg.under_percents]
+            yield family, cfg.variant, raw + cells
+        elif family == "priors_sweep":
+            yield family, None, [
+                (f"prior={m}", None, dataclasses.replace(spec, prior_multiplier=m), spec.threshold)
+                for m in cfg.prior_multipliers
+            ]
+        else:  # threshold_sweep
+            yield family, None, [(f"threshold={t}", None, spec, t) for t in cfg.thresholds]
+
+
+def _reference_cell(cfg, splits, label, variant, tag, plan, spec, threshold):
+    """One cell over every fold: (confusion matrices, training set sizes),
+    or the warning of the first fold that skips it."""
+    cms, sizes = [], []
+    for f, (train_ds, test) in enumerate(splits):
+        if plan is not None:
+            neighbors = None
+            if variant != "replicate" and plan[0] > 0:
+                try:  # the search this cell would make alone
+                    neighbors = variant_neighbors(train_ds, cfg.k, variant)
+                except DataError as exc:
+                    return f"{label} cell {tag}: fold {f}: {exc}"
+            train_ds = apply_plan_detailed(
+                train_ds, *plan, cfg.k, child_seed(cfg.seed, label, tag, f), variant,
+                gap_mode=cfg.gap_mode, neighbor_mode=cfg.neighbor_mode,
+                under_basis=cfg.under_basis, neighbors=neighbors,
+            ).dataset
+            if train_ds.n_majority == 0:
+                return f"{label} cell {tag}: under-sampling emptied the majority class"
+        if spec.kind == "external":
+            scores = score_external(spec.command, train_ds, test)
+        else:
+            scores = train(train_ds, spec).score_rows(test)
+        cms.append(confusion_from_scores(scores, test.minority, threshold))
+        sizes.append((train_ds.n_minority, train_ds.n_majority))
+    return cms, sizes
+
+
+def reference_experiment(ds, cfg):
+    """``run_experiment``'s curves, AUCs, hull, cell sizes and warnings by
+    the plainest route: cell by cell, and within a cell fold by fold, each
+    with its own neighbor search on the fold's training split, its own
+    resampling and its own fresh fit."""
+    folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
+    splits = [
+        (ds.subset(np.flatnonzero(folds != f)), ds.subset(np.flatnonzero(folds == f)))
+        for f in range(cfg.n_folds)
+    ]
+    curves, cell_sizes, warnings = [], {}, []
+    for label, variant, cells in _reference_grid(cfg):
+        results = []
+        for tag, plan, spec, threshold in cells:
+            outcome = _reference_cell(cfg, splits, label, variant, tag, plan, spec, threshold)
+            if isinstance(outcome, str):
+                warnings.append(outcome)
+                continue
+            cms, sizes = outcome
+            results.append((tag, cms))
+            if variant is not None:
+                cell_sizes[(label, tag)] = sizes
+        if results:
+            curves.append(build_family_curve(label, results))
+    curves.sort(key=lambda c: c.family)
+    return {
+        "curves": curves,
+        "aucs": {curve.family: auc(curve) for curve in curves},
+        "hull": convex_hull(curves) if curves else [],
+        "cell_sizes": cell_sizes,
+        "warnings": warnings,
+    }

@@ -83,6 +83,11 @@ def data_args(toy):
     return ["--data", str(data), "--schema", str(schema), "--minority", "pos"]
 
 
+def tree_bytes(root):
+    """Relative path to bytes of every file under ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_smote_subcommand_writes_augmented_csv(toy, tmp_path, capsys):
     out = tmp_path / "aug"
     rc = main(["smote", *data_args(toy), "--over", "100,200", "--out", str(out)])
@@ -232,6 +237,19 @@ def test_evaluate_subcommand(tmp_path, capsys):
     assert "alpha: auc=0.850000 (8500)" in shown
     assert (out / "hull.csv").is_file()
     assert (out / "roc_points.csv").is_file()
+
+
+def test_evaluate_skips_a_byte_order_mark(tmp_path, capsys):
+    """A points file with a UTF-8 byte-order mark evaluates as the file
+    without it, and the reports written carry no mark."""
+    text = "family,tag,fp_rate,tp_rate\nalpha,a1,0,0\nalpha,a2,10,80\nbeta,b1,30,90\n"
+    for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+        points = tmp_path / f"{name}.csv"
+        points.write_text(prefix + text, encoding="utf-8")
+        assert main(["evaluate", "--points", str(points), "--out", str(tmp_path / name)]) == 0
+    reports = [tree_bytes(tmp_path / name) for name in ("plain", "marked")]
+    assert reports[0] == reports[1]
+    assert not any(data.startswith(b"\xef\xbb\xbf") for data in reports[0].values())
 
 
 def test_evaluate_leftmost_anchor(tmp_path):
@@ -680,9 +698,8 @@ def test_experiment_reports_each_skipped_cell_once(toy, tmp_path, families, unde
     args = experiment_args(toy, tmp_path / "report") + extra
     args[args.index("--families") + 1] = families
     args[args.index("--under") + 1] = under
-    env = {**os.environ, "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "smotekit.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "smotekit.cli", *args], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == rc, proc.stderr
     assert proc.stderr.splitlines() == err
@@ -707,19 +724,33 @@ def check_help(proc):
         assert name in listed, f"--help does not list {name}"
 
 
-def test_console_script_help():
-    """The [project.scripts] entry point behaves as pip's generated wrapper
-    would, and prints the same help as `python -m smotekit.cli`."""
+def console_wrapper():
+    """The ``python -c`` source of the wrapper pip generates for the
+    ``smotekit`` entry of [project.scripts]."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text("utf-8"))["project"]["scripts"]
     assert "smotekit" in scripts
     module, _, func = scripts["smotekit"].partition(":")
-    # run against the smotekit this suite imported, installed or not
+    return f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+
+
+def child_env():
+    """The environment of a smotekit child process: the smotekit this suite
+    imported, installed or not, on its path, and PYTHONUNBUFFERED unset, so
+    stdout into a file or pipe is block-buffered as a user's is and output
+    the program fails to flush is lost."""
     env = {**os.environ, "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1])}
-    wrapper = f"import sys\nfrom {module} import {func}\nsys.exit({func}())"
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_console_script_help():
+    """The [project.scripts] entry point behaves as pip's generated wrapper
+    would, and prints the same help as `python -m smotekit.cli`."""
+    env = child_env()
     proc = subprocess.run(
-        [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-c", console_wrapper(), "--help"], capture_output=True, text=True, env=env
     )
     check_help(proc)
     as_module = subprocess.run(
@@ -735,3 +766,63 @@ def test_console_script_help():
 def test_installed_console_script_help():
     proc = subprocess.run([shutil.which("smotekit"), "--help"], capture_output=True, text=True)
     check_help(proc)
+
+
+def smote_nc_args(mixed, out):
+    return [
+        "smote-nc", *data_args(mixed), "--over", "100,200", "--under", "0,100",
+        "--k", "3", "--seed", "4", "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fixture, make_argv", [("toy", experiment_args), ("mixed", smote_nc_args)],
+    ids=["experiment", "smote-nc"],
+)
+def test_process_writes_what_main_writes(request, tmp_path, capsys, fixture, make_argv):
+    """`python -m smotekit.cli`, which ends without interpreter teardown,
+    writes the stdout, stderr and files of an in-process main() run, with
+    stdout into a file, block-buffered."""
+    out = tmp_path / "out"
+    argv = make_argv(request.getfixturevalue(fixture), out)
+    assert main(argv) == 0
+    shown = capsys.readouterr()
+    files = tree_bytes(out)
+    shutil.rmtree(out)
+    stdout = tmp_path / "stdout.txt"
+    with open(stdout, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smotekit.cli", *argv],
+            stdout=fh, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert shown.out and stdout.read_bytes() == shown.out.encode()
+    assert proc.stderr == shown.err
+    assert tree_bytes(out) == files
+
+
+@pytest.mark.parametrize(
+    "wrapped, flag, value, rc",
+    [
+        (False, "--data", "nope.csv", 3),
+        (False, "--families", "mystery", 2),
+        (True, "--data", "nope.csv", 3),
+    ],
+    ids=["module-data-error", "module-config-error", "console-script-data-error"],
+)
+def test_process_error_exits_keep_code_and_stderr(toy, tmp_path, capsys, wrapped, flag, value, rc):
+    """A data error (3) and a configuration error (2) leave the process,
+    run as a module or through the console-script wrapper, with main()'s
+    exit code and stderr lines."""
+    argv = experiment_args(toy, tmp_path / "x")
+    argv[argv.index(flag) + 1] = str(tmp_path / value) if flag == "--data" else value
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " if rc == 3 else "configuration error: ")
+    entry = ["-c", console_wrapper()] if wrapped else ["-m", "smotekit.cli"]
+    proc = subprocess.run(
+        [sys.executable, *entry, *argv], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == rc
+    assert proc.stderr == err
+    assert proc.stdout == ""

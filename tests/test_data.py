@@ -303,6 +303,26 @@ def test_schema_json_round_trip(tmp_path):
     assert FeatureSchema.from_json(path) == MIXED
 
 
+BOM = "\ufeff"  # the UTF-8 byte-order mark Excel writes first
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    """A CSV saved as Excel's "CSV UTF-8" loads as the same file without
+    the mark: its first header is the column, not BOM + column."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(plain, ["a", "color", "b", "cls"], [[1, "red", 2, "pos"], [3, "blue", 4, "neg"]])
+    marked.write_text(BOM + plain.read_text("utf-8"), encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_csv(marked, MIXED, "pos") == load_csv(plain, MIXED, "pos")
+
+
+def test_schema_json_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "schema.json"
+    mapping = {"a": "continuous", "color": "nominal", "b": "continuous", "cls": "class"}
+    path.write_text(BOM + json.dumps(mapping), encoding="utf-8")
+    assert FeatureSchema.from_json(path) == MIXED
+
+
 def test_schema_json_requires_single_class_column(tmp_path):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps({"a": "continuous", "b": "continuous"}), encoding="utf-8")

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import MAJORITY, MINORITY, dataset_from_rows
+from oracles import MAJORITY, MINORITY, dataset_from_rows, reference_experiment
 from smotekit import distance, pipeline, resample
 from smotekit.cli import main
 from smotekit.data import Dataset, FeatureSchema, save_csv
 from smotekit.errors import ConfigError
 from smotekit.model import ClassifierSpec
 from smotekit.pipeline import (
+    FAMILIES,
     ExperimentConfig,
     emit_report,
     load_manifest,
@@ -474,6 +475,15 @@ def test_load_manifest_round_trip(tmp_path):
     assert info == {"path": "toy.csv"}
 
 
+def test_load_manifest_skips_a_byte_order_mark(tmp_path):
+    ds = gaussian_dataset()
+    cfg = small_config(families=("plain_under",))
+    paths = emit_report(run_experiment(ds, cfg), tmp_path, {"path": "toy.csv"})
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + paths["manifest"].read_bytes())
+    assert load_manifest(marked) == load_manifest(paths["manifest"])
+
+
 def test_load_manifest_rejects_other_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"hello": 1}', encoding="utf-8")
@@ -515,3 +525,66 @@ def test_adding_a_family_leaves_existing_families_unchanged(shared, extra, posit
         assert joined.aucs[curve.family] == alone.aucs[curve.family]
     for key, sizes in alone.cell_sizes.items():
         assert joined.cell_sizes[key] == sizes
+
+
+# the schema shape of each synthesis variant, as feature kinds
+VARIANT_KINDS = {
+    "smote": ("continuous", "continuous"),
+    "smote_nc": ("continuous", "nominal", "continuous"),
+    "smote_n": ("nominal", "nominal"),
+}
+
+
+@st.composite
+def _small_experiments(draw):
+    """A small dataset of the drawn variant's schema shape, values on a
+    one-decimal grid and rows repeated from a short pool, so distances tie
+    and rows coincide, and a config over all five families in a drawn
+    order; two minority rows in two folds leave one per training split."""
+    variant = draw(st.sampled_from(sorted(VARIANT_KINDS)))
+    kinds = VARIANT_KINDS[variant]
+    schema = FeatureSchema(tuple((f"f{i}", kind) for i, kind in enumerate(kinds)), "cls")
+    value = {
+        "continuous": st.integers(-10, 10).map(lambda v: v / 10),
+        "nominal": st.sampled_from("abc"),
+    }
+    pool = draw(st.lists(st.tuples(*(value[kind] for kind in kinds)), min_size=1, max_size=8))
+    n_min = draw(st.integers(2, 6))
+    n_maj = draw(st.integers(n_min, 12))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n_min + n_maj, max_size=n_min + n_maj))
+    ds = dataset_from_rows(schema, rows, [MINORITY] * n_min + [MAJORITY] * n_maj, "pos", "neg")
+
+    def some(values):
+        return st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True).map(tuple)
+
+    cfg = ExperimentConfig(
+        families=tuple(draw(st.permutations(FAMILIES))),
+        over_percents=draw(some((50, 100, 200))),
+        under_percents=draw(some((50, 100, 300, 2000))),
+        k=draw(st.integers(1, 4)),
+        n_folds=draw(st.integers(2, n_min)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        variant=variant,
+        prior_multipliers=draw(some((1, 3, 10))),
+        thresholds=draw(some((0.0, 0.3, 0.5, 0.9))),
+        gap_mode=draw(st.sampled_from(resample.GAP_MODES)),
+        neighbor_mode=draw(st.sampled_from(resample.NEIGHBOR_MODES)),
+        under_basis=draw(st.sampled_from(resample.UNDER_BASES)),
+        include_raw_point=draw(st.booleans()),
+    )
+    return ds, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_small_experiments())
+def test_run_experiment_equals_the_per_cell_reference(case):
+    """Sharing a fold's split, neighbor lists and fits across cells changes
+    no curve, AUC, hull vertex, cell size or warning."""
+    ds, cfg = case
+    result = run_experiment(ds, cfg)
+    expected = reference_experiment(ds, cfg)
+    assert result.warnings == expected["warnings"]
+    assert result.cell_sizes == expected["cell_sizes"]
+    assert result.curves == expected["curves"]
+    assert result.aucs == expected["aucs"]
+    assert result.hull == expected["hull"]

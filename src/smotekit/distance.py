@@ -39,8 +39,8 @@ _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32
 # output rows it is added to stay in the CPU cache across a chunk's features.
 # Each entry is summed feature by feature whatever the chunk's row count, so
 # the chunk size never changes a distance. The neighbor search also selects
-# each row set's lists in slices of this many floats, so the distance block
-# is its only larger array.
+# its lists in slices of this many floats, so the distance block is its only
+# larger array.
 _DIFF_BUDGET = 1 << 16
 
 

@@ -4,10 +4,12 @@ Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
 distance, then ascending row index. Distances are computed one row block at
 a time; each keeps only its top k and is released before the next, so for
 every metric memory is one block, O(block x T), not T x T. ``knn_minority``
-searches one minority; ``knn_per_fold`` makes one pass over a whole minority
-and selects every cross-validation fold's lists from the same distance
-blocks, each equal to a search of that fold's training minority alone. No
-spatial index; the interface leaves room for one later.
+searches one minority. ``knn_per_fold`` serves every cross-validation fold
+from one wider search over the whole minority: each fold's training rows
+keep their candidates that are training rows too, and a row left with
+fewer than k is searched again against that fold's training rows alone, so
+every fold's lists equal a search of its training minority. No spatial
+index; the interface leaves room for one later.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 
 from . import distance
 from .data import Dataset
+
+# Training candidates beyond k that the whole-minority search of
+# ``knn_per_fold`` leaves a row of a fold on average, so that a row rarely
+# falls short of k and has to be searched again.
+_MARGIN = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +70,8 @@ def knn_minority(
     t = len(minority)
     if t < 2:
         raise ValueError(f"need at least 2 rows for neighbor search, got {t}")
-    (lists,) = _search(minority, k, metric, [np.arange(t)])
-    return lists
+    _check_search(minority, k)
+    return NeighborList(_search(minority, min(k, t - 1), metric, np.arange(t)))
 
 
 def knn_per_fold(
@@ -75,65 +82,99 @@ def knn_per_fold(
 ) -> list:
     """Neighbor lists of every fold's training minority from one search.
 
-    ``fold_of[i]`` is the cross-validation fold of minority row ``i``. Entry
-    ``f`` of the result, for every fold ``f`` up to ``fold_of.max()``, equals
+    ``fold_of[i]`` is the cross-validation fold of minority row ``i``, a
+    non-negative integer. Entry ``f`` of the result, for every fold ``f`` up
+    to ``fold_of.max()``, equals
     ``knn_minority(minority.subset(np.flatnonzero(fold_of != f)), k, metric)``,
     or is None when that training minority has fewer than 2 rows.
 
-    One streamed pass over the whole minority serves every fold, so the
-    distance between two rows must not depend on the other rows of the set:
-    true of ``EuclideanMetric``, not of ``NcMetric`` or ``VdmMetric``, whose
-    median and category counts come from the training rows.
+    One search over the whole minority serves every fold. Its width,
+    ``(k + _MARGIN) * F / (F - 1)`` rounded up for ``F`` folds (at most
+    ``T - 1``), leaves a fold's row about ``k + _MARGIN`` training
+    candidates. Each training row of a fold keeps its candidates that are
+    training rows too, in list order; training rows keep their global order,
+    so these are the first entries of the list a search of the fold alone
+    gives, ties included. A row left with fewer than
+    ``min(k, T_f - 1)`` of them is searched again, against that fold's
+    training rows only. Sharing one search needs a distance between two rows
+    that does not depend on the other rows of the set: true of
+    ``EuclideanMetric``, not of ``NcMetric`` or ``VdmMetric``, whose median
+    and category counts come from the training rows.
     """
     fold_of = np.asarray(fold_of)
     if fold_of.shape != (len(minority),):
         raise ValueError(
             f"fold_of has shape {fold_of.shape}, expected ({len(minority)},)"
         )
-    n_folds = int(fold_of.max()) + 1 if len(fold_of) else 0
-    train = [np.flatnonzero(fold_of != f) for f in range(n_folds)]
-    found = iter(_search(minority, k, metric, [rows for rows in train if len(rows) >= 2]))
-    return [next(found) if len(rows) >= 2 else None for rows in train]
+    if fold_of.size and (fold_of.dtype.kind not in "iu" or fold_of.min() < 0):
+        raise ValueError(f"fold_of must hold non-negative integer fold ids, got {fold_of}")
+    _check_search(minority, k)
+    t = len(minority)
+    n_folds = int(fold_of.max()) + 1 if t else 0
+    if t < 2 or n_folds < 2:
+        return [None] * n_folds
+    width = -(-(k + _MARGIN) * n_folds // (n_folds - 1))  # ceiling division
+    found = _search(minority, min(width, t - 1), metric, np.arange(t))
+    return [_fold_lists(minority, k, metric, found, fold_of != f) for f in range(n_folds)]
 
 
-def _search(minority: Dataset, k: int, metric, members: list) -> list:
-    """The one block loop behind every neighbor search: the lists of each
-    row set in ``members`` (ascending minority row indices, at least 2
-    each), searched within that set, in the set's local indices.
-
-    Each block of ``distance._CHUNK_BUDGET // T`` rows is one
-    ``metric.pairwise`` call. Every set then selects its rows of the block
-    in slices of at most ``distance._DIFF_BUDGET // T`` rows, restricted to
-    its own columns. Block and slice are dropped before the next call, so
-    one block is the only array of more than ``_DIFF_BUDGET`` floats alive.
-    A set's rows and columns keep their global order, so the
-    ``(distance, index)`` tie rule is the one a search of the set alone uses.
+def _fold_lists(minority: Dataset, k: int, metric, found: np.ndarray, in_train: np.ndarray):
+    """The lists of the training rows ``in_train`` of ``minority``, in their
+    local indices, filtered from ``found``, the whole minority's lists; None
+    for fewer than 2 training rows. A row with fewer than ``min(k, T_f - 1)``
+    training candidates is searched again against the training rows alone.
     """
+    train = np.flatnonzero(in_train)
+    if len(train) < 2:
+        return None
+    w = min(k, len(train) - 1)
+    cand = found[train]
+    keep = in_train[cand]
+    rank = np.cumsum(keep, axis=1)
+    short = rank[:, -1] < w
+    local = np.cumsum(in_train) - 1  # local index of every training row
+    lists = np.empty((len(train), w), dtype=np.intp)
+    lists[~short] = local[cand[keep & (rank <= w) & ~short[:, None]]].reshape(-1, w)
+    if short.any():
+        rows = np.flatnonzero(short)
+        lists[rows] = _search(minority.subset(train), w, metric, rows)
+    return NeighborList(lists)
+
+
+def _check_search(minority: Dataset, k: int) -> None:
+    """Reject ``k < 1`` and a dataset with majority rows."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if not minority.minority.all():
         raise ValueError("neighbor search expects a minority-only dataset slice")
-    if not members:
-        return []
-    t = len(minority)
-    lists = [np.empty((len(rows), min(k, len(rows) - 1)), dtype=np.intp) for rows in members]
+
+
+def _search(ds: Dataset, w: int, metric, rows: np.ndarray) -> np.ndarray:
+    """The one block loop behind every neighbor search: the lists of the
+    rows ``rows`` (ascending, not empty) of ``ds``, searched within ``ds``,
+    as one ``(len(rows), w)`` array.
+
+    Each run of consecutive indices in ``rows`` goes in blocks of at most
+    ``distance._CHUNK_BUDGET // T`` rows, one ``metric.pairwise`` call each.
+    A block is selected in slices of at most ``distance._DIFF_BUDGET // T``
+    rows, each a view of the block, and is dropped before the next call, so
+    one block is the only array of more than ``_DIFF_BUDGET`` floats alive.
+    """
+    t = len(ds)
     step = max(1, distance._CHUNK_BUDGET // t)
     part = max(1, distance._DIFF_BUDGET // t)
-    for start in range(0, t, step):
-        dist = np.asarray(metric.pairwise(minority, slice(start, start + step)), dtype=float)
-        own = np.arange(len(dist))
-        dist[own, own + start] = np.inf  # a row never lists itself
-        for rows, out in zip(members, lists):
-            first, stop = np.searchsorted(rows, (start, start + len(dist)))
-            for a in range(first, stop, part):
-                b = min(a + part, stop)
-                if len(rows) == t:  # every row: a view, no copy
-                    sub = dist[a - start:b - start]
-                else:
-                    sub = dist[rows[a:b] - start][:, rows]
-                out[a:b] = _top_k(sub, out.shape[1])
-        dist = sub = None  # release this block before the metric builds the next
-    return [NeighborList(out) for out in lists]
+    out = np.empty((len(rows), w), dtype=np.intp)
+    cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+    for first, stop in zip([0, *cuts], [*cuts, len(rows)]):  # runs of consecutive rows
+        for a in range(first, stop, step):
+            start, n = int(rows[a]), min(step, stop - a)
+            dist = np.asarray(metric.pairwise(ds, slice(start, start + n)), dtype=float)
+            own = np.arange(n)
+            dist[own, own + start] = np.inf  # a row never lists itself
+            for b in range(0, n, part):
+                out[a + b:a + min(b + part, n)] = _top_k(dist[b:b + part], w)
+            dist = None  # release this block before the metric builds the next
+    return out
 
 
 def _top_k(dist: np.ndarray, w: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle, sorted_neighbors
-from smotekit import distance
+from smotekit import distance, neighbors
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -221,25 +221,31 @@ def test_selection_frees_its_partition_indices(monkeypatch):
 
 
 def test_per_fold_search_memory_is_bounded(monkeypatch):
-    # five folds select from the same blocks; no per-fold T-wide copy
+    # one selection over views of each block serves all five folds; a
+    # per-fold copy of the block's rows or columns would pass 1.1 blocks
     check_search_memory(
         monkeypatch,
         "euclidean",
         lambda ds, metric: knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
+        bound=1.1,
     )
 
 
-def fold_case(rng, n_folds, offset):
+def fold_case(rng, n_folds, offset, cluster=0):
     """A minority of 1-3 continuous features rounded to 0.1, with duplicated
-    rows, shifted by ``offset``, and a fold per row (every fold used)."""
+    rows, shifted by ``offset``, and a fold per row (every fold used). With
+    ``cluster``, that many copies of row 0 follow, all in one fold that row 0
+    is not in."""
     t = int(rng.integers(n_folds, 50))
     d = int(rng.integers(1, 4))
     x = np.round(rng.normal(size=(t, d)), 1)
     x[t // 2] = x[0]
     x[-1] = x[1]
+    fold_of = rng.permutation(np.arange(t) % n_folds)
+    x = np.vstack([x, np.repeat(x[:1], cluster, axis=0)])
+    fold_of = np.append(fold_of, np.full(cluster, (fold_of[0] + 1) % n_folds))
     schema = schema_d(d)
     rows = [tuple(row) for row in (x + offset).tolist()]
-    fold_of = rng.permutation(np.arange(t) % n_folds)
     return minority(schema, rows), EuclideanMetric(schema), fold_of
 
 
@@ -247,25 +253,30 @@ def fold_case(rng, n_folds, offset):
 def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
     # ties from rounding, duplicates, a +1e8 offset where cancellation
     # bites, k up to the whole minority, and 7-row blocks selected in 3-row
-    # slices; each fold must equal a search of its training minority alone
+    # slices. Rows fall short of k training candidates and are searched
+    # again beside a held-out cluster of 40 duplicates, wider than any
+    # search for k < 8 (at most 34 rows, at 2 folds), and with no margin at
+    # all. Each fold must equal a search of its training minority alone.
     rng = np.random.default_rng(36 + n_folds)
-    for offset in (0.0, 1e8):
-        for _ in range(4):
-            ds, metric, fold_of = fold_case(rng, n_folds, offset)
-            t = len(ds)
-            monkeypatch.setattr(distance, "_CHUNK_BUDGET", 7 * t)
-            monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
-            for k in (1, int(rng.integers(2, 8)), t):
-                got = knn_per_fold(ds, k, metric, fold_of)
-                assert len(got) == n_folds
-                for f, lists in enumerate(got):
-                    train = ds.subset(np.flatnonzero(fold_of != f))
-                    if len(train) < 2:
-                        assert lists is None
-                        continue
-                    want = knn_minority(train, k, metric).lists
-                    assert lists.lists.shape == want.shape
-                    assert lists.lists.tolist() == want.tolist(), (n_folds, offset, k, f)
+    for margin in (neighbors._MARGIN, 0):
+        monkeypatch.setattr(neighbors, "_MARGIN", margin)
+        for offset in (0.0, 1e8):
+            for cluster in (0, 0, 0, 0, 40):
+                ds, metric, fold_of = fold_case(rng, n_folds, offset, cluster)
+                t = len(ds)
+                monkeypatch.setattr(distance, "_CHUNK_BUDGET", 7 * t)
+                monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
+                for k in (1, int(rng.integers(2, 8)), t):
+                    got = knn_per_fold(ds, k, metric, fold_of)
+                    assert len(got) == n_folds
+                    for f, lists in enumerate(got):
+                        train = ds.subset(np.flatnonzero(fold_of != f))
+                        if len(train) < 2:
+                            assert lists is None
+                            continue
+                        want = knn_minority(train, k, metric).lists
+                        assert lists.lists.shape == want.shape
+                        assert lists.lists.tolist() == want.tolist(), (n_folds, margin, t, k, f)
 
 
 def test_knn_per_fold_thin_folds_get_none():
@@ -279,6 +290,16 @@ def test_knn_per_fold_thin_folds_get_none():
         knn_per_fold(ds, 0, EuclideanMetric(CONT1), np.array([0, 1, 1]))
     with pytest.raises(ValueError, match="shape"):
         knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "fold_of", [[0, -1, 1], [0.0, 1.0, 1.0], [0, 0.5, 1], [True, False, True]]
+)
+def test_knn_per_fold_rejects_bad_fold_ids(fold_of):
+    # a negative or non-integer fold id would never be held out
+    ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
+    with pytest.raises(ValueError, match="non-negative integer fold ids"):
+        knn_per_fold(ds, 1, EuclideanMetric(CONT1), np.array(fold_of))
 
 
 def test_distances_nondecreasing_and_dominating():

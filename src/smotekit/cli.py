@@ -2,8 +2,8 @@
 
 Subcommands: smote, smote-nc, smote-n, replicate (write augmented datasets
 with provenance sidecars), undersample, evaluate (ROC points file to
-AUC/hull), and experiment (full grid run). Exit codes: 0 success, 2
-configuration error, 3 data error.
+AUC/hull), and experiment (full grid run). Exit codes: 0 success, 1
+standard output cannot be written, 2 configuration error, 3 data error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .model import CLASSIFIER_KINDS, ClassifierSpec
 from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, run_experiment
 from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, variant_neighbors, write_provenance
 
+_EXIT_STDOUT = 1  # standard output cannot be written
 _DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
 # experiment flags that keep their meaning beside --from-manifest
 _MANIFEST_FLAGS = ("--data", "--schema", "--minority", "--out", "--from-manifest")
@@ -98,9 +99,27 @@ def _load(args) -> tuple:
     return ds, info
 
 
+class _StdoutFailed(Exception):
+    """A write to standard output failed; the OSError is its cause."""
+
+
+def _say(text: str) -> None:
+    """Print ``text`` to standard output, where a failed write raises
+    :class:`_StdoutFailed`, not the OSError a failed file write raises."""
+    try:
+        print(text)
+    except OSError as exc:
+        raise _StdoutFailed from exc
+
+
+def _report_stdout_failure(exc: Exception) -> int:
+    print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+    return _EXIT_STDOUT
+
+
 def _save(dataset, csv_path: Path) -> None:
     save_csv(dataset, csv_path)
-    print(f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)")
+    _say(f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)")
 
 
 def _cmd_resample(args, variant: str) -> int:
@@ -183,7 +202,7 @@ def _read_points_csv(path: str) -> list[RocCurve]:
 
 def _print_aucs(aucs: dict) -> None:
     for family, value in sorted(aucs.items()):
-        print(f"{family}: auc={value:.6f} ({auc_e4(value)})")
+        _say(f"{family}: auc={value:.6f} ({auc_e4(value)})")
 
 
 def _cmd_evaluate(args) -> int:
@@ -237,8 +256,8 @@ def _cmd_experiment(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     paths = emit_report(result, args.out, dataset_info=info)
     _print_aucs(result.aucs)
-    print(result.statement)
-    print(f"report written to {Path(args.out).resolve()}")
+    _say(result.statement)
+    _say(f"report written to {Path(args.out).resolve()}")
     return 0
 
 
@@ -355,6 +374,8 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except _StdoutFailed as exc:
+        return _report_stdout_failure(exc.__cause__)
 
 
 def run() -> None:
@@ -363,14 +384,21 @@ def run() -> None:
     Runs :func:`main`, flushes stdout and stderr, then ends the process with
     ``os._exit`` so the interpreter does not free every module and array one
     by one on the way out; every file smotekit writes is closed before
-    :func:`main` returns. ``--help``, a usage error, a crash or a flush that
-    fails take the normal exit path instead.
+    :func:`main` returns. A stdout that cannot be written, buffered or not,
+    gives one ``error: cannot write to standard output`` line and exit 1.
+    ``--help``, a usage error, a crash or a stderr flush that fails take the
+    normal exit path instead.
     """
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when its descriptor was closed at start-up
-                stream.flush()
+        if sys.stdout is not None:  # None when its descriptor was closed at start-up
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        if code != _EXIT_STDOUT:  # else main has reported the failure already
+            code = _report_stdout_failure(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except (OSError, ValueError):  # a broken pipe or closed stream: the normal exit reports it
         sys.exit(code)
     os._exit(code)

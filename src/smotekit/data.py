@@ -8,9 +8,11 @@ Continuous entries are finite floats; nominal entries are category tokens
 interned in first-appearance order and stored as their codes, which makes
 majority-vote tie-breaking deterministic downstream. Feature tuples are built
 from the blocks only for callers that ask for rows; every text file is
-written from the blocks by :func:`write_lines`. The minority class must not
-outnumber the majority class at load time (later resampling may flip that
-freely).
+written from the blocks by :func:`write_lines`, a large one in parts, one
+per usable CPU, that forked children format into unnamed temporary files in
+the output directory, with the bytes of a one-part write and no option to
+set. The minority class must not outnumber the majority class at load time
+(later resampling may flip that freely).
 """
 
 from __future__ import annotations
@@ -20,10 +22,16 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
+import shutil
+import signal
+import tempfile
+import threading
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -130,12 +138,116 @@ def quote_fields(tokens: Iterable[str], alone: bool = False) -> np.ndarray:
 def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
     """The one text writer: ``header``, if not None, by ``csv.writer``, then
     ``chunk_text(part)`` for each slice ``part`` of at most 1,024 of the
-    ``n_lines`` lines, so a large file is never all text at once."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
-        for start in range(0, n_lines, _CHUNK_LINES):
-            fh.write(chunk_text(slice(start, min(start + _CHUNK_LINES, n_lines))))
+    ``n_lines`` lines, so a large file is never all text at once.
+
+    ``chunk_text`` must be a pure function of its slice. A file of four or
+    more chunks is cut into parts of whole chunks, at least two each, one
+    part per usable CPU. This process writes the first part; each later part
+    is formatted by a forked child into an unnamed temporary file in
+    ``path``'s directory and appended in order. Every ``chunk_text`` call
+    gets the slice a one-part write gives it, so the bytes are the same, and
+    the first exception raised in part order comes back with its type and
+    message. No child outlives the call. One part, in this process, when
+    the platform cannot fork or report usable CPUs, when another thread is
+    running (forking it could deadlock the child), or when a temporary file
+    or child cannot be made.
+    """
+    chunks = [
+        slice(start, min(start + _CHUNK_LINES, n_lines)) for start in range(0, n_lines, _CHUNK_LINES)
+    ]
+    n_parts = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        n_parts = max(1, min(len(os.sched_getaffinity(0)), len(chunks) // 2))
+    cuts = [i * len(chunks) // n_parts for i in range(n_parts + 1)]
+    own, forked = chunks[: cuts[1]], []
+    try:
+        try:
+            for a, b in zip(cuts[1:], cuts[2:]):
+                forked.append(_ForkedPart(Path(path).parent, chunk_text, chunks[a:b]))
+        except OSError:  # no temporary file, pipe or child to be had: one part
+            for child in forked:
+                child.end()
+            own, forked = chunks, []
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if header is not None:
+                csv.writer(fh).writerow(header)
+            for part in own:
+                fh.write(chunk_text(part))
+            for child in forked:
+                child.append_to(fh)
+    finally:
+        for child in forked:
+            child.end()
+
+
+class _ForkedPart:
+    """The chunks of one part, formatted by a forked child into an unnamed
+    temporary file; the child's exception, if any, comes back pickled
+    through a pipe."""
+
+    def __init__(self, directory: Path, chunk_text, chunks: list):
+        self.pid = self.reader = None
+        self.tmp = tempfile.TemporaryFile(dir=directory)
+        try:
+            self.reader, writer = os.pipe()
+            try:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _format_part(self.tmp, writer, chunk_text, chunks)
+            finally:
+                os.close(writer)
+        except BaseException:
+            self.end()
+            raise
+
+    def append_to(self, fh) -> None:
+        """Wait for the child, raise its exception if it sent one, then
+        append its part to ``fh``."""
+        report = b"".join(iter(lambda: os.read(self.reader, 1 << 16), b""))
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if report:
+            raise pickle.loads(report)
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"the child writing part of a file ended with status {code}")
+        fh.flush()
+        self.tmp.seek(0)
+        shutil.copyfileobj(self.tmp, fh.buffer)
+
+    def end(self) -> None:
+        """Kill and reap the child if it is not reaped yet; close the pipe
+        and the temporary file. Safe to call more than once."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.reader is not None:
+            os.close(self.reader)
+            self.reader = None
+        self.tmp.close()
+
+
+def _format_part(tmp, writer: int, chunk_text, chunks: list) -> NoReturn:
+    """A forked child's whole life: it writes ``chunk_text`` of each chunk
+    into ``tmp``, or its exception pickled into the pipe ``writer``, and
+    ends in ``os._exit`` whatever happens, so it never returns into the
+    caller or flushes the parent's buffered output."""
+    code = 1
+    try:
+        for part in chunks:
+            tmp.write(chunk_text(part).encode("utf-8"))
+        tmp.flush()
+        code = 0
+    except BaseException as exc:
+        try:
+            report = pickle.dumps(exc)
+        except Exception:  # an exception that cannot be pickled goes as a RuntimeError naming it
+            report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(writer, "wb") as pipe:
+            pipe.write(report)
+    finally:
+        os._exit(code)
 
 
 class Dataset:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import smotekit
-from smotekit import distance, model
+from smotekit import data, distance, model, resample
 from smotekit.cli import main
 from smotekit.data import FeatureSchema, load_csv
 
@@ -52,6 +53,26 @@ def mixed(tmp_path):
     data = tmp_path / "mixed.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     schema = tmp_path / "mixed.schema.json"
+    schema.write_text(
+        json.dumps({"x": "continuous", "y": "continuous", "g": "nominal", "cls": "class"}),
+        encoding="utf-8",
+    )
+    return data, schema
+
+
+@pytest.fixture
+def large_mixed(tmp_path):
+    """Writes a 500 minority / 3,600 majority dataset of two continuous
+    features and one nominal, plus its schema sidecar: at 900 % its
+    augmented CSV and provenance sidecar are past 4 write chunks each."""
+    rng = np.random.default_rng(84)
+    lines = ["x,y,g,cls"] + [
+        f"{x!r},{y!r},{'abcde'[i % 5]},{'pos' if i < 500 else 'neg'}"
+        for i, (x, y) in enumerate(rng.normal(size=(4100, 2)).tolist())
+    ]
+    data = tmp_path / "large.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = tmp_path / "large.schema.json"
     schema.write_text(
         json.dumps({"x": "continuous", "y": "continuous", "g": "nominal", "cls": "class"}),
         encoding="utf-8",
@@ -775,19 +796,29 @@ def smote_nc_args(mixed, out):
     ]
 
 
+def split_smote_nc_args(large_mixed, out):
+    return ["smote-nc", *data_args(large_mixed), "--over", "900", "--k", "3", "--out", str(out)]
+
+
 @pytest.mark.parametrize(
-    "fixture, make_argv", [("toy", experiment_args), ("mixed", smote_nc_args)],
-    ids=["experiment", "smote-nc"],
+    "fixture, make_argv",
+    [("toy", experiment_args), ("mixed", smote_nc_args), ("large_mixed", split_smote_nc_args)],
+    ids=["experiment", "smote-nc", "smote-nc-split"],
 )
 def test_process_writes_what_main_writes(request, tmp_path, capsys, fixture, make_argv):
     """`python -m smotekit.cli`, which ends without interpreter teardown,
     writes the stdout, stderr and files of an in-process main() run, with
-    stdout into a file, block-buffered."""
+    stdout into a file, block-buffered. The split case's files are written
+    in parts by forked children, on a host with two or more usable CPUs,
+    after a listing line is already buffered; a child that flushed it would
+    show it twice."""
     out = tmp_path / "out"
     argv = make_argv(request.getfixturevalue(fixture), out)
     assert main(argv) == 0
     shown = capsys.readouterr()
     files = tree_bytes(out)
+    if fixture == "large_mixed":
+        assert min(len(text.splitlines()) for text in files.values()) >= 4 * 1024
     shutil.rmtree(out)
     stdout = tmp_path / "stdout.txt"
     with open(stdout, "wb") as fh:
@@ -826,3 +857,71 @@ def test_process_error_exits_keep_code_and_stderr(toy, tmp_path, capsys, wrapped
     assert proc.returncode == rc
     assert proc.stderr == err
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_unwritable_stdout_is_exit_1(toy, tmp_path, capsys, sink, unbuffered):
+    """A stdout that cannot be written, buffered or not, gives exit 1 and one
+    stderr line; the report files are written all the same."""
+    if sink == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    out = tmp_path / "out"
+    argv = experiment_args(toy, out)
+    assert main(argv) == 0
+    capsys.readouterr()
+    files = tree_bytes(out)
+    shutil.rmtree(out)
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "dev-full":
+        stdout, code = open("/dev/full", "wb"), errno.ENOSPC
+    else:
+        reader, writer = os.pipe()
+        os.close(reader)  # closed before the child writes: every write is EPIPE
+        stdout, code = open(writer, "wb"), errno.EPIPE
+    with stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "smotekit.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot write to standard output: [Errno {code}] {os.strerror(code)}\n"
+    assert tree_bytes(out) == files
+
+
+@pytest.mark.parametrize(
+    "error, rc",
+    [(ValueError("no text for this slice"), 2), (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 3)],
+    ids=["ValueError", "OSError"],
+)
+def test_failed_later_part_exits_as_one_part_does(toy, tmp_path, capsys, monkeypatch, error, rc):
+    """A file whose last part fails in a forked child gives the exit code,
+    output and files of the same failure written in one part."""
+    write_lines = data.write_lines
+
+    def failing(path, header, n_lines, chunk_text):
+        def text(part):
+            if part.start >= 64:  # the third of three parts of 13 8-line chunks
+                raise error
+            return chunk_text(part)
+
+        write_lines(path, header, n_lines, text)
+
+    monkeypatch.setattr(data, "write_lines", failing)
+    monkeypatch.setattr(resample, "write_lines", failing)
+    monkeypatch.setattr(data, "_CHUNK_LINES", 8)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    outcomes = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        out = tmp_path / f"out{cpus}"
+        code = main(["smote", *data_args(toy), "--over", "100", "--out", str(out)])
+        outcomes.append((code, capsys.readouterr(), sorted(p.name for p in out.iterdir())))
+    assert outcomes[0][0] == rc
+    assert outcomes[1] == outcomes[0]
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -117,12 +117,13 @@ def _report_stdout_failure(exc: Exception) -> int:
     return _EXIT_STDOUT
 
 
-def _save(dataset, csv_path: Path) -> None:
-    save_csv(dataset, csv_path)
-    _say(f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)")
+def _listing(dataset, csv_path: Path) -> str:
+    return f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)"
 
 
 def _cmd_resample(args, variant: str) -> int:
+    if not args.over:
+        raise ConfigError("--over lists no percent")
     ds, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,6 +132,7 @@ def _cmd_resample(args, variant: str) -> int:
     if variant != "replicate" and any(over > 0 for over in args.over):
         # one search serves every --over x --under pair of this file
         neighbors = variant_neighbors(ds, args.k, variant)
+    listing = []  # printed once every file is written
     for over in args.over:
         for under in unders:
             detail = apply_plan_detailed(
@@ -146,21 +148,28 @@ def _cmd_resample(args, variant: str) -> int:
                 neighbors=neighbors,
             )
             stem = f"augmented_{variant}_o{over}_u{under}"
-            _save(detail.dataset, out / f"{stem}.csv")
+            save_csv(detail.dataset, out / f"{stem}.csv")
             write_provenance(out / f"{stem}.provenance.jsonl", detail.batch, variant)
+            listing.append(_listing(detail.dataset, out / f"{stem}.csv"))
             del detail  # one resampled set alive at a time
+    _say("\n".join(listing))
     return 0
 
 
 def _cmd_undersample(args) -> int:
+    if not args.under:
+        raise ConfigError("--under lists no percent")
     ds, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    listing = []  # printed once every file is written
     for under in args.under:
         # over_percent 0 skips synthesis entirely, so the variant is inert here
         detail = apply_plan_detailed(ds, 0, under, 1, args.seed, "smote")
-        _save(detail.dataset, out / f"undersampled_u{under}.csv")
+        save_csv(detail.dataset, out / f"undersampled_u{under}.csv")
+        listing.append(_listing(detail.dataset, out / f"undersampled_u{under}.csv"))
         del detail  # one resampled set alive at a time
+    _say("\n".join(listing))
     return 0
 
 
@@ -386,10 +395,16 @@ def run() -> None:
     by one on the way out; every file smotekit writes is closed before
     :func:`main` returns. A stdout that cannot be written, buffered or not,
     gives one ``error: cannot write to standard output`` line and exit 1.
-    ``--help``, a usage error, a crash or a stderr flush that fails take the
-    normal exit path instead.
+    ``--help`` and a usage error, which argparse ends with ``SystemExit``,
+    take the same flush and exit with its code; a crash or a stderr flush
+    that fails take the normal exit path instead.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
     try:
         if sys.stdout is not None:  # None when its descriptor was closed at start-up
             sys.stdout.flush()

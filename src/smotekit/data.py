@@ -10,9 +10,11 @@ majority-vote tie-breaking deterministic downstream. Feature tuples are built
 from the blocks only for callers that ask for rows; every text file is
 written from the blocks by :func:`write_lines`, a large one in parts, one
 per usable CPU, that forked children format into unnamed temporary files in
-the output directory, with the bytes of a one-part write and no option to
-set. The minority class must not outnumber the majority class at load time
-(later resampling may flip that freely).
+the output directory. A part whose child cannot be made or does not exit 0
+is formatted in this process instead, so the bytes, and any exception, are
+those of a one-part write; there is no option to set. The minority class
+must not outnumber the majority class at load time (later resampling may
+flip that freely).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import io
 import json
 import math
 import os
-import pickle
 import shutil
 import signal
 import tempfile
@@ -144,13 +145,14 @@ def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
     more chunks is cut into parts of whole chunks, at least two each, one
     part per usable CPU. This process writes the first part; each later part
     is formatted by a forked child into an unnamed temporary file in
-    ``path``'s directory and appended in order. Every ``chunk_text`` call
-    gets the slice a one-part write gives it, so the bytes are the same, and
-    the first exception raised in part order comes back with its type and
-    message. No child outlives the call. One part, in this process, when
-    the platform cannot fork or report usable CPUs, when another thread is
-    running (forking it could deadlock the child), or when a temporary file
-    or child cannot be made.
+    ``path``'s directory and appended in order. A later part whose child
+    could not be made (no temporary file, no fork) or did not exit 0 is
+    formatted by this process, in its place. Every ``chunk_text`` call gets
+    the slice a one-part write gives it, so the bytes are the same, and a
+    failure raises the exception of a one-part write: this process's own.
+    No child outlives the call. One part, in this process, when the platform
+    cannot fork or report usable CPUs, or when another thread is running
+    (forking it could deadlock the child).
     """
     chunks = [
         slice(start, min(start + _CHUNK_LINES, n_lines)) for start in range(0, n_lines, _CHUNK_LINES)
@@ -159,79 +161,66 @@ def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         n_parts = max(1, min(len(os.sched_getaffinity(0)), len(chunks) // 2))
     cuts = [i * len(chunks) // n_parts for i in range(n_parts + 1)]
-    own, forked = chunks[: cuts[1]], []
+    later = []
     try:
-        try:
-            for a, b in zip(cuts[1:], cuts[2:]):
-                forked.append(_ForkedPart(Path(path).parent, chunk_text, chunks[a:b]))
-        except OSError:  # no temporary file, pipe or child to be had: one part
-            for child in forked:
-                child.end()
-            own, forked = chunks, []
+        for a, b in zip(cuts[1:], cuts[2:]):
+            later.append(_LaterPart(Path(path).parent, chunk_text, chunks[a:b]))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             if header is not None:
                 csv.writer(fh).writerow(header)
-            for part in own:
+            for part in chunks[: cuts[1]]:
                 fh.write(chunk_text(part))
-            for child in forked:
-                child.append_to(fh)
+            for part in later:
+                part.append_to(fh)
     finally:
-        for child in forked:
-            child.end()
+        for part in later:
+            part.end()
 
 
-class _ForkedPart:
-    """The chunks of one part, formatted by a forked child into an unnamed
-    temporary file; the child's exception, if any, comes back pickled
-    through a pipe."""
+class _LaterPart:
+    """The chunks of one later part, formatted by a forked child into an
+    unnamed temporary file when the file and the child can be made."""
 
     def __init__(self, directory: Path, chunk_text, chunks: list):
-        self.pid = self.reader = None
-        self.tmp = tempfile.TemporaryFile(dir=directory)
+        self.chunk_text, self.chunks = chunk_text, chunks
+        self.pid = self.tmp = None
         try:
-            self.reader, writer = os.pipe()
-            try:
-                self.pid = os.fork()
-                if self.pid == 0:
-                    _format_part(self.tmp, writer, chunk_text, chunks)
-            finally:
-                os.close(writer)
-        except BaseException:
-            self.end()
-            raise
+            self.tmp = tempfile.TemporaryFile(dir=directory)
+            self.pid = os.fork()
+        except OSError:  # no temporary file or child: append_to formats the part
+            return
+        if self.pid == 0:
+            _format_part(self.tmp, chunk_text, chunks)
 
     def append_to(self, fh) -> None:
-        """Wait for the child, raise its exception if it sent one, then
-        append its part to ``fh``."""
-        report = b"".join(iter(lambda: os.read(self.reader, 1 << 16), b""))
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if report:
-            raise pickle.loads(report)
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            raise ChildProcessError(f"the child writing part of a file ended with status {code}")
-        fh.flush()
-        self.tmp.seek(0)
-        shutil.copyfileobj(self.tmp, fh.buffer)
+        """Append the child's part to ``fh`` once it has exited 0; else
+        format the part into ``fh`` here."""
+        if self.pid is not None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if status == 0:
+                fh.flush()
+                self.tmp.seek(0)
+                shutil.copyfileobj(self.tmp, fh.buffer)
+                return
+        for part in self.chunks:
+            fh.write(self.chunk_text(part))
 
     def end(self) -> None:
-        """Kill and reap the child if it is not reaped yet; close the pipe
-        and the temporary file. Safe to call more than once."""
+        """Kill and reap the child if it is not reaped yet, and close the
+        temporary file. Safe to call more than once."""
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self.reader is not None:
-            os.close(self.reader)
-            self.reader = None
-        self.tmp.close()
+        if self.tmp is not None:
+            self.tmp.close()
 
 
-def _format_part(tmp, writer: int, chunk_text, chunks: list) -> NoReturn:
+def _format_part(tmp, chunk_text, chunks: list) -> NoReturn:
     """A forked child's whole life: it writes ``chunk_text`` of each chunk
-    into ``tmp``, or its exception pickled into the pipe ``writer``, and
-    ends in ``os._exit`` whatever happens, so it never returns into the
+    into ``tmp`` and exits 0 once they are flushed, or 1 on any exception.
+    It ends in ``os._exit`` whatever happens, so it never returns into the
     caller or flushes the parent's buffered output."""
     code = 1
     try:
@@ -239,13 +228,6 @@ def _format_part(tmp, writer: int, chunk_text, chunks: list) -> NoReturn:
             tmp.write(chunk_text(part).encode("utf-8"))
         tmp.flush()
         code = 0
-    except BaseException as exc:
-        try:
-            report = pickle.dumps(exc)
-        except Exception:  # an exception that cannot be pickled goes as a RuntimeError naming it
-            report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with open(writer, "wb") as pipe:
-            pipe.write(report)
     finally:
         os._exit(code)
 

@@ -203,6 +203,20 @@ def test_undersample_subcommand(toy, tmp_path):
     assert ds.n_majority == 20
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("smote", "--over", ""), ("replicate", "--over", ","), ("undersample", "--under", ",")],
+)
+def test_an_empty_percent_list_is_exit_2(toy, tmp_path, capsys, command, flag, value):
+    """A resample command with no --over percent, or undersample with no
+    --under percent, would write nothing: a configuration error naming the
+    flag, before the output directory is made."""
+    out = tmp_path / "out"
+    assert main([command, *data_args(toy), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {flag} lists no percent\n"
+    assert not out.exists()
+
+
 def test_missing_data_file_is_exit_3(toy, tmp_path, capsys):
     _, schema = toy
     rc = main(
@@ -809,9 +823,7 @@ def test_process_writes_what_main_writes(request, tmp_path, capsys, fixture, mak
     """`python -m smotekit.cli`, which ends without interpreter teardown,
     writes the stdout, stderr and files of an in-process main() run, with
     stdout into a file, block-buffered. The split case's files are written
-    in parts by forked children, on a host with two or more usable CPUs,
-    after a listing line is already buffered; a child that flushed it would
-    show it twice."""
+    in parts by forked children, on a host with two or more usable CPUs."""
     out = tmp_path / "out"
     argv = make_argv(request.getfixturevalue(fixture), out)
     assert main(argv) == 0
@@ -859,36 +871,57 @@ def test_process_error_exits_keep_code_and_stderr(toy, tmp_path, capsys, wrapped
     assert proc.stdout == ""
 
 
+def smote_args(toy, out):
+    return ["smote", *data_args(toy), "--over", "100,200", "--out", str(out)]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
 def test_unwritable_stdout_is_exit_1(toy, tmp_path, capsys, sink, unbuffered):
     """A stdout that cannot be written, buffered or not, gives exit 1 and one
-    stderr line; the report files are written all the same."""
+    stderr line; the report files, and every augmented file of a resample
+    command, are written all the same."""
     if sink == "dev-full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    out = tmp_path / "out"
-    argv = experiment_args(toy, out)
-    assert main(argv) == 0
-    capsys.readouterr()
-    files = tree_bytes(out)
-    shutil.rmtree(out)
     env = child_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    if sink == "dev-full":
-        stdout, code = open("/dev/full", "wb"), errno.ENOSPC
-    else:
-        reader, writer = os.pipe()
-        os.close(reader)  # closed before the child writes: every write is EPIPE
-        stdout, code = open(writer, "wb"), errno.EPIPE
-    with stdout:
+    for make_argv in (experiment_args, smote_args):
+        out = tmp_path / "out"
+        argv = make_argv(toy, out)
+        assert main(argv) == 0
+        capsys.readouterr()
+        files = tree_bytes(out)
+        shutil.rmtree(out)
+        if sink == "dev-full":
+            stdout, code = open("/dev/full", "wb"), errno.ENOSPC
+        else:
+            reader, writer = os.pipe()
+            os.close(reader)  # closed before the child writes: every write is EPIPE
+            stdout, code = open(writer, "wb"), errno.EPIPE
+        with stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smotekit.cli", *argv],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 1, argv[0]
+        assert proc.stderr == f"error: cannot write to standard output: [Errno {code}] {os.strerror(code)}\n"
+        assert tree_bytes(out) == files, argv[0]
+        shutil.rmtree(out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_help_into_a_full_device_is_exit_1():
+    """Buffered --help, whose text only fails to reach stdout at the flush,
+    gives exit 1 and the one stderr line of any unwritable stdout."""
+    with open("/dev/full", "wb") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "smotekit.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+            [sys.executable, "-m", "smotekit.cli", "--help"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=child_env(),
         )
+    code = errno.ENOSPC
     assert proc.returncode == 1
     assert proc.stderr == f"error: cannot write to standard output: [Errno {code}] {os.strerror(code)}\n"
-    assert tree_bytes(out) == files
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,9 @@ one part and split over forked children."""
 
 import errno
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -198,16 +201,37 @@ def numbered_lines(part):
     return "".join(f"{i}\r\n" for i in range(part.start, part.stop))
 
 
+class NoTextAtLine(Exception):
+    """An exception whose ``__init__`` formats its message from its argument."""
+
+    def __init__(self, line):
+        super().__init__(f"no text at line {line}")
+
+
+def unpicklable_error():
+    class Local(Exception):
+        """A class pickle cannot find by name."""
+
+    return Local("no text for this slice")
+
+
 @pytest.mark.parametrize("cpus", (2, 3))
 @pytest.mark.parametrize("from_line", (768, 1536), ids=("part-1-on", "last-part"))
 @pytest.mark.parametrize(
-    "error",
-    (ValueError("no text for this slice"), OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))),
-    ids=("ValueError", "OSError"),
+    "make_error",
+    (
+        lambda: ValueError("no text for this slice"),
+        lambda: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+        lambda: NoTextAtLine(64),
+        unpicklable_error,
+    ),
+    ids=("ValueError", "OSError", "formatted-message", "unpicklable"),
 )
-def test_a_failed_later_part_raises_what_one_part_raises(tmp_path, monkeypatch, cpus, from_line, error):
-    """A chunk_text that fails only for slices in a later part raises, through
-    the pipe, the type and message the one-part writer raises."""
+def test_a_failed_later_part_raises_what_one_part_raises(tmp_path, monkeypatch, cpus, from_line, make_error):
+    """A chunk_text that fails only for slices in a later part raises the
+    type and message the one-part writer raises: the failed child's part is
+    formatted again in this process, which raises the exception itself."""
+    error = make_error()
 
     def chunk_text(part):
         if part.start >= from_line:
@@ -225,6 +249,24 @@ def test_a_failed_later_part_raises_what_one_part_raises(tmp_path, monkeypatch, 
     assert [type(e) for e in raised] == [type(error)] * 2
     assert str(raised[1]) == str(raised[0]) == str(error)
     assert getattr(raised[1], "errno", None) == getattr(error, "errno", None)
+    assert raised[1] is error
+
+
+def test_a_killed_child_is_formatted_here(tmp_path, monkeypatch):
+    """A child killed from outside (as by the OOM killer) costs its part a
+    second formatting in this process, not the write."""
+    parent = os.getpid()
+
+    def chunk_text(part):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return numbered_lines(part)
+
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
+    assert (tmp_path / "out.csv").read_bytes() == numbered_lines(slice(0, 2049)).encode()
+    assert len(forks) == 2
 
 
 def test_a_failed_first_part_kills_and_reaps_the_children(tmp_path, monkeypatch):
@@ -246,8 +288,9 @@ def test_a_failed_first_part_kills_and_reaps_the_children(tmp_path, monkeypatch)
 
 
 def test_a_write_that_cannot_fork_is_one_part(tmp_path, monkeypatch):
-    """When the second child cannot be made, the first is ended and this
-    process writes the whole file; a missing directory fails as in one part."""
+    """When the second child cannot be made, the first child's part is used
+    and this process formats the part the second would have; a missing
+    directory fails as in one part."""
     use_cpus(monkeypatch, 3)
     forks, fork = [], os.fork
 
@@ -265,6 +308,28 @@ def test_a_write_that_cannot_fork_is_one_part(tmp_path, monkeypatch):
     with pytest.raises(FileNotFoundError) as caught:
         write_lines(missing, None, 2049, numbered_lines)
     assert caught.value.filename == str(missing)
+
+
+def test_children_leave_buffered_stdout_alone(tmp_path):
+    """Text a process has buffered for stdout before a split write shows
+    once: its children end without flushing it."""
+    script = (
+        "import os, sys\n"
+        "from smotekit import data\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        f"data._CHUNK_LINES = {PART_CHUNK}\n"
+        "print('before the write')\n"
+        "lines = lambda part: ''.join(f'{i}\\r\\n' for i in range(part.start, part.stop))\n"
+        "data.write_lines(sys.argv[1], None, 2049, lines)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(data_module.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.csv")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before the write\n"
+    assert (tmp_path / "out.csv").read_bytes() == numbered_lines(slice(0, 2049)).encode()
 
 
 def test_a_process_running_threads_writes_in_one_part(tmp_path, monkeypatch):

@@ -153,6 +153,17 @@ def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
     No child outlives the call. One part, in this process, when the platform
     cannot fork or report usable CPUs, or when another thread is running
     (forking it could deadlock the child).
+
+    ``threading.active_count()`` sees Python threads only, so a native
+    thread, such as an idle OpenBLAS worker, may be running when this
+    process forks. The child is safe all the same: it runs only
+    ``chunk_text``, which in every caller is numpy indexing, ``tolist`` and
+    string formatting, with no BLAS call, so it waits on nothing such a
+    thread holds. Python 3.12 and later warn of a fork beside other OS
+    threads with a ``DeprecationWarning`` (shown under ``-W default``); how
+    that reads with numpy on 3.12 or later is unverified. With
+    ``OPENBLAS_NUM_THREADS=1`` the process has one OS thread and nothing
+    warns.
     """
     chunks = [
         slice(start, min(start + _CHUNK_LINES, n_lines)) for start in range(0, n_lines, _CHUNK_LINES)

@@ -387,19 +387,41 @@ def _metric(train: Dataset, minority: Dataset, variant: str):
     return VdmMetric(VdmTable.from_dataset(train))
 
 
+# The variants whose metric is fitted to each training fold, searched once per
+# fold. smote_nc joins when bench/test_bench.py's smote_nc self-test, which
+# counts one search per (cell, fold), is re-pinned to one per fold.
+_FOLD_FITTED = ("smote_n",)
+
+
 def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     """Per fold (``folds[i]`` the fold of row ``i`` of ``ds``), the lists of
     its training minority that every cell of ``variant`` shares, or None
-    where :func:`apply_plan_detailed` searches on each call. Only smote's
-    distances do not depend on the fold (SMOTE-NC's ``Med`` and SMOTE-N's
-    VDM counts are fitted to it), so one pass serves every fold; a fold too
-    thin to search gets None. A schema smote cannot take raises ValueError.
+    where :func:`apply_plan_detailed` searches on each call. smote's
+    distances do not depend on the fold, so one pass serves every fold.
+    SMOTE-N's VDM counts are fitted to the fold, so each fold is searched on
+    its own, as :func:`variant_neighbors` searches its training split;
+    smote_nc and replicate get None. A fold whose training minority is too
+    thin to search gets None, so the cell that needs it raises the
+    ``DataError`` on its own call. A schema the variant cannot take raises
+    ValueError.
     """
+    n_folds = int(folds.max()) + 1
+    if variant in _FOLD_FITTED:
+        return [_fold_lists(ds.subset(np.flatnonzero(folds != f)), k, variant) for f in range(n_folds)]
     if variant != "smote":
-        return [None] * (int(folds.max()) + 1)
+        return [None] * n_folds
     _check_shape(ds.schema, variant)
     minority = ds.minority_subset()
     return knn_per_fold(minority, k, _metric(ds, minority, variant), folds[ds.minority_indices()])
+
+
+def _fold_lists(train: Dataset, k: int, variant: str):
+    """:func:`variant_neighbors` of one training fold, or None where its
+    minority is too thin to search."""
+    try:
+        return variant_neighbors(train, k, variant)
+    except DataError:
+        return None
 
 
 def apply_plan_detailed(

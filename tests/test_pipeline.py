@@ -371,7 +371,8 @@ def categorical_dataset(schema, n_min=20, n_maj=60, seed=73):
 
 @pytest.mark.parametrize("variant, schema", [("smote_nc", MIXED), ("smote_n", NOMINAL)])
 def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant, schema):
-    # Med and the VDM counts are fitted to each training fold: no list is shared
+    # Med and the VDM counts are fitted to each training fold, so no list
+    # serves two folds; smote_n searches each fold once, smote_nc each cell
     searches = []
     real_knn = resample.knn_minority
 
@@ -382,8 +383,8 @@ def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant
     monkeypatch.setattr(resample, "knn_minority", counting_knn)
     cfg = small_config(over_percents=(100, 300), variant=variant)
     result = run_experiment(categorical_dataset(schema), cfg)
-    # 2 over x 2 under cells x 4 folds, each over its own 15-row training minority
-    assert searches == [15] * 16
+    # 4 folds, or 2 over x 2 under cells x 4 folds, each over a 15-row training minority
+    assert searches == {"smote_n": [15] * 4, "smote_nc": [15] * 16}[variant]
 
     def law(over, under):  # every training fold holds 15 minority, 45 majority
         return [(15 * (1 + over // 100), min(round(100 * 15 / under), 45))] * 4
@@ -395,6 +396,26 @@ def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant
             expected[(f"smote_under@{over}", f"over={over},under={u}")] = law(over, u)
     expected[("plain_under", "raw")] = [(15, 45)] * 4
     assert result.cell_sizes == expected
+
+
+@pytest.mark.parametrize(
+    "n_min, n_folds, seed", [(20, 4, 5), (3, 2, 1)], ids=["regular", "thin-fold"]
+)
+def test_smote_n_per_fold_lists_match_a_search_per_cell(monkeypatch, n_min, n_folds, seed):
+    ds = categorical_dataset(NOMINAL, n_min=n_min, n_maj=30)
+    cfg = small_config(over_percents=(100, 300), variant="smote_n", n_folds=n_folds, seed=seed)
+    per_fold = run_experiment(ds, cfg)
+    monkeypatch.setattr(pipeline, "fold_neighbors", lambda ds, folds, *args: [None] * n_folds)
+    per_cell = run_experiment(ds, cfg)
+    assert per_fold.aucs == per_cell.aucs
+    assert per_fold.curves == per_cell.curves
+    assert per_fold.cell_sizes == per_cell.cell_sizes
+    assert per_fold.warnings == per_cell.warnings
+    # 3 minority rows over 2 folds: fold 0 synthesizes from its lists, and
+    # fold 1, with a training minority of 1, skips every smote_under cell
+    thin = [w for w in per_fold.warnings if "training minority has 1 row" in w]
+    assert len(thin) == (4 if n_min == 3 else 0)
+    assert all(": fold 1: " in w for w in thin)
 
 
 def test_report_bytes_and_cell_sizes_are_pinned(tmp_path):

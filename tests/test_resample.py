@@ -496,14 +496,45 @@ def test_fold_neighbors_shares_lists_for_smote_alone():
     for f, lists in enumerate(shared):
         train = ds.subset(np.flatnonzero(folds != f))
         assert lists.lists.tolist() == variant_neighbors(train, 3, "smote").lists.tolist()
-    for variant in ("smote_nc", "smote_n", "replicate"):
-        assert fold_neighbors(ds, folds, 3, variant) == [None] * 3
     # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
     thin = _plan_dataset(3, 6)
     assert all(fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
     assert fold_neighbors(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
     with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
         fold_neighbors(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
+
+
+def _tied_nominal_dataset(n_min, n_maj, seed=8):
+    """All-nominal rows over two categories per feature: many duplicate rows
+    and many tied VDM distances."""
+    rng = np.random.default_rng(seed)
+    rows = [tuple(rng.choice(["a", "b"], size=2).tolist()) for _ in range(n_min + n_maj)]
+    return dataset_from_rows(NOM2, rows, (MINORITY,) * n_min + (MAJORITY,) * n_maj)
+
+
+def test_fold_neighbors_searches_each_smote_n_fold():
+    ds = _tied_nominal_dataset(20, 40)
+    folds = np.arange(len(ds)) % 4
+    per_fold = fold_neighbors(ds, folds, 3, "smote_n")
+    assert len(per_fold) == 4
+    for f, lists in enumerate(per_fold):
+        train = ds.subset(np.flatnonzero(folds != f))
+        assert lists.lists.tolist() == variant_neighbors(train, 3, "smote_n").lists.tolist()
+    for variant in ("smote_nc", "replicate"):
+        assert fold_neighbors(ds, folds, 3, variant) == [None] * 4
+    # fold 1 holds out 2 of the 3 minority rows, leaving its training minority 1
+    thin = _tied_nominal_dataset(3, 9)
+    thin_folds = np.array([0, 1, 1] + [0, 1] * 4 + [0])
+    lists = fold_neighbors(thin, thin_folds, 2, "smote_n")
+    assert lists[0] is not None and lists[1] is None
+    # the cell that needs the thin fold's lists raises on its own call
+    with pytest.raises(DataError, match="training minority has 1 row"):
+        apply_plan_detailed(
+            thin.subset(np.flatnonzero(thin_folds != 1)), 100, None, 2, 0, "smote_n", neighbors=lists[1]
+        )
+    mixed = dataset_from_rows(MIXED, [(0.0, "A"), (1.0, "B")] * 2, (MINORITY, MAJORITY) * 2)
+    with pytest.raises(ValueError, match="^smote_n takes all-nominal features, got mixed features$"):
+        fold_neighbors(mixed, np.array([0, 0, 1, 1]), 1, "smote_n")
 
 
 SHAPED_ROWS = {

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .data import FeatureSchema, load_csv, save_csv
@@ -376,7 +377,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a library warning reads as the CLI's own
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

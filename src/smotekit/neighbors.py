@@ -8,13 +8,12 @@ searches one minority. ``knn_per_fold`` serves every cross-validation fold
 from one wider search over the whole minority: each fold's training rows
 keep their candidates that are training rows too, and a row left with
 fewer than k is searched again against that fold's training rows alone, so
-every fold's lists equal a search of its training minority. No spatial
-index; the interface leaves room for one later.
+every fold's lists equal a search of its training minority. Lists are one
+read-only ``(T, w)`` ``np.intp`` array, nearest first: row ``i`` holds the
+neighbors of row ``i``, never ``i``. No spatial index yet.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +26,13 @@ from .data import Dataset
 _MARGIN = 10
 
 
-@dataclass(frozen=True, eq=False)
-class NeighborList:
-    """Per-row neighbor indices, nearest first; a row never lists itself.
-
-    ``lists`` is one read-only ``(T, w)`` integer array: row ``i`` holds the
-    ``w`` neighbors of minority row ``i``; ``knn_minority`` gives every row
-    ``min(k, T - 1)``. Rows of different lengths raise ValueError.
-    """
-
-    lists: np.ndarray
-
-    def __post_init__(self):
-        lists = np.array(self.lists, dtype=np.intp)  # ragged rows raise ValueError
-        if lists.ndim != 2:
-            raise ValueError(f"neighbor lists must form a 2-D array, got {lists.ndim}-D")
-        lists.flags.writeable = False
-        object.__setattr__(self, "lists", lists)
-
-    def __len__(self) -> int:
-        return len(self.lists)
-
-
 def knn_minority(
     minority: Dataset,
     k: int,
     metric: distance.EuclideanMetric | distance.NcMetric | distance.VdmMetric,
-) -> NeighborList:
-    """k nearest minority neighbors of every minority row.
+) -> np.ndarray:
+    """k nearest minority neighbors of every minority row, as a read-only
+    ``(T, min(k, T - 1))`` ``np.intp`` array.
 
     Args:
         minority: the minority rows only, as a minority Dataset; synthetic
@@ -71,7 +49,7 @@ def knn_minority(
     if t < 2:
         raise ValueError(f"need at least 2 rows for neighbor search, got {t}")
     _check_search(minority, k)
-    return NeighborList(_search(minority, min(k, t - 1), metric, np.arange(t)))
+    return _search(minority, min(k, t - 1), metric, np.arange(t))
 
 
 def knn_per_fold(
@@ -138,7 +116,8 @@ def _fold_lists(minority: Dataset, k: int, metric, found: np.ndarray, in_train: 
     if short.any():
         rows = np.flatnonzero(short)
         lists[rows] = _search(minority.subset(train), w, metric, rows)
-    return NeighborList(lists)
+    lists.flags.writeable = False
+    return lists
 
 
 def _check_search(minority: Dataset, k: int) -> None:
@@ -152,7 +131,7 @@ def _check_search(minority: Dataset, k: int) -> None:
 def _search(ds: Dataset, w: int, metric, rows: np.ndarray) -> np.ndarray:
     """The one block loop behind every neighbor search: the lists of the
     rows ``rows`` (ascending, not empty) of ``ds``, searched within ``ds``,
-    as one ``(len(rows), w)`` array.
+    as one read-only ``(len(rows), w)`` array.
 
     Each run of consecutive indices in ``rows`` goes in blocks of at most
     ``distance._CHUNK_BUDGET // T`` rows, one ``metric.pairwise`` call each.
@@ -174,6 +153,7 @@ def _search(ds: Dataset, w: int, metric, rows: np.ndarray) -> np.ndarray:
             for b in range(0, n, part):
                 out[a + b:a + min(b + part, n)] = _top_k(dist[b:b + part], w)
             dist = None  # release this block before the metric builds the next
+    out.flags.writeable = False
     return out
 
 

@@ -39,7 +39,7 @@ from .distance import (
     compute_med,
 )
 from .errors import DataError
-from .neighbors import NeighborList, knn_minority, knn_per_fold
+from .neighbors import knn_minority, knn_per_fold
 from .rng import child_seed, generator
 
 PER_ATTRIBUTE = "per-attribute"
@@ -184,15 +184,17 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
     """The synthesis behind smote, smote_nc and smote_n.
 
     ``source`` must be a minority-only slice of T >= 2 rows in the schema
-    shape ``variant`` takes, with one neighbor list per row, each index in
-    ``[0, T)``; ``rng`` None draws from the seeded substream
-    ``(params.seed, "smote")``. Every synthetic row of a base carries the
-    base's voted nominal codes (see :func:`_vote`); the base joins the vote
-    only when no continuous coordinate is interpolated, as in smote_n. After
-    the base choice, one call draws every neighbor pick, then every gap, and
-    interpolates and clips the whole continuous block to the base/neighbor
-    boxes at once. With no continuous columns nothing more is drawn and each
-    row records its base as its neighbor, with no gaps.
+    shape ``variant`` takes. This is the one check of given ``neighbors``: a
+    ValueError unless they form a ``(T, w)`` integer array, ``w >= 1`` to
+    interpolate, every index in ``[0, T)``. ``rng`` None draws from the
+    seeded substream ``(params.seed, "smote")``. Every synthetic row of a
+    base carries the base's voted nominal codes (see :func:`_vote`); the
+    base joins the vote only when no continuous coordinate is interpolated,
+    as in smote_n. After the base choice, one call draws every neighbor
+    pick, then every gap, and interpolates and clips the whole continuous
+    block to the base/neighbor boxes at once. With no continuous columns
+    nothing more is drawn and each row records its base as its neighbor,
+    with no gaps.
     """
     _check_shape(source.schema, variant)
     if not source.minority.all():
@@ -200,18 +202,20 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
     t = len(source)
     if t < 2:
         raise ValueError(f"need at least 2 minority rows, got {t}")
-    lists = neighbors.lists
-    if len(lists) != t:
-        raise ValueError(f"neighbor list covers {len(lists)} rows, expected {t}")
+    cont = source.cont
+    d = cont.shape[1]
+    lists = np.asarray(neighbors, dtype=np.intp)  # ragged rows raise; an intp array is not copied
+    w_min = int(d > 0)  # interpolation needs a neighbor in every row
+    if lists.ndim != 2 or len(lists) != t or lists.shape[1] < w_min:
+        raise ValueError(f"neighbor lists have shape {lists.shape}, expected ({t}, w) with w >= {w_min}")
     outside = (lists < 0) | (lists >= t)
     if outside.any():
         raise ValueError(f"neighbor index {lists[outside][0]} outside [0, {t})")
     if rng is None:
         rng = generator(params.seed, "smote")
-    cont = source.cont
     bases, per_base = _plan_bases(params.n_percent, t, rng)
     origin = np.repeat(bases, per_base)
-    n, d = len(origin), cont.shape[1]
+    n = len(origin)
     base = cont[origin]
     if d:
         picks = _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
@@ -233,7 +237,7 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
 def smote(
     minority: Dataset,
     params: SmoteParams,
-    neighbors: NeighborList,
+    neighbors: np.ndarray,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
     """Generate synthetic minority rows by segment interpolation.
@@ -242,7 +246,8 @@ def smote(
         minority: all-continuous minority-only Dataset (T >= 2).
         params: amount, modes, and seed; ``n_percent == 0`` yields an empty
             batch.
-        neighbors: precomputed minority-only neighbor lists for these rows.
+        neighbors: the neighbor lists of these rows, a ``(T, w)`` integer
+            array-like, ``w >= 1``, such as :func:`variant_neighbors` gives.
         rng: override generator, mainly for tests; defaults to the seeded
             substream ``(params.seed, "smote")``.
 
@@ -258,16 +263,17 @@ def smote(
 def smote_nc(
     minority: Dataset,
     params: SmoteParams,
-    neighbors: NeighborList,
+    neighbors: np.ndarray,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
     """Mixed-schema synthesis: interpolate continuous, vote nominal.
 
     ``minority`` must hold minority rows only; its intern tables drive vote
-    tie-breaking. The median penalty enters only the distances behind
-    ``neighbors``: votes and interpolation need none. Nominal values come
-    from the k nearest neighbors of the base, base excluded, so every
-    synthetic row of one base shares its voted nominal part.
+    tie-breaking; ``neighbors`` is as for :func:`smote`. The median penalty
+    enters only the distances behind ``neighbors``: votes and interpolation
+    need none. Nominal values come from the k nearest neighbors of the base,
+    base excluded, so every synthetic row of one base shares its voted
+    nominal part.
     """
     return _synthesize("smote_nc", minority, params, neighbors, rng)
 
@@ -275,13 +281,14 @@ def smote_nc(
 def smote_n(
     minority: Dataset,
     params: SmoteParams,
-    neighbors: NeighborList,
+    neighbors: np.ndarray,
     rng: np.random.Generator = None,
 ) -> SyntheticBatch:
     """All-nominal synthesis: each coordinate is a majority vote over the base
     plus its k nearest neighbors (the base itself joins this vote, unlike
     smote_nc). ``minority`` is an all-nominal minority-only Dataset; its
-    intern tables drive vote tie-breaking. Generation is deterministic given
+    intern tables drive vote tie-breaking. ``neighbors`` is as for
+    :func:`smote`, but ``w`` may be 0. Generation is deterministic given
     the neighbor lists; random draws occur only in the under-100 base
     selection.
     """
@@ -293,17 +300,21 @@ def replicate_oversample(
     n_percent: int,
     seed: int = 0,
 ) -> SyntheticBatch:
-    """Over-sample by exact replication: floor(N/100) * T rows of the
-    minority-only Dataset ``minority``, drawn uniformly with replacement. The
-    baseline over-sampler synthetic interpolation is measured against."""
+    """Over-sample by exact replication, the baseline synthetic interpolation
+    is measured against: as many rows of the minority-only Dataset
+    ``minority`` as SMOTE makes, floor(N/100) * T drawn with replacement, or
+    for N < 100 the floor(N * T / 100) distinct rows SMOTE would take as bases."""
     if n_percent < 0:
         raise ValueError(f"n_percent must be non-negative, got {n_percent}")
     t = len(minority)
     if t < 1:
         raise ValueError("need at least 1 minority row")
-    count = (n_percent // 100) * t
-    picks = generator(seed, "replicate").integers(0, t, size=count)
-    return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((count, 1))))
+    rng = generator(seed, "replicate")
+    if n_percent < 100:
+        picks = _plan_bases(n_percent, t, rng)[0]
+    else:
+        picks = rng.integers(0, t, size=(n_percent // 100) * t)
+    return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((len(picks), 1))))
 
 
 def under_sample(
@@ -357,11 +368,11 @@ def _check_synthesis(train: Dataset, n_minority: int, variant: str) -> None:
         )
 
 
-def variant_neighbors(train: Dataset, k: int, variant: str) -> NeighborList:
-    """The neighbor lists of ``train``'s minority rows under the metric of a
-    synthesis variant: Euclidean for smote, the median-penalized distance
-    with the minority's ``Med`` for smote_nc, VDM over ``train``'s category
-    counts for smote_n.
+def variant_neighbors(train: Dataset, k: int, variant: str) -> np.ndarray:
+    """:func:`~smotekit.neighbors.knn_minority` of ``train``'s minority rows
+    under the metric of a synthesis variant: Euclidean for smote, the
+    median-penalized distance with the minority's ``Med`` for smote_nc, VDM
+    over ``train``'s category counts for smote_n.
 
     Raises:
         ValueError: ``k < 1``, a variant that searches no neighbors, or a
@@ -394,10 +405,11 @@ _FOLD_FITTED = ("smote_n",)
 
 
 def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
-    """Per fold (``folds[i]`` the fold of row ``i`` of ``ds``), the lists of
-    its training minority that every cell of ``variant`` shares, or None
-    where :func:`apply_plan_detailed` searches on each call. smote's
-    distances do not depend on the fold, so one pass serves every fold.
+    """For every fold up to ``folds.max()`` (``folds[i]`` the fold of row
+    ``i`` of ``ds``), the lists of its training minority that every cell of
+    ``variant`` shares, or None where :func:`apply_plan_detailed` searches
+    on each call. smote's distances do not depend on the fold, so one pass
+    serves every fold; a fold with no minority row gets the whole minority's.
     SMOTE-N's VDM counts are fitted to the fold, so each fold is searched on
     its own, as :func:`variant_neighbors` searches its training split;
     smote_nc and replicate get None. A fold whose training minority is too
@@ -412,7 +424,10 @@ def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list
         return [None] * n_folds
     _check_shape(ds.schema, variant)
     minority = ds.minority_subset()
-    return knn_per_fold(minority, k, _metric(ds, minority, variant), folds[ds.minority_indices()])
+    lists = knn_per_fold(minority, k, _metric(ds, minority, variant), folds[ds.minority_indices()])
+    if len(lists) < n_folds:  # the last folds hold no minority row
+        lists += [_fold_lists(ds, k, variant)] * (n_folds - len(lists))
+    return lists
 
 
 def _fold_lists(train: Dataset, k: int, variant: str):
@@ -434,7 +449,7 @@ def apply_plan_detailed(
     gap_mode: str = PER_ATTRIBUTE,
     neighbor_mode: str = WITH_REPLACEMENT,
     under_basis: str = "pre",
-    neighbors: NeighborList = None,
+    neighbors: np.ndarray = None,
 ) -> PlanResult:
     """Compose over- and under-sampling on a training split.
 

@@ -31,7 +31,7 @@ from smotekit.distance import (
     VdmTable,
 )
 from smotekit.evaluate import RocCurve, RocPoint, auc, convex_hull
-from smotekit.neighbors import NeighborList, knn_minority
+from smotekit.neighbors import knn_minority
 from smotekit.pipeline import ExperimentConfig, emit_report, run_experiment
 from smotekit.resample import (
     PER_ATTRIBUTE,
@@ -62,7 +62,7 @@ def nominal_schema(d):
 def test_criterion_01_shared_gap_worked_example():
     schema = FeatureSchema((("f1", "continuous"), ("f2", "continuous")), "cls")
     ds = minority(schema, [(6.0, 4.0), (4.0, 3.0)])
-    neighbors = NeighborList(((1,), (0,)))
+    neighbors = ((1,), (0,))
     params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
     gaps = [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))]
     failures = []
@@ -116,7 +116,7 @@ def test_criterion_03_nominal_vote_worked_example():
         ("H", "B", "C", "D", "N"),
     ]
     ds = minority(nominal_schema(5), rows)
-    neighbors = NeighborList(((1, 2), (0, 2), (0, 1)))
+    neighbors = ((1, 2), (0, 2), (0, 1))
     params = SmoteParams(n_percent=100, seed=0)
     failures = []
     for _ in range(2):  # deterministic: identical across invocations
@@ -275,7 +275,7 @@ def test_criterion_10_knn_oracle():
         rows = [tuple(float(v) for v in rng.integers(0, 7, size=d)) for _ in range(t)]
         for _ in range(min(t // 3, 10)):  # force exact duplicates
             rows[int(rng.integers(t))] = rows[int(rng.integers(t))]
-        lists = knn_minority(minority(schema, rows), k, EuclideanMetric(schema)).lists
+        lists = knn_minority(minority(schema, rows), k, EuclideanMetric(schema))
         got = tuple(map(tuple, lists.tolist()))
         matrix = np.asarray(rows)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +398,22 @@ def experiment_args(toy, out):
         "--seed", "5",
         "--out", str(out),
     ]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--prior-multiplier", "100"], ["--families", "priors_sweep", "--prior-multipliers", "1,100"]],
+    ids=["prior-multiplier", "priors_sweep"],
+)
+def test_a_library_warning_prints_as_one_warning_line(toy, tmp_path, capsys, flags):
+    handler = warnings.showwarning
+    assert main([*experiment_args(toy, tmp_path / "report"), *flags]) == 0
+    assert capsys.readouterr().err == (
+        "warning: prior_multiplier 100.0 is outside the usual [1, 50] sweep range\n"
+    )
+    assert warnings.showwarning is handler
+    with pytest.warns(UserWarning, match="outside the usual"):  # library callers
+        model.ClassifierSpec(prior_multiplier=100)
 
 
 def test_experiment_subcommand(toy, tmp_path, capsys):

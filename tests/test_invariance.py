@@ -25,6 +25,10 @@ CATEGORY_KINDS = {
     "smote_n": ("nominal", "nominal", "nominal"),
     "replicate": ("nominal", "continuous", "nominal"),
 }
+# every --variant, each with the feature kinds it takes
+VARIANT_KINDS = {**CATEGORY_KINDS, "smote": ("continuous", "continuous", "continuous")}
+# the variants that read continuous features
+SCALED_KINDS = {v: VARIANT_KINDS[v] for v in ("smote", "smote_nc", "replicate")}
 
 
 def _comma_list(values):
@@ -34,12 +38,13 @@ def _comma_list(values):
 
 
 @st.composite
-def _experiments(draw):
+def _experiments(draw, kinds_of=CATEGORY_KINDS):
     """Feature kinds, rows (minority first) of values on a one-decimal grid
     and categories 0-3, repeated from a short pool so that votes tie, and
-    the flags of an experiment over all five families in a drawn order."""
-    variant = draw(st.sampled_from(sorted(CATEGORY_KINDS)))
-    kinds = CATEGORY_KINDS[variant]
+    the flags of an experiment over all five families in a drawn order; the
+    variant and its kinds come from ``kinds_of``."""
+    variant = draw(st.sampled_from(sorted(kinds_of)))
+    kinds = kinds_of[variant]
     value = {
         "continuous": st.integers(-10, 10).map(lambda v: v / 10),
         "nominal": st.integers(0, 3),
@@ -65,19 +70,24 @@ def _experiments(draw):
     return kinds, rows, n_min, flags
 
 
-def _report(directory: Path, name: str, kinds, rows, n_min, flags) -> dict:
+def _report(
+    directory: Path, name: str, kinds, rows, n_min, flags, order=None, tokens=("pos", "neg")
+) -> dict:
     """The report bytes of one experiment on ``rows``, written as ``name``.csv
-    with a class column of ``pos`` (the first ``n_min`` rows) and ``neg``."""
-    header = [f"f{i}" for i in range(len(kinds))]
-    lines = [",".join([*header, "cls"])] + [
-        ",".join([*map(str, row), "pos" if i < n_min else "neg"]) for i, row in enumerate(rows)
-    ]
+    with a class column ``cls`` of ``tokens[0]`` (the first ``n_min`` rows,
+    the minority) and ``tokens[1]``. ``order`` lists the CSV's columns by
+    their place in the schema file, the class column last; None keeps that
+    order."""
+    header = [*(f"f{i}" for i in range(len(kinds))), "cls"]
+    order = range(len(header)) if order is None else order
+    records = [[*map(str, row), tokens[i >= n_min]] for i, row in enumerate(rows)]
+    lines = [",".join(record[j] for j in order) for record in [header, *records]]
     data = directory / f"{name}.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     schema = directory / f"{name}.schema.json"
     schema.write_text(json.dumps({**dict(zip(header, kinds)), "cls": "class"}), encoding="utf-8")
     out = directory / name
-    argv = ["experiment", "--data", str(data), "--schema", str(schema), "--minority", "pos"]
+    argv = ["experiment", "--data", str(data), "--schema", str(schema), "--minority", tokens[0]]
     assert main([*argv, *flags, "--out", str(out)]) == 0
     return {file: (out / file).read_bytes() for file in REPORT_FILES}
 
@@ -108,4 +118,59 @@ def test_renaming_categories_keeps_the_report(case):
         directory = Path(tmp)
         assert _report(directory, "descending", kinds, descending, n_min, flags) == _report(
             directory, "ascending", kinds, ascending, n_min, flags
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_experiments(VARIANT_KINDS), data=st.data())
+def test_reordering_csv_columns_keeps_the_report(case, data):
+    """The CSV's columns, the class column among them, in a drawn order with
+    the same schema file: features are read by header name."""
+    kinds, rows, n_min, flags = case
+    order = data.draw(st.permutations(range(len(kinds) + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert _report(directory, "reordered", kinds, rows, n_min, flags, order=order) == _report(
+            directory, "declared", kinds, rows, n_min, flags
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=_experiments(VARIANT_KINDS),
+    tokens=st.lists(st.text("abnpz", min_size=1, max_size=3), min_size=2, max_size=2, unique=True),
+)
+def test_renaming_class_tokens_keeps_the_report(case, tokens):
+    """Both class tokens renamed, the minority token sorting before or after
+    the majority token: ``--minority`` names the minority, not sort order."""
+    kinds, rows, n_min, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert _report(directory, "renamed", kinds, rows, n_min, flags, tokens=tokens) == _report(
+            directory, "pos_neg", kinds, rows, n_min, flags
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_experiments(SCALED_KINDS), j=st.integers(-8, 8))
+def test_scaling_continuous_values_keeps_the_report(case, j):
+    """Every continuous value times 2**j: distances, ``Med``, gaps, means
+    and variances all scale exactly, and naive Bayes scores depend on
+    ratios of them, so the report bytes stay the same."""
+    kinds, rows, n_min, flags = case
+    # Minority row i moves by i/100, off the one-decimal grid, so no continuous
+    # column is constant within a training fold's minority. A column constant
+    # over a whole training split gets naive Bayes' absolute variance floor,
+    # which does not scale with the data.
+    rows = [
+        tuple(v + i / 100 if kind == "continuous" and i < n_min else v for v, kind in zip(row, kinds))
+        for i, row in enumerate(rows)
+    ]
+    scaled = [
+        tuple(v * 2.0**j if kind == "continuous" else v for v, kind in zip(row, kinds)) for row in rows
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        assert _report(directory, "scaled", kinds, scaled, n_min, flags) == _report(
+            directory, "unscaled", kinds, rows, n_min, flags
         )

@@ -16,7 +16,8 @@ from smotekit.distance import (
     VdmMetric,
     VdmTable,
 )
-from smotekit.neighbors import NeighborList, knn_minority, knn_per_fold
+from smotekit.neighbors import knn_minority, knn_per_fold
+from smotekit.resample import SmoteParams, smote
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 
@@ -33,20 +34,20 @@ def schema_d(d):
 def test_collinear_points():
     rows = [(0.0,), (1.0,), (5.0,)]
     nl = knn_minority(minority(CONT1, rows), 1, EuclideanMetric(CONT1))
-    assert nl.lists.tolist() == [[1], [0], [1]]
+    assert nl.tolist() == [[1], [0], [1]]
 
 
 def test_lists_clamped_to_t_minus_one():
     rows = [(0.0,), (1.0,), (2.0,), (3.0,)]
     nl = knn_minority(minority(CONT1, rows), 5, EuclideanMetric(CONT1))
-    assert all(len(lst) == 3 for lst in nl.lists)
+    assert all(len(lst) == 3 for lst in nl)
 
 
 def test_duplicate_points_tie_breaks_by_index():
     rows = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
     schema = schema_d(2)
     nl = knn_minority(minority(schema, rows), 2, EuclideanMetric(schema))
-    assert nl.lists.tolist() == [[1, 2], [0, 2], [0, 1]]
+    assert nl.tolist() == [[1, 2], [0, 2], [0, 1]]
 
 
 def test_never_self():
@@ -54,7 +55,7 @@ def test_never_self():
     schema = schema_d(3)
     rows = [tuple(float(v) for v in rng.integers(0, 4, size=3)) for _ in range(40)]
     nl = knn_minority(minority(schema, rows), 5, EuclideanMetric(schema))
-    for i, lst in enumerate(nl.lists):
+    for i, lst in enumerate(nl):
         assert i not in lst
         assert len(lst) == 5
         assert len(set(lst)) == len(lst)
@@ -133,7 +134,7 @@ def test_matches_oracle_random_datasets(monkeypatch):
             k = int(rng.integers(1, 8))
             monkeypatch.setattr(distance, "_CHUNK_BUDGET", 3 * len(rows))
             got = knn_minority(minority(schema, rows), k, metric)
-            assert tuple(map(tuple, got.lists.tolist())) == sorted_neighbors(
+            assert tuple(map(tuple, got.tolist())) == sorted_neighbors(
                 rows, k, metric_oracle(metric)
             ), (kind, rows, k)
 
@@ -192,7 +193,7 @@ def check_search_memory(monkeypatch, kind, search, block_rows=512, bound=1.25):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lists = sum(nl.lists.nbytes for nl in found)
+    lists = sum(nl.nbytes for nl in found)
     assert peak <= bound * budget * 8 + lists, peak / (budget * 8)
     assert sorted(i for block in metric.blocks for i in block) == list(range(t))
     assert all(len(block) * t <= budget for block in metric.blocks)
@@ -274,9 +275,9 @@ def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
                         if len(train) < 2:
                             assert lists is None
                             continue
-                        want = knn_minority(train, k, metric).lists
-                        assert lists.lists.shape == want.shape
-                        assert lists.lists.tolist() == want.tolist(), (n_folds, margin, t, k, f)
+                        want = knn_minority(train, k, metric)
+                        assert lists.shape == want.shape
+                        assert lists.tolist() == want.tolist(), (n_folds, margin, t, k, f)
 
 
 def test_knn_per_fold_thin_folds_get_none():
@@ -284,7 +285,7 @@ def test_knn_per_fold_thin_folds_get_none():
     ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
     got = knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
     assert [lists is None for lists in got] == [False, True]
-    assert got[0].lists.tolist() == [[1], [0]]
+    assert got[0].tolist() == [[1], [0]]
     assert knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 0, 0]))[0] is None
     with pytest.raises(ValueError, match="k must be at least 1"):
         knn_per_fold(ds, 0, EuclideanMetric(CONT1), np.array([0, 1, 1]))
@@ -309,7 +310,7 @@ def test_distances_nondecreasing_and_dominating():
     metric = EuclideanMetric(schema)
     oracle = metric_oracle(metric)
     nl = knn_minority(minority(schema, rows), 6, metric)
-    for i, lst in enumerate(nl.lists):
+    for i, lst in enumerate(nl):
         dists = [oracle(rows[i], rows[j]) for j in lst]
         assert dists == sorted(dists)
         rim = dists[-1]
@@ -328,11 +329,11 @@ def test_permutation_equivariance():
     shuffled = [rows[old] for old in perm]
     moved = knn_minority(minority(schema, shuffled), 3, EuclideanMetric(schema))
     for new_i, old_i in enumerate(perm):
-        relabeled = [inverse[j] for j in base.lists[old_i]]
+        relabeled = [inverse[j] for j in base[old_i]]
         # distances are unchanged by the permutation, but tie order follows the
         # new labels, so compare as sets when ties are possible; here the rows
         # are generic floats and ties are absent
-        assert moved.lists[new_i].tolist() == relabeled
+        assert moved[new_i].tolist() == relabeled
 
 
 def test_metric_without_pairwise_attribute():
@@ -348,8 +349,23 @@ def test_metric_without_pairwise_attribute():
 def test_ragged_neighbor_list_raises():
     rows = [(0.0,), (1.0,), (5.0,)]
     nl = knn_minority(minority(CONT1, rows), 2, EuclideanMetric(CONT1))
-    assert nl.lists.shape == (3, 2)
-    assert nl.lists.dtype.kind == "i"
-    assert not nl.lists.flags.writeable
-    with pytest.raises(ValueError):
-        NeighborList(((1, 2), (0,), (1, 0)))
+    assert nl.shape == (3, 2)
+    assert nl.dtype == np.intp
+    assert not nl.flags.writeable
+    with pytest.raises(ValueError, match="sequence"):  # numpy's "inhomogeneous shape" error
+        smote(minority(CONT1, rows), SmoteParams(100, seed=0), ((1, 2), (0,), (1, 0)))
+
+
+def test_every_search_returns_read_only_intp_arrays():
+    ds = minority(CONT1, [(float(v),) for v in (0, 1, 3, 6, 10, 15, 21)])
+    metric = EuclideanMetric(CONT1)
+    fold_of = np.arange(7) % 3
+    for k in (1, 3, 9):
+        per_fold = knn_per_fold(ds, k, metric, fold_of)
+        found = [(7, knn_minority(ds, k, metric))]
+        found += [(np.count_nonzero(fold_of != f), lists) for f, lists in enumerate(per_fold)]
+        for t, lists in found:
+            assert type(lists) is np.ndarray
+            assert lists.dtype == np.intp
+            assert lists.shape == (t, min(k, t - 1))
+            assert not lists.flags.writeable

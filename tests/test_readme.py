@@ -1,6 +1,7 @@
 """README.md names only what the package has."""
 
 import argparse
+import builtins
 import dataclasses
 import importlib
 import inspect
@@ -51,6 +52,24 @@ def test_readme_names_every_public_class():
             ):
                 missing.append(f"{info.name}.{name}")
     assert not missing, f"README.md does not name: {missing}"
+
+
+# CapWords that README backticks for something other than a class
+NOT_CLASSES = {"Med"}  # the median of the minority's standard deviations
+
+
+def test_readme_names_only_classes_that_exist():
+    """Every name in CapWords that opens a backticked span of README.md
+    (``Dataset``, or ``NcMetric`` of ``NcMetric(schema, med)``) is a class of
+    a smotekit module or a builtin one, or is in ``NOT_CLASSES``. All-caps
+    words, such as environment variables, are not CapWords."""
+    words = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)", README.read_text("utf-8")))
+    namespaces = [builtins] + [
+        importlib.import_module(f"smotekit.{info.name}") for info in pkgutil.iter_modules(smotekit.__path__)
+    ]
+    classes = {name for ns in namespaces for name, obj in vars(ns).items() if inspect.isclass(obj)}
+    unknown = sorted(words - classes - NOT_CLASSES)
+    assert not unknown, f"README.md names classes smotekit lacks: {unknown}"
 
 
 def test_resampling_surface_is_pinned():

@@ -18,11 +18,14 @@ from smotekit.distance import (
     compute_med,
 )
 from smotekit.errors import DataError
-from smotekit.neighbors import NeighborList, knn_minority
+from smotekit.neighbors import knn_minority
+from smotekit.rng import generator
 from smotekit.resample import (
     DISTINCT,
+    NEIGHBOR_MODES,
     PER_ATTRIBUTE,
     SHARED,
+    VARIANTS,
     WITH_REPLACEMENT,
     SmoteParams,
     apply_plan_detailed,
@@ -50,7 +53,7 @@ def minority(schema, rows):
 
 
 PAIR = minority(CONT2, [(6.0, 4.0), (4.0, 3.0)])
-PAIR_NEIGHBORS = NeighborList(((1,), (0,)))
+PAIR_NEIGHBORS = ((1,), (0,))
 
 
 @pytest.mark.parametrize("gap", [0.0, 0.25, 0.5, float(np.nextafter(1.0, 0.0))])
@@ -127,7 +130,7 @@ def test_segment_membership_shared_gap():
         expected = base + gap * (nb - base)
         for got, want in zip(row, expected):
             assert abs(got - want) <= math.ulp(want)
-        assert j in nbrs.lists[b]
+        assert j in nbrs[b]
 
 
 def test_bounding_box_per_attribute_gap():
@@ -212,12 +215,30 @@ def test_smote_rejects_nominal_rows():
 
 def test_smote_rejects_single_row():
     with pytest.raises(ValueError, match="at least 2"):
-        smote(minority(CONT2, [(1.0, 2.0)]), SmoteParams(100, seed=0), NeighborList(((0,),)))
+        smote(minority(CONT2, [(1.0, 2.0)]), SmoteParams(100, seed=0), ((0,),))
 
 
 def test_smote_rejects_mismatched_neighbor_list():
     with pytest.raises(ValueError, match="neighbor list"):
-        smote(PAIR, SmoteParams(100, seed=0), NeighborList(((1,), (0,), (0,))))
+        smote(PAIR, SmoteParams(100, seed=0), ((1,), (0,), (0,)))
+
+
+def test_smote_rejects_one_dimensional_neighbor_lists():
+    with pytest.raises(ValueError, match=r"^neighbor lists have shape \(2,\), expected \(2, w\)"):
+        smote(PAIR, SmoteParams(100, seed=0), (1, 0))
+
+
+@pytest.mark.parametrize("mode", NEIGHBOR_MODES)
+@pytest.mark.parametrize("synthesize, ds", [(smote, PAIR), (smote_nc, None)], ids=["smote", "smote_nc"])
+def test_interpolation_rejects_empty_neighbor_lists(synthesize, ds, mode):
+    # a (T, 0) list leaves nothing to interpolate toward; smote_n's vote
+    # needs no neighbor, so only the interpolating variants reject it
+    ds = ds or _nc_dataset(["A"])
+    empty = np.empty((2, 0), dtype=np.intp)
+    with pytest.raises(ValueError, match=r"^neighbor lists have shape \(2, 0\), expected \(2, w\) with w >= 1$"):
+        synthesize(ds, SmoteParams(100, seed=0, neighbor_mode=mode), empty)
+    batch = smote_n(minority(NOM1, [("A",), ("B",)]), SmoteParams(100, seed=0, neighbor_mode=mode), empty)
+    assert batch.rows == [("A",), ("B",)]
 
 
 def test_smote_determinism():
@@ -242,9 +263,7 @@ def _nc_dataset(nominals, base_value="B"):
 
 
 def _full_lists(t):
-    return NeighborList(
-        tuple(tuple(j for j in range(t) if j != i) for i in range(t))
-    )
+    return tuple(tuple(j for j in range(t) if j != i) for i in range(t))
 
 
 def test_nc_vote_tie_skips_base_when_not_leading():
@@ -268,7 +287,7 @@ def test_nc_vote_excludes_base():
     # would keep B
     ds = _nc_dataset(["A"])
     params = SmoteParams(n_percent=100, seed=0)
-    batch = smote_nc(ds, params, NeighborList(((1,), (0,))), rng=StubRng(0.0))
+    batch = smote_nc(ds, params, ((1,), (0,)), rng=StubRng(0.0))
     assert batch.rows[0][1] == "A"
 
 
@@ -286,7 +305,7 @@ def test_nc_continuous_part_interpolates():
     )
     ds = dataset_from_rows(schema, rows, (MINORITY, MINORITY))
     params = SmoteParams(n_percent=100, seed=0, gap_mode=SHARED)
-    batch = smote_nc(ds, params, NeighborList(((1,), (0,))), rng=StubRng(0.5))
+    batch = smote_nc(ds, params, ((1,), (0,)), rng=StubRng(0.5))
     assert batch.rows[0] == (5.0, 3.5, "A")
 
 
@@ -294,7 +313,7 @@ def test_nc_rejects_all_nominal_schema():
     schema = FeatureSchema((("c", "nominal"),), "cls")
     ds = dataset_from_rows(schema, (("A",), ("B",)), (MINORITY, MINORITY))
     with pytest.raises(ValueError, match="smote_n"):
-        smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
+        smote_nc(ds, SmoteParams(100, seed=0), ((1,), (0,)))
 
 
 def test_nc_rejects_majority_rows():
@@ -304,7 +323,7 @@ def test_nc_rejects_majority_rows():
         (MINORITY, MAJORITY),
     )
     with pytest.raises(ValueError, match="minority-only"):
-        smote_nc(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
+        smote_nc(ds, SmoteParams(100, seed=0), ((1,), (0,)))
 
 
 NOM5 = FeatureSchema(tuple((f"g{i}", "nominal") for i in range(5)), "cls")
@@ -335,7 +354,7 @@ def test_smote_n_unanimous():
 
 def test_smote_n_tie_keeps_base_value():
     ds = minority(NOM1, [("A",), ("B",)])
-    batch = smote_n(ds, SmoteParams(100, seed=0), NeighborList(((1,), (0,))))
+    batch = smote_n(ds, SmoteParams(100, seed=0), ((1,), (0,)))
     assert batch.rows[0] == ("A",)
     assert batch.rows[1] == ("B",)
 
@@ -355,7 +374,7 @@ def test_smote_n_rejects_continuous():
         smote_n(
             minority(FeatureSchema((("x", "continuous"),), "cls"), [(1.0,), (2.0,)]),
             SmoteParams(100, seed=0),
-            NeighborList(((1,), (0,))),
+            ((1,), (0,)),
         )
 
 
@@ -372,6 +391,21 @@ def test_replicate_membership_and_count():
         assert row == rows[b]
     assert len(replicate_oversample(ds, 0, seed=1)) == 0
     assert len(replicate_oversample(ds.subset(range(4)), 250, seed=1)) == 8
+
+
+@pytest.mark.parametrize("n_percent, t", [(50, 10), (1, 250)])
+def test_replicate_under_100_copies_as_many_distinct_rows_as_smote_makes(n_percent, t):
+    rows = [(float(i), -float(i)) for i in range(t)]
+    ds = minority(CONT2, rows)
+    batch = replicate_oversample(ds, n_percent, seed=3)
+    assert len(batch) == n_percent * t // 100
+    picks = batch.provenance.base_index.tolist()
+    assert len(set(picks)) == len(picks)
+    assert batch.rows == [rows[b] for b in picks]
+    # the bases SMOTE draws from the same substream
+    knn = knn_minority(ds, 1, EuclideanMetric(CONT2))
+    made = smote(ds, SmoteParams(n_percent, seed=3), knn, rng=generator(3, "replicate"))
+    assert made.provenance.base_index.tolist() == picks
 
 
 def test_under_sample_worked_percentages():
@@ -495,10 +529,10 @@ def test_fold_neighbors_shares_lists_for_smote_alone():
     shared = fold_neighbors(ds, folds, 3, "smote")
     for f, lists in enumerate(shared):
         train = ds.subset(np.flatnonzero(folds != f))
-        assert lists.lists.tolist() == variant_neighbors(train, 3, "smote").lists.tolist()
+        assert lists.tolist() == variant_neighbors(train, 3, "smote").tolist()
     # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
     thin = _plan_dataset(3, 6)
-    assert all(fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
+    assert all(lists is not None for lists in fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
     assert fold_neighbors(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
     with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
         fold_neighbors(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
@@ -519,7 +553,7 @@ def test_fold_neighbors_searches_each_smote_n_fold():
     assert len(per_fold) == 4
     for f, lists in enumerate(per_fold):
         train = ds.subset(np.flatnonzero(folds != f))
-        assert lists.lists.tolist() == variant_neighbors(train, 3, "smote_n").lists.tolist()
+        assert lists.tolist() == variant_neighbors(train, 3, "smote_n").tolist()
     for variant in ("smote_nc", "replicate"):
         assert fold_neighbors(ds, folds, 3, variant) == [None] * 4
     # fold 1 holds out 2 of the 3 minority rows, leaving its training minority 1
@@ -542,6 +576,29 @@ SHAPED_ROWS = {
     "mixed": (MIXED, [(0.0, "A"), (1.0, "B"), (2.0, "A")]),
     "all-nominal": (NOM2, [("A", "B"), ("A", "C"), ("D", "C")]),
 }
+
+
+@pytest.mark.parametrize("empty", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
+    # rows 0-3 are minority and fold ``empty`` holds majority rows only, so
+    # its training minority is the whole minority
+    shape = {"smote_nc": "mixed", "smote_n": "all-nominal"}.get(variant, "all-continuous")
+    schema, rows = SHAPED_ROWS[shape]
+    ds = dataset_from_rows(schema, tuple([*rows, rows[0]] * 2), (MINORITY,) * 4 + (MAJORITY,) * 4)
+    a, b = (f for f in range(3) if f != empty)
+    folds = np.array([a, b, a, b, 0, 1, 2, empty])
+    per_fold = fold_neighbors(ds, folds, 2, variant)
+    assert len(per_fold) == 3
+    for f, lists in enumerate(per_fold):
+        if variant in ("smote_nc", "replicate"):
+            assert lists is None
+            continue
+        want = variant_neighbors(ds.subset(np.flatnonzero(folds != f)), 2, variant)
+        assert lists.tolist() == want.tolist()
+        for got in (lists, want):
+            assert got.dtype == np.intp and not got.flags.writeable
+            assert got.shape == ((4, 2) if f == empty else (2, 1))
 
 
 @pytest.mark.parametrize("shape", SHAPED_ROWS)
@@ -583,7 +640,7 @@ def test_synthesis_rejects_neighbor_index_outside_minority(variant, synthesize, 
     schema, rows = SHAPED_ROWS[shape]
     train = dataset_from_rows(schema, tuple(rows) * 2, (MINORITY,) * 3 + (MAJORITY,) * 3)
     # the first index outside [0, 3) in row order is named, not the later 7
-    neighbors = NeighborList(((1,), (bad,), (7,)))
+    neighbors = ((1,), (bad,), (7,))
     message = rf"^neighbor index {bad} outside \[0, 3\)$"
     with pytest.raises(ValueError, match=message):
         synthesize(train.minority_subset(), SmoteParams(100, seed=1), neighbors)
@@ -762,17 +819,17 @@ def test_synthesis_count_box_and_vote_properties(
             assert j == b
         else:
             nb = pool[j]
-            assert j in nbrs.lists[b].tolist()
+            assert j in nbrs[b].tolist()
             for i in cont:
                 assert min(base[i], nb[i]) <= row[i] <= max(base[i], nb[i])
         for i in schema.nominal_indices:
             first_seen = list(dict.fromkeys(r[i] for r in vote_pool))
-            voters = [pool[j][i] for j in nbrs.lists[b]]
+            voters = [pool[j][i] for j in nbrs[b]]
             if shape == "nominal":
                 voters = [base[i]] + voters
             assert row[i] == _expected_vote(voters, base[i], first_seen)
     if neighbor_mode == DISTINCT and shape != "nominal":
-        w = nbrs.lists.shape[1]
+        w = nbrs.shape[1]
         for picks in picks_of.values():
             for start in range(0, len(picks), w):
                 dealt = picks[start : start + w]

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 from .evaluate import ANCHORS, RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import CLASSIFIER_KINDS, ClassifierSpec
 from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, variant_neighbors, write_provenance
+from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, synthesis_source, variant_neighbors, write_provenance
 
 _EXIT_STDOUT = 1  # standard output cannot be written
 _DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
@@ -129,10 +129,10 @@ def _cmd_resample(args, variant: str) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     unders = args.under if args.under else [0]
-    neighbors = None
+    source = None
     if variant != "replicate" and any(over > 0 for over in args.over):
-        # one search serves every --over x --under pair of this file
-        neighbors = variant_neighbors(ds, args.k, variant)
+        # one search and one vote serve every --over x --under pair of this file
+        source = synthesis_source(variant, ds.minority_subset(), variant_neighbors(ds, args.k, variant))
     listing = []  # printed once every file is written
     for over in args.over:
         for under in unders:
@@ -146,7 +146,7 @@ def _cmd_resample(args, variant: str) -> int:
                 gap_mode=args.gap_mode,
                 neighbor_mode=args.neighbor_mode,
                 under_basis=args.under_basis,
-                neighbors=neighbors,
+                source=source,
             )
             stem = f"augmented_{variant}_o{over}_u{under}"
             save_csv(detail.dataset, out / f"{stem}.csv")

@@ -259,10 +259,11 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             cells = [(f"threshold={t}", None, spec, t) for t in cfg.thresholds]
             grid.append(("threshold_sweep", None, cells))
     raw_cells = dict.fromkeys((s, t) for *_, cs in grid for _, plan, s, t in cs if plan is None)
-    # only smote_under cells synthesize with cfg.variant; the others ignore the lists
-    neighbors = [None] * cfg.n_folds
+    # only smote_under cells synthesize with cfg.variant; the others read the
+    # source's minority slice alone
+    sources = [None] * cfg.n_folds
     if "smote_under" in cfg.families:
-        neighbors = fold_neighbors(ds, folds, cfg.k, cfg.variant)
+        sources = fold_neighbors(ds, folds, cfg.k, cfg.variant)
 
     runs: dict = {}  # (label, tag) -> per fold, (confusion matrix, training set size)
     skipped: dict = {}  # (label, tag) -> why the first fold to skip it did
@@ -290,7 +291,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                         gap_mode=cfg.gap_mode,
                         neighbor_mode=cfg.neighbor_mode,
                         under_basis=cfg.under_basis,
-                        neighbors=neighbors[f],
+                        source=sources[f],
                     )
                 except DataError as exc:  # the training minority is too thin to search
                     skipped[key] = f"{label} cell {tag}: fold {f}: {exc}"

@@ -5,8 +5,9 @@ The over-sampling amount ``n_percent`` is interpreted in integral multiples of
 segments toward its k nearest minority neighbors. Amounts under 100 instead
 select ``floor(n_percent/100 * T)`` distinct bases at random and give each one
 synthetic row. ``k`` enters only the neighbor search, which computes the
-neighbor lists once; synthesis reads the lists. Three synthesis flavors cover
-the schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
+neighbor lists once; synthesis reads the lists and the votes that
+:func:`synthesis_source` computes from them once. Three synthesis flavors
+cover the schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
 
 * ``smote``: all-continuous; interpolate every coordinate.
 * ``smote_nc``: mixed; interpolate continuous coordinates, set each nominal
@@ -180,42 +181,59 @@ def _check_shape(schema, variant: str) -> None:
         raise ValueError(f"{variant} takes {_SHAPES[variant]} features, got {shape} features")
 
 
-def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> SyntheticBatch:
-    """The synthesis behind smote, smote_nc and smote_n.
+def synthesis_source(variant: str, minority: Dataset, neighbors) -> tuple:
+    """What synthesis of ``variant`` reads from a minority and its neighbor
+    lists: ``(minority, lists, votes)``, built once and shared by every call
+    that synthesizes from these rows.
 
-    ``source`` must be a minority-only slice of T >= 2 rows in the schema
+    ``minority`` must be a minority-only slice of T >= 2 rows in the schema
     shape ``variant`` takes. This is the one check of given ``neighbors``: a
-    ValueError unless they form a ``(T, w)`` integer array, ``w >= 1`` to
-    interpolate, every index in ``[0, T)``. ``rng`` None draws from the
-    seeded substream ``(params.seed, "smote")``. Every synthetic row of a
-    base carries the base's voted nominal codes (see :func:`_vote`); the
-    base joins the vote only when no continuous coordinate is interpolated,
-    as in smote_n. After the base choice, one call draws every neighbor
-    pick, then every gap, and interpolates and clips the whole continuous
-    block to the base/neighbor boxes at once. With no continuous columns
-    nothing more is drawn and each row records its base as its neighbor,
-    with no gaps.
+    ValueError unless they form a ``(T, w)`` integer array (not bool, not
+    float; an empty list reads as float and passes on to the width check),
+    ``w >= 1`` to interpolate, every index in ``[0, T)``. ``lists`` is that
+    array as ``np.intp`` (an intp array is not copied). ``votes`` holds every
+    row's voted nominal codes (see :func:`_vote`); the row joins its own vote
+    only when no continuous coordinate is interpolated, as in smote_n.
     """
-    _check_shape(source.schema, variant)
-    if not source.minority.all():
+    _check_shape(minority.schema, variant)
+    if not minority.minority.all():
         raise ValueError(f"{variant} expects a minority-only dataset slice")
-    t = len(source)
+    t = len(minority)
     if t < 2:
         raise ValueError(f"need at least 2 minority rows, got {t}")
-    cont = source.cont
-    d = cont.shape[1]
-    lists = np.asarray(neighbors, dtype=np.intp)  # ragged rows raise; an intp array is not copied
+    lists = np.asarray(neighbors)  # ragged rows raise
+    if lists.size and lists.dtype.kind not in "iu":
+        raise ValueError(f"neighbor lists must hold integers, got {lists.dtype}")
+    lists = lists.astype(np.intp, copy=False)
+    d = minority.cont.shape[1]
     w_min = int(d > 0)  # interpolation needs a neighbor in every row
     if lists.ndim != 2 or len(lists) != t or lists.shape[1] < w_min:
         raise ValueError(f"neighbor lists have shape {lists.shape}, expected ({t}, w) with w >= {w_min}")
     outside = (lists < 0) | (lists >= t)
     if outside.any():
         raise ValueError(f"neighbor index {lists[outside][0]} outside [0, {t})")
+    return minority, lists, _vote(minority.codes, lists, base_votes=not d)
+
+
+def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
+    """The synthesis behind smote, smote_nc and smote_n, from a ``source``
+    that :func:`synthesis_source` built; nothing is checked or voted again.
+
+    ``rng`` None draws from the seeded substream ``(params.seed, "smote")``.
+    Every synthetic row of a base carries the base's votes. After the base
+    choice, one call draws every neighbor pick, then every gap, and
+    interpolates and clips the whole continuous block to the base/neighbor
+    boxes at once. With no continuous columns nothing more is drawn and each
+    row records its base as its neighbor, with no gaps.
+    """
+    minority, lists, votes = source
     if rng is None:
         rng = generator(params.seed, "smote")
-    bases, per_base = _plan_bases(params.n_percent, t, rng)
+    bases, per_base = _plan_bases(params.n_percent, len(minority), rng)
     origin = np.repeat(bases, per_base)
     n = len(origin)
+    cont = minority.cont
+    d = cont.shape[1]
     base = cont[origin]
     if d:
         picks = _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
@@ -229,8 +247,7 @@ def _synthesize(variant: str, source: Dataset, params, neighbors, rng) -> Synthe
         np.clip(new, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=new)
     else:
         partner, gaps, new = origin, np.empty((n, 0)), base
-    voted = _vote(source.codes, lists, base_votes=not d)
-    data = source.with_blocks(new, voted[origin], np.ones(n, dtype=bool))
+    data = minority.with_blocks(new, votes[origin], np.ones(n, dtype=bool))
     return SyntheticBatch(data, Provenance(origin, partner, gaps))
 
 
@@ -257,7 +274,7 @@ def smote(
         the base/neighbor bounding box, which only matters when float
         rounding at gap values near 1 would overshoot by an ulp.
     """
-    return _synthesize("smote", minority, params, neighbors, rng)
+    return _synthesize(synthesis_source("smote", minority, neighbors), params, rng)
 
 
 def smote_nc(
@@ -275,7 +292,7 @@ def smote_nc(
     base excluded, so every synthetic row of one base shares its voted
     nominal part.
     """
-    return _synthesize("smote_nc", minority, params, neighbors, rng)
+    return _synthesize(synthesis_source("smote_nc", minority, neighbors), params, rng)
 
 
 def smote_n(
@@ -292,7 +309,7 @@ def smote_n(
     the neighbor lists; random draws occur only in the under-100 base
     selection.
     """
-    return _synthesize("smote_n", minority, params, neighbors, rng)
+    return _synthesize(synthesis_source("smote_n", minority, neighbors), params, rng)
 
 
 def replicate_oversample(
@@ -406,37 +423,45 @@ _FOLD_FITTED = ("smote_n",)
 
 def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     """For every fold up to ``folds.max()`` (``folds[i]`` the fold of row
-    ``i`` of ``ds``), the lists of its training minority that every cell of
-    ``variant`` shares, or None where :func:`apply_plan_detailed` searches
-    on each call. smote's distances do not depend on the fold, so one pass
-    serves every fold; a fold with no minority row gets the whole minority's.
-    SMOTE-N's VDM counts are fitted to the fold, so each fold is searched on
-    its own, as :func:`variant_neighbors` searches its training split;
-    smote_nc and replicate get None. A fold whose training minority is too
-    thin to search gets None, so the cell that needs it raises the
-    ``DataError`` on its own call. A schema the variant cannot take raises
-    ValueError.
+    ``i`` of ``ds``), the :func:`synthesis_source` of its training minority
+    that every cell of ``variant`` shares: the fold's minority slice, its
+    lists and its votes, built once per fold. None stands where
+    :func:`apply_plan_detailed` searches and votes on each call. smote's
+    distances do not depend on the fold, so one pass serves every fold; a
+    fold with no minority row gets the whole minority's. SMOTE-N's VDM counts
+    are fitted to the fold, so each fold is searched on its own, as
+    :func:`variant_neighbors` searches its training split; smote_nc and
+    replicate get None. A fold whose training minority is too thin to search
+    gets None, so the cell that needs it raises the ``DataError`` on its own
+    call. A schema the variant cannot take raises ValueError.
     """
     n_folds = int(folds.max()) + 1
     if variant in _FOLD_FITTED:
-        return [_fold_lists(ds.subset(np.flatnonzero(folds != f)), k, variant) for f in range(n_folds)]
+        return [_fold_source(ds.subset(np.flatnonzero(folds != f)), k, variant) for f in range(n_folds)]
     if variant != "smote":
         return [None] * n_folds
     _check_shape(ds.schema, variant)
     minority = ds.minority_subset()
-    lists = knn_per_fold(minority, k, _metric(ds, minority, variant), folds[ds.minority_indices()])
-    if len(lists) < n_folds:  # the last folds hold no minority row
-        lists += [_fold_lists(ds, k, variant)] * (n_folds - len(lists))
-    return lists
+    fold_of = folds[ds.minority_indices()]
+    per_fold = knn_per_fold(minority, k, _metric(ds, minority, variant), fold_of)
+    sources = [
+        None if lists is None else synthesis_source(variant, minority.subset(np.flatnonzero(fold_of != f)), lists)
+        for f, lists in enumerate(per_fold)
+    ]
+    if len(sources) < n_folds:  # the last folds hold no minority row
+        sources += [_fold_source(ds, k, variant)] * (n_folds - len(sources))
+    return sources
 
 
-def _fold_lists(train: Dataset, k: int, variant: str):
-    """:func:`variant_neighbors` of one training fold, or None where its
-    minority is too thin to search."""
+def _fold_source(train: Dataset, k: int, variant: str):
+    """The :func:`synthesis_source` of one training fold, from its
+    :func:`variant_neighbors`, or None where its minority is too thin to
+    search."""
     try:
-        return variant_neighbors(train, k, variant)
+        lists = variant_neighbors(train, k, variant)
     except DataError:
         return None
+    return synthesis_source(variant, train.minority_subset(), lists)
 
 
 def apply_plan_detailed(
@@ -449,7 +474,7 @@ def apply_plan_detailed(
     gap_mode: str = PER_ATTRIBUTE,
     neighbor_mode: str = WITH_REPLACEMENT,
     under_basis: str = "pre",
-    neighbors: np.ndarray = None,
+    source: tuple = None,
 ) -> PlanResult:
     """Compose over- and under-sampling on a training split.
 
@@ -465,9 +490,12 @@ def apply_plan_detailed(
         under_basis: "pre" (default) sizes the retained majority from the
             original minority count so sweeps share majority counts across
             over-sampling levels; "post" sizes it from the augmented count.
-        neighbors: the lists of ``train``'s minority rows, as
-            :func:`variant_neighbors` gives them, to reuse one search across
-            calls; None (default) searches here. Synthesis variants only.
+        source: what synthesis of ``variant`` reads, the
+            :func:`synthesis_source` of ``train``'s minority rows (as
+            :func:`fold_neighbors` gives it per fold), to share one search
+            and one vote across calls; None (default) searches and votes
+            here. When given, its minority slice also stands in for
+            ``train.minority_subset()``, whatever the variant.
 
     Returns:
         A PlanResult: the new dataset (the input is untouched) with rows in
@@ -477,6 +505,8 @@ def apply_plan_detailed(
     Raises:
         DataError: a synthesis variant with ``over_percent > 0`` on a
             training minority of fewer than 2 rows.
+        ValueError: a ``source`` of another row count than ``train``'s
+            minority.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -486,7 +516,12 @@ def apply_plan_detailed(
         raise ValueError(f"over_percent must be non-negative, got {over_percent}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    minority = train.minority_subset()
+    if source is None:
+        minority = train.minority_subset()
+    else:
+        minority = source[0]
+        if len(minority) != train.n_minority:
+            raise ValueError(f"source has {len(minority)} minority rows, train has {train.n_minority}")
     majority_idx = train.majority_indices()
 
     if over_percent == 0:
@@ -498,16 +533,16 @@ def apply_plan_detailed(
         )
     else:
         _check_synthesis(train, len(minority), variant)
-        if neighbors is None:
-            neighbors = knn_minority(minority, k, _metric(train, minority, variant))
+        if source is None:
+            lists = knn_minority(minority, k, _metric(train, minority, variant))
+            source = synthesis_source(variant, minority, lists)
         params = SmoteParams(
             n_percent=over_percent,
             seed=child_seed(seed, "over"),
             gap_mode=gap_mode,
             neighbor_mode=neighbor_mode,
         )
-        synthesize = {"smote": smote, "smote_nc": smote_nc, "smote_n": smote_n}[variant]
-        batch = synthesize(minority, params, neighbors)
+        batch = _synthesize(source, params, None)
 
     if under_percent in (None, 0):
         retained = majority_idx

@@ -25,7 +25,7 @@ from smotekit.data import Dataset, stratified_folds
 from smotekit.errors import DataError
 from smotekit.evaluate import auc, build_family_curve, convex_hull
 from smotekit.model import confusion_from_scores, score_external, train
-from smotekit.resample import apply_plan_detailed, variant_neighbors
+from smotekit.resample import apply_plan_detailed, synthesis_source, variant_neighbors
 from smotekit.rng import child_seed
 
 # The label of one row for dataset_from_rows: its minority flag.
@@ -221,16 +221,17 @@ def _reference_cell(cfg, splits, label, variant, tag, plan, spec, threshold):
     cms, sizes = [], []
     for f, (train_ds, test) in enumerate(splits):
         if plan is not None:
-            neighbors = None
+            source = None
             if variant != "replicate" and plan[0] > 0:
-                try:  # the search this cell would make alone
-                    neighbors = variant_neighbors(train_ds, cfg.k, variant)
+                try:  # the search and vote this cell would make alone
+                    lists = variant_neighbors(train_ds, cfg.k, variant)
                 except DataError as exc:
                     return f"{label} cell {tag}: fold {f}: {exc}"
+                source = synthesis_source(variant, train_ds.minority_subset(), lists)
             train_ds = apply_plan_detailed(
                 train_ds, *plan, cfg.k, child_seed(cfg.seed, label, tag, f), variant,
                 gap_mode=cfg.gap_mode, neighbor_mode=cfg.neighbor_mode,
-                under_basis=cfg.under_basis, neighbors=neighbors,
+                under_basis=cfg.under_basis, source=source,
             ).dataset
             if train_ds.n_majority == 0:
                 return f"{label} cell {tag}: under-sampling emptied the majority class"

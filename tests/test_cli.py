@@ -354,6 +354,22 @@ def test_resample_searches_neighbors_once_per_file(mixed, tmp_path, monkeypatch)
         assert (written.n_minority, written.n_majority) == (20 + over // 100 * 20, 100)
 
 
+def test_resample_votes_once_per_file(nominal, tmp_path, monkeypatch):
+    calls = []
+    real_vote = resample._vote
+
+    def counting_vote(codes, lists, base_votes):
+        calls.append(len(codes))
+        return real_vote(codes, lists, base_votes)
+
+    monkeypatch.setattr(resample, "_vote", counting_vote)
+    out = tmp_path / "aug"
+    argv = ["smote-n", *data_args(nominal), "--over", "100,200,300", "--under", "50,100"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert calls == [20]  # six augmented files, one vote over the 20 minority rows
+    assert len(list(out.glob("augmented_smote_n_*.csv"))) == 6
+
+
 def test_resample_holds_one_resampled_set_at_a_time(tmp_path):
     # the --over 2000 set is released before the --over 4000 one is built
     rng = np.random.default_rng(84)

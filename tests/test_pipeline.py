@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, reference_experiment
@@ -399,23 +400,87 @@ def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant
 
 
 @pytest.mark.parametrize(
-    "n_min, n_folds, seed", [(20, 4, 5), (3, 2, 1)], ids=["regular", "thin-fold"]
+    "variant, schema, votes",
+    [("smote", SCHEMA, [15] * 4), ("smote_n", NOMINAL, [15] * 4), ("smote_nc", MIXED, [15] * 16)],
 )
-def test_smote_n_per_fold_lists_match_a_search_per_cell(monkeypatch, n_min, n_folds, seed):
-    ds = categorical_dataset(NOMINAL, n_min=n_min, n_maj=30)
-    cfg = small_config(over_percents=(100, 300), variant="smote_n", n_folds=n_folds, seed=seed)
+def test_votes_once_per_fold_or_per_synthesizing_cell(monkeypatch, variant, schema, votes):
+    # a fold's votes depend on its minority and lists alone, so smote and
+    # smote_n vote once per fold; smote_nc searches per cell, so it votes
+    # once per (synthesizing cell, fold); plain_under and replicate never vote
+    calls = []
+    real_vote = resample._vote
+
+    def counting_vote(codes, lists, base_votes):
+        calls.append(len(codes))
+        return real_vote(codes, lists, base_votes)
+
+    monkeypatch.setattr(resample, "_vote", counting_vote)
+    ds = gaussian_dataset() if variant == "smote" else categorical_dataset(schema)
+    cfg = small_config(
+        families=("smote_under", "plain_under", "replicate"), over_percents=(100, 300), variant=variant
+    )
+    run_experiment(ds, cfg)
+    # 4 folds, or 2 over x 2 under cells x 4 folds, each over a 15-row training minority
+    assert calls == votes
+
+
+def _assert_per_fold_matches_per_cell(ds, cfg):
+    """A run that shares one source per fold gives the report of a run
+    whose every cell searches and votes on its own; returns the warnings."""
     per_fold = run_experiment(ds, cfg)
-    monkeypatch.setattr(pipeline, "fold_neighbors", lambda ds, folds, *args: [None] * n_folds)
-    per_cell = run_experiment(ds, cfg)
+    with mock.patch.object(pipeline, "fold_neighbors", lambda ds, folds, *args: [None] * cfg.n_folds):
+        per_cell = run_experiment(ds, cfg)
     assert per_fold.aucs == per_cell.aucs
     assert per_fold.curves == per_cell.curves
     assert per_fold.cell_sizes == per_cell.cell_sizes
     assert per_fold.warnings == per_cell.warnings
-    # 3 minority rows over 2 folds: fold 0 synthesizes from its lists, and
+    return per_fold.warnings
+
+
+@pytest.mark.parametrize(
+    "n_min, n_folds, seed", [(20, 4, 5), (3, 2, 1)], ids=["regular", "thin-fold"]
+)
+@pytest.mark.parametrize("variant", ["smote", "smote_n"])
+def test_per_fold_sources_match_a_search_per_cell(variant, n_min, n_folds, seed):
+    if variant == "smote":
+        ds = gaussian_dataset(n_min=n_min, n_maj=30)
+    else:
+        ds = categorical_dataset(NOMINAL, n_min=n_min, n_maj=30)
+    cfg = small_config(over_percents=(100, 300), variant=variant, n_folds=n_folds, seed=seed)
+    warnings = _assert_per_fold_matches_per_cell(ds, cfg)
+    # 3 minority rows over 2 folds: fold 0 synthesizes from its source, and
     # fold 1, with a training minority of 1, skips every smote_under cell
-    thin = [w for w in per_fold.warnings if "training minority has 1 row" in w]
+    thin = [w for w in warnings if "training minority has 1 row" in w]
     assert len(thin) == (4 if n_min == 3 else 0)
     assert all(": fold 1: " in w for w in thin)
+
+
+def _tied_dataset(variant, n_min, n_maj, seed):
+    """Two features over two values each (0.0 and 1.0 for smote, a and b for
+    smote_n): many duplicate rows and many tied distances."""
+    schema, values = (SCHEMA, (0.0, 1.0)) if variant == "smote" else (NOMINAL, ("a", "b"))
+    picks = np.random.default_rng(seed).integers(0, 2, size=(n_min + n_maj, 2)).tolist()
+    rows = tuple(tuple(values[v] for v in row) for row in picks)
+    return dataset_from_rows(schema, rows, (MINORITY,) * n_min + (MAJORITY,) * n_maj, "pos", "neg")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    variant=st.sampled_from(["smote", "smote_n"]),
+    n_folds=st.integers(2, 4),
+    extra=st.integers(0, 8),
+    n_maj=st.integers(8, 30),
+    seed=st.integers(0, 2**16),
+)
+# 3 minority rows over 2 folds leave one fold a single training minority row
+@example(variant="smote", n_folds=2, extra=1, n_maj=12, seed=0)
+@example(variant="smote_n", n_folds=2, extra=1, n_maj=12, seed=0)
+def test_per_fold_sources_match_a_search_per_cell_on_tied_data(variant, n_folds, extra, n_maj, seed):
+    ds = _tied_dataset(variant, n_folds + extra, n_maj, seed)
+    cfg = small_config(over_percents=(100, 300), variant=variant, n_folds=n_folds, seed=seed)
+    warnings = _assert_per_fold_matches_per_cell(ds, cfg)
+    if (n_folds, extra) == (2, 1):
+        assert sum("training minority has 1 row" in w for w in warnings) == 4
 
 
 def test_report_bytes_and_cell_sizes_are_pinned(tmp_path):

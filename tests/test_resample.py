@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows
+from smotekit import resample
 from smotekit.data import Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -35,6 +36,7 @@ from smotekit.resample import (
     smote,
     smote_n,
     smote_nc,
+    synthesis_source,
     under_sample,
     variant_neighbors,
     write_provenance,
@@ -238,6 +240,42 @@ def test_interpolation_rejects_empty_neighbor_lists(synthesize, ds, mode):
     with pytest.raises(ValueError, match=r"^neighbor lists have shape \(2, 0\), expected \(2, w\) with w >= 1$"):
         synthesize(ds, SmoteParams(100, seed=0, neighbor_mode=mode), empty)
     batch = smote_n(minority(NOM1, [("A",), ("B",)]), SmoteParams(100, seed=0, neighbor_mode=mode), empty)
+    assert batch.rows == [("A",), ("B",)]
+
+
+@pytest.mark.parametrize(
+    "lists, dtype",
+    [
+        (((1.9,), (0.7,)), "float64"),
+        (np.array([[1.0], [0.0]]), "float64"),
+        (((True,), (False,)), "bool"),
+        ((("1",), ("0",)), "<U1"),
+    ],
+    ids=["fractional", "integral-float", "bool", "text"],
+)
+@pytest.mark.parametrize(
+    "synthesize, ds",
+    [(smote, PAIR), (smote_nc, None), (smote_n, None)],
+    ids=["smote", "smote_nc", "smote_n"],
+)
+def test_synthesis_rejects_non_integer_neighbor_lists(synthesize, ds, lists, dtype):
+    # a cast would truncate 1.9 to 1 and read True as 1; the lists must
+    # already hold integers
+    ds = ds or (_nc_dataset(["A"]) if synthesize is smote_nc else minority(NOM1, [("A",), ("B",)]))
+    with pytest.raises(ValueError, match=rf"^neighbor lists must hold integers, got {dtype}$"):
+        synthesize(ds, SmoteParams(100, seed=0), lists)
+
+
+def test_empty_neighbor_lists_read_as_float_reach_the_width_check():
+    # numpy reads ((), ()) as a float64 (2, 0) array; an empty list holds no
+    # value to reject, so the width check decides
+    message = r"^neighbor lists have shape \(2, 0\), expected \(2, w\) with w >= 1$"
+    assert np.asarray(((), ())).dtype == np.float64
+    with pytest.raises(ValueError, match=message):
+        smote(PAIR, SmoteParams(100, seed=0), ((), ()))
+    with pytest.raises(ValueError, match=message):
+        smote_nc(_nc_dataset(["A"]), SmoteParams(100, seed=0), ((), ()))
+    batch = smote_n(minority(NOM1, [("A",), ("B",)]), SmoteParams(100, seed=0), ((), ()))
     assert batch.rows == [("A",), ("B",)]
 
 
@@ -487,6 +525,26 @@ def test_apply_plan_builds_the_training_minority_once(monkeypatch):
         assert calls == [50]
 
 
+def test_apply_plan_reads_a_given_source(monkeypatch):
+    # the source's rows stand in for the training minority: no search, no
+    # vote and no minority slice is built again, and the result is the same
+    ds = _plan_dataset(10, 40)
+    source = synthesis_source("smote", ds.minority_subset(), variant_neighbors(ds, 3, "smote"))
+    want = {
+        variant: apply_plan_detailed(ds, 200, 100, k=3, seed=2, variant=variant).dataset
+        for variant in ("smote", "replicate")
+    }
+    thin = synthesis_source("smote", source[0].subset(np.arange(9)), ((1,),) * 9)
+    monkeypatch.setattr(resample, "knn_minority", None)
+    monkeypatch.setattr(resample, "_vote", None)
+    monkeypatch.setattr(Dataset, "minority_subset", None)
+    for variant in ("smote", "replicate"):
+        got = apply_plan_detailed(ds, 200, 100, k=3, seed=2, variant=variant, source=source)
+        assert got.dataset == want[variant]
+    with pytest.raises(ValueError, match="^source has 9 minority rows, train has 10$"):
+        apply_plan_detailed(ds, 200, 100, k=3, seed=2, source=thin)
+
+
 def test_apply_plan_row_order_and_detail():
     ds = _plan_dataset(10, 40)
     result = apply_plan_detailed(ds, 200, 100, k=3, seed=2)
@@ -523,16 +581,27 @@ def test_apply_plan_rejects_wrong_schema_for_variant():
         apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="smote_n")
 
 
+def _assert_fold_source(source, train, k, variant):
+    """``source`` is what one cell that searches and votes on ``train``
+    alone builds: the same minority slice, lists and votes."""
+    minority = train.minority_subset()
+    want = synthesis_source(variant, minority, variant_neighbors(train, k, variant))
+    assert len(source) == 3
+    assert source[0] == minority
+    assert source[1].tolist() == want[1].tolist()
+    assert source[2].tolist() == want[2].tolist()
+    return source[1]
+
+
 def test_fold_neighbors_shares_lists_for_smote_alone():
     ds = _plan_dataset(12, 24)
     folds = np.arange(len(ds)) % 3
     shared = fold_neighbors(ds, folds, 3, "smote")
-    for f, lists in enumerate(shared):
-        train = ds.subset(np.flatnonzero(folds != f))
-        assert lists.tolist() == variant_neighbors(train, 3, "smote").tolist()
+    for f, source in enumerate(shared):
+        _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote")
     # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
     thin = _plan_dataset(3, 6)
-    assert all(lists is not None for lists in fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
+    assert all(source is not None for source in fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
     assert fold_neighbors(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
     with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
         fold_neighbors(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
@@ -551,20 +620,19 @@ def test_fold_neighbors_searches_each_smote_n_fold():
     folds = np.arange(len(ds)) % 4
     per_fold = fold_neighbors(ds, folds, 3, "smote_n")
     assert len(per_fold) == 4
-    for f, lists in enumerate(per_fold):
-        train = ds.subset(np.flatnonzero(folds != f))
-        assert lists.tolist() == variant_neighbors(train, 3, "smote_n").tolist()
+    for f, source in enumerate(per_fold):
+        _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote_n")
     for variant in ("smote_nc", "replicate"):
         assert fold_neighbors(ds, folds, 3, variant) == [None] * 4
     # fold 1 holds out 2 of the 3 minority rows, leaving its training minority 1
     thin = _tied_nominal_dataset(3, 9)
     thin_folds = np.array([0, 1, 1] + [0, 1] * 4 + [0])
-    lists = fold_neighbors(thin, thin_folds, 2, "smote_n")
-    assert lists[0] is not None and lists[1] is None
-    # the cell that needs the thin fold's lists raises on its own call
+    sources = fold_neighbors(thin, thin_folds, 2, "smote_n")
+    assert sources[0] is not None and sources[1] is None
+    # the cell that needs the thin fold's source raises on its own call
     with pytest.raises(DataError, match="training minority has 1 row"):
         apply_plan_detailed(
-            thin.subset(np.flatnonzero(thin_folds != 1)), 100, None, 2, 0, "smote_n", neighbors=lists[1]
+            thin.subset(np.flatnonzero(thin_folds != 1)), 100, None, 2, 0, "smote_n", source=sources[1]
         )
     mixed = dataset_from_rows(MIXED, [(0.0, "A"), (1.0, "B")] * 2, (MINORITY, MAJORITY) * 2)
     with pytest.raises(ValueError, match="^smote_n takes all-nominal features, got mixed features$"):
@@ -590,13 +658,13 @@ def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
     folds = np.array([a, b, a, b, 0, 1, 2, empty])
     per_fold = fold_neighbors(ds, folds, 2, variant)
     assert len(per_fold) == 3
-    for f, lists in enumerate(per_fold):
+    for f, source in enumerate(per_fold):
         if variant in ("smote_nc", "replicate"):
-            assert lists is None
+            assert source is None
             continue
-        want = variant_neighbors(ds.subset(np.flatnonzero(folds != f)), 2, variant)
-        assert lists.tolist() == want.tolist()
-        for got in (lists, want):
+        train = ds.subset(np.flatnonzero(folds != f))
+        lists = _assert_fold_source(source, train, 2, variant)
+        for got in (lists, variant_neighbors(train, 2, variant)):
             assert got.dtype == np.intp and not got.flags.writeable
             assert got.shape == ((4, 2) if f == empty else (2, 1))
 
@@ -645,7 +713,7 @@ def test_synthesis_rejects_neighbor_index_outside_minority(variant, synthesize, 
     with pytest.raises(ValueError, match=message):
         synthesize(train.minority_subset(), SmoteParams(100, seed=1), neighbors)
     with pytest.raises(ValueError, match=message):
-        apply_plan_detailed(train, 100, None, k=1, seed=1, variant=variant, neighbors=neighbors)
+        synthesis_source(variant, train.minority_subset(), neighbors)
 
 
 def test_apply_plan_determinism():

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
 import warnings
@@ -258,8 +257,8 @@ def _cmd_experiment(args) -> int:
                 raise ConfigError(f"--{name} is required without --from-manifest")
         ds, info = _load(args)
         flags = vars(args)  # each grid flag's dest is the field it sets
-        config = {f.name: flags[f.name] for f in dataclasses.fields(ExperimentConfig) if f.name in flags}
-        config["classifier"] = {f.name: flags[f.name] for f in dataclasses.fields(ClassifierSpec)}
+        config = {name: flags[name] for name in ExperimentConfig._fields if name in flags}
+        config["classifier"] = {name: flags[name] for name in ClassifierSpec._fields}
         cfg = ExperimentConfig.from_dict(config)
     result = run_experiment(ds, cfg)
     for warning in result.warnings:  # also when no curve is left to report

@@ -30,56 +30,52 @@ import signal
 import tempfile
 import threading
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .record import _FrozenRecord
 from .rng import generator
 
 CONTINUOUS = "continuous"
 NOMINAL = "nominal"
 
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered feature declarations plus the name of the class column."""
+class FeatureSchema(_FrozenRecord):
+    """Ordered feature declarations plus the name of the class column.
 
-    features: tuple[tuple[str, str], ...]
-    class_column: str
+    ``features`` is a tuple of ``(name, kind)`` pairs. ``names``, ``kinds``,
+    ``continuous_indices`` and ``nominal_indices`` are tuples derived from it
+    once, here.
+    """
 
-    def __post_init__(self):
-        if not self.features:
+    _fields = ("features", "class_column")
+
+    def __init__(self, features: tuple[tuple[str, str], ...], class_column: str):
+        if not features:
             raise DataError("schema declares no features")
-        names = [name for name, _ in self.features]
+        names = tuple(name for name, _ in features)
         if len(set(names)) != len(names):
             raise DataError("duplicate feature names in schema")
-        for name, kind in self.features:
+        for name, kind in features:
             if not name:
                 raise DataError("empty feature name in schema")
             if kind not in (CONTINUOUS, NOMINAL):
                 raise DataError(f"unknown feature kind {kind!r} for column {name!r}")
-        if not self.class_column:
+        if not class_column:
             raise DataError("empty class column name")
-        if self.class_column in names:
+        if class_column in names:
             raise DataError("class column duplicates a feature name")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.features)
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(kind for _, kind in self.features)
-
-    @property
-    def continuous_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, kind) in enumerate(self.features) if kind == CONTINUOUS)
-
-    @property
-    def nominal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, kind) in enumerate(self.features) if kind == NOMINAL)
+        kinds = tuple(kind for _, kind in features)
+        vars(self).update(
+            features=features,
+            class_column=class_column,
+            names=names,
+            kinds=kinds,
+            continuous_indices=tuple(i for i, kind in enumerate(kinds) if kind == CONTINUOUS),
+            nominal_indices=tuple(i for i, kind in enumerate(kinds) if kind == NOMINAL),
+        )
 
     @property
     def all_continuous(self) -> bool:

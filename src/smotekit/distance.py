@@ -26,13 +26,13 @@ The neighbor search calls ``pairwise`` one row block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
 import numpy as np
 
 from .data import NOMINAL, Dataset, FeatureSchema
+from .record import _FrozenRecord
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
 # Floats per row chunk of ``pairwise``, 512KB: the chunk buffer and the
@@ -68,8 +68,7 @@ def compute_med(minority: Dataset) -> float:
     return float((stds[mid - 1] + stds[mid]) / 2)
 
 
-@dataclass(frozen=True)
-class VdmTable:
+class VdmTable(_FrozenRecord):
     """Per-feature category counts backing the value difference metric.
 
     ``counts[f][value]`` is ``(minority_count, majority_count)`` for that
@@ -78,16 +77,17 @@ class VdmTable:
     fixed at 1, as in the SMOTE paper's VDM.
     """
 
-    counts: tuple
+    _fields = ("counts",)
 
-    def __post_init__(self):
-        for f, table in enumerate(self.counts):
+    def __init__(self, counts: tuple):
+        for f, table in enumerate(counts):
             for value, (n_min, n_maj) in table.items():
                 if n_min < 0 or n_maj < 0 or n_min + n_maj < 1:
                     raise ValueError(
                         f"feature {f} category {value!r} has invalid counts "
                         f"({n_min}, {n_maj})"
                     )
+        vars(self).update(counts=counts)
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "VdmTable":

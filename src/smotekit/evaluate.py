@@ -13,55 +13,46 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .data import CSV_END, quote_fields, write_lines
+from .record import _FrozenRecord, _Record
 
 ANCHOR_FAMILY = "anchor"
 ANCHORS = ("origin", "leftmost")  # AUC anchoring rules, the default first
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+class ConfusionMatrix(_FrozenRecord):
+    _fields = ("tp", "fp", "tn", "fn")
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
+    def __init__(self, tp: int, fp: int, tn: int, fn: int):
+        for name, value in zip(self._fields, (tp, fp, tn, fn)):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
+        vars(self).update(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(_FrozenRecord):
     """One operating point in percent coordinates, tagged with its grid cell."""
 
-    fp_rate: float
-    tp_rate: float
-    tag: str = ""
+    _fields = ("fp_rate", "tp_rate", "tag")
 
-    def __post_init__(self):
-        for name in ("fp_rate", "tp_rate"):
-            value = getattr(self, name)
+    def __init__(self, fp_rate: float, tp_rate: float, tag: str = ""):
+        for name, value in (("fp_rate", fp_rate), ("tp_rate", tp_rate)):
             if not (0.0 <= value <= 100.0):
                 raise ValueError(f"{name} must lie in [0, 100], got {value}")
+        vars(self).update(fp_rate=fp_rate, tp_rate=tp_rate, tag=tag)
 
 
-@dataclass
-class RocCurve:
+class RocCurve(_Record):
     """Measured points of one resampling family, kept sorted by (fp, tp)."""
 
-    family: str
-    points: tuple
+    _fields = ("family", "points")
 
-    def __post_init__(self):
-        self.points = tuple(
-            sorted(self.points, key=lambda p: (p.fp_rate, p.tp_rate))
-        )
+    def __init__(self, family: str, points: tuple):
+        self.family = family
+        self.points = tuple(sorted(points, key=lambda p: (p.fp_rate, p.tp_rate)))
 
 
 def auc(curve: RocCurve, anchor: str = ANCHORS[0]) -> float:
@@ -95,12 +86,11 @@ def auc_e4(value: float) -> int:
     return int(round(value * 10000))
 
 
-@dataclass(frozen=True)
-class HullVertex:
-    fp_rate: float
-    tp_rate: float
-    family: str
-    tag: str = ""
+class HullVertex(_FrozenRecord):
+    _fields = ("fp_rate", "tp_rate", "family", "tag")
+
+    def __init__(self, fp_rate: float, tp_rate: float, family: str, tag: str = ""):
+        vars(self).update(fp_rate=fp_rate, tp_rate=tp_rate, family=family, tag=tag)
 
 
 def _cross(o, a, b) -> float:

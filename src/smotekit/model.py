@@ -18,7 +18,6 @@ import math
 import numbers
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .data import Dataset, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
+from .record import _FrozenRecord, _Record
 
 _VARIANCE_FLOOR_SCALE = 1e-9
 _DEGENERATE_FLOOR = 1e-12
@@ -38,8 +38,7 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
+class ClassifierSpec(_FrozenRecord):
     """Classifier kind plus the knobs that move its operating point.
 
     ``prior_multiplier`` values in [1, 50] are the usual sweep range; values
@@ -47,34 +46,36 @@ class ClassifierSpec:
     ``kind="external"`` and is ignored otherwise.
     """
 
-    kind: str = "naive_bayes"
-    prior_multiplier: float = 1.0
-    threshold: float = 0.5
-    command: str = None
+    _fields = ("kind", "prior_multiplier", "threshold", "command")
 
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ConfigError(f"unknown classifier kind {self.kind!r}")
-        for name in ("prior_multiplier", "threshold"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        kind: str = "naive_bayes",
+        prior_multiplier: float = 1.0,
+        threshold: float = 0.5,
+        command: str = None,
+    ):
+        if kind not in CLASSIFIER_KINDS:
+            raise ConfigError(f"unknown classifier kind {kind!r}")
+        for name, value in (("prior_multiplier", prior_multiplier), ("threshold", threshold)):
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        if self.prior_multiplier <= 0:
-            raise ConfigError(
-                f"prior_multiplier must be positive, got {self.prior_multiplier}"
-            )
-        if not math.isfinite(self.prior_multiplier):
-            raise ConfigError(f"prior_multiplier must be finite, got {self.prior_multiplier}")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if not (1.0 <= self.prior_multiplier <= 50.0):
+        if prior_multiplier <= 0:
+            raise ConfigError(f"prior_multiplier must be positive, got {prior_multiplier}")
+        if not math.isfinite(prior_multiplier):
+            raise ConfigError(f"prior_multiplier must be finite, got {prior_multiplier}")
+        if not (0.0 <= threshold <= 1.0):
+            raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
+        if not (1.0 <= prior_multiplier <= 50.0):
             warnings.warn(
-                f"prior_multiplier {self.prior_multiplier} is outside the "
-                "usual [1, 50] sweep range",
-                stacklevel=2,
+                f"prior_multiplier {prior_multiplier} is outside the usual [1, 50] sweep range",
+                stacklevel=2,  # the caller's line
             )
-        if self.kind == "external" and not (isinstance(self.command, str) and self.command):
-            raise ConfigError(f"external classifier needs a command string, got {self.command!r}")
+        if kind == "external" and not (isinstance(command, str) and command):
+            raise ConfigError(f"external classifier needs a command string, got {command!r}")
+        vars(self).update(
+            kind=kind, prior_multiplier=prior_multiplier, threshold=threshold, command=command
+        )
 
 
 def _log_priors(multiplier: float, n_min: int, n_maj: int) -> tuple:
@@ -85,20 +86,33 @@ def _log_priors(multiplier: float, n_min: int, n_maj: int) -> tuple:
     return float(np.log(priors[0])), float(np.log(priors[1]))
 
 
-@dataclass
-class TrainedModel:
+class TrainedModel(_Record):
     """Fitted naive Bayes parameters; class order is (minority, majority)."""
 
-    schema: object
-    intern: tuple  # the training set's intern tables
-    class_counts: tuple  # (minority, majority) training rows
-    log_priors: tuple  # at the fitted prior multiplier
-    means: np.ndarray  # shape (2, n_continuous)
-    variances: np.ndarray  # shape (2, n_continuous), floored positive
-    # per nominal feature, shape (2, n_codes + 1): log P(value | class) by
-    # intern code; the last column, which code -1 picks, is the fallback for
-    # a token outside the intern table
-    nominal_loglik: list
+    _fields = (
+        "schema", "intern", "class_counts", "log_priors", "means", "variances", "nominal_loglik"
+    )
+
+    def __init__(
+        self,
+        schema: object,
+        intern: tuple,
+        class_counts: tuple,
+        log_priors: tuple,
+        means: np.ndarray,
+        variances: np.ndarray,
+        nominal_loglik: list,
+    ):
+        self.schema = schema
+        self.intern = intern  # the training set's intern tables
+        self.class_counts = class_counts  # (minority, majority) training rows
+        self.log_priors = log_priors  # at the fitted prior multiplier
+        self.means = means  # shape (2, n_continuous)
+        self.variances = variances  # shape (2, n_continuous), floored positive
+        # per nominal feature, shape (2, n_codes + 1): log P(value | class) by
+        # intern code; the last column, which code -1 picks, is the fallback
+        # for a token outside the intern table
+        self.nominal_loglik = nominal_loglik
 
     def score_rows(self, test: Dataset, multipliers=None) -> np.ndarray:
         """Posterior minority probability of every row of ``test``, vectorized.

@@ -32,11 +32,9 @@ run can be reproduced byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import platform
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +53,7 @@ from .evaluate import (
     write_summary_json,
 )
 from .model import ClassifierSpec, _is_real, confusion_from_scores, score_external, train
+from .record import _Record
 from .resample import (
     GAP_MODES,
     NEIGHBOR_MODES,
@@ -86,22 +85,44 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-@dataclass
-class ExperimentConfig:
-    families: tuple = ("smote_under", "plain_under")
-    over_percents: tuple = DEFAULT_OVER
-    under_percents: tuple = DEFAULT_UNDER
-    k: int = 5
-    n_folds: int = 10
-    seed: int = 0
-    variant: str = "smote"
-    classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
-    prior_multipliers: tuple = DEFAULT_MULTIPLIERS
-    thresholds: tuple = DEFAULT_THRESHOLDS
-    gap_mode: str = PER_ATTRIBUTE
-    neighbor_mode: str = WITH_REPLACEMENT
-    under_basis: str = "pre"
-    include_raw_point: bool = True
+class ExperimentConfig(_Record):
+    _fields = (
+        "families", "over_percents", "under_percents", "k", "n_folds", "seed", "variant",
+        "classifier", "prior_multipliers", "thresholds", "gap_mode", "neighbor_mode",
+        "under_basis", "include_raw_point",
+    )
+
+    def __init__(
+        self,
+        families: tuple = ("smote_under", "plain_under"),
+        over_percents: tuple = DEFAULT_OVER,
+        under_percents: tuple = DEFAULT_UNDER,
+        k: int = 5,
+        n_folds: int = 10,
+        seed: int = 0,
+        variant: str = "smote",
+        classifier: ClassifierSpec = ClassifierSpec(),
+        prior_multipliers: tuple = DEFAULT_MULTIPLIERS,
+        thresholds: tuple = DEFAULT_THRESHOLDS,
+        gap_mode: str = PER_ATTRIBUTE,
+        neighbor_mode: str = WITH_REPLACEMENT,
+        under_basis: str = "pre",
+        include_raw_point: bool = True,
+    ):
+        self.families = families
+        self.over_percents = over_percents
+        self.under_percents = under_percents
+        self.k = k
+        self.n_folds = n_folds
+        self.seed = seed
+        self.variant = variant
+        self.classifier = classifier
+        self.prior_multipliers = prior_multipliers
+        self.thresholds = thresholds
+        self.gap_mode = gap_mode
+        self.neighbor_mode = neighbor_mode
+        self.under_basis = under_basis
+        self.include_raw_point = include_raw_point
 
     def validate(self) -> None:
         if not self.families:
@@ -169,13 +190,16 @@ class ExperimentConfig:
             raise ConfigError(f"under_basis must be {known}, got {self.under_basis!r}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        out = {name: getattr(self, name) for name in self._fields}
+        spec = self.classifier
+        out["classifier"] = {name: getattr(spec, name) for name in ClassifierSpec._fields}
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
@@ -185,18 +209,35 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-@dataclass
-class ExperimentResult:
-    curves: list
-    aucs: dict
-    hull: list
-    hull_counts: dict  # per curve family, anchors under "anchor"
-    family_hull_counts: dict  # per base family, anchors excluded
-    dominant_family: str
-    statement: str
-    warnings: list
-    cell_sizes: dict  # (curve family, tag) -> per-fold (n_minority, n_majority)
-    config: dict
+class ExperimentResult(_Record):
+    _fields = (
+        "curves", "aucs", "hull", "hull_counts", "family_hull_counts", "dominant_family",
+        "statement", "warnings", "cell_sizes", "config",
+    )
+
+    def __init__(
+        self,
+        curves: list,
+        aucs: dict,
+        hull: list,
+        hull_counts: dict,
+        family_hull_counts: dict,
+        dominant_family: str,
+        statement: str,
+        warnings: list,
+        cell_sizes: dict,
+        config: dict,
+    ):
+        self.curves = curves
+        self.aucs = aucs
+        self.hull = hull
+        self.hull_counts = hull_counts  # per curve family, anchors under "anchor"
+        self.family_hull_counts = family_hull_counts  # per base family, anchors excluded
+        self.dominant_family = dominant_family
+        self.statement = statement
+        self.warnings = warnings
+        self.cell_sizes = cell_sizes  # (curve family, tag) -> per-fold (n_minority, n_majority)
+        self.config = config
 
 
 def _confusions(cells, train_ds: Dataset, test: Dataset) -> dict:
@@ -251,7 +292,12 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
             grid.append(("plain_under", cfg.variant, raw + cells))
         elif family == "priors_sweep":
             cells = [
-                (f"prior={m}", None, dataclasses.replace(spec, prior_multiplier=m), spec.threshold)
+                (
+                    f"prior={m}",
+                    None,
+                    ClassifierSpec(spec.kind, m, spec.threshold, spec.command),
+                    spec.threshold,
+                )
                 for m in cfg.prior_multipliers
             ]
             grid.append(("priors_sweep", None, cells))

@@ -25,7 +25,6 @@ segment geometry after the fact.
 from __future__ import annotations
 
 import json
-from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +40,7 @@ from .distance import (
 )
 from .errors import DataError
 from .neighbors import knn_minority, knn_per_fold
+from .record import _FrozenRecord, _Record
 from .rng import child_seed, generator
 
 PER_ATTRIBUTE = "per-attribute"
@@ -58,8 +58,7 @@ UNDER_BASES = ("pre", "post")
 _SHAPES = {"smote": "all-continuous", "smote_nc": "mixed", "smote_n": "all-nominal"}
 
 
-@dataclass(frozen=True)
-class SmoteParams:
+class SmoteParams(_FrozenRecord):
     """Over-sampling amount, then keyword-only seed and sampling modes.
 
     ``gap_mode`` selects how many uniform draws shape one synthetic row:
@@ -71,23 +70,28 @@ class SmoteParams:
     rounds so picks repeat only once the list is exhausted.
     """
 
-    n_percent: int
-    _: KW_ONLY
-    seed: int = 0
-    gap_mode: str = PER_ATTRIBUTE
-    neighbor_mode: str = WITH_REPLACEMENT
+    _fields = ("n_percent", "seed", "gap_mode", "neighbor_mode")
 
-    def __post_init__(self):
-        if self.n_percent < 0:
-            raise ValueError(f"n_percent must be non-negative, got {self.n_percent}")
-        if self.gap_mode not in GAP_MODES:
-            raise ValueError(f"unknown gap mode {self.gap_mode!r}")
-        if self.neighbor_mode not in NEIGHBOR_MODES:
-            raise ValueError(f"unknown neighbor mode {self.neighbor_mode!r}")
+    def __init__(
+        self,
+        n_percent: int,
+        *,
+        seed: int = 0,
+        gap_mode: str = PER_ATTRIBUTE,
+        neighbor_mode: str = WITH_REPLACEMENT,
+    ):
+        if n_percent < 0:
+            raise ValueError(f"n_percent must be non-negative, got {n_percent}")
+        if gap_mode not in GAP_MODES:
+            raise ValueError(f"unknown gap mode {gap_mode!r}")
+        if neighbor_mode not in NEIGHBOR_MODES:
+            raise ValueError(f"unknown neighbor mode {neighbor_mode!r}")
+        vars(self).update(
+            n_percent=n_percent, seed=seed, gap_mode=gap_mode, neighbor_mode=neighbor_mode
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class Provenance:
+class Provenance(_FrozenRecord):
     """Origin of every synthetic row of one batch, as three columns.
 
     ``base_index`` and ``neighbor_index`` have shape ``(n,)``; ``gaps`` has
@@ -96,22 +100,28 @@ class Provenance:
     interpolated coordinates in per-attribute mode, and 0 for pure-vote
     synthesis. Vote-based and replicated rows record
     ``neighbor_index == base_index`` since no single source neighbor exists.
+    A provenance equals only itself.
     """
 
-    base_index: np.ndarray
-    neighbor_index: np.ndarray
-    gaps: np.ndarray
+    _fields = ("base_index", "neighbor_index", "gaps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, base_index: np.ndarray, neighbor_index: np.ndarray, gaps: np.ndarray):
+        vars(self).update(base_index=base_index, neighbor_index=neighbor_index, gaps=gaps)
 
     def __len__(self) -> int:
         return len(self.base_index)
 
 
-@dataclass
-class SyntheticBatch:
+class SyntheticBatch(_Record):
     """Synthetic rows, as a minority Dataset, plus their provenance columns."""
 
-    data: Dataset
-    provenance: Provenance
+    _fields = ("data", "provenance")
+
+    def __init__(self, data: Dataset, provenance: Provenance):
+        self.data = data
+        self.provenance = provenance
 
     @property
     def rows(self) -> list:
@@ -365,13 +375,15 @@ def under_sample(
     return np.sort(majority[chosen])
 
 
-@dataclass
-class PlanResult:
+class PlanResult(_Record):
     """apply_plan_detailed output with the intermediate pieces kept for audits."""
 
-    dataset: Dataset
-    batch: SyntheticBatch
-    retained_majority: np.ndarray
+    _fields = ("dataset", "batch", "retained_majority")
+
+    def __init__(self, dataset: Dataset, batch: SyntheticBatch, retained_majority: np.ndarray):
+        self.dataset = dataset
+        self.batch = batch
+        self.retained_majority = retained_majority
 
 
 def _check_synthesis(train: Dataset, n_minority: int, variant: str) -> None:

@@ -14,7 +14,6 @@ row tuples and labels.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 from smotekit.data import Dataset, stratified_folds
 from smotekit.errors import DataError
 from smotekit.evaluate import auc, build_family_curve, convex_hull
-from smotekit.model import confusion_from_scores, score_external, train
+from smotekit.model import ClassifierSpec, confusion_from_scores, score_external, train
 from smotekit.resample import apply_plan_detailed, synthesis_source, variant_neighbors
 from smotekit.rng import child_seed
 
@@ -208,7 +207,12 @@ def _reference_grid(cfg):
             yield family, cfg.variant, raw + cells
         elif family == "priors_sweep":
             yield family, None, [
-                (f"prior={m}", None, dataclasses.replace(spec, prior_multiplier=m), spec.threshold)
+                (
+                    f"prior={m}",
+                    None,
+                    ClassifierSpec(spec.kind, m, spec.threshold, spec.command),
+                    spec.threshold,
+                )
                 for m in cfg.prior_multipliers
             ]
         else:  # threshold_sweep

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -53,6 +52,12 @@ def test_spec_validation():
         ClassifierSpec(kind="external")
     with pytest.warns(UserWarning, match="sweep range"):
         ClassifierSpec(prior_multiplier=75)
+
+
+def test_sweep_range_warning_names_the_callers_line():
+    with pytest.warns(UserWarning, match="sweep range") as record:
+        ClassifierSpec(prior_multiplier=75)
+    assert record[0].filename == __file__
 
 
 def test_midpoint_between_identical_blobs_scores_half():
@@ -226,7 +231,7 @@ def test_prior_sweep_scores_equal_separate_fits_bit_for_bit():
     swept = model.score_rows(test, DEFAULT_MULTIPLIERS)
     assert swept.shape == (len(DEFAULT_MULTIPLIERS), len(test))
     for m, scores in zip(DEFAULT_MULTIPLIERS, swept):
-        alone = train(train_ds, dataclasses.replace(spec, prior_multiplier=m)).score_rows(test)
+        alone = train(train_ds, ClassifierSpec(spec.kind, m, spec.threshold, spec.command)).score_rows(test)
         assert np.array_equal(scores, alone), m
     assert np.array_equal(model.score_rows(test), model.score_rows(test, [3])[0])
 

@@ -2,7 +2,6 @@
 
 import argparse
 import builtins
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -75,15 +74,18 @@ def test_readme_names_only_classes_that_exist():
 def test_resampling_surface_is_pinned():
     """The settable values README documents, and no more: adding a knob
     means editing this test and README.md together."""
-    fields = [f.name for f in dataclasses.fields(SmoteParams)]
-    assert fields == ["n_percent", "seed", "gap_mode", "neighbor_mode"]
+    params = inspect.signature(SmoteParams).parameters
+    assert list(params) == ["n_percent", "seed", "gap_mode", "neighbor_mode"]
+    assert [p.kind for p in params.values()] == [
+        inspect.Parameter.POSITIONAL_OR_KEYWORD, *[inspect.Parameter.KEYWORD_ONLY] * 3
+    ]
     with pytest.raises(TypeError):
         SmoteParams(200, 5)  # seed is keyword-only
     names = {
         tuple(inspect.signature(fn).parameters) for fn in (smote, smote_nc, smote_n)
     }
     assert names == {("minority", "params", "neighbors", "rng")}
-    assert [f.name for f in dataclasses.fields(VdmTable)] == ["counts"]
+    assert list(inspect.signature(VdmTable).parameters) == ["counts"]
     assert tuple(inspect.signature(Dataset.__init__).parameters) == (
         "self", "schema", "columns", "minority", "minority_token", "majority_token"
     )

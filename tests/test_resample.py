@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -28,6 +27,7 @@ from smotekit.resample import (
     SHARED,
     VARIANTS,
     WITH_REPLACEMENT,
+    Provenance,
     SmoteParams,
     apply_plan_detailed,
     audit_batch,
@@ -729,7 +729,9 @@ def _shifted(column, value):
     def fault(prov):
         broken = getattr(prov, column).copy()
         broken[0] = value
-        return dataclasses.replace(prov, **{column: broken})
+        columns = {name: getattr(prov, name) for name in ("base_index", "neighbor_index", "gaps")}
+        columns[column] = broken
+        return Provenance(**columns)
 
     return fault
 
@@ -742,8 +744,7 @@ def _shifted(column, value):
         (_shifted("gaps", 1.0), "outside"),
         (_shifted("gaps", -0.25), "outside"),
         (
-            lambda prov: dataclasses.replace(
-                prov,
+            lambda prov: Provenance(
                 base_index=prov.base_index[:1],
                 neighbor_index=prov.neighbor_index[:1],
                 gaps=prov.gaps[:1],

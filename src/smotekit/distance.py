@@ -31,7 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import NOMINAL, Dataset, FeatureSchema
+from .data import NOMINAL, Dataset, FeatureSchema, category_counts
 from .record import _FrozenRecord
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
@@ -97,9 +97,8 @@ class VdmTable(_FrozenRecord):
         if not len(ds):
             raise ValueError("cannot build a VDM table from zero rows")
         counts = []
-        for f, table in enumerate(ds.intern):
-            n_min = np.bincount(ds.codes[ds.minority, f], minlength=len(table))
-            n_maj = np.bincount(ds.codes[~ds.minority, f], minlength=len(table))
+        for table, (n_min, n_maj) in zip(ds.intern, category_counts(ds)):
+            # zip stops at the last token, before the count of no category
             counts.append(
                 {
                     value: (a, b)
@@ -239,8 +238,10 @@ class VdmMetric:
         _check_kinds(ds, (NOMINAL,) * len(self.table.counts))
         deltas, local = [], np.empty_like(ds.codes)  # local: codes into the held categories
         for f, counts in enumerate(self.table.counts):
-            held, local[:, f] = np.unique(ds.codes[:, f], return_inverse=True)
-            tokens = list(ds.intern[f])
+            tokens, column = list(ds.intern[f]), ds.codes[:, f]
+            present = np.bincount(column, minlength=len(tokens)) > 0
+            held = np.flatnonzero(present)
+            local[:, f] = np.cumsum(present)[column] - 1
             freq = np.array(
                 [counts.get(tokens[c], (0, 0)) for c in held.tolist()], dtype=float
             ).reshape(-1, 2)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, save_csv
+from .data import Dataset, category_counts, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
 from .record import _FrozenRecord, _Record
@@ -200,11 +200,9 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
             variances[c] = np.maximum(x.var(axis=0), floor)
 
     nominal_loglik = []
-    for i, column in zip(ds.schema.nominal_indices, ds.codes.T):
-        # one slot past the intern table counts 0, like a category unseen in
-        # training: both score log(1 / (class count + categories seen))
-        size = len(ds.intern[i]) + 1
-        counts = np.stack([np.bincount(column[mask], minlength=size) for mask in masks])
+    # the slot past the intern table counts 0, like a category unseen in
+    # training: both score log(1 / (class count + categories seen))
+    for counts in category_counts(ds):
         n_seen = np.count_nonzero(counts.sum(axis=0))
         nominal_loglik.append(np.log((counts + 1) / [[n_min + n_seen], [n_maj + n_seen]]))
 

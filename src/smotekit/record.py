@@ -7,7 +7,8 @@ can clash with it). From it, :class:`_Record` gives each record the repr
 ``Name(field=value, ...)`` and equality by value with a record of the same
 class. A :class:`_FrozenRecord` also hashes by value and refuses assignment
 and deletion after ``__init__``, which stores its fields with
-``vars(self).update``.
+``vars(self).update``. Its hash is computed once, on the first ``hash``
+call, and kept out of its repr, equality, copies and pickles.
 """
 
 
@@ -41,5 +42,17 @@ class _FrozenRecord(_Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    _hash = None  # set on the first __hash__ call: the fields never change
+
     def __hash__(self) -> int:
-        return hash(self._values())
+        h = self._hash
+        if h is None:
+            h = vars(self)["_hash"] = hash(self._values())
+        return h
+
+    def __getstate__(self) -> dict:
+        """The fields without the cached hash, which a process with other
+        string hashes must compute afresh."""
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        return state

@@ -162,21 +162,26 @@ def _vote(codes: np.ndarray, lists: np.ndarray, base_votes: bool) -> np.ndarray:
     Each column takes the code most frequent among the row's neighbors (the
     row itself joins the vote only when ``base_votes``). Ties prefer the
     row's own code, else the lowest code, i.e. the first-interned category.
+
+    One sort puts every row and feature's voters in code order, voter
+    position first, so each code's votes form one run; the first longest
+    run holds the lowest most frequent code. Memory is a few arrays of the
+    voters' size whatever the category count.
     """
-    if not codes.shape[1]:
-        return codes
-    voters = codes[lists]
     if base_votes:
-        voters = np.concatenate([codes[:, None, :], voters], axis=1)
-    top = np.zeros_like(codes)
-    leader = codes
-    for p in range(voters.shape[1]):  # one pass per voter position
-        code = voters[:, p]
-        votes = (voters == code[:, None, :]).sum(axis=1)
-        better = (votes > top) | ((votes == top) & (code < leader))
-        top = np.where(better, votes, top)
-        leader = np.where(better, code, leader)
-    own_votes = (voters == codes[:, None, :]).sum(axis=1)
+        lists = np.concatenate([np.arange(len(codes))[:, None], lists], axis=1)
+    if not codes.shape[1] or not lists.shape[1]:
+        return codes
+    ranked = np.sort(codes[lists.T], axis=0)  # (voters, rows, features)
+    # run[p]: the voters before p in ranked[p]'s run. Position by position,
+    # since np.maximum.accumulate along the voter axis is slower.
+    run = np.zeros_like(ranked)
+    for p in range(1, len(ranked)):
+        np.multiply(ranked[p] == ranked[p - 1], run[p - 1] + 1, out=run[p])
+    first = run.argmax(axis=0)[None]  # where the first longest run ends
+    leader = np.take_along_axis(ranked, first, axis=0)[0]
+    top = run.max(axis=0) + 1
+    own_votes = np.count_nonzero(ranked == codes, axis=0)
     return np.where(own_votes == top, codes, leader)
 
 

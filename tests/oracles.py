@@ -6,11 +6,14 @@ instead of trapezoids, hull membership by exhaustive pairwise domination
 instead of a chain scan, neighbors by a full stable sort instead of lexsort
 selection, distances by a loop over one pair of row tuples instead of
 vectorized blocks, and text files by ``csv.writer`` and ``json.dumps`` over
-one row at a time instead of column chunks. :func:`reference_experiment`
-runs an experiment cell by cell, each cell and fold searching its own
-neighbors and fitting its own model, where ``run_experiment`` runs fold by
-fold and shares both. :func:`dataset_from_rows` lets a test write a table as
-row tuples and labels.
+one row at a time instead of column chunks. Nominal votes and category
+counts go one voter position or one feature at a time, where the package
+counts whole blocks in one sort or one ``np.bincount``.
+:func:`reference_experiment` runs an experiment cell by cell, each cell and
+fold searching its own neighbors and fitting its own model, where
+``run_experiment`` runs fold by fold and shares both.
+:func:`dataset_from_rows` lets a test write a table as row tuples and
+labels.
 """
 
 import csv
@@ -151,6 +154,56 @@ def vdm_delta(table, feature, v1, v2):
 def vdm_distance(table, x, y):
     """Sum over features of ``vdm_delta``."""
     return sum(vdm_delta(table, f, x[f], y[f]) for f in range(len(x)))
+
+
+def vote_by_position(codes, lists, base_votes):
+    """``resample._vote`` one voter position at a time: each position's code
+    takes the lead when it has more votes than the leader, or as many and a
+    lower code; the row's own code wins a tie with the leader."""
+    if not codes.shape[1]:
+        return codes
+    voters = codes[lists]
+    if base_votes:
+        voters = np.concatenate([codes[:, None, :], voters], axis=1)
+    top = np.zeros_like(codes)
+    leader = codes
+    for p in range(voters.shape[1]):
+        code = voters[:, p]
+        votes = (voters == code[:, None, :]).sum(axis=1)
+        better = (votes > top) | ((votes == top) & (code < leader))
+        top = np.where(better, votes, top)
+        leader = np.where(better, code, leader)
+    own_votes = (voters == codes[:, None, :]).sum(axis=1)
+    return np.where(own_votes == top, codes, leader)
+
+
+def nominal_loglik_by_feature(ds):
+    """``TrainedModel.nominal_loglik`` of naive Bayes fit on ``ds``, one
+    feature at a time: each class's codes counted by their own
+    ``np.bincount``, one slot past the intern table for code -1."""
+    n_min, n_maj = ds.n_minority, ds.n_majority
+    out = []
+    for i, column in zip(ds.schema.nominal_indices, ds.codes.T):
+        size = len(ds.intern[i]) + 1
+        counts = np.stack(
+            [np.bincount(column[mask], minlength=size) for mask in (ds.minority, ~ds.minority)]
+        )
+        n_seen = np.count_nonzero(counts.sum(axis=0))
+        out.append(np.log((counts + 1) / [[n_min + n_seen], [n_maj + n_seen]]))
+    return out
+
+
+def vdm_counts_by_feature(ds):
+    """``VdmTable.from_dataset(ds).counts``, one feature and one class at a
+    time."""
+    counts = []
+    for f, table in enumerate(ds.intern):
+        n_min = np.bincount(ds.codes[ds.minority, f], minlength=len(table))
+        n_maj = np.bincount(ds.codes[~ds.minority, f], minlength=len(table))
+        counts.append(
+            {value: (a, b) for value, a, b in zip(table, n_min.tolist(), n_maj.tolist()) if a + b}
+        )
+    return tuple(counts)
 
 
 def metric_oracle(metric):

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle
+from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle, vdm_counts_by_feature
 import smotekit
 from smotekit import distance
 from smotekit.data import FeatureSchema
@@ -442,3 +444,43 @@ def test_vdm_pairwise_rejects_unseen_category():
     rows = minority(FeatureSchema((("g0", "nominal"),), "cls"), [("V1",), ("V9",)])
     with pytest.raises(ValueError, match="unseen category 'V9'"):
         VdmMetric(table).pairwise(rows)
+
+
+@st.composite
+def _vdm_training_splits(draw):
+    """A row subset of an all-nominal table whose features hold 1, 2, 3 or
+    25 categories, so the subset may use few of the intern tables it
+    shares; at least one of its rows is minority."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 25]), min_size=1, max_size=3))
+    row = st.tuples(*(st.sampled_from([f"v{c}" for c in range(size)]) for size in sizes))
+    n = draw(st.integers(1, 30))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([MINORITY, MAJORITY]), min_size=n, max_size=n))
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    split = dataset_from_rows(nominal_schema(len(sizes)), rows, labels).subset(sorted(keep))
+    assume(split.n_minority)
+    return split
+
+
+# every one of 25 categories is in the table; the minority holds two
+_WIDE = dataset_from_rows(
+    nominal_schema(1),
+    [(f"v{c}",) for c in range(25)] + [("v17",), ("v3",), ("v17",)],
+    [MAJORITY] * 25 + [MINORITY] * 3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split=_vdm_training_splits())
+@example(split=_WIDE)
+@example(split=_WIDE.subset([3, 17, 25, 26, 27]))
+def test_vdm_counts_and_minority_distances_equal_the_oracles(split):
+    table = VdmTable.from_dataset(split)
+    want = vdm_counts_by_feature(split)
+    assert [list(counts.items()) for counts in table.counts] == [
+        list(counts.items()) for counts in want
+    ]
+    minority_ds = split.minority_subset()
+    dist, rows = vdm_left_to_right(table), minority_ds.rows
+    expected = np.array([[dist(a, b) for b in rows] for a in rows])
+    assert np.array_equal(VdmMetric(table).pairwise(minority_ds), expected)

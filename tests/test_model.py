@@ -6,16 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import MAJORITY as MAJ
 from oracles import MINORITY as MIN
-from oracles import dataset_from_rows
+from oracles import dataset_from_rows, nominal_loglik_by_feature
 import smotekit
 from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError, DataError
 from smotekit.evaluate import ConfusionMatrix
 from smotekit.model import (
     ClassifierSpec,
+    TrainedModel,
     confusion_from_scores,
     score_external,
     train,
@@ -255,6 +258,53 @@ def test_shared_intern_tables_score_like_remapped_ones():
     # a category no table holds scores like one the training split lacks
     unseen = model.score_rows(dataset(ds.schema, [(0.5, 2.5, "Z", "A")], [MAJ]))
     assert scores[20] == unseen[0]
+
+
+@st.composite
+def _nominal_splits(draw):
+    """(training split, test set). The split is a row subset of a table whose
+    nominal features hold 1, 2, 3 or 30 categories, so it may use few of the
+    intern tables it shares; the test set has intern tables of its own and
+    may hold "Z", a token the training tables lack."""
+    n_cont = draw(st.integers(0, 1))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 30]), min_size=1, max_size=3))
+    features = [("x", "continuous")] * n_cont + [(f"c{i}", "nominal") for i in range(len(sizes))]
+    schema = FeatureSchema(tuple(features), "cls")
+
+    def rows(n, extra=()):
+        cells = [st.integers(-2, 2).map(float)] * n_cont + [
+            st.sampled_from([f"v{c}" for c in range(size)] + list(extra)) for size in sizes
+        ]
+        return draw(st.lists(st.tuples(*cells), min_size=n, max_size=n))
+
+    n = draw(st.integers(2, 24))
+    full = dataset(schema, rows(n), draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=2, unique=True))
+    train_ds = full.subset(sorted(keep))
+    assume(train_ds.n_minority and train_ds.n_majority)
+    test_rows = rows(draw(st.integers(1, 6)), extra=("Z",))
+    return train_ds, dataset(schema, test_rows, [MAJ] * len(test_rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split=_nominal_splits())
+# "b" is absent from the minority; the test set's "Z" from training
+@example(split=(
+    dataset(NOM1, [("a",), ("a",), ("b",), ("a",)], [MIN, MIN, MAJ, MAJ]),
+    dataset(NOM1, [("b",), ("Z",), ("a",)], [MAJ, MAJ, MAJ]),
+))
+def test_nominal_loglik_equals_the_per_feature_oracle(split):
+    train_ds, test = split
+    model = train(train_ds, ClassifierSpec())
+    want = nominal_loglik_by_feature(train_ds)
+    assert len(model.nominal_loglik) == len(want)
+    for got, ref in zip(model.nominal_loglik, want):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    # the test set's codes are remapped; "Z" scores with the column code -1 picks
+    fields = [getattr(model, name) for name in TrainedModel._fields[:-1]]
+    oracle = TrainedModel(*fields, nominal_loglik=want)
+    assert model.score_rows(test).tobytes() == oracle.score_rows(test).tobytes()
 
 
 def test_multi_threshold_tallies_equal_single_ones_on_exact_ties():

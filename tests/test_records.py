@@ -1,9 +1,11 @@
-"""The record types callers build and compare: their repr, equality, hashing
-and (for the frozen ones) refusal of assignment, and that importing the CLI
-loads no ``dataclasses``."""
+"""The record types callers build and compare: their repr, equality and
+hashing, the frozen ones' cached hash and refusal of assignment, and that
+importing the CLI loads no ``dataclasses``."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -164,3 +166,53 @@ def test_importing_the_cli_loads_no_dataclasses():
         capture_output=True, text=True, check=True, env=env, timeout=60,
     ).stdout
     assert out == "False\n"
+
+
+HASHED = [name for name, (_, _, frozen) in CASES.items() if frozen and name != "Provenance"]
+
+
+@pytest.mark.parametrize("name", HASHED)
+def test_frozen_record_hashes_its_values_once(name, monkeypatch):
+    build, text, _ = CASES[name]
+    a, fresh = build(), build()
+    field = a._fields[0]
+    if name == "VdmTable":  # the counts are dicts: every call raises
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                hash(a)
+    else:
+        values = tuple(getattr(a, f) for f in a._fields)
+        assert hash(a) == hash(a) == hash(values)
+        assert hash(copy.copy(a)) == hash(values)
+        assert repr(a) == repr(copy.copy(a)) == text
+        assert a == fresh and fresh == a and copy.copy(a) == fresh
+        # the second call reads the first one's hash, not the fields
+        monkeypatch.setattr(type(a), "_values", None)
+        assert hash(a) == hash(values)
+        monkeypatch.undo()
+    for change in (lambda: setattr(a, field, getattr(fresh, field)), lambda: delattr(a, field)):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(a) == text
+
+
+def test_a_pickled_record_hashes_afresh():
+    # str hashes differ from process to process: a record pickled by a
+    # process with other hashes must not bring its hash along
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys; from smotekit.data import FeatureSchema; "
+        "s = FeatureSchema((('x', 'nominal'),), 'cls'); hash(s); "
+        "sys.stdout.buffer.write(pickle.dumps(s))"
+    )
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": seed,
+        "PYTHONPATH": str(Path(smotekit.__file__).resolve().parents[1]),
+    }
+    blob = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True, env=env, timeout=60
+    ).stdout
+    schema = pickle.loads(blob)
+    assert schema == FeatureSchema((("x", "nominal"),), "cls")
+    assert hash(schema) == hash((schema.features, schema.class_column))

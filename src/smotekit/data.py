@@ -368,25 +368,25 @@ class Dataset:
         return self.subset(np.flatnonzero(self.minority))
 
 
-def category_counts(ds: Dataset) -> list[np.ndarray]:
-    """Per nominal feature, in schema order, the ``(2, categories + 1)``
-    integer counts of each intern code among the minority rows (row 0) and
-    the majority rows (row 1). The last column, past the intern table, counts
-    0: it is the slot of a category the table lacks, which code -1 picks.
+def category_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The integer counts of each nominal feature's intern codes among the
+    minority rows (row 0) and the majority rows (row 1), as one ``(2,
+    total)`` block, and the first column of each feature in it, in schema
+    order. A feature has ``categories + 1`` columns: the last, past the
+    intern table, counts 0; it is the slot of a category the table lacks,
+    which code -1 picks.
 
     One ``np.bincount`` over every feature's codes, each offset past the
     columns of the features before it, and past the minority half for a
     majority row; its size grows with the category count, not the rows.
     """
     sizes = [len(ds.intern[i]) + 1 for i in ds.schema.nominal_indices]
-    if not sizes:
-        return []
-    ends = np.cumsum(sizes)
-    starts, total = ends - sizes, int(ends[-1])
+    total = sum(sizes)
+    starts = np.cumsum(sizes, dtype=np.intp) - sizes
     keys = ds.codes + starts
     keys += (~ds.minority)[:, None] * total
     counts = np.bincount(keys.ravel(), minlength=2 * total).reshape(2, total)
-    return [counts[:, a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return counts, starts
 
 
 def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Dataset:

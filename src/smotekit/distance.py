@@ -32,6 +32,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import NOMINAL, Dataset, FeatureSchema, category_counts
+from .errors import DataError
 from .record import _FrozenRecord
 
 _CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
@@ -51,7 +52,8 @@ def compute_med(minority: Dataset) -> float:
     n-1 denominator; a single-row minority class yields 0. With an even
     feature count the median is the mean of the two central values. Nominal
     features are ignored; an all-nominal schema is an error (use the value
-    difference metric instead).
+    difference metric instead). A median whose square is not finite, from
+    values so far apart that their spread overflows, raises ``DataError``.
     """
     if minority.schema.all_nominal:
         raise ValueError("compute_med requires at least one continuous feature")
@@ -60,12 +62,16 @@ def compute_med(minority: Dataset) -> float:
     matrix = minority.cont
     if matrix.shape[0] == 1:
         return 0.0
-    # the middle of the sorted values: np.median's first call imports numpy.ma
-    stds = np.sort(matrix.std(axis=0, ddof=1))
-    mid = len(stds) // 2
-    if len(stds) % 2:
-        return float(stds[mid])
-    return float((stds[mid - 1] + stds[mid]) / 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        # the middle of the sorted values: np.median's first call imports numpy.ma
+        stds = np.sort(matrix.std(axis=0, ddof=1))
+        mid = len(stds) // 2
+        med = float(stds[mid] if len(stds) % 2 else (stds[mid - 1] + stds[mid]) / 2)
+    if not math.isfinite(med * med):
+        raise DataError(
+            f"the minority's continuous values spread too far: Med {med} has no finite square"
+        )
+    return med
 
 
 class VdmTable(_FrozenRecord):
@@ -97,8 +103,10 @@ class VdmTable(_FrozenRecord):
         if not len(ds):
             raise ValueError("cannot build a VDM table from zero rows")
         counts = []
-        for table, (n_min, n_maj) in zip(ds.intern, category_counts(ds)):
-            # zip stops at the last token, before the count of no category
+        block, starts = category_counts(ds)
+        for table, first in zip(ds.intern, starts.tolist()):
+            # the table's own columns, before the count of no category
+            n_min, n_maj = block[:, first:first + len(table)]
             counts.append(
                 {
                     value: (a, b)
@@ -150,9 +158,16 @@ def _put_sq_diff(mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
 
 
 def _put_penalty(med_sq: float, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
-    """``med_sq`` where the category codes differ, else 0."""
-    np.not_equal(mine[:, None], theirs, out=out)
-    out *= med_sq
+    """``med_sq`` where the category codes differ, else 0.
+
+    One row against ``theirs`` per code that ``mine`` holds, copied to each
+    row with that code: a chunk holds few codes, so this compares a few rows,
+    not every one, and the copies are whole rows.
+    """
+    held = np.bincount(mine) > 0
+    rows = np.multiply(np.flatnonzero(held)[:, None] != theirs, med_sq)
+    # indices are always in range: "clip" only avoids "raise"'s buffered out
+    np.take(rows, (np.cumsum(held) - 1)[mine], axis=0, out=out, mode="clip")
 
 
 def _put_delta(delta: np.ndarray, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
@@ -204,6 +219,8 @@ class NcMetric:
             raise ValueError("NcMetric requires at least one continuous feature")
         if not math.isfinite(med) or med < 0:
             raise ValueError(f"med must be finite and non-negative, got {med}")
+        if not math.isfinite(med * med):  # equal codes would add 0 * inf = NaN
+            raise ValueError(f"med must have a finite square, got {med}")
         self.schema = schema
         self.med = med
 

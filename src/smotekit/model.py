@@ -200,11 +200,15 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
             variances[c] = np.maximum(x.var(axis=0), floor)
 
     nominal_loglik = []
-    # the slot past the intern table counts 0, like a category unseen in
-    # training: both score log(1 / (class count + categories seen))
-    for counts in category_counts(ds):
-        n_seen = np.count_nonzero(counts.sum(axis=0))
-        nominal_loglik.append(np.log((counts + 1) / [[n_min + n_seen], [n_maj + n_seen]]))
+    if ds.schema.nominal_indices:
+        # the slot past each intern table counts 0, like a category unseen in
+        # training: both score log(1 / (class count + categories seen))
+        counts, starts = category_counts(ds)
+        ends = np.append(starts[1:], counts.shape[1])
+        n_seen = np.add.reduceat(counts.any(axis=0), starts)  # categories seen, per feature
+        class_n = np.array([[n_min], [n_maj]])
+        loglik = np.log((counts + 1) / (class_n + np.repeat(n_seen, ends - starts)))
+        nominal_loglik = [loglik[:, a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
     return TrainedModel(
         schema=ds.schema,

@@ -693,6 +693,36 @@ def test_experiment_data_errors_are_exit_3(toy, tmp_path, capsys, cause, message
     assert not (tmp_path / "x").exists()
 
 
+@pytest.fixture
+def far_mixed(mixed):
+    """The ``mixed`` files with the minority's ``x`` at +-1e200: the
+    minority's spread squares past the largest float."""
+    data, schema = mixed
+    lines = data.read_text("utf-8").splitlines()
+    for i in range(1, 21):  # the 20 minority rows
+        x, rest = lines[i].split(",", 1)
+        lines[i] = f"{(-1) ** i * 1e200!r},{rest}"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data, schema
+
+
+MED_OVERFLOWS = "the minority's continuous values spread too far: Med inf has no finite square"
+
+
+def test_smote_nc_on_an_overflowing_spread_is_exit_3(far_mixed, tmp_path, capsys):
+    rc = main(["smote-nc", *data_args(far_mixed), "--over", "100", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"data error: {MED_OVERFLOWS}\n"
+
+
+def test_experiment_skips_smote_nc_cells_of_an_overflowing_spread(far_mixed, tmp_path, capsys):
+    argv = ["experiment", *data_args(far_mixed), "--variant", "smote_nc", "--folds", "2"]
+    argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert f"warning: smote_under@100 cell over=100,under=100: fold 0: {MED_OVERFLOWS}" in err
+
+
 def test_experiment_scorer_past_its_time_limit_is_exit_3(toy, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(model, "_SCORER_TIMEOUT_S", 0.2)
     scorer = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"

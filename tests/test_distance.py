@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle, vdm_co
 import smotekit
 from smotekit import distance
 from smotekit.data import FeatureSchema
+from smotekit.errors import DataError
 from smotekit.distance import (
     EuclideanMetric,
     NcMetric,
@@ -246,6 +248,31 @@ def test_nc_distance_axioms():
 def test_nc_metric_rejects_bad_med(med):
     with pytest.raises(ValueError, match="med must be finite and non-negative"):
         NcMetric(MIXED6, med)
+
+
+def test_nc_metric_rejects_a_med_without_a_finite_square():
+    # equal codes would add 0 * inf = NaN to a distance
+    NcMetric(MIXED6, 1e154)
+    with pytest.raises(ValueError, match=r"med must have a finite square, got 1e\+200"):
+        NcMetric(MIXED6, 1e200)
+
+
+def test_nc_metric_requires_a_continuous_feature():
+    with pytest.raises(ValueError, match="NcMetric requires at least one continuous feature"):
+        NcMetric(NOM3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1e200,), (-1e200,)], [(1e154,), (-1e154,)], [(1.7e308,), (1.7e308,), (-1.7e308,)]],
+    ids=["square-overflows", "sum-of-squares-overflows", "mean-overflows"],
+)
+def test_compute_med_of_an_overflowing_spread_is_a_data_error(rows):
+    schema = FeatureSchema((("f", "continuous"),), "cls")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning is not shown
+        with pytest.raises(DataError, match="spread too far: Med .* has no finite square"):
+            compute_med(minority(schema, rows))
 
 
 def test_compute_med_even_feature_count():

@@ -66,6 +66,33 @@ def test_requires_two_rows():
         knn_minority(minority(CONT1, [(0.0,)]), 1, EuclideanMetric(CONT1))
 
 
+@pytest.mark.parametrize("block_rows", [None, 2], ids=["one-block", "one-row-slices"])
+@pytest.mark.parametrize(
+    "rows, k, want",
+    [
+        ([0.5, 1e200, 0.0, -1e200], 3, [[2, 1, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+        # row 2's picks after its two finite ones repeat row 0, which must
+        # get its distance back before the row is sorted
+        (
+            [0.1, 0.3, 0.0, 1e200, -1e200],
+            4,
+            [[2, 1, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3]],
+        ),
+    ],
+    ids=["four-rows", "repeated-pick"],
+)
+def test_never_self_when_distances_overflow(monkeypatch, rows, k, want, block_rows):
+    # every distance to a +-1e200 row squares past the largest float to inf,
+    # so rows have fewer than k finite distances; the inf entries order by
+    # index, as in sorted_neighbors with an inf-on-overflow distance
+    if block_rows:  # blocks of 2 rows, selected one row at a time
+        monkeypatch.setattr(distance, "_CHUNK_BUDGET", block_rows * len(rows))
+        monkeypatch.setattr(distance, "_DIFF_BUDGET", len(rows))
+    with np.errstate(over="ignore"):
+        nl = knn_minority(minority(CONT1, [(x,) for x in rows]), k, EuclideanMetric(CONT1))
+    assert nl.tolist() == want
+
+
 def test_rejects_majority_rows():
     ds = dataset_from_rows(CONT1, ((0.0,), (1.0,)), (MINORITY, MAJORITY))
     with pytest.raises(ValueError, match="minority-only"):
@@ -124,14 +151,15 @@ def sqrt_rounding_case(kind):
 
 def test_matches_oracle_random_datasets(monkeypatch):
     # every metric class, ties from integer coordinates, duplicated rows and
-    # low-cardinality nominals; a budget of 3 rows streams several blocks
+    # low-cardinality nominals, every width up to T - 1 (k = T is clamped);
+    # a budget of 3 rows streams several blocks
     rng = np.random.default_rng(32)
     for kind in ("euclidean", "nc", "vdm"):
         cases = [tie_heavy_case(rng, kind) for _ in range(25)]
         if kind != "vdm":
             cases.append(sqrt_rounding_case(kind))
         for schema, rows, metric in cases:
-            k = int(rng.integers(1, 8))
+            k = int(rng.integers(1, len(rows) + 1))
             monkeypatch.setattr(distance, "_CHUNK_BUDGET", 3 * len(rows))
             got = knn_minority(minority(schema, rows), k, metric)
             assert tuple(map(tuple, got.tolist())) == sorted_neighbors(
@@ -210,14 +238,27 @@ def test_fold_fitted_metric_search_memory_is_bounded(monkeypatch, kind):
 
 
 def test_selection_frees_its_partition_indices(monkeypatch):
-    # in 256-row blocks a T-wide argpartition index array kept alive through
-    # the tie pass is a larger share of the block: 1.25 blocks, not 1.17
+    # in 256-row blocks a T-wide array that selection kept alive beside the
+    # block, such as an index array of a partition, is a larger share of the
+    # block: 1.25 blocks, not 1.17
     check_search_memory(
         monkeypatch,
         "vdm",
         lambda ds, metric: [knn_minority(ds, 5, metric)],
         block_rows=256,
         bound=1.2,
+    )
+
+
+def test_selection_allocates_nothing_t_wide(monkeypatch):
+    # the argmin rounds keep only (slice rows, w) arrays beside the block;
+    # a slice's T-wide index array, as a partition makes, reaches 1.17 blocks
+    check_search_memory(
+        monkeypatch,
+        "vdm",
+        lambda ds, metric: [knn_minority(ds, 5, metric)],
+        block_rows=256,
+        bound=1.15,
     )
 
 

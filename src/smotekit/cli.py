@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError
 from .evaluate import ANCHORS, RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import CLASSIFIER_KINDS, ClassifierSpec
 from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, synthesis_source, variant_neighbors, write_provenance
+from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, _source, apply_plan_detailed, write_provenance
 
 _EXIT_STDOUT = 1  # standard output cannot be written
 _DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
@@ -131,7 +131,7 @@ def _cmd_resample(args, variant: str) -> int:
     source = None
     if variant != "replicate" and any(over > 0 for over in args.over):
         # one search and one vote serve every --over x --under pair of this file
-        source = synthesis_source(variant, ds.minority_subset(), variant_neighbors(ds, args.k, variant))
+        source = _source(ds, ds.minority_subset(), args.k, variant)
     listing = []  # printed once every file is written
     for over in args.over:
         for under in unders:

@@ -1,12 +1,13 @@
 """Classifiers that emit a minority-class score per row.
 
 The built-in classifier is naive Bayes: Gaussian likelihoods for continuous
-features (variances floored at 1e-9 times the squared feature range so a
-degenerate feature cannot zero out a likelihood) and Laplace-smoothed
-frequencies for nominal features (pseudo-count 1; categories unseen in
-training fall back to the smoothed uniform mass). The minority prior can be
-scaled by a multiplier and renormalized, which sweeps the operating point the
-same way moving the decision threshold does.
+features (variances floored at 1e-9 times the squared feature range over
+the training split; a feature constant over that split is left out, as it
+tells the classes nothing) and Laplace-smoothed frequencies for nominal
+features (pseudo-count 1; categories unseen in training fall back to the
+smoothed uniform mass). The minority prior can be scaled by a multiplier and
+renormalized, which sweeps the operating point the same way moving the
+decision threshold does.
 
 External classifiers plug in through a file contract, see
 :func:`score_external`.
@@ -28,7 +29,6 @@ from .evaluate import ConfusionMatrix
 from .record import _FrozenRecord, _Record
 
 _VARIANCE_FLOOR_SCALE = 1e-9
-_DEGENERATE_FLOOR = 1e-12
 _SCORER_TIMEOUT_S = 600  # seconds one external scorer run may take
 
 CLASSIFIER_KINDS = ("naive_bayes", "external")
@@ -108,7 +108,9 @@ class TrainedModel(_Record):
         self.class_counts = class_counts  # (minority, majority) training rows
         self.log_priors = log_priors  # at the fitted prior multiplier
         self.means = means  # shape (2, n_continuous)
-        self.variances = variances  # shape (2, n_continuous), floored positive
+        # shape (2, n_continuous), floored positive; 0 in both rows for a
+        # feature constant over the training split, which scores leave out
+        self.variances = variances
         # per nominal feature, shape (2, n_codes + 1): log P(value | class) by
         # intern code; the last column, which code -1 picks, is the fallback
         # for a token outside the intern table
@@ -135,13 +137,16 @@ class TrainedModel(_Record):
             priors = [_log_priors(m, *self.class_counts) for m in multipliers]
         # per class, the continuous sum and then one term per nominal feature
         terms = [[], []]
-        x = test.cont
+        x, means, variances = test.cont, self.means, self.variances
+        used = variances.all(axis=0)
+        if not used.all():  # a feature of variance 0 is left out; a copy only then
+            x, means, variances = x[:, used], means[:, used], variances[:, used]
         if x.shape[1]:
             for c, acc in enumerate(terms):
-                diff = x - self.means[c]
+                diff = x - means[c]
                 acc.append(
-                    (-0.5 * (np.log(2.0 * np.pi * self.variances[c])
-                             + diff * diff / self.variances[c])).sum(axis=1)
+                    (-0.5 * (np.log(2.0 * np.pi * variances[c])
+                             + diff * diff / variances[c])).sum(axis=1)
                 )
         for table, i, column in zip(
             self.nominal_loglik, self.schema.nominal_indices, test.codes.T
@@ -168,12 +173,16 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
 
     The minority prior is the empirical fraction scaled by
     ``spec.prior_multiplier`` and renormalized against the majority count.
-    Continuous variances use the n denominator and are floored; nominal
-    likelihoods are Laplace-smoothed over the categories seen in training.
+    Continuous variances use the n denominator and are floored at 1e-9
+    times the squared range of the feature over ``ds``; a feature of range 0
+    gets variance 0 in both classes, which leaves it out of the scores.
+    Nominal likelihoods are Laplace-smoothed over the categories seen in
+    training.
 
     Raises:
         ValueError: single-class training set.
         ConfigError: spec does not describe the built-in classifier.
+        DataError: a continuous feature whose variance overflows.
     """
     if spec.kind != "naive_bayes":
         raise ConfigError(
@@ -190,14 +199,20 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
     means = np.zeros((2, cont.shape[1]))
     variances = np.ones((2, cont.shape[1]))
     if cont.shape[1]:
-        spread = cont.max(axis=0) - cont.min(axis=0)
-        floor = np.where(
-            spread > 0.0, _VARIANCE_FLOOR_SCALE * spread * spread, _DEGENERATE_FLOOR
-        )
-        for c, mask in enumerate(masks):
-            x = cont[mask]
-            means[c] = x.mean(axis=0)
-            variances[c] = np.maximum(x.var(axis=0), floor)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            spread = cont.max(axis=0) - cont.min(axis=0)
+            floor = _VARIANCE_FLOOR_SCALE * spread * spread
+            for c, mask in enumerate(masks):
+                x = cont[mask]
+                means[c] = x.mean(axis=0)
+                variances[c] = np.maximum(x.var(axis=0), floor)
+        overflow = ~np.isfinite(variances).all(axis=0)
+        if overflow.any():
+            name = ds.schema.names[ds.schema.continuous_indices[overflow.argmax()]]
+            raise DataError(
+                f"continuous feature {name!r} spreads too far: its naive Bayes variance overflows"
+            )
+        variances[:, spread == 0.0] = 0.0
 
     nominal_loglik = []
     if ds.schema.nominal_indices:

@@ -4,7 +4,7 @@ Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
 distance, then ascending row index. Distances are computed one row block at
 a time; each keeps only its top k and is released before the next, so for
 every metric memory is one block, O(block x T), not T x T. ``knn_minority``
-searches one minority. ``knn_per_fold`` serves every cross-validation fold
+searches one minority. ``_knn_per_fold`` serves every cross-validation fold
 from one wider search over the whole minority: each fold's training rows
 keep their candidates that are training rows too, and a row left with
 fewer than k is searched again against that fold's training rows alone, so
@@ -30,7 +30,7 @@ from . import distance
 from .data import Dataset
 
 # Training candidates beyond k that the whole-minority search of
-# ``knn_per_fold`` leaves a row of a fold on average, so that a row rarely
+# ``_knn_per_fold`` leaves a row of a fold on average, so that a row rarely
 # falls short of k and has to be searched again.
 _MARGIN = 10
 
@@ -57,11 +57,14 @@ def knn_minority(
     t = len(minority)
     if t < 2:
         raise ValueError(f"need at least 2 rows for neighbor search, got {t}")
-    _check_search(minority, k)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if not minority.minority.all():
+        raise ValueError("neighbor search expects a minority-only dataset slice")
     return _search(minority, min(k, t - 1), metric, np.arange(t))
 
 
-def knn_per_fold(
+def _knn_per_fold(
     minority: Dataset,
     k: int,
     metric: distance.EuclideanMetric,
@@ -69,37 +72,27 @@ def knn_per_fold(
 ) -> list:
     """Neighbor lists of every fold's training minority from one search.
 
-    ``fold_of[i]`` is the cross-validation fold of minority row ``i``, a
-    non-negative integer. Entry ``f`` of the result, for every fold ``f`` up
-    to ``fold_of.max()``, equals
+    ``fold_of[i]`` is the cross-validation fold of minority row ``i``, and
+    every fold from 0 to ``F - 1``, ``F >= 2``, holds at least one row, as
+    :func:`~smotekit.data.stratified_folds` assigns them. Entry ``f`` of the
+    result equals
     ``knn_minority(minority.subset(np.flatnonzero(fold_of != f)), k, metric)``,
     or is None when that training minority has fewer than 2 rows.
 
     One search over the whole minority serves every fold. Its width,
-    ``(k + _MARGIN) * F / (F - 1)`` rounded up for ``F`` folds (at most
-    ``T - 1``), leaves a fold's row about ``k + _MARGIN`` training
-    candidates. Each training row of a fold keeps its candidates that are
-    training rows too, in list order; training rows keep their global order,
-    so these are the first entries of the list a search of the fold alone
-    gives, ties included. A row left with fewer than
-    ``min(k, T_f - 1)`` of them is searched again, against that fold's
-    training rows only. Sharing one search needs a distance between two rows
-    that does not depend on the other rows of the set: true of
-    ``EuclideanMetric``, not of ``NcMetric`` or ``VdmMetric``, whose median
-    and category counts come from the training rows.
+    ``(k + _MARGIN) * F / (F - 1)`` rounded up (at most ``T - 1``), leaves a
+    fold's row about ``k + _MARGIN`` training candidates. Each training row
+    of a fold keeps its candidates that are training rows too, in list
+    order; training rows keep their global order, so these are the first
+    entries of the list a search of the fold alone gives, ties included. A
+    row left with fewer than ``min(k, T_f - 1)`` of them is searched again,
+    against that fold's training rows only. Sharing one search needs a
+    distance between two rows that does not depend on the other rows of the
+    set: true of ``EuclideanMetric``, not of ``NcMetric`` or ``VdmMetric``,
+    whose median and category counts come from the training rows.
     """
-    fold_of = np.asarray(fold_of)
-    if fold_of.shape != (len(minority),):
-        raise ValueError(
-            f"fold_of has shape {fold_of.shape}, expected ({len(minority)},)"
-        )
-    if fold_of.size and (fold_of.dtype.kind not in "iu" or fold_of.min() < 0):
-        raise ValueError(f"fold_of must hold non-negative integer fold ids, got {fold_of}")
-    _check_search(minority, k)
     t = len(minority)
-    n_folds = int(fold_of.max()) + 1 if t else 0
-    if t < 2 or n_folds < 2:
-        return [None] * n_folds
+    n_folds = int(fold_of.max()) + 1
     width = -(-(k + _MARGIN) * n_folds // (n_folds - 1))  # ceiling division
     found = _search(minority, min(width, t - 1), metric, np.arange(t))
     return [_fold_lists(minority, k, metric, found, fold_of != f) for f in range(n_folds)]
@@ -127,14 +120,6 @@ def _fold_lists(minority: Dataset, k: int, metric, found: np.ndarray, in_train: 
         lists[rows] = _search(minority.subset(train), w, metric, rows)
     lists.flags.writeable = False
     return lists
-
-
-def _check_search(minority: Dataset, k: int) -> None:
-    """Reject ``k < 1`` and a dataset with majority rows."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if not minority.minority.all():
-        raise ValueError("neighbor search expects a minority-only dataset slice")
 
 
 def _search(ds: Dataset, w: int, metric, rows: np.ndarray) -> np.ndarray:

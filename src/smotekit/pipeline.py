@@ -61,9 +61,9 @@ from .resample import (
     UNDER_BASES,
     VARIANTS,
     WITH_REPLACEMENT,
+    _fold_sources,
     apply_plan_detailed,
     audit_batch,
-    fold_neighbors,
 )
 from .rng import child_seed
 
@@ -309,7 +309,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     # source's minority slice alone
     sources = [None] * cfg.n_folds
     if "smote_under" in cfg.families:
-        sources = fold_neighbors(ds, folds, cfg.k, cfg.variant)
+        sources = _fold_sources(ds, folds, cfg.k, cfg.variant)
 
     runs: dict = {}  # (label, tag) -> per fold, (confusion matrix, training set size)
     skipped: dict = {}  # (label, tag) -> why the first fold to skip it did

@@ -6,7 +6,7 @@ segments toward its k nearest minority neighbors. Amounts under 100 instead
 select ``floor(n_percent/100 * T)`` distinct bases at random and give each one
 synthetic row. ``k`` enters only the neighbor search, which computes the
 neighbor lists once; synthesis reads the lists and the votes that
-:func:`synthesis_source` computes from them once. Three synthesis flavors
+:func:`_synthesis_source` computes from them once. Three synthesis flavors
 cover the schema shapes, all called as ``(minority, params, neighbors, rng=None)``:
 
 * ``smote``: all-continuous; interpolate every coordinate.
@@ -39,7 +39,7 @@ from .distance import (
     compute_med,
 )
 from .errors import DataError
-from .neighbors import knn_minority, knn_per_fold
+from .neighbors import _knn_per_fold, knn_minority
 from .record import _FrozenRecord, _Record
 from .rng import child_seed, generator
 
@@ -196,7 +196,7 @@ def _check_shape(schema, variant: str) -> None:
         raise ValueError(f"{variant} takes {_SHAPES[variant]} features, got {shape} features")
 
 
-def synthesis_source(variant: str, minority: Dataset, neighbors) -> tuple:
+def _synthesis_source(variant: str, minority: Dataset, neighbors) -> tuple:
     """What synthesis of ``variant`` reads from a minority and its neighbor
     lists: ``(minority, lists, votes)``, built once and shared by every call
     that synthesizes from these rows.
@@ -232,7 +232,7 @@ def synthesis_source(variant: str, minority: Dataset, neighbors) -> tuple:
 
 def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
     """The synthesis behind smote, smote_nc and smote_n, from a ``source``
-    that :func:`synthesis_source` built; nothing is checked or voted again.
+    that :func:`_synthesis_source` built; nothing is checked or voted again.
 
     ``rng`` None draws from the seeded substream ``(params.seed, "smote")``.
     Every synthetic row of a base carries the base's votes. After the base
@@ -279,7 +279,8 @@ def smote(
         params: amount, modes, and seed; ``n_percent == 0`` yields an empty
             batch.
         neighbors: the neighbor lists of these rows, a ``(T, w)`` integer
-            array-like, ``w >= 1``, such as :func:`variant_neighbors` gives.
+            array-like, ``w >= 1``, such as
+            :func:`~smotekit.neighbors.knn_minority` gives.
         rng: override generator, mainly for tests; defaults to the seeded
             substream ``(params.seed, "smote")``.
 
@@ -289,7 +290,7 @@ def smote(
         the base/neighbor bounding box, which only matters when float
         rounding at gap values near 1 would overshoot by an ulp.
     """
-    return _synthesize(synthesis_source("smote", minority, neighbors), params, rng)
+    return _synthesize(_synthesis_source("smote", minority, neighbors), params, rng)
 
 
 def smote_nc(
@@ -307,7 +308,7 @@ def smote_nc(
     base excluded, so every synthetic row of one base shares its voted
     nominal part.
     """
-    return _synthesize(synthesis_source("smote_nc", minority, neighbors), params, rng)
+    return _synthesize(_synthesis_source("smote_nc", minority, neighbors), params, rng)
 
 
 def smote_n(
@@ -324,7 +325,7 @@ def smote_n(
     the neighbor lists; random draws occur only in the under-100 base
     selection.
     """
-    return _synthesize(synthesis_source("smote_n", minority, neighbors), params, rng)
+    return _synthesize(_synthesis_source("smote_n", minority, neighbors), params, rng)
 
 
 def replicate_oversample(
@@ -391,40 +392,11 @@ class PlanResult(_Record):
         self.retained_majority = retained_majority
 
 
-def _check_synthesis(train: Dataset, n_minority: int, variant: str) -> None:
-    """Reject a synthesis variant whose schema or training minority cannot
-    feed its neighbor search."""
-    _check_shape(train.schema, variant)
-    if n_minority < 2:
-        raise DataError(
-            f"training minority has {n_minority} row(s); {variant} needs at "
-            "least 2 minority rows for neighbor search"
-        )
-
-
-def variant_neighbors(train: Dataset, k: int, variant: str) -> np.ndarray:
-    """:func:`~smotekit.neighbors.knn_minority` of ``train``'s minority rows
-    under the metric of a synthesis variant: Euclidean for smote, the
-    median-penalized distance with the minority's ``Med`` for smote_nc, VDM
-    over ``train``'s category counts for smote_n.
-
-    Raises:
-        ValueError: ``k < 1``, a variant that searches no neighbors, or a
-            schema the variant cannot take.
-        DataError: a training minority of fewer than 2 rows.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if variant not in _SHAPES:
-        raise ValueError(f"variant {variant!r} searches no neighbors")
-    minority = train.minority_subset()
-    _check_synthesis(train, len(minority), variant)
-    return knn_minority(minority, k, _metric(train, minority, variant))
-
-
 def _metric(train: Dataset, minority: Dataset, variant: str):
     """The distance of a synthesis variant, fitted to ``train`` and its
-    minority rows ``minority``."""
+    minority rows ``minority``: Euclidean for smote, the median-penalized
+    distance with the minority's ``Med`` for smote_nc, VDM over ``train``'s
+    category counts for smote_n."""
     if variant == "smote":
         return EuclideanMetric(train.schema)
     if variant == "smote_nc":
@@ -432,53 +404,68 @@ def _metric(train: Dataset, minority: Dataset, variant: str):
     return VdmMetric(VdmTable.from_dataset(train))
 
 
-# The variants whose metric is fitted to each training fold, searched once per
-# fold. smote_nc joins when bench/test_bench.py's smote_nc self-test, which
-# counts one search per (cell, fold), is re-pinned to one per fold.
-_FOLD_FITTED = ("smote_n",)
+def _source(train: Dataset, minority: Dataset, k: int, variant: str, lists=None) -> tuple:
+    """The one builder of what synthesis of ``variant`` reads: the
+    :func:`_synthesis_source` of the minority-only slice ``minority`` and
+    ``lists``, its neighbor lists. ``lists`` None searches them with
+    :func:`knn_minority` under the variant's metric, fitted to ``train``,
+    the training split ``minority`` comes from; given lists, only
+    ``train``'s schema is read.
+
+    Raises ValueError for a schema the variant cannot take and, when it
+    searches, for ``k < 1``; ``DataError`` for a minority of fewer than 2
+    rows, too thin to search.
+    """
+    _check_shape(train.schema, variant)
+    if len(minority) < 2:
+        raise DataError(
+            f"training minority has {len(minority)} row(s); {variant} needs at "
+            "least 2 minority rows for neighbor search"
+        )
+    if lists is None:
+        lists = knn_minority(minority, k, _metric(train, minority, variant))
+    return _synthesis_source(variant, minority, lists)
 
 
-def fold_neighbors(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
-    """For every fold up to ``folds.max()`` (``folds[i]`` the fold of row
-    ``i`` of ``ds``), the :func:`synthesis_source` of its training minority
-    that every cell of ``variant`` shares: the fold's minority slice, its
-    lists and its votes, built once per fold. None stands where
-    :func:`apply_plan_detailed` searches and votes on each call. smote's
-    distances do not depend on the fold, so one pass serves every fold; a
-    fold with no minority row gets the whole minority's. SMOTE-N's VDM counts
-    are fitted to the fold, so each fold is searched on its own, as
-    :func:`variant_neighbors` searches its training split; smote_nc and
-    replicate get None. A fold whose training minority is too thin to search
-    gets None, so the cell that needs it raises the ``DataError`` on its own
-    call. A schema the variant cannot take raises ValueError.
+# The variants whose cells share one source per fold. smote_nc joins when
+# bench/test_bench.py's smote_nc self-test, which counts one search per
+# (cell, fold), is re-pinned to one per fold: its metric is fitted to each
+# training fold, as smote_n's is, so the loop below serves it unchanged.
+_FOLD_FITTED = ("smote", "smote_n")
+
+
+def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
+    """The :func:`_source` of every fold's training minority, built once
+    and shared by every cell of ``variant``. ``folds[i]`` is the fold of row
+    ``i`` of ``ds``, as :func:`~smotekit.data.stratified_folds` assigns
+    them, so every fold holds a minority row.
+
+    smote's distances do not depend on the fold, so one
+    :func:`~smotekit.neighbors._knn_per_fold` pass gives every fold's lists;
+    the other variants of ``_FOLD_FITTED`` search each training fold under
+    a metric fitted to it. None stands for a variant outside
+    ``_FOLD_FITTED`` and for a fold whose training minority is too thin to
+    search: there :func:`apply_plan_detailed` searches on each call and
+    raises the ``DataError`` itself. A schema the variant cannot take
+    raises ValueError.
     """
     n_folds = int(folds.max()) + 1
-    if variant in _FOLD_FITTED:
-        return [_fold_source(ds.subset(np.flatnonzero(folds != f)), k, variant) for f in range(n_folds)]
-    if variant != "smote":
+    if variant not in _FOLD_FITTED:
         return [None] * n_folds
-    _check_shape(ds.schema, variant)
     minority = ds.minority_subset()
     fold_of = folds[ds.minority_indices()]
-    per_fold = knn_per_fold(minority, k, _metric(ds, minority, variant), fold_of)
-    sources = [
-        None if lists is None else synthesis_source(variant, minority.subset(np.flatnonzero(fold_of != f)), lists)
-        for f, lists in enumerate(per_fold)
-    ]
-    if len(sources) < n_folds:  # the last folds hold no minority row
-        sources += [_fold_source(ds, k, variant)] * (n_folds - len(sources))
+    per_fold = [None] * n_folds
+    if variant == "smote":
+        _check_shape(ds.schema, variant)
+        per_fold = _knn_per_fold(minority, k, _metric(ds, minority, variant), fold_of)
+    sources = []
+    for f, lists in enumerate(per_fold):
+        train = ds if lists is not None else ds.subset(np.flatnonzero(folds != f))
+        try:
+            sources.append(_source(train, minority.subset(np.flatnonzero(fold_of != f)), k, variant, lists))
+        except DataError:
+            sources.append(None)
     return sources
-
-
-def _fold_source(train: Dataset, k: int, variant: str):
-    """The :func:`synthesis_source` of one training fold, from its
-    :func:`variant_neighbors`, or None where its minority is too thin to
-    search."""
-    try:
-        lists = variant_neighbors(train, k, variant)
-    except DataError:
-        return None
-    return synthesis_source(variant, train.minority_subset(), lists)
 
 
 def apply_plan_detailed(
@@ -507,11 +494,10 @@ def apply_plan_detailed(
         under_basis: "pre" (default) sizes the retained majority from the
             original minority count so sweeps share majority counts across
             over-sampling levels; "post" sizes it from the augmented count.
-        source: what synthesis of ``variant`` reads, the
-            :func:`synthesis_source` of ``train``'s minority rows (as
-            :func:`fold_neighbors` gives it per fold), to share one search
-            and one vote across calls; None (default) searches and votes
-            here. When given, its minority slice also stands in for
+        source: what synthesis of ``variant`` reads, the :func:`_source`
+            of ``train``'s minority rows, to share one search and one vote
+            across calls; None (default) searches and votes here. When
+            given, its minority slice also stands in for
             ``train.minority_subset()``, whatever the variant.
 
     Returns:
@@ -549,10 +535,8 @@ def apply_plan_detailed(
             minority, over_percent, seed=child_seed(seed, "over")
         )
     else:
-        _check_synthesis(train, len(minority), variant)
         if source is None:
-            lists = knn_minority(minority, k, _metric(train, minority, variant))
-            source = synthesis_source(variant, minority, lists)
+            source = _source(train, minority, k, variant)
         params = SmoteParams(
             n_percent=over_percent,
             seed=child_seed(seed, "over"),

@@ -27,7 +27,7 @@ from smotekit.data import Dataset, stratified_folds
 from smotekit.errors import DataError
 from smotekit.evaluate import auc, build_family_curve, convex_hull
 from smotekit.model import ClassifierSpec, confusion_from_scores, score_external, train
-from smotekit.resample import apply_plan_detailed, synthesis_source, variant_neighbors
+from smotekit.resample import apply_plan_detailed
 from smotekit.rng import child_seed
 
 # The label of one row for dataset_from_rows: its minority flag.
@@ -278,18 +278,14 @@ def _reference_cell(cfg, splits, label, variant, tag, plan, spec, threshold):
     cms, sizes = [], []
     for f, (train_ds, test) in enumerate(splits):
         if plan is not None:
-            source = None
-            if variant != "replicate" and plan[0] > 0:
-                try:  # the search and vote this cell would make alone
-                    lists = variant_neighbors(train_ds, cfg.k, variant)
-                except DataError as exc:
-                    return f"{label} cell {tag}: fold {f}: {exc}"
-                source = synthesis_source(variant, train_ds.minority_subset(), lists)
-            train_ds = apply_plan_detailed(
-                train_ds, *plan, cfg.k, child_seed(cfg.seed, label, tag, f), variant,
-                gap_mode=cfg.gap_mode, neighbor_mode=cfg.neighbor_mode,
-                under_basis=cfg.under_basis, source=source,
-            ).dataset
+            try:  # source=None: this cell searches and votes on its own
+                train_ds = apply_plan_detailed(
+                    train_ds, *plan, cfg.k, child_seed(cfg.seed, label, tag, f), variant,
+                    gap_mode=cfg.gap_mode, neighbor_mode=cfg.neighbor_mode,
+                    under_basis=cfg.under_basis, source=None,
+                ).dataset
+            except DataError as exc:
+                return f"{label} cell {tag}: fold {f}: {exc}"
             if train_ds.n_majority == 0:
                 return f"{label} cell {tag}: under-sampling emptied the majority class"
         if spec.kind == "external":

@@ -247,6 +247,14 @@ def test_wrong_minority_token_is_exit_3(toy, tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [["smote", "--over", "1,x"], ["experiment", "--under", "10,x"]])
+def test_a_percent_that_is_no_integer_is_argparse_exit_2(toy, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], *data_args(toy), *argv[1:], "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert f"expected a comma-separated integer list, got '{argv[2]}'" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_argparse_exit_2(toy, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["smote", *data_args(toy), "--over", "100", "--out", "x", "--psychic"])
@@ -316,6 +324,24 @@ def test_evaluate_rejects_short_or_long_row(tmp_path, capsys, row, fields):
     rc = main(["evaluate", "--points", str(points), "--out", str(tmp_path / "e")])
     assert rc == 3
     assert f"line 3 has {fields} fields, expected 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, code, shown",
+    [
+        # line 3 is blank and skipped, but still counted
+        ("alpha,0,0\n\nalpha,101,80\n", 3, "line 4: fp_rate must lie in [0, 100], got 101.0"),
+        ("", 3, "no points"),
+        ("alpha,0,0\n\nalpha,10,80\n", 0, "alpha: auc=0.850000 (8500)"),
+    ],
+    ids=["rate-101", "header-only", "blank-line"],
+)
+def test_evaluate_reads_points_line_by_line(tmp_path, capsys, rows, code, shown):
+    points = tmp_path / "points.csv"
+    points.write_text(f"family,fp_rate,tp_rate\n{rows}", encoding="utf-8")
+    assert main(["evaluate", "--points", str(points), "--out", str(tmp_path / "e")]) == code
+    printed = capsys.readouterr()
+    assert shown in (printed.err if code else printed.out)
 
 
 @pytest.mark.parametrize(
@@ -716,11 +742,31 @@ def test_smote_nc_on_an_overflowing_spread_is_exit_3(far_mixed, tmp_path, capsys
 
 
 def test_experiment_skips_smote_nc_cells_of_an_overflowing_spread(far_mixed, tmp_path, capsys):
+    # scored externally, as naive Bayes rejects these values (next test)
+    script = tmp_path / "scorer.py"  # scores every test row 0.5
+    script.write_text(
+        "import sys\nn = sum(1 for _ in open(sys.argv[2])) - 1\n"
+        "open(sys.argv[3], 'w').write('0.5\\n' * n)\n",
+        encoding="utf-8",
+    )
+    scorer = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
     argv = ["experiment", *data_args(far_mixed), "--variant", "smote_nc", "--folds", "2"]
     argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
+    argv += ["--classifier", "external", "--classifier-command", scorer]
     assert main([*argv, "--out", str(tmp_path / "report")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert f"warning: smote_under@100 cell over=100,under=100: fold 0: {MED_OVERFLOWS}" in err
+
+
+def test_experiment_variance_overflow_is_exit_3(far_mixed, tmp_path, capsys):
+    # naive Bayes' variance of x overflows: the run ends at its first fit,
+    # with no numpy overflow warning on the way
+    argv = ["experiment", *data_args(far_mixed), "--variant", "smote_nc", "--folds", "2"]
+    argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 3
+    err = capsys.readouterr().err
+    assert "warning: overflow" not in err
+    assert err == "data error: continuous feature 'x' spreads too far: its naive Bayes variance overflows\n"
 
 
 def test_experiment_scorer_past_its_time_limit_is_exit_3(toy, tmp_path, capsys, monkeypatch):

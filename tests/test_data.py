@@ -410,6 +410,9 @@ def test_folds_class_counts_differ_by_at_most_one():
             for i in indices:
                 counts[folds[i]] += 1
             assert max(counts) - min(counts) <= 1
+            # every fold holds a row of each class, which the per-fold
+            # neighbor search relies on
+            assert min(counts) >= 1
         # train/test partition the rows for every fold
         for fold in range(n_folds):
             train = set(np.flatnonzero(folds != fold))

@@ -158,10 +158,11 @@ def test_scaling_continuous_values_keeps_the_report(case, j):
     and variances all scale exactly, and naive Bayes scores depend on
     ratios of them, so the report bytes stay the same."""
     kinds, rows, n_min, flags = case
-    # Minority row i moves by i/100, off the one-decimal grid, so no continuous
-    # column is constant within a training fold's minority. A column constant
-    # over a whole training split gets naive Bayes' absolute variance floor,
-    # which does not scale with the data.
+    # Minority row i moves by i/100, off the one-decimal grid, so the two
+    # classes seldom share a column's mean and variance. Where they do, after
+    # under-sampling at 100 say, a score sits at 0.5, and naive Bayes'
+    # log(2 pi variance) terms, which do not scale bit for bit, can move it
+    # one ulp across a 0.5 threshold.
     rows = [
         tuple(v + i / 100 if kind == "continuous" and i < n_min else v for v, kind in zip(row, kinds))
         for i, row in enumerate(rows)

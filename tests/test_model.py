@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,41 @@ def test_constant_feature_does_not_blow_up():
     got = score(model, (5.0, 1.5))
     assert 0.5 < got <= 1.0
     assert math.isfinite(got)
+
+
+@pytest.mark.parametrize("value", [1.0, 1000.0])
+def test_a_training_constant_feature_contributes_nothing(value):
+    # "dead" is 0.0 over the whole training split and ``value`` in every
+    # test row: the scores are those of the model fit without it, bit for
+    # bit. Two live features keep both fits' column means on numpy's
+    # column-by-column sums; a single column is summed pairwise instead,
+    # which can move the last bit of a mean.
+    rng = np.random.default_rng(15)
+    live = rng.normal(size=(200, 2))
+    minority = rng.random(200) < 0.3
+    live[minority] += 1.5
+    labels = [MIN if m else MAJ for m in minority]
+    probe = rng.normal(size=(6, 2)).tolist()
+    with_dead = FeatureSchema(
+        (("a", "continuous"), ("dead", "continuous"), ("b", "continuous")), "cls"
+    )
+    without = FeatureSchema((("a", "continuous"), ("b", "continuous")), "cls")
+    model = train(dataset(with_dead, [(a, 0.0, b) for a, b in live.tolist()], labels), ClassifierSpec())
+    alone = train(dataset(without, live.tolist(), labels), ClassifierSpec())
+    got = model.score_rows(dataset(with_dead, [(a, value, b) for a, b in probe], [MAJ] * 6))
+    want = alone.score_rows(dataset(without, probe, [MAJ] * 6))
+    assert got.tobytes() == want.tobytes()
+    assert len(set(want.tolist())) == 6
+
+
+def test_a_variance_that_overflows_is_a_data_error():
+    # a spread of 2e200 squares past the float range
+    schema = FeatureSchema((("x", "continuous"), ("y", "continuous")), "cls")
+    rows = [(1.0, 1e200), (2.0, -1e200), (3.0, 0.0), (4.0, 5.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy overflow warning on the way
+        with pytest.raises(DataError, match="^continuous feature 'y' spreads too far"):
+            train(dataset(schema, rows, [MIN, MIN, MAJ, MAJ]), ClassifierSpec())
 
 
 def test_train_rejects_single_class():

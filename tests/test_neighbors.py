@@ -16,7 +16,7 @@ from smotekit.distance import (
     VdmMetric,
     VdmTable,
 )
-from smotekit.neighbors import knn_minority, knn_per_fold
+from smotekit.neighbors import _knn_per_fold, knn_minority
 from smotekit.resample import SmoteParams, smote
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
@@ -268,7 +268,7 @@ def test_per_fold_search_memory_is_bounded(monkeypatch):
     check_search_memory(
         monkeypatch,
         "euclidean",
-        lambda ds, metric: knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
+        lambda ds, metric: _knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
         bound=1.1,
     )
 
@@ -309,7 +309,7 @@ def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
                 monkeypatch.setattr(distance, "_CHUNK_BUDGET", 7 * t)
                 monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
                 for k in (1, int(rng.integers(2, 8)), t):
-                    got = knn_per_fold(ds, k, metric, fold_of)
+                    got = _knn_per_fold(ds, k, metric, fold_of)
                     assert len(got) == n_folds
                     for f, lists in enumerate(got):
                         train = ds.subset(np.flatnonzero(fold_of != f))
@@ -322,26 +322,11 @@ def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
 
 
 def test_knn_per_fold_thin_folds_get_none():
-    # fold 1's training minority is row 0 alone, fold 2's is empty
+    # fold 1's training minority is row 0 alone
     ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
-    got = knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
+    got = _knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
     assert [lists is None for lists in got] == [False, True]
     assert got[0].tolist() == [[1], [0]]
-    assert knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 0, 0]))[0] is None
-    with pytest.raises(ValueError, match="k must be at least 1"):
-        knn_per_fold(ds, 0, EuclideanMetric(CONT1), np.array([0, 1, 1]))
-    with pytest.raises(ValueError, match="shape"):
-        knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1]))
-
-
-@pytest.mark.parametrize(
-    "fold_of", [[0, -1, 1], [0.0, 1.0, 1.0], [0, 0.5, 1], [True, False, True]]
-)
-def test_knn_per_fold_rejects_bad_fold_ids(fold_of):
-    # a negative or non-integer fold id would never be held out
-    ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
-    with pytest.raises(ValueError, match="non-negative integer fold ids"):
-        knn_per_fold(ds, 1, EuclideanMetric(CONT1), np.array(fold_of))
 
 
 def test_distances_nondecreasing_and_dominating():
@@ -402,7 +387,7 @@ def test_every_search_returns_read_only_intp_arrays():
     metric = EuclideanMetric(CONT1)
     fold_of = np.arange(7) % 3
     for k in (1, 3, 9):
-        per_fold = knn_per_fold(ds, k, metric, fold_of)
+        per_fold = _knn_per_fold(ds, k, metric, fold_of)
         found = [(7, knn_minority(ds, k, metric))]
         found += [(np.count_nonzero(fold_of != f), lists) for f, lists in enumerate(per_fold)]
         for t, lists in found:

@@ -343,7 +343,7 @@ def test_smote_experiment_searches_neighbors_once(monkeypatch):
     assert calls == [40]
 
     calls.clear()
-    monkeypatch.setattr(resample, "knn_per_fold", lambda *args: [None] * cfg.n_folds)
+    monkeypatch.setattr(pipeline, "_fold_sources", lambda *args: [None] * cfg.n_folds)
     per_cell = run_experiment(ds, cfg)
     assert calls == [32] * 20  # each (cell, fold) searches its own minority
     assert shared.aucs == per_cell.aucs
@@ -428,7 +428,7 @@ def _assert_per_fold_matches_per_cell(ds, cfg):
     """A run that shares one source per fold gives the report of a run
     whose every cell searches and votes on its own; returns the warnings."""
     per_fold = run_experiment(ds, cfg)
-    with mock.patch.object(pipeline, "fold_neighbors", lambda ds, folds, *args: [None] * cfg.n_folds):
+    with mock.patch.object(pipeline, "_fold_sources", lambda ds, folds, *args: [None] * cfg.n_folds):
         per_cell = run_experiment(ds, cfg)
     assert per_fold.aucs == per_cell.aucs
     assert per_fold.curves == per_cell.curves

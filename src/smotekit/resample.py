@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import distance
 from .data import Dataset, write_lines
 from .distance import (
     EuclideanMetric,
@@ -236,10 +237,12 @@ def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
 
     ``rng`` None draws from the seeded substream ``(params.seed, "smote")``.
     Every synthetic row of a base carries the base's votes. After the base
-    choice, one call draws every neighbor pick, then every gap, and
-    interpolates and clips the whole continuous block to the base/neighbor
-    boxes at once. With no continuous columns nothing more is drawn and each
-    row records its base as its neighbor, with no gaps.
+    choice, one call draws every neighbor pick, then every gap; the rows are
+    then interpolated and clipped to their base/neighbor boxes straight into
+    the output block, in chunks whose base, neighbor and lower-bound
+    temporaries hold ``distance._DIFF_BUDGET`` floats together. With no
+    continuous columns nothing more is drawn and each row records its base
+    as its neighbor, with no gaps.
     """
     minority, lists, votes = source
     if rng is None:
@@ -249,19 +252,23 @@ def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
     n = len(origin)
     cont = minority.cont
     d = cont.shape[1]
-    base = cont[origin]
     if d:
-        picks = _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
-        partner = lists[origin, picks]
+        partner = lists[
+            origin, _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
+        ]
         gaps = rng.random((n, 1) if params.gap_mode == SHARED else (n, d))
-        nb = cont[partner]
-        # base + gaps * (nb - base) and its box clip, in place (nb becomes the top)
-        new = nb - base
-        new *= gaps
-        new += base
-        np.clip(new, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=new)
+        new = np.empty((n, d))
+        step = max(1, distance._DIFF_BUDGET // (3 * d))  # base, nb and the lower bound: one budget
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            base, nb, out = cont[origin[part]], cont[partner[part]], new[part]
+            # base + gaps * (nb - base) and its box clip, in place (nb becomes the top)
+            np.subtract(nb, base, out=out)
+            out *= gaps[part]
+            out += base
+            np.clip(out, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=out)
     else:
-        partner, gaps, new = origin, np.empty((n, 0)), base
+        partner, gaps, new = origin, np.empty((n, 0)), cont[origin]
     data = minority.with_blocks(new, votes[origin], np.ones(n, dtype=bool))
     return SyntheticBatch(data, Provenance(origin, partner, gaps))
 
@@ -396,8 +403,23 @@ def _metric(train: Dataset, minority: Dataset, variant: str):
     """The distance of a synthesis variant, fitted to ``train`` and its
     minority rows ``minority``: Euclidean for smote, the median-penalized
     distance with the minority's ``Med`` for smote_nc, VDM over ``train``'s
-    category counts for smote_n."""
+    category counts for smote_n.
+
+    Raises ``DataError`` when the minority's values spread too far for the
+    metric: for smote, when the squared spread (each continuous feature's
+    range squared, summed left to right as the distances are) is not finite,
+    which bounds every squared distance between minority rows; for smote_nc,
+    when ``Med``'s square is not (see :func:`compute_med`).
+    """
     if variant == "smote":
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+            span = minority.cont.max(axis=0) - minority.cont.min(axis=0)
+            spread = np.add.accumulate(span * span)[-1]
+        if not np.isfinite(spread):
+            raise DataError(
+                "the minority's continuous values spread too far: their squared "
+                "spread overflows the float range"
+            )
         return EuclideanMetric(train.schema)
     if variant == "smote_nc":
         return NcMetric(train.schema, compute_med(minority))
@@ -444,10 +466,11 @@ def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     :func:`~smotekit.neighbors._knn_per_fold` pass gives every fold's lists;
     the other variants of ``_FOLD_FITTED`` search each training fold under
     a metric fitted to it. None stands for a variant outside
-    ``_FOLD_FITTED`` and for a fold whose training minority is too thin to
-    search: there :func:`apply_plan_detailed` searches on each call and
-    raises the ``DataError`` itself. A schema the variant cannot take
-    raises ValueError.
+    ``_FOLD_FITTED``, for a fold whose training minority is too thin to
+    search, and for every fold of a smote minority whose values spread too
+    far for :func:`_metric`: there :func:`apply_plan_detailed` searches on
+    each call and raises the ``DataError`` itself. A schema the variant
+    cannot take raises ValueError.
     """
     n_folds = int(folds.max()) + 1
     if variant not in _FOLD_FITTED:
@@ -457,7 +480,11 @@ def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     per_fold = [None] * n_folds
     if variant == "smote":
         _check_shape(ds.schema, variant)
-        per_fold = _knn_per_fold(minority, k, _metric(ds, minority, variant), fold_of)
+        try:
+            metric = _metric(ds, minority, variant)
+        except DataError:  # a spread too wide: each fold's minority is judged on its own
+            return per_fold
+        per_fold = _knn_per_fold(minority, k, metric, fold_of)
     sources = []
     for f, lists in enumerate(per_fold):
         train = ds if lists is not None else ds.subset(np.flatnonzero(folds != f))

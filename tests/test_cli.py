@@ -365,9 +365,9 @@ def test_resample_searches_neighbors_once_per_file(mixed, tmp_path, monkeypatch)
     calls = []
     real_pairwise = distance.NcMetric.pairwise
 
-    def counting_pairwise(self, ds, rows=slice(None)):
+    def counting_pairwise(self, ds, rows=slice(None), out=None):
         calls.append(len(ds))
-        return real_pairwise(self, ds, rows)
+        return real_pairwise(self, ds, rows, out)
 
     monkeypatch.setattr(distance.NcMetric, "pairwise", counting_pairwise)
     out = tmp_path / "aug"
@@ -732,7 +732,24 @@ def far_mixed(mixed):
     return data, schema
 
 
+@pytest.fixture
+def far_toy(toy):
+    """The ``toy`` files with the minority's ``x`` at +-1e200: its squared
+    Euclidean distances overflow."""
+    data, schema = toy
+    lines = data.read_text("utf-8").splitlines()
+    for i in range(1, 21):  # the 20 minority rows
+        x, rest = lines[i].split(",", 1)
+        lines[i] = f"{(-1) ** i * 1e200!r},{rest}"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data, schema
+
+
 MED_OVERFLOWS = "the minority's continuous values spread too far: Med inf has no finite square"
+SPREAD_OVERFLOWS = (
+    "the minority's continuous values spread too far: their squared spread "
+    "overflows the float range"
+)
 
 
 def test_smote_nc_on_an_overflowing_spread_is_exit_3(far_mixed, tmp_path, capsys):
@@ -741,32 +758,59 @@ def test_smote_nc_on_an_overflowing_spread_is_exit_3(far_mixed, tmp_path, capsys
     assert capsys.readouterr().err == f"data error: {MED_OVERFLOWS}\n"
 
 
-def test_experiment_skips_smote_nc_cells_of_an_overflowing_spread(far_mixed, tmp_path, capsys):
-    # scored externally, as naive Bayes rejects these values (next test)
-    script = tmp_path / "scorer.py"  # scores every test row 0.5
+def test_smote_on_an_overflowing_spread_is_exit_3(far_toy, tmp_path, capsys):
+    # before the search, so no distance overflows into the lists
+    rc = main(["smote", *data_args(far_toy), "--over", "100", "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"data error: {SPREAD_OVERFLOWS}\n"
+    assert not any((tmp_path / "x").glob("*"))
+
+
+def half_scorer(tmp_path):
+    """An external scorer command that scores every test row 0.5."""
+    script = tmp_path / "scorer.py"
     script.write_text(
         "import sys\nn = sum(1 for _ in open(sys.argv[2])) - 1\n"
         "open(sys.argv[3], 'w').write('0.5\\n' * n)\n",
         encoding="utf-8",
     )
-    scorer = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+
+
+def test_experiment_skips_smote_nc_cells_of_an_overflowing_spread(far_mixed, tmp_path, capsys):
+    # scored externally, as naive Bayes rejects these values
+    # (test_experiment_variance_overflow_is_exit_3)
     argv = ["experiment", *data_args(far_mixed), "--variant", "smote_nc", "--folds", "2"]
     argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
-    argv += ["--classifier", "external", "--classifier-command", scorer]
+    argv += ["--classifier", "external", "--classifier-command", half_scorer(tmp_path)]
     assert main([*argv, "--out", str(tmp_path / "report")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert f"warning: smote_under@100 cell over=100,under=100: fold 0: {MED_OVERFLOWS}" in err
 
 
-def test_experiment_variance_overflow_is_exit_3(far_mixed, tmp_path, capsys):
-    # naive Bayes' variance of x overflows: the run ends at its first fit,
-    # with no numpy overflow warning on the way
-    argv = ["experiment", *data_args(far_mixed), "--variant", "smote_nc", "--folds", "2"]
+def test_experiment_skips_smote_cells_of_an_overflowing_spread(far_toy, tmp_path, capsys):
+    # each fold's training minority is checked before its search, as SMOTE-NC's Med is
+    argv = ["experiment", *data_args(far_toy), "--variant", "smote", "--folds", "2"]
     argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
-    assert main([*argv, "--out", str(tmp_path / "report")]) == 3
+    argv += ["--classifier", "external", "--classifier-command", half_scorer(tmp_path)]
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0
     err = capsys.readouterr().err
-    assert "warning: overflow" not in err
-    assert err == "data error: continuous feature 'x' spreads too far: its naive Bayes variance overflows\n"
+    assert f"warning: smote_under@100 cell over=100,under=100: fold 0: {SPREAD_OVERFLOWS}\n" in err
+    assert "overflow encountered" not in err
+
+
+def test_experiment_variance_overflow_is_exit_3(far_mixed, far_toy, tmp_path, capsys):
+    # naive Bayes' variance of x overflows: the run ends at its first fit,
+    # with no numpy overflow warning on the way, from SMOTE's search either
+    for files, variant in ((far_mixed, "smote_nc"), (far_toy, "smote")):
+        argv = ["experiment", *data_args(files), "--variant", variant, "--folds", "2"]
+        argv += ["--families", "smote_under,plain_under", "--over", "100", "--under", "100"]
+        assert main([*argv, "--out", str(tmp_path / "report")]) == 3
+        err = capsys.readouterr().err
+        assert "warning: overflow" not in err
+        assert err == (
+            "data error: continuous feature 'x' spreads too far: its naive Bayes variance overflows\n"
+        )
 
 
 def test_experiment_scorer_past_its_time_limit_is_exit_3(toy, tmp_path, capsys, monkeypatch):

@@ -213,16 +213,27 @@ def summation_cases(rng, schema):
 
 @pytest.mark.parametrize("schema", [CONT6, MIXED8, NOM4])
 def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
-    # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in slices
+    # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in
+    # slices, fresh or filled into a given array of NaN
     rng = np.random.default_rng(37)
     for rows, ds, metric, dist in summation_cases(rng, schema):
         want = np.array([[dist(a, b) for b in rows] for a in rows])
         for chunk_rows in (None, 1, 3, 7):
             if chunk_rows:
-                monkeypatch.setattr(distance, "_DIFF_BUDGET", chunk_rows * len(rows))
+                monkeypatch.setattr(distance, "_DIFF_BUDGET", 2 * chunk_rows * len(rows))
             assert np.array_equal(metric.pairwise(ds), want)
             for block in (slice(0, 1), slice(5, 16), slice(19, None)):
                 assert np.array_equal(metric.pairwise(ds, block), want[block])
+                out = np.full(want[block].shape, np.nan)
+                assert metric.pairwise(ds, block, out=out) is out
+                assert out.tobytes() == want[block].tobytes()
+
+
+@pytest.mark.parametrize("shape, dtype", [((2, 3), float), ((1, 2), float), ((2, 2), np.float32)])
+def test_pairwise_rejects_an_out_of_another_shape_or_type(shape, dtype):
+    ds = minority(CONT2, [(0.0, 1.0), (1.0, 0.0)])
+    with pytest.raises(ValueError, match=r"out must be a \(2, 2\) float64 array"):
+        EuclideanMetric(CONT2).pairwise(ds, out=np.empty(shape, dtype=dtype))
 
 
 def test_nc_distance_axioms():
@@ -471,6 +482,20 @@ def test_vdm_pairwise_rejects_unseen_category():
     rows = minority(FeatureSchema((("g0", "nominal"),), "cls"), [("V1",), ("V9",)])
     with pytest.raises(ValueError, match="unseen category 'V9'"):
         VdmMetric(table).pairwise(rows)
+
+
+def test_one_metric_follows_the_dataset_of_each_call():
+    # a metric keeps its setup for the last dataset it was called on: calls
+    # that alternate datasets, one with an unseen category, see their own
+    schema = FeatureSchema((("g0", "nominal"),), "cls")
+    metric = VdmMetric(_toy_table())
+    seen = minority(schema, [("V1",), ("V2",)])
+    other = minority(schema, [("V2",), ("V2",), ("V1",)])
+    unseen = minority(schema, [("V1",), ("V9",)])
+    for ds, want in ((seen, [[0, 2], [2, 0]]), (other, [[0, 0, 2], [0, 0, 2], [2, 2, 0]])) * 2:
+        assert metric.pairwise(ds).tolist() == want
+        with pytest.raises(ValueError, match="unseen category 'V9'"):
+            metric.pairwise(unseen)
 
 
 @st.composite

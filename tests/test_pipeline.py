@@ -331,9 +331,9 @@ def test_smote_experiment_searches_neighbors_once(monkeypatch):
     calls = []
     real_pairwise = distance.EuclideanMetric.pairwise
 
-    def counting_pairwise(self, ds, rows=slice(None)):
+    def counting_pairwise(self, ds, rows=slice(None), out=None):
         calls.append(len(ds))
-        return real_pairwise(self, ds, rows)
+        return real_pairwise(self, ds, rows, out)
 
     monkeypatch.setattr(distance.EuclideanMetric, "pairwise", counting_pairwise)
     ds = gaussian_dataset(n_min=40, n_maj=120)

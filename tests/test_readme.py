@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import smotekit
-from smotekit import model
+from smotekit import distance, model
 from smotekit.cli import build_parser
 from smotekit.data import Dataset
 from smotekit.distance import VdmTable
@@ -133,3 +133,16 @@ def test_readme_names_every_cli_flag():
 def test_readme_states_the_external_scorer_time_limit():
     text = " ".join(README.read_text("utf-8").split())
     assert f"may take at most {model._SCORER_TIMEOUT_S} seconds" in text
+
+
+def test_readme_states_the_search_block_size():
+    """README.md gives the neighbor search's block as ``_DIFF_BUDGET``
+    floats and ``pairwise``'s chunks as half of it; every other power of
+    two of floats or distances it states is one of the two."""
+    text = " ".join(README.read_text("utf-8").split())
+    (block,) = re.findall(r"asks the metric for a block of 2\^(\d+) floats at a time", text)
+    assert 2 ** int(block) == distance._DIFF_BUDGET
+    (chunk,) = re.findall(r"in row chunks of at most 2\^(\d+) floats", text)
+    assert 2 ** int(chunk) == distance._DIFF_BUDGET // 2
+    sizes = {2 ** int(n) for n in re.findall(r"2\^(\d+) (?:floats|distances)", text)}
+    assert sizes <= {distance._DIFF_BUDGET, distance._DIFF_BUDGET // 2}, sizes

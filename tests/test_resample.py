@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, vote_by_position
-from smotekit import resample
+from smotekit import distance, resample
 from smotekit.data import Dataset, FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -170,6 +170,66 @@ def test_smote_memory_is_a_few_outputs(gap_mode):
     output = batch.data.cont.nbytes
     assert output == 8000 * 8 * 8
     assert peak <= 6 * output, peak / output
+
+
+def random_minority(rng, t, n_cont, n_nom):
+    """A minority of ``t`` rows: ``n_cont`` normal columns, then ``n_nom``
+    nominal columns of five categories."""
+    schema = FeatureSchema(
+        tuple((f"x{i}", "continuous") for i in range(n_cont))
+        + tuple((f"g{i}", "nominal") for i in range(n_nom)),
+        "cls",
+    )
+    nominal = [list(map(str, rng.integers(0, 5, size=t).tolist())) for _ in range(n_nom)]
+    return Dataset(schema, [*rng.normal(size=(n_cont, t)), *nominal], np.ones(t, dtype=bool))
+
+
+def batch_bytes(batch):
+    """Every array of a batch as bytes, so -0.0 and 0.0 differ."""
+    prov = batch.provenance
+    arrays = (batch.data.cont, batch.data.codes, prov.base_index, prov.neighbor_index, prov.gaps)
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("gap_mode", [PER_ATTRIBUTE, SHARED])
+@pytest.mark.parametrize(
+    "variant, n_cont, n_nom", [("smote", 3, 0), ("smote_nc", 3, 2), ("smote_n", 0, 3)]
+)
+def test_synthesis_in_chunks_equals_one_chunk(monkeypatch, variant, n_cont, n_nom, gap_mode):
+    # 180 rows in chunks of 7, the last one short, against one chunk
+    rng = np.random.default_rng(45)
+    ds = random_minority(rng, 60, n_cont, n_nom)
+    source = resample._synthesis_source(variant, ds, rng.integers(0, 60, size=(60, 4)))
+    params = SmoteParams(300, seed=7, gap_mode=gap_mode)
+    whole = batch_bytes(resample._synthesize(source, params, None))
+    monkeypatch.setattr(distance, "_DIFF_BUDGET", 7 * 3 * max(1, n_cont))
+    assert batch_bytes(resample._synthesize(source, params, None)) == whole
+
+
+def test_synthesis_memory_is_its_outputs_and_one_budget():
+    # 40,000 x 6 smote_nc, 4 continuous columns: the interpolation chunks
+    # hold one budget of temporaries, not three arrays of the output's size
+    # (7.3 budgets beyond the outputs with those); 0.84 on numpy 2.4
+    rng = np.random.default_rng(46)
+    t = 40_000
+    ds = random_minority(rng, t, 4, 2)
+    source = resample._synthesis_source("smote_nc", ds, rng.integers(0, t, size=(t, 5)))
+    params = SmoteParams(100, seed=3)
+    resample._synthesize(source, params, None)
+    tracemalloc.start()
+    try:
+        batch = resample._synthesize(source, params, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    prov = batch.provenance
+    outputs = sum(
+        a.nbytes
+        for a in (batch.data.cont, batch.data.codes, batch.data.minority)
+        + (prov.base_index, prov.neighbor_index, prov.gaps)
+    )
+    budget = distance._DIFF_BUDGET * 8
+    assert peak <= outputs + 1.25 * budget, (peak - outputs) / budget
 
 
 def test_distinct_neighbor_mode_avoids_repeats_within_k():

@@ -514,10 +514,8 @@ def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> np.ndarray:
     Shuffles each class independently and deals the rows round-robin from a
     random starting fold, so the remainder rows do not pile onto fold 0.
     Deterministic for a fixed seed. A class with fewer rows than folds is a
-    DataError; ``n_folds < 2`` is a ValueError.
+    DataError. ``n_folds`` is at least 2, as ``ExperimentConfig`` checks.
     """
-    if n_folds < 2:
-        raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     rng = generator(seed, "stratified-folds")
     fold_of_row = np.zeros(len(ds), dtype=np.intp)
     for class_indices in (ds.minority_indices(), ds.majority_indices()):

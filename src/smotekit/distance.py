@@ -161,17 +161,17 @@ def _sum_terms(metric, ds: Dataset, rows: slice, out) -> np.ndarray:
 
 def _held(metric, ds: Dataset) -> tuple:
     """``(metric._terms(ds), term buffer)`` for ``metric``'s calls on
-    ``ds``, kept on the metric for the last dataset (and ``_DIFF_BUDGET``)
-    it was built for. The buffer holds ``_DIFF_BUDGET // 2 // len(ds)``
-    rows (at least one, at most ``len(ds)``) of ``len(ds)`` floats."""
+    ``ds``, kept on the metric for the last dataset it was built for. The
+    buffer holds ``_DIFF_BUDGET // 2 // len(ds)`` rows (at least one, at
+    most ``len(ds)``) of ``len(ds)`` floats."""
     held = metric._held
-    if held is None or held[0] is not ds or held[1] != _DIFF_BUDGET:
+    if held is None or held[0] is not ds:
         metric._held = None  # release the last dataset's setup before building this one's
         t = len(ds)
         step = max(1, _DIFF_BUDGET // 2 // max(1, t))
         buf = np.empty((min(step, max(1, t)), t))
-        held = metric._held = (ds, _DIFF_BUDGET, metric._terms(ds), buf)
-    return held[2], held[3]
+        held = metric._held = (ds, metric._terms(ds), buf)
+    return held[1], held[2]
 
 
 def _columns(puts, block: np.ndarray) -> list:
@@ -224,7 +224,15 @@ def _check_kinds(ds: Dataset, kinds: tuple[str, ...]) -> None:
         raise ValueError(f"feature kinds mismatch: dataset {got} against metric {kinds}")
 
 
-class EuclideanMetric:
+class _RootedMetric:
+    """A metric whose distance is the square root of its summed terms."""
+
+    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
+        sq = _sum_terms(self, ds, rows, out)
+        return np.sqrt(sq, out=sq)
+
+
+class EuclideanMetric(_RootedMetric):
     """Euclidean distance bound to an all-continuous schema."""
 
     def __init__(self, schema: FeatureSchema):
@@ -233,16 +241,12 @@ class EuclideanMetric:
         self.schema = schema
         self._held = None
 
-    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
-        sq = _sum_terms(self, ds, rows, out)
-        return np.sqrt(sq, out=sq)
-
     def _terms(self, ds: Dataset) -> list:
         _check_kinds(ds, self.schema.kinds)
         return _columns(repeat(_put_sq_diff), ds.cont)
 
 
-class NcMetric:
+class NcMetric(_RootedMetric):
     """Median-penalized mixed-schema distance bound to a schema and the
     median penalty ``med``: continuous squared differences plus ``med**2``
     per differing nominal feature, square-rooted.
@@ -262,10 +266,6 @@ class NcMetric:
         self.schema = schema
         self.med = med
         self._held = None
-
-    def pairwise(self, ds: Dataset, rows: slice = slice(None), out: np.ndarray = None) -> np.ndarray:
-        sq = _sum_terms(self, ds, rows, out)
-        return np.sqrt(sq, out=sq)
 
     def _terms(self, ds: Dataset) -> list:
         _check_kinds(ds, self.schema.kinds)

@@ -137,7 +137,9 @@ def build_family_curve(family: str, results: Iterable) -> RocCurve:
     Args:
         family: curve label.
         results: iterable of ``(tag, confusion_matrices)`` pairs, one per grid
-            cell, where ``confusion_matrices`` holds one matrix per fold.
+            cell, where ``confusion_matrices`` holds one matrix per fold
+            and is not empty: ``run_experiment`` reports a cell only when
+            every one of its two or more folds ran.
 
     Rates average as the mean of per-fold percentages (math.fsum, so fold
     order cannot perturb the result). Cells that land on identical
@@ -146,9 +148,6 @@ def build_family_curve(family: str, results: Iterable) -> RocCurve:
     points: list[RocPoint] = []
     seen: set = set()
     for tag, cms in results:
-        cms = list(cms)
-        if not cms:
-            raise ValueError(f"cell {tag!r} has no fold results")
         fp_rates = []
         tp_rates = []
         for cm in cms:

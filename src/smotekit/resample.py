@@ -40,7 +40,7 @@ from .distance import (
     compute_med,
 )
 from .errors import DataError
-from .neighbors import _knn_per_fold, knn_minority
+from .neighbors import knn_minority
 from .record import _FrozenRecord, _Record
 from .rng import child_seed, generator
 
@@ -449,11 +449,19 @@ def _source(train: Dataset, minority: Dataset, k: int, variant: str, lists=None)
     return _synthesis_source(variant, minority, lists)
 
 
-# The variants whose cells share one source per fold. smote_nc joins when
+# The variants whose cells share one source per fold. smote's distance
+# between two rows does not depend on the other rows, so one search over the
+# whole minority serves every fold; smote_n's metric is fitted to each
+# training fold, which is searched on its own. smote_nc joins when
 # bench/test_bench.py's smote_nc self-test, which counts one search per
 # (cell, fold), is re-pinned to one per fold: its metric is fitted to each
 # training fold, as smote_n's is, so the loop below serves it unchanged.
 _FOLD_FITTED = ("smote", "smote_n")
+
+# Training candidates beyond k that smote's one search over the whole
+# minority leaves a row of a fold on average, so that a row rarely falls
+# short of k and its fold has to be searched on its own.
+_MARGIN = 10
 
 
 def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
@@ -462,37 +470,66 @@ def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     ``i`` of ``ds``, as :func:`~smotekit.data.stratified_folds` assigns
     them, so every fold holds a minority row.
 
-    smote's distances do not depend on the fold, so one
-    :func:`~smotekit.neighbors._knn_per_fold` pass gives every fold's lists;
-    the other variants of ``_FOLD_FITTED`` search each training fold under
-    a metric fitted to it. None stands for a variant outside
-    ``_FOLD_FITTED``, for a fold whose training minority is too thin to
-    search, and for every fold of a smote minority whose values spread too
-    far for :func:`_metric`: there :func:`apply_plan_detailed` searches on
-    each call and raises the ``DataError`` itself. A schema the variant
-    cannot take raises ValueError.
+    smote searches the whole minority once, ``(k + _MARGIN) * F / (F - 1)``
+    wide (rounded up), which leaves a row of a fold about ``k + _MARGIN``
+    training candidates, and :func:`_fold_lists` filters every fold's lists
+    from it. A fold the filter cannot serve, and every fold of smote_n, is
+    searched with :func:`knn_minority` under a metric fitted to it. None
+    stands for a variant outside ``_FOLD_FITTED``, for a fold whose training
+    minority is too thin to search, and for every fold of a smote minority
+    whose values spread too far for :func:`_metric`: there
+    :func:`apply_plan_detailed` searches on each call and raises the
+    ``DataError`` itself. A schema the variant cannot take raises ValueError.
     """
     n_folds = int(folds.max()) + 1
     if variant not in _FOLD_FITTED:
         return [None] * n_folds
     minority = ds.minority_subset()
     fold_of = folds[ds.minority_indices()]
-    per_fold = [None] * n_folds
+    found = None
     if variant == "smote":
         _check_shape(ds.schema, variant)
         try:
             metric = _metric(ds, minority, variant)
         except DataError:  # a spread too wide: each fold's minority is judged on its own
-            return per_fold
-        per_fold = _knn_per_fold(minority, k, metric, fold_of)
+            return [None] * n_folds
+        width = -(-(k + _MARGIN) * n_folds // (n_folds - 1))  # ceiling division
+        found = knn_minority(minority, width, metric)
     sources = []
-    for f, lists in enumerate(per_fold):
+    for f in range(n_folds):
+        in_train = fold_of != f
+        lists = None if found is None else _fold_lists(found, in_train, k)
         train = ds if lists is not None else ds.subset(np.flatnonzero(folds != f))
         try:
-            sources.append(_source(train, minority.subset(np.flatnonzero(fold_of != f)), k, variant, lists))
+            sources.append(_source(train, minority.subset(np.flatnonzero(in_train)), k, variant, lists))
         except DataError:
             sources.append(None)
     return sources
+
+
+def _fold_lists(found: np.ndarray, in_train: np.ndarray, k: int):
+    """The lists of the training rows ``in_train`` of a minority, in their
+    local indices, filtered from ``found``, the whole minority's lists.
+
+    Each training row keeps its candidates that are training rows too, in
+    list order; training rows keep their global order, so these are the
+    first entries of the list a search of the training rows alone gives,
+    ties included. None when fewer than 2 rows train or when a row keeps
+    fewer than ``min(k, T_f - 1)`` of them.
+    """
+    train = np.flatnonzero(in_train)
+    if len(train) < 2:
+        return None
+    w = min(k, len(train) - 1)
+    cand = found[train]
+    keep = in_train[cand]
+    rank = np.cumsum(keep, axis=1)
+    if (rank[:, -1] < w).any():
+        return None
+    local = np.cumsum(in_train) - 1  # local index of every training row
+    lists = local[cand[keep & (rank <= w)]].reshape(-1, w)
+    lists.flags.writeable = False
+    return lists
 
 
 def apply_plan_detailed(

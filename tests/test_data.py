@@ -490,6 +490,17 @@ def test_dataset_rejects_non_finite_continuous_values():
             Dataset(MIXED, [[1.0, bad], ["x", "y"], [2.0, 4.0]], [True, False])
 
 
+def test_dataset_rejects_non_numeric_continuous_values():
+    with pytest.raises(DataError, match="^non-numeric value in a continuous column$"):
+        Dataset(MIXED, [[1.0, "oops"], ["x", "y"], [2.0, 4.0]], [True, False])
+
+
+def test_dataset_equals_no_other_type():
+    ds = Dataset(CONT2, [[1.0, 3.0], [2.0, 4.0]], [True, False])
+    assert ds == Dataset(CONT2, [[1.0, 3.0], [2.0, 4.0]], [True, False])
+    assert ds != (1.0, 2.0) and not ds == "ds"
+
+
 @st.composite
 def _tables(draw):
     """(schema, rows, labels) for a continuous, mixed or nominal schema with

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,8 @@ def vdm_left_to_right(table):
 
 
 def summation_cases(rng, schema):
-    """(rows, their Dataset, metric, pure-Python distance) per row set. An
+    """(rows, their Dataset, a maker of fresh metrics, pure-Python distance)
+    per row set. An
     all-nominal schema's one row set is the first 24 of 60 labeled rows whose
     features hold 2, 3, 5 and 7 categories, a subset sharing the intern
     tables of the 60 rows, which the VDM table counts."""
@@ -199,28 +201,30 @@ def summation_cases(rng, schema):
         labels = [MINORITY if low else MAJORITY for low in rng.random(60) < 0.4]
         full = dataset_from_rows(schema, rows, labels)
         table = VdmTable.from_dataset(full)
-        yield rows[:24], full.subset(range(24)), VdmMetric(table), vdm_left_to_right(table)
+        yield rows[:24], full.subset(range(24)), partial(VdmMetric, table), vdm_left_to_right(table)
         return
     for rows in summation_rows(rng, schema):
         ds = minority(schema, rows)
         if schema.all_continuous:
-            metric, med = EuclideanMetric(schema), 0.0
+            make, med = partial(EuclideanMetric, schema), 0.0
         else:
             med = compute_med(ds)
-            metric = NcMetric(schema, med)
-        yield rows, ds, metric, left_to_right(schema, med)
+            make = partial(NcMetric, schema, med)
+        yield rows, ds, make, left_to_right(schema, med)
 
 
 @pytest.mark.parametrize("schema", [CONT6, MIXED8, NOM4])
 def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
     # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in
-    # slices, fresh or filled into a given array of NaN
+    # slices, fresh or filled into a given array of NaN. A metric sizes its
+    # chunks on its first call for a dataset, so each size gets a new one
     rng = np.random.default_rng(37)
-    for rows, ds, metric, dist in summation_cases(rng, schema):
+    for rows, ds, make, dist in summation_cases(rng, schema):
         want = np.array([[dist(a, b) for b in rows] for a in rows])
         for chunk_rows in (None, 1, 3, 7):
             if chunk_rows:
                 monkeypatch.setattr(distance, "_DIFF_BUDGET", 2 * chunk_rows * len(rows))
+            metric = make()
             assert np.array_equal(metric.pairwise(ds), want)
             for block in (slice(0, 1), slice(5, 16), slice(19, None)):
                 assert np.array_equal(metric.pairwise(ds, block), want[block])
@@ -350,6 +354,11 @@ def test_compute_med_requires_continuous_feature():
         compute_med(minority(FeatureSchema((("g", "nominal"),), "cls"), [("A",)]))
 
 
+def test_compute_med_requires_a_row():
+    with pytest.raises(ValueError, match="^compute_med requires at least one minority row$"):
+        compute_med(minority(CONT2, []))
+
+
 def _toy_table():
     # V1 appears 3 times, all minority; V2 twice, all majority
     rows = [("V1",)] * 3 + [("V2",)] * 2
@@ -437,6 +446,18 @@ def test_vdm_distance_is_pseudometric():
         assert dxy == got[1, 0]
         assert got[0, 0] == 0.0
         assert dxy <= got[0, 2] + got[2, 1] + 1e-12
+
+
+def test_vdm_table_rejects_counts_no_row_has():
+    for pair in ((-1, 2), (2, -1), (0, 0)):
+        with pytest.raises(ValueError, match=rf"^feature 1 category 'B' has invalid counts \({pair[0]}, {pair[1]}\)$"):
+            VdmTable(counts=({"A": (1, 0)}, {"B": pair}))
+
+
+def test_vdm_table_from_dataset_requires_rows():
+    ds = dataset_from_rows(NOM3, (("A", "B", "C"),), (MINORITY,))
+    with pytest.raises(ValueError, match="^cannot build a VDM table from zero rows$"):
+        VdmTable.from_dataset(ds.subset([]))
 
 
 def test_vdm_table_from_dataset_requires_all_nominal():

@@ -182,6 +182,12 @@ def test_hull_origin_dropped_when_dominated():
     assert [(v.fp_rate, v.tp_rate) for v in hull] == [(0, 60), (100, 100)]
 
 
+def test_hull_needs_a_point():
+    for curves in ([], [curve()]):
+        with pytest.raises(ValueError, match="^convex_hull needs at least one point$"):
+            convex_hull(curves)
+
+
 def test_hull_first_seen_family_owns_shared_points():
     a = curve((20, 70), family="alpha")
     b = curve((20, 70), (60, 95), family="beta")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import MAJORITY, MINORITY, dataset_from_rows, metric_oracle, sorted_neighbors
-from smotekit import distance, neighbors
+from smotekit import distance, resample
 from smotekit.data import FeatureSchema
 from smotekit.distance import (
     EuclideanMetric,
@@ -16,8 +16,8 @@ from smotekit.distance import (
     VdmMetric,
     VdmTable,
 )
-from smotekit.neighbors import _knn_per_fold, knn_minority
-from smotekit.resample import SmoteParams, smote
+from smotekit.neighbors import knn_minority
+from smotekit.resample import SmoteParams, _fold_lists, smote
 
 CONT1 = FeatureSchema((("x", "continuous"),), "cls")
 
@@ -273,6 +273,15 @@ def test_selection_allocates_nothing_t_wide(monkeypatch):
     )
 
 
+def fold_filter(ds, k, metric, fold_of):
+    """smote's lists of every fold as ``resample._fold_sources`` filters
+    them from one search over the whole minority, ``(k + _MARGIN) * F /
+    (F - 1)`` wide (rounded up); None for a fold the filter cannot serve."""
+    n_folds = int(fold_of.max()) + 1
+    found = knn_minority(ds, -(-(k + resample._MARGIN) * n_folds // (n_folds - 1)), metric)
+    return [_fold_lists(found, fold_of != f, k) for f in range(n_folds)]
+
+
 def test_per_fold_search_memory_is_bounded(monkeypatch):
     # one selection over each 512-row block serves all five folds; a
     # per-fold copy of the block's rows or columns would add 0.8 budget.
@@ -280,7 +289,7 @@ def test_per_fold_search_memory_is_bounded(monkeypatch):
     check_search_memory(
         monkeypatch,
         "euclidean",
-        lambda ds, metric: _knn_per_fold(ds, 5, metric, np.arange(len(ds)) % 5),
+        lambda ds, metric: fold_filter(ds, 5, metric, np.arange(len(ds)) % 5),
         bound=1.6,
         block_rows=512,
     )
@@ -289,9 +298,11 @@ def test_per_fold_search_memory_is_bounded(monkeypatch):
 @pytest.mark.parametrize("kind", ["euclidean", "nc", "vdm"])
 def test_every_block_of_a_search_fills_one_array(monkeypatch, kind):
     # 7-row blocks of 50 rows: every pairwise call but the last fills the
-    # whole of one array, and the lists equal those of a one-block search
+    # whole of one array, and the lists equal those of a one-block search.
+    # The metric is first called after the patch, so its term chunks follow
+    # the patched budget too
     ds, inner = memory_case(kind, 50)
-    want = knn_minority(ds, 5, inner)
+    want = knn_minority(ds, 5, memory_case(kind, 50)[1])
     monkeypatch.setattr(distance, "_DIFF_BUDGET", 7 * 50)
     metric = RecordingMetric(inner)
     assert np.array_equal(knn_minority(ds, 5, metric), want)
@@ -323,35 +334,46 @@ def fold_case(rng, n_folds, offset, cluster=0):
 def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
     # ties from rounding, duplicates, a +1e8 offset where cancellation
     # bites, k up to the whole minority, and 3-row blocks. Rows fall short
-    # of k training candidates and are searched again beside a held-out
-    # cluster of 40 duplicates, wider than any search for k < 8 (at most 34
-    # rows, at 2 folds), and with no margin at all. Each fold must equal a
-    # search of its training minority alone.
+    # of k training candidates beside a held-out cluster of 40 duplicates,
+    # wider than any search for k < 8 (at most 34 rows, at 2 folds), and
+    # with no margin at all; their folds are searched on their own. Every
+    # list the filter gives, and every fold's lists of smote's
+    # _fold_sources, must equal a search of the fold's training minority.
     rng = np.random.default_rng(36 + n_folds)
-    for margin in (neighbors._MARGIN, 0):
-        monkeypatch.setattr(neighbors, "_MARGIN", margin)
+    margin_used = resample._MARGIN
+    served = {margin_used: 0, 0: 0}
+    searched = dict.fromkeys(served, 0)
+    for margin in served:
+        monkeypatch.setattr(resample, "_MARGIN", margin)
         for offset in (0.0, 1e8):
             for cluster in (0, 0, 0, 0, 40):
                 ds, metric, fold_of = fold_case(rng, n_folds, offset, cluster)
                 t = len(ds)
                 monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
                 for k in (1, int(rng.integers(2, 8)), t):
-                    got = _knn_per_fold(ds, k, metric, fold_of)
-                    assert len(got) == n_folds
-                    for f, lists in enumerate(got):
+                    filtered = fold_filter(ds, k, metric, fold_of)
+                    sources = resample._fold_sources(ds, fold_of, k, "smote")
+                    assert len(filtered) == len(sources) == n_folds
+                    for f, (lists, source) in enumerate(zip(filtered, sources)):
                         train = ds.subset(np.flatnonzero(fold_of != f))
                         if len(train) < 2:
-                            assert lists is None
+                            assert lists is None and source is None
                             continue
-                        want = knn_minority(train, k, metric)
-                        assert lists.shape == want.shape
-                        assert lists.tolist() == want.tolist(), (n_folds, margin, t, k, f)
+                        want = knn_minority(train, k, metric).tolist()
+                        assert source[1].tolist() == want, (n_folds, margin, t, k, f)
+                        if lists is None:
+                            searched[margin] += 1
+                        else:
+                            served[margin] += 1
+                            assert lists.tolist() == want, (n_folds, margin, t, k, f)
+    # the filter serves most folds, and a fold with a short row is searched
+    assert served[margin_used] > searched[margin_used] and searched[0] > 0, (served, searched)
 
 
 def test_knn_per_fold_thin_folds_get_none():
     # fold 1's training minority is row 0 alone
     ds = minority(CONT1, [(0.0,), (1.0,), (3.0,)])
-    got = _knn_per_fold(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
+    got = fold_filter(ds, 2, EuclideanMetric(CONT1), np.array([0, 1, 1]))
     assert [lists is None for lists in got] == [False, True]
     assert got[0].tolist() == [[1], [0]]
 
@@ -414,9 +436,11 @@ def test_every_search_returns_read_only_intp_arrays():
     metric = EuclideanMetric(CONT1)
     fold_of = np.arange(7) % 3
     for k in (1, 3, 9):
-        per_fold = _knn_per_fold(ds, k, metric, fold_of)
         found = [(7, knn_minority(ds, k, metric))]
-        found += [(np.count_nonzero(fold_of != f), lists) for f, lists in enumerate(per_fold)]
+        sources = resample._fold_sources(ds, fold_of, k, "smote")
+        for f, lists in enumerate(fold_filter(ds, k, metric, fold_of)):
+            t = np.count_nonzero(fold_of != f)
+            found += [(t, lists), (t, sources[f][1])]
         for t, lists in found:
             assert type(lists) is np.ndarray
             assert lists.dtype == np.intp

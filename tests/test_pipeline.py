@@ -370,22 +370,31 @@ def categorical_dataset(schema, n_min=20, n_maj=60, seed=73):
     return dataset_from_rows(schema, tuple(rows), tuple(labels), "pos", "neg")
 
 
-@pytest.mark.parametrize("variant, schema", [("smote_nc", MIXED), ("smote_n", NOMINAL)])
+@pytest.mark.parametrize(
+    "variant, schema", [("smote_nc", MIXED), ("smote_n", NOMINAL), ("smote", SCHEMA)]
+)
 def test_fold_fitted_variants_search_once_per_cell_and_fold(monkeypatch, variant, schema):
     # Med and the VDM counts are fitted to each training fold, so no list
-    # serves two folds; smote_n searches each fold once, smote_nc each cell
+    # serves two folds; smote_n searches each fold once, smote_nc each cell.
+    # smote's distances ignore the other rows: one search over the whole
+    # minority, (k + 10) * F / (F - 1) wide (rounded up), serves every fold
     searches = []
     real_knn = resample.knn_minority
 
     def counting_knn(minority, k, metric):
-        searches.append(len(minority))
+        searches.append((len(minority), k))
         return real_knn(minority, k, metric)
 
     monkeypatch.setattr(resample, "knn_minority", counting_knn)
     cfg = small_config(over_percents=(100, 300), variant=variant)
     result = run_experiment(categorical_dataset(schema), cfg)
-    # 4 folds, or 2 over x 2 under cells x 4 folds, each over a 15-row training minority
-    assert searches == {"smote_n": [15] * 4, "smote_nc": [15] * 16}[variant]
+    # 4 folds, or 2 over x 2 under cells x 4 folds, each over a 15-row
+    # training minority; or one search over all 20 minority rows
+    assert searches == {
+        "smote": [(20, -(-(3 + 10) * 4 // 3))],
+        "smote_n": [(15, 3)] * 4,
+        "smote_nc": [(15, 3)] * 16,
+    }[variant]
 
     def law(over, under):  # every training fold holds 15 minority, 45 majority
         return [(15 * (1 + over // 100), min(round(100 * 15 / under), 45))] * 4

@@ -532,6 +532,17 @@ def test_under_sample_sorted_subset_and_deterministic():
     assert len(set(a)) == len(a) == 20
 
 
+def test_replicate_and_under_sample_reject_bad_counts():
+    ds = _plan_dataset(4, 8).minority_subset()
+    with pytest.raises(ValueError, match="^n_percent must be non-negative, got -100$"):
+        replicate_oversample(ds, -100)
+    with pytest.raises(ValueError, match="^need at least 1 minority row$"):
+        replicate_oversample(ds.subset([]), 100)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"^minority_count must be positive, got {count}$"):
+            under_sample(range(10), count, 100)
+
+
 def _plan_dataset(n_min=50, n_maj=200):
     rng = np.random.default_rng(45)
     rows = tuple(tuple(map(float, rng.normal(size=2))) for _ in range(n_min + n_maj))
@@ -632,6 +643,14 @@ def test_apply_plan_rejects_unknown_variant():
         apply_plan_detailed(ds, 100, None, k=1, seed=0, variant="mystery")
 
 
+def test_apply_plan_rejects_a_bad_basis_or_amount():
+    ds = _plan_dataset(4, 8)
+    with pytest.raises(ValueError, match="^under_basis must be 'pre' or 'post', got 'mid'$"):
+        apply_plan_detailed(ds, 100, 100, k=1, seed=0, under_basis="mid")
+    with pytest.raises(ValueError, match="^over_percent must be non-negative, got -100$"):
+        apply_plan_detailed(ds, -100, None, k=1, seed=0)
+
+
 def test_apply_plan_rejects_wrong_schema_for_variant():
     ds = _plan_dataset(4, 8)
     with pytest.raises(ValueError, match="mixed"):
@@ -711,10 +730,6 @@ SHAPED_ROWS = {
         pytest.param(variant, empty, id=f"{variant}-{name}")
         for variant in VARIANTS
         for empty, name in enumerate(("first", "middle", "last"))
-        # smote's one pass counts the folds its minority rows are in, so a
-        # last fold of majority rows only, which stratified_folds never
-        # makes, gets no entry
-        if (variant, name) != ("smote", "last")
     ],
 )
 def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):

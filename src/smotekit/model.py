@@ -127,27 +127,24 @@ class TrainedModel(_Record):
 
         With ``multipliers=None`` the scores are 1-D, at the fitted prior.
         Otherwise there is one row of scores per multiplier, each as if the
-        model had been trained with that ``prior_multiplier``: the likelihood
-        terms are computed once, and every row adds them to its own log
-        priors in the same order, so it equals a separate fit bit for bit.
+        model had been trained with that ``prior_multiplier``: each adds its
+        prior log-odds to one likelihood sum, so it equals a separate fit bit for bit.
         """
         if multipliers is None:
             priors = [self.log_priors]
         else:
             priors = [_log_priors(m, *self.class_counts) for m in multipliers]
-        # per class, the continuous sum and then one term per nominal feature
-        terms = [[], []]
+        # every row's minority-over-majority log-odds, continuous terms first: ratios
+        # only, so that scaling the continuous values by 2**j keeps every bit
+        log_odds = np.zeros(len(test))
         x, means, variances = test.cont, self.means, self.variances
         used = variances.all(axis=0)
         if not used.all():  # a feature of variance 0 is left out; a copy only then
             x, means, variances = x[:, used], means[:, used], variances[:, used]
         if x.shape[1]:
-            for c, acc in enumerate(terms):
-                diff = x - means[c]
-                acc.append(
-                    (-0.5 * (np.log(2.0 * np.pi * variances[c])
-                             + diff * diff / variances[c])).sum(axis=1)
-                )
+            d_min, d_maj = x - means[0], x - means[1]
+            log_odds += (0.5 * (np.log(variances[1] / variances[0]) + d_maj * d_maj / variances[1]
+                                - d_min * d_min / variances[0])).sum(axis=1)
         for table, i, column in zip(
             self.nominal_loglik, self.schema.nominal_indices, test.codes.T
         ):
@@ -155,16 +152,12 @@ class TrainedModel(_Record):
             if test.intern[i] is not known:
                 lookup = np.array([known.get(token, -1) for token in test.intern[i]], dtype=int)
                 column = lookup[column]
-            for c, acc in enumerate(terms):
-                acc.append(table[c, column])
-        # shape (2, multipliers, rows): each class's log posterior from its prior
-        priors = np.array(priors, dtype=float).reshape(-1, 2).T
-        log_post = np.repeat(priors[:, :, None], len(test), axis=2)
-        for c, acc in enumerate(terms):
-            for term in acc:
-                log_post[c] += term
+            log_odds += (table[0] - table[1])[column]
+        # -log_odds, (multipliers, rows), negated exactly by subtraction: unary minus
+        # would page in 64 KiB of numpy code that nothing else in a run touches
+        minus_log_odds = np.array([p_maj - p_min for p_min, p_maj in priors])[:, None] - log_odds
         with np.errstate(over="ignore"):
-            scores = 1.0 / (1.0 + np.exp(log_post[1] - log_post[0]))
+            scores = 1.0 / (1.0 + np.exp(minus_log_odds))
         return scores[0] if multipliers is None else scores
 
 

@@ -132,13 +132,18 @@ class SyntheticBatch(_Record):
         return len(self.data)
 
 
+def _synthetic_count(n_percent: int, t: int) -> int:
+    """The rows every variant makes from ``t`` minority rows at ``n_percent``:
+    ``floor(N * T / 100)`` under 100, ``floor(N / 100) * T`` otherwise."""
+    return n_percent * t // 100 if n_percent < 100 else n_percent // 100 * t
+
+
 def _plan_bases(n_percent: int, t: int, rng: np.random.Generator):
     """Rewrite the over-sampling amount into (base indices, rows per base)."""
     if n_percent == 0:
         return np.empty(0, dtype=int), 0
     if n_percent < 100:
-        t_selected = n_percent * t // 100
-        return rng.permutation(t)[:t_selected], 1
+        return rng.permutation(t)[:_synthetic_count(n_percent, t)], 1
     return np.arange(t), n_percent // 100
 
 
@@ -231,7 +236,7 @@ def _synthesis_source(variant: str, minority: Dataset, neighbors) -> tuple:
     return minority, lists, _vote(minority.codes, lists, base_votes=not d)
 
 
-def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
+def _synthesize(source: tuple, params, rng, out: tuple = None) -> SyntheticBatch:
     """The synthesis behind smote, smote_nc and smote_n, from a ``source``
     that :func:`_synthesis_source` built; nothing is checked or voted again.
 
@@ -243,6 +248,11 @@ def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
     temporaries hold ``distance._DIFF_BUDGET`` floats together. With no
     continuous columns nothing more is drawn and each row records its base
     as its neighbor, with no gaps.
+
+    ``out``, writable ``(cont, codes, minority)`` blocks of the batch's
+    size (the last all True), takes the rows in place of fresh blocks, and
+    the batch views them read-only: :func:`apply_plan_detailed` passes its
+    set's synthetic row range.
     """
     minority, lists, votes = source
     if rng is None:
@@ -252,25 +262,27 @@ def _synthesize(source: tuple, params, rng) -> SyntheticBatch:
     n = len(origin)
     cont = minority.cont
     d = cont.shape[1]
+    new = np.empty((n, d)) if out is None else out[0]
     if d:
         partner = lists[
             origin, _pick_neighbors(lists.shape[1], len(bases), per_base, params.neighbor_mode, rng)
         ]
         gaps = rng.random((n, 1) if params.gap_mode == SHARED else (n, d))
-        new = np.empty((n, d))
         step = max(1, distance._DIFF_BUDGET // (3 * d))  # base, nb and the lower bound: one budget
         for start in range(0, n, step):
             part = slice(start, start + step)
-            base, nb, out = cont[origin[part]], cont[partner[part]], new[part]
+            base, nb, rows = cont[origin[part]], cont[partner[part]], new[part]
             # base + gaps * (nb - base) and its box clip, in place (nb becomes the top)
-            np.subtract(nb, base, out=out)
-            out *= gaps[part]
-            out += base
-            np.clip(out, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=out)
+            np.subtract(nb, base, out=rows)
+            rows *= gaps[part]
+            rows += base
+            np.clip(rows, np.minimum(base, nb), np.maximum(base, nb, out=nb), out=rows)
     else:
-        partner, gaps, new = origin, np.empty((n, 0)), cont[origin]
-    data = minority.with_blocks(new, votes[origin], np.ones(n, dtype=bool))
-    return SyntheticBatch(data, Provenance(origin, partner, gaps))
+        partner, gaps = origin, np.empty((n, 0))
+    if out is None:  # the votes' block after the interpolation temporaries are gone
+        out = new, np.empty((n, votes.shape[1]), votes.dtype), np.ones(n, dtype=bool)
+    np.take(votes, origin, axis=0, out=out[1], mode="clip")  # "clip" writes straight into out
+    return SyntheticBatch(minority.with_blocks(*out), Provenance(origin, partner, gaps))
 
 
 def smote(
@@ -344,17 +356,20 @@ def replicate_oversample(
     is measured against: as many rows of the minority-only Dataset
     ``minority`` as SMOTE makes, floor(N/100) * T drawn with replacement, or
     for N < 100 the floor(N * T / 100) distinct rows SMOTE would take as bases."""
+    picks = _replicate_picks(n_percent, len(minority), seed)
+    return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((len(picks), 1))))
+
+
+def _replicate_picks(n_percent: int, t: int, seed: int) -> np.ndarray:
+    """The rows :func:`replicate_oversample` copies out of ``t`` minority rows."""
     if n_percent < 0:
         raise ValueError(f"n_percent must be non-negative, got {n_percent}")
-    t = len(minority)
     if t < 1:
         raise ValueError("need at least 1 minority row")
     rng = generator(seed, "replicate")
     if n_percent < 100:
-        picks = _plan_bases(n_percent, t, rng)[0]
-    else:
-        picks = rng.integers(0, t, size=(n_percent // 100) * t)
-    return SyntheticBatch(minority.subset(picks), Provenance(picks, picks, np.zeros((len(picks), 1))))
+        return _plan_bases(n_percent, t, rng)[0]
+    return rng.integers(0, t, size=_synthetic_count(n_percent, t))
 
 
 def under_sample(
@@ -567,7 +582,11 @@ def apply_plan_detailed(
     Returns:
         A PlanResult: the new dataset (the input is untouched) with rows in
         the order originals, synthetics, retained majority; the synthetic
-        batch; and the retained majority indices.
+        batch; and the retained majority indices. The set is sized first,
+        since the synthetic count follows from ``over_percent`` and T and
+        the retained majority comes from its own substream, and every row
+        is written once into its blocks. The batch's blocks are read-only
+        views of the synthetic rows' range, so a batch keeps the set alive.
 
     Raises:
         DataError: a synthesis variant with ``over_percent > 0`` on a
@@ -589,41 +608,41 @@ def apply_plan_detailed(
         minority = source[0]
         if len(minority) != train.n_minority:
             raise ValueError(f"source has {len(minority)} minority rows, train has {train.n_minority}")
-    majority_idx = train.majority_indices()
-
+    t = len(minority)
+    n = _synthetic_count(over_percent, t)
     if over_percent == 0:
-        empty = np.empty(0, dtype=np.intp)
-        batch = SyntheticBatch(minority.subset(empty), Provenance(empty, empty, np.empty((0, 0))))
+        picks = np.empty(0, dtype=np.intp)
     elif variant == "replicate":
-        batch = replicate_oversample(
-            minority, over_percent, seed=child_seed(seed, "over")
-        )
+        picks = _replicate_picks(over_percent, t, child_seed(seed, "over"))
     else:
         if source is None:
             source = _source(train, minority, k, variant)
         params = SmoteParams(
-            n_percent=over_percent,
-            seed=child_seed(seed, "over"),
-            gap_mode=gap_mode,
-            neighbor_mode=neighbor_mode,
+            over_percent, seed=child_seed(seed, "over"), gap_mode=gap_mode, neighbor_mode=neighbor_mode
         )
-        batch = _synthesize(source, params, None)
+    retained = train.majority_indices()
+    if under_percent not in (None, 0):
+        basis = t + n if under_basis == "post" else t
+        retained = under_sample(retained, basis, under_percent, child_seed(seed, "under"))
 
-    if under_percent in (None, 0):
-        retained = majority_idx
-    else:
-        basis = len(minority)
-        if under_basis == "post":
-            basis += len(batch)
-        retained = under_sample(majority_idx, basis, under_percent, child_seed(seed, "under"))
-
-    parts = (minority, batch.data, train.subset(retained))
-    dataset = train.with_blocks(
-        np.concatenate([part.cont for part in parts]),
-        np.concatenate([part.codes for part in parts]),
-        np.concatenate([part.minority for part in parts]),
+    size = t + n + len(retained)
+    blocks = (
+        np.empty((size, train.cont.shape[1])),
+        np.empty((size, train.codes.shape[1]), train.codes.dtype),
+        np.repeat([True, False], [t + n, len(retained)]),
     )
-    return PlanResult(dataset=dataset, batch=batch, retained_majority=retained)
+    for block, mine, whole in zip(blocks, (minority.cont, minority.codes), (train.cont, train.codes)):
+        block[:t] = mine
+        np.take(whole, retained, axis=0, out=block[t + n:], mode="clip")  # "clip" writes in place
+    middle = tuple(block[t : t + n] for block in blocks)
+    if over_percent and variant != "replicate":
+        batch = _synthesize(source, params, None, out=middle)
+    else:
+        for block, mine in zip(middle, (minority.cont, minority.codes)):
+            np.take(mine, picks, axis=0, out=block, mode="clip")
+        gaps = np.zeros((n, 1)) if over_percent else np.empty((0, 0))
+        batch = SyntheticBatch(minority.with_blocks(*middle), Provenance(picks, picks, gaps))
+    return PlanResult(dataset=train.with_blocks(*blocks), batch=batch, retained_majority=retained)
 
 
 def audit_batch(batch: SyntheticBatch, n_minority: int) -> None:

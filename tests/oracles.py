@@ -8,7 +8,10 @@ selection, distances by a loop over one pair of row tuples instead of
 vectorized blocks, and text files by ``csv.writer`` and ``json.dumps`` over
 one row at a time instead of column chunks. Nominal votes and category
 counts go one voter position or one feature at a time, where the package
-counts whole blocks in one sort or one ``np.bincount``.
+counts whole blocks in one sort or one ``np.bincount``. Naive Bayes scores
+come from each class's log posterior, one row at a time, where the package
+sums one log-odds block. A resampled set is the concatenation of its parts,
+where the package fills one block per kind.
 :func:`reference_experiment` runs an experiment cell by cell, each cell and
 fold searching its own neighbors and fitting its own model, where
 ``run_experiment`` runs fold by fold and shares both.
@@ -191,6 +194,44 @@ def nominal_loglik_by_feature(ds):
         n_seen = np.count_nonzero(counts.sum(axis=0))
         out.append(np.log((counts + 1) / [[n_min + n_seen], [n_maj + n_seen]]))
     return out
+
+
+def per_class_scores(model, test, multiplier=None):
+    """``model.score_rows(test)``, or its row at one prior ``multiplier``,
+    with each class's log posterior built on its own, one row at a time:
+    the log prior, then every used continuous feature's Gaussian term with
+    its ``log(2 pi variance)``, then every nominal log likelihood."""
+    n_min, n_maj = model.class_counts
+    priors = model.log_priors
+    if multiplier is not None:
+        scaled = multiplier * n_min
+        priors = math.log(scaled / (scaled + n_maj)), math.log(n_maj / (scaled + n_maj))
+    schema, means, variances = model.schema, model.means.tolist(), model.variances.tolist()
+    scores = []
+    for row in test.rows:
+        post = list(priors)
+        for c in (0, 1):
+            for j, i in enumerate(schema.continuous_indices):
+                if variances[0][j] and variances[1][j]:
+                    diff = row[i] - means[c][j]
+                    post[c] -= 0.5 * (math.log(2 * math.pi * variances[c][j]) + diff * diff / variances[c][j])
+            for table, i in zip(model.nominal_loglik, schema.nominal_indices):
+                post[c] += float(table[c, model.intern[i].get(row[i], -1)])
+        odds = post[1] - post[0]
+        scores.append(0.0 if odds > 700 else 1.0 / (1.0 + math.exp(odds)))
+    return np.array(scores)
+
+
+def concatenated_plan(train, result):
+    """The set ``apply_plan_detailed`` returns, rebuilt from ``result``'s
+    parts by concatenation: ``train``'s minority rows, the batch, then the
+    retained majority rows of ``train``."""
+    parts = (train.minority_subset(), result.batch.data, train.subset(result.retained_majority))
+    return train.with_blocks(
+        np.concatenate([part.cont for part in parts]),
+        np.concatenate([part.codes for part in parts]),
+        np.concatenate([part.minority for part in parts]),
+    )
 
 
 def vdm_counts_by_feature(ds):

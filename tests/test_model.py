@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import MAJORITY as MAJ
 from oracles import MINORITY as MIN
-from oracles import dataset_from_rows, nominal_loglik_by_feature
+from oracles import dataset_from_rows, nominal_loglik_by_feature, per_class_scores
 import smotekit
 from smotekit.data import FeatureSchema
 from smotekit.errors import ConfigError, DataError
@@ -273,6 +273,26 @@ def test_prior_sweep_scores_equal_separate_fits_bit_for_bit():
         alone = train(train_ds, ClassifierSpec(spec.kind, m, spec.threshold, spec.command)).score_rows(test)
         assert np.array_equal(scores, alone), m
     assert np.array_equal(model.score_rows(test), model.score_rows(test, [3])[0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scores_equal_the_per_class_oracle(seed):
+    # the log-odds sum and the per-class posteriors differ only in rounding;
+    # a column constant over the training split is left out of both, and the
+    # test set's own intern tables are remapped
+    rng = np.random.default_rng(seed)
+    ds = _random_mixed(rng, 90)
+    if seed % 2:
+        ds = ds.with_blocks(ds.cont * [1.0, 0.0] + [0.0, 1.5], ds.codes, ds.minority)
+    train_ds = ds.subset(range(60))
+    test = dataset(ds.schema, ds.subset(range(60, 90)).rows + ((0.3, 1.5, "Z", "A"),), [MAJ] * 31)
+    model = train(train_ds, ClassifierSpec())
+    np.testing.assert_allclose(model.score_rows(test), per_class_scores(model, test), rtol=1e-9, atol=1e-12)
+    swept = model.score_rows(test, DEFAULT_MULTIPLIERS)
+    for m, scores in zip(DEFAULT_MULTIPLIERS, swept):
+        np.testing.assert_allclose(scores, per_class_scores(model, test, m), rtol=1e-9, atol=1e-12)
+        alone = train(train_ds, ClassifierSpec(prior_multiplier=m)).score_rows(test)
+        assert scores.tobytes() == alone.tobytes(), m
 
 
 def test_shared_intern_tables_score_like_remapped_ones():

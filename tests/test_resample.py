@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import MAJORITY, MINORITY, dataset_from_rows, vote_by_position
+from oracles import MAJORITY, MINORITY, concatenated_plan, dataset_from_rows, vote_by_position
 from smotekit import distance, resample
 from smotekit.data import Dataset, FeatureSchema
 from smotekit.distance import (
@@ -21,7 +21,7 @@ from smotekit.distance import (
 )
 from smotekit.errors import DataError
 from smotekit.neighbors import knn_minority
-from smotekit.rng import generator
+from smotekit.rng import child_seed, generator
 from smotekit.resample import (
     DISTINCT,
     NEIGHBOR_MODES,
@@ -230,6 +230,91 @@ def test_synthesis_memory_is_its_outputs_and_one_budget():
     )
     budget = distance._DIFF_BUDGET * 8
     assert peak <= outputs + 1.25 * budget, (peak - outputs) / budget
+
+
+# The schema shape of each variant's test data: (continuous, nominal) columns.
+_COLUMNS = {"smote": (3, 0), "smote_nc": (3, 2), "smote_n": (0, 3), "replicate": (3, 2)}
+_SYNTHESIZE = {"smote": smote, "smote_nc": smote_nc, "smote_n": smote_n}
+
+
+def random_split(rng, n_min, n_maj, variant):
+    """A training split of the variant's shape, minority rows spread among
+    the majority rows."""
+    ds = random_minority(rng, n_min + n_maj, *_COLUMNS[variant])
+    return ds.with_blocks(ds.cont, ds.codes, rng.permutation(np.arange(n_min + n_maj) < n_min))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_percent", [0, 1, 50, 99, 100, 150, 300, 4000])
+def test_every_variant_makes_the_synthetic_count(variant, n_percent):
+    rng = np.random.default_rng(47)
+    for t in (2, 7, 400):
+        ds = random_minority(rng, t, *_COLUMNS[variant])
+        if variant == "replicate":
+            batch = replicate_oversample(ds, n_percent, seed=3)
+        else:
+            batch = _SYNTHESIZE[variant](ds, SmoteParams(n_percent, seed=3), rng.integers(0, t, size=(t, 2)))
+        assert len(batch) == len(batch.provenance) == resample._synthetic_count(n_percent, t)
+
+
+@pytest.mark.parametrize("under_basis", ["pre", "post"])
+@pytest.mark.parametrize("under", [None, 100])
+@pytest.mark.parametrize("over", [0, 50, 300])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_plan_is_the_public_batch_in_one_read_only_block(variant, over, under, under_basis):
+    rng = np.random.default_rng(48)
+    train = random_split(rng, 30, 60, variant)
+    minority = train.minority_subset()
+    seed = 5
+    if variant == "replicate":
+        want = replicate_oversample(minority, over, seed=child_seed(seed, "over"))
+        source = None
+    else:
+        source = resample._source(train, minority, 3, variant)
+        want = _SYNTHESIZE[variant](minority, SmoteParams(over, seed=child_seed(seed, "over")), source[1])
+    # a given source and one searched in the call
+    result = apply_plan_detailed(
+        train, over, under, 3, seed, variant, under_basis=under_basis, source=source if under else None
+    )
+    batch = result.batch
+    assert batch_bytes(batch) == batch_bytes(want)
+    assert batch.data == want.data and len(batch) == resample._synthetic_count(over, 30)
+    got, oracle = result.dataset, concatenated_plan(train, result)
+    assert got == oracle and got.cont.tobytes() == oracle.cont.tobytes()
+    kinds = ("cont", "codes", "minority")
+    for kind in kinds:
+        part = getattr(batch.data, kind)
+        if part.size:
+            assert np.shares_memory(part, getattr(got, kind)), kind
+    for block in [getattr(ds, kind) for ds in (got, batch.data) for kind in kinds]:
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 0
+
+
+def test_plan_memory_is_its_outputs_and_under_one_and_a_half_budgets():
+    # augment_write's shape: 400 / 800 rows, 6 continuous and 4 nominal
+    # columns, 4000 % smote_nc. The synthetic rows are written into the set's
+    # blocks, not built apart and copied in: 2.6 budgets beyond the outputs
+    # when they were, 1.35 on numpy 2.4
+    rng = np.random.default_rng(49)
+    train = random_minority(rng, 1200, 6, 4)
+    train = train.with_blocks(train.cont, train.codes, np.arange(1200) < 400)
+    source = resample._source(train, train.minority_subset(), 5, "smote_nc")
+    apply_plan_detailed(train, 4000, None, 5, 11, "smote_nc", source=source)
+    tracemalloc.start()
+    try:
+        result = apply_plan_detailed(train, 4000, None, 5, 11, "smote_nc", source=source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    prov, ds = result.batch.provenance, result.dataset
+    outputs = sum(
+        a.nbytes
+        for a in (ds.cont, ds.codes, ds.minority, result.retained_majority)
+        + (prov.base_index, prov.neighbor_index, prov.gaps)
+    )
+    budget = distance._DIFF_BUDGET * 8
+    assert peak <= outputs + 1.5 * budget, (peak - outputs) / budget
 
 
 def test_distinct_neighbor_mode_avoids_repeats_within_k():

@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError
 from .evaluate import ANCHORS, RocCurve, RocPoint, auc, auc_e4, auc_summary, convex_hull, write_hull_csv, write_points_csv, write_summary_json
 from .model import CLASSIFIER_KINDS, ClassifierSpec
 from .pipeline import FAMILIES, ExperimentConfig, emit_report, load_manifest, run_experiment
-from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, _source, apply_plan_detailed, write_provenance
+from .resample import GAP_MODES, NEIGHBOR_MODES, UNDER_BASES, VARIANTS, apply_plan_detailed, synthesis_source, write_provenance
 
 _EXIT_STDOUT = 1  # standard output cannot be written
 _DEFAULTS = ExperimentConfig()  # the experiment and resample flags' defaults
@@ -121,9 +121,18 @@ def _listing(dataset, csv_path: Path) -> str:
     return f"{csv_path}  ({dataset.n_minority} minority / {dataset.n_majority} majority rows)"
 
 
+def _check_percents(flag: str, values: list, required: bool = True) -> None:
+    """Reject ``flag``'s percent list before anything is read or written: an
+    empty one when ``required``, a negative percent or a repeated one."""
+    if required and not values:
+        raise ConfigError(f"{flag} lists no percent")
+    if any(value < 0 for value in values) or len(set(values)) != len(values):
+        raise ConfigError(f"{flag} percents must be distinct and not negative, got {values}")
+
+
 def _cmd_resample(args, variant: str) -> int:
-    if not args.over:
-        raise ConfigError("--over lists no percent")
+    _check_percents("--over", args.over)
+    _check_percents("--under", args.under, required=False)
     ds, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -131,7 +140,7 @@ def _cmd_resample(args, variant: str) -> int:
     source = None
     if variant != "replicate" and any(over > 0 for over in args.over):
         # one search and one vote serve every --over x --under pair of this file
-        source = _source(ds, ds.minority_subset(), args.k, variant)
+        source = synthesis_source(ds, args.k, variant)
     listing = []  # printed once every file is written
     for over in args.over:
         for under in unders:
@@ -157,8 +166,7 @@ def _cmd_resample(args, variant: str) -> int:
 
 
 def _cmd_undersample(args) -> int:
-    if not args.under:
-        raise ConfigError("--under lists no percent")
+    _check_percents("--under", args.under)
     ds, _ = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,7 +278,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smotekit",
         description="Minority over-sampling, majority under-sampling, and ROC evaluation.",
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings():  # a library warning reads as the CLI's own

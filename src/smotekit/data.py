@@ -8,7 +8,7 @@ Continuous entries are finite floats; nominal entries are category tokens
 interned in first-appearance order and stored as their codes, which makes
 majority-vote tie-breaking deterministic downstream. Feature tuples are built
 from the blocks only for callers that ask for rows; every text file is
-written from the blocks by :func:`write_lines`, a large one in parts, one
+written from the blocks by :func:`_write_lines`, a large one in parts, one
 per usable CPU, that forked children format into unnamed temporary files in
 the output directory. A part whose child cannot be made or does not exit 0
 is formatted in this process instead, so the bytes, and any exception, are
@@ -119,7 +119,7 @@ _CHUNK_LINES = 1024
 CSV_END = csv.excel.lineterminator
 
 
-def quote_fields(tokens: Iterable[str], alone: bool = False) -> np.ndarray:
+def _quote_fields(tokens: Iterable[str], alone: bool = False) -> np.ndarray:
     """An object array of each token as ``csv.writer`` writes it as one field
     of a line: quoted only when it holds a comma, a quote or a line break.
     ``alone`` is for lines of one field, where the csv module writes an empty
@@ -132,7 +132,7 @@ def quote_fields(tokens: Iterable[str], alone: bool = False) -> np.ndarray:
     return np.array(out, dtype=object)
 
 
-def write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
+def _write_lines(path: str | Path, header, n_lines: int, chunk_text) -> None:
     """The one text writer: ``header``, if not None, by ``csv.writer``, then
     ``chunk_text(part)`` for each slice ``part`` of at most 1,024 of the
     ``n_lines`` lines, so a large file is never all text at once.
@@ -366,7 +366,7 @@ class Dataset:
         return self.subset(np.flatnonzero(self.minority))
 
 
-def category_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def _category_counts(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The integer counts of each nominal feature's intern codes among the
     minority rows (row 0) and the majority rows (row 1), as one ``(2,
     total)`` block, and the first column of each feature in it, in schema
@@ -483,7 +483,7 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
 
 
 def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
-    """Write a Dataset as CSV in schema order through :func:`write_lines`;
+    """Write a Dataset as CSV in schema order through :func:`_write_lines`;
     floats use repr for exact reload.
 
     ``class_column=False`` leaves the class column out, as the external
@@ -491,8 +491,8 @@ def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
     """
     schema = ds.schema
     header = list(schema.names) + ([schema.class_column] if class_column else [])
-    tokens = [quote_fields(ds.intern[i], len(header) == 1) for i in schema.nominal_indices]
-    classes = quote_fields((ds.majority_token, ds.minority_token))
+    tokens = [_quote_fields(ds.intern[i], len(header) == 1) for i in schema.nominal_indices]
+    classes = _quote_fields((ds.majority_token, ds.minority_token))
 
     def chunk_text(part: slice) -> str:
         columns: list = [None] * len(schema.features)
@@ -504,7 +504,7 @@ def save_csv(ds: Dataset, path: str | Path, class_column: bool = True) -> None:
             columns.append(classes[ds.minority[part].astype(np.intp)].tolist())
         return CSV_END.join(map(",".join, zip(*columns))) + CSV_END
 
-    write_lines(path, header, len(ds), chunk_text)
+    _write_lines(path, header, len(ds), chunk_text)
 
 
 def stratified_folds(ds: Dataset, n_folds: int, seed: int) -> np.ndarray:

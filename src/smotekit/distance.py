@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import NOMINAL, Dataset, FeatureSchema, category_counts
+from .data import NOMINAL, Dataset, FeatureSchema, _category_counts
 from .errors import DataError
 from .record import _FrozenRecord
 
@@ -109,7 +109,7 @@ class VdmTable(_FrozenRecord):
         if not len(ds):
             raise ValueError("cannot build a VDM table from zero rows")
         counts = []
-        block, starts = category_counts(ds)
+        block, starts = _category_counts(ds)
         for table, first in zip(ds.intern, starts.tolist()):
             # the table's own columns, before the count of no category
             n_min, n_maj = block[:, first:first + len(table)]

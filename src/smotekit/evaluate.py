@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .data import CSV_END, quote_fields, write_lines
+from .data import CSV_END, _quote_fields, _write_lines
 from .record import _FrozenRecord, _Record
 
 ANCHOR_FAMILY = "anchor"
@@ -195,10 +195,10 @@ def _write_report_csv(path: str | Path, header: list[str], records: list[tuple])
 
     def chunk_text(part: slice) -> str:
         family, tag, *numbers = zip(*records[part])
-        columns = [quote_fields(family), quote_fields(tag), *(map(repr, c) for c in numbers)]
+        columns = [_quote_fields(family), _quote_fields(tag), *(map(repr, c) for c in numbers)]
         return CSV_END.join(map(",".join, zip(*columns))) + CSV_END
 
-    write_lines(path, header, len(records), chunk_text)
+    _write_lines(path, header, len(records), chunk_text)
 
 
 def auc_summary(aucs: dict, hull: Sequence[HullVertex], anchor: str = ANCHORS[0]) -> dict:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, category_counts, save_csv
+from .data import Dataset, _category_counts, save_csv
 from .errors import ConfigError, DataError
 from .evaluate import ConfusionMatrix
 from .record import _FrozenRecord, _Record
@@ -211,7 +211,7 @@ def train(ds: Dataset, spec: ClassifierSpec) -> TrainedModel:
     if ds.schema.nominal_indices:
         # the slot past each intern table counts 0, like a category unseen in
         # training: both score log(1 / (class count + categories seen))
-        counts, starts = category_counts(ds)
+        counts, starts = _category_counts(ds)
         ends = np.append(starts[1:], counts.shape[1])
         n_seen = np.add.reduceat(counts.any(axis=0), starts)  # categories seen, per feature
         class_n = np.array([[n_min], [n_maj]])

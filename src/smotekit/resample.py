@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import distance
-from .data import Dataset, write_lines
+from .data import Dataset, _write_lines
 from .distance import (
     EuclideanMetric,
     NcMetric,
@@ -441,27 +441,26 @@ def _metric(train: Dataset, minority: Dataset, variant: str):
     return VdmMetric(VdmTable.from_dataset(train))
 
 
-def _source(train: Dataset, minority: Dataset, k: int, variant: str, lists=None) -> tuple:
-    """The one builder of what synthesis of ``variant`` reads: the
-    :func:`_synthesis_source` of the minority-only slice ``minority`` and
-    ``lists``, its neighbor lists. ``lists`` None searches them with
-    :func:`knn_minority` under the variant's metric, fitted to ``train``,
-    the training split ``minority`` comes from; given lists, only
-    ``train``'s schema is read.
+def synthesis_source(train: Dataset, k: int, variant: str) -> tuple:
+    """The ``source`` of every :func:`apply_plan_detailed` call of ``variant``
+    (smote, smote_nc or smote_n) on ``train``, built once: ``train``'s
+    minority slice, its :func:`knn_minority` lists under the variant's
+    metric fitted to ``train``, and the rows' nominal votes.
 
-    Raises ValueError for a schema the variant cannot take and, when it
-    searches, for ``k < 1``; ``DataError`` for a minority of fewer than 2
-    rows, too thin to search.
+    Raises ValueError for another variant, a schema the variant cannot take
+    or ``k < 1``; ``DataError`` for a minority of fewer than 2 rows, or one
+    whose values spread too far for the metric (see :func:`_metric`).
     """
+    if variant not in _SHAPES:
+        raise ValueError(f"synthesis_source takes smote, smote_nc or smote_n, got {variant!r}")
     _check_shape(train.schema, variant)
+    minority = train.minority_subset()
     if len(minority) < 2:
         raise DataError(
             f"training minority has {len(minority)} row(s); {variant} needs at "
             "least 2 minority rows for neighbor search"
         )
-    if lists is None:
-        lists = knn_minority(minority, k, _metric(train, minority, variant))
-    return _synthesis_source(variant, minority, lists)
+    return _synthesis_source(variant, minority, knn_minority(minority, k, _metric(train, minority, variant)))
 
 
 # The variants whose cells share one source per fold. smote's distance
@@ -480,21 +479,20 @@ _MARGIN = 10
 
 
 def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
-    """The :func:`_source` of every fold's training minority, built once
-    and shared by every cell of ``variant``. ``folds[i]`` is the fold of row
+    """The :func:`synthesis_source` of every training fold, built once and
+    shared by every cell of ``variant``. ``folds[i]`` is the fold of row
     ``i`` of ``ds``, as :func:`~smotekit.data.stratified_folds` assigns
     them, so every fold holds a minority row.
 
     smote searches the whole minority once, ``(k + _MARGIN) * F / (F - 1)``
     wide (rounded up), which leaves a row of a fold about ``k + _MARGIN``
     training candidates, and :func:`_fold_lists` filters every fold's lists
-    from it. A fold the filter cannot serve, and every fold of smote_n, is
-    searched with :func:`knn_minority` under a metric fitted to it. None
-    stands for a variant outside ``_FOLD_FITTED``, for a fold whose training
-    minority is too thin to search, and for every fold of a smote minority
-    whose values spread too far for :func:`_metric`: there
-    :func:`apply_plan_detailed` searches on each call and raises the
-    ``DataError`` itself. A schema the variant cannot take raises ValueError.
+    from it, unless its values spread too far for :func:`_metric`. A fold
+    the filter cannot serve, and every fold of smote_n, is searched on its
+    own. None stands for a variant outside ``_FOLD_FITTED`` and for a fold
+    whose training minority :func:`synthesis_source` rejects with
+    ``DataError``: there :func:`apply_plan_detailed` raises it on each call.
+    A schema the variant cannot take raises ValueError.
     """
     n_folds = int(folds.max()) + 1
     if variant not in _FOLD_FITTED:
@@ -504,19 +502,20 @@ def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
     found = None
     if variant == "smote":
         _check_shape(ds.schema, variant)
-        try:
-            metric = _metric(ds, minority, variant)
-        except DataError:  # a spread too wide: each fold's minority is judged on its own
-            return [None] * n_folds
         width = -(-(k + _MARGIN) * n_folds // (n_folds - 1))  # ceiling division
-        found = knn_minority(minority, width, metric)
+        try:
+            found = knn_minority(minority, width, _metric(ds, minority, variant))
+        except DataError:  # a spread too wide: each fold's minority is judged on its own
+            pass
     sources = []
     for f in range(n_folds):
         in_train = fold_of != f
         lists = None if found is None else _fold_lists(found, in_train, k)
-        train = ds if lists is not None else ds.subset(np.flatnonzero(folds != f))
+        if lists is not None:
+            sources.append(_synthesis_source(variant, minority.subset(np.flatnonzero(in_train)), lists))
+            continue
         try:
-            sources.append(_source(train, minority.subset(np.flatnonzero(in_train)), k, variant, lists))
+            sources.append(synthesis_source(ds.subset(np.flatnonzero(folds != f)), k, variant))
         except DataError:
             sources.append(None)
     return sources
@@ -573,10 +572,10 @@ def apply_plan_detailed(
         under_basis: "pre" (default) sizes the retained majority from the
             original minority count so sweeps share majority counts across
             over-sampling levels; "post" sizes it from the augmented count.
-        source: what synthesis of ``variant`` reads, the :func:`_source`
-            of ``train``'s minority rows, to share one search and one vote
-            across calls; None (default) searches and votes here. When
-            given, its minority slice also stands in for
+        source: what synthesis of ``variant`` reads, the
+            :func:`synthesis_source` of ``train``, to share one search and
+            one vote across calls; None (default) searches and votes here.
+            When given, its minority slice also stands in for
             ``train.minority_subset()``, whatever the variant.
 
     Returns:
@@ -592,7 +591,8 @@ def apply_plan_detailed(
         DataError: a synthesis variant with ``over_percent > 0`` on a
             training minority of fewer than 2 rows.
         ValueError: a ``source`` of another row count than ``train``'s
-            minority.
+            minority, or a synthesis variant at ``over_percent > 0`` on a
+            schema it does not take, whether or not a source is given.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -602,24 +602,23 @@ def apply_plan_detailed(
         raise ValueError(f"over_percent must be non-negative, got {over_percent}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if source is None:
-        minority = train.minority_subset()
-    else:
-        minority = source[0]
-        if len(minority) != train.n_minority:
-            raise ValueError(f"source has {len(minority)} minority rows, train has {train.n_minority}")
+    synthesizes = over_percent > 0 and variant != "replicate"
+    if synthesizes:
+        _check_shape(train.schema, variant)
+        if source is None:
+            source = synthesis_source(train, k, variant)
+        params = SmoteParams(
+            over_percent, seed=child_seed(seed, "over"), gap_mode=gap_mode, neighbor_mode=neighbor_mode
+        )
+    minority = train.minority_subset() if source is None else source[0]
+    if len(minority) != train.n_minority:
+        raise ValueError(f"source has {len(minority)} minority rows, train has {train.n_minority}")
     t = len(minority)
     n = _synthetic_count(over_percent, t)
     if over_percent == 0:
         picks = np.empty(0, dtype=np.intp)
     elif variant == "replicate":
         picks = _replicate_picks(over_percent, t, child_seed(seed, "over"))
-    else:
-        if source is None:
-            source = _source(train, minority, k, variant)
-        params = SmoteParams(
-            over_percent, seed=child_seed(seed, "over"), gap_mode=gap_mode, neighbor_mode=neighbor_mode
-        )
     retained = train.majority_indices()
     if under_percent not in (None, 0):
         basis = t + n if under_basis == "post" else t
@@ -635,7 +634,7 @@ def apply_plan_detailed(
         block[:t] = mine
         np.take(whole, retained, axis=0, out=block[t + n:], mode="clip")  # "clip" writes in place
     middle = tuple(block[t : t + n] for block in blocks)
-    if over_percent and variant != "replicate":
+    if synthesizes:
         batch = _synthesize(source, params, None, out=middle)
     else:
         for block, mine in zip(middle, (minority.cont, minority.codes)):
@@ -675,7 +674,7 @@ def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> N
 
     ``gap`` is null for vote-only rows, a number when the row has one draw,
     and a list of the per-attribute draws otherwise. Keys are sorted; the
-    lines go through the shared :func:`~smotekit.data.write_lines`, in the
+    lines go through the text writer every smotekit file shares, in the
     bytes ``json.dumps(..., sort_keys=True)`` gives for the same record.
     """
     prov = batch.provenance
@@ -696,4 +695,4 @@ def write_provenance(path: str | Path, batch: SyntheticBatch, variant: str) -> N
             )
         )
 
-    write_lines(path, None, len(prov), chunk_text)
+    _write_lines(path, None, len(prov), chunk_text)

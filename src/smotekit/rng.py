@@ -18,22 +18,20 @@ import numpy as np
 _SEP = "\x1f"
 
 
-def spawn_key(*labels: object) -> tuple[int, ...]:
-    """Hash labels into four uint32 words usable as a SeedSequence spawn key."""
-    joined = _SEP.join(str(label) for label in labels)
-    digest = hashlib.sha256(joined.encode("utf-8")).digest()
-    return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+def _label_hash(*labels: object) -> bytes:
+    """The SHA-256 digest of the ``_SEP``-joined label path."""
+    return hashlib.sha256(_SEP.join(map(str, labels)).encode("utf-8")).digest()
 
 
 def generator(seed: int, *labels: object) -> np.random.Generator:
-    """Return the PCG64 generator of the substream that the label path ``labels``
-    names under ``seed``; every caller names one."""
-    seq = np.random.SeedSequence(seed, spawn_key=spawn_key(*labels))
-    return np.random.Generator(np.random.PCG64(seq))
+    """The PCG64 generator of the substream the label path ``labels`` names
+    under ``seed``, keyed by the first 16 bytes of the labels' hash."""
+    digest = _label_hash(*labels)
+    key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def child_seed(seed: int, *labels: object) -> int:
-    """Derive a uint64 child seed; used where an API takes a seed, not a generator."""
-    joined = _SEP.join([str(seed), *(str(label) for label in labels)])
-    digest = hashlib.sha256(joined.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    """A uint64 child seed from the hash of ``seed`` and the labels; used
+    where an API takes a seed, not a generator."""
+    return int.from_bytes(_label_hash(seed, *labels)[:8], "little")

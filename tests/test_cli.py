@@ -218,6 +218,51 @@ def test_an_empty_percent_list_is_exit_2(toy, tmp_path, capsys, command, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("smote", ["--over", "100,-5"]),
+        ("smote", ["--over", "100", "--under", "50,-5"]),
+        ("replicate", ["--over", "100,-5"]),
+        ("undersample", ["--under", "50,-5"]),
+        ("smote", ["--over", "100,100"]),
+        ("smote", ["--over", "100", "--under", "50,50"]),
+        ("undersample", ["--under", "50,50"]),
+    ],
+    ids=[
+        "smote-over-negative", "smote-under-negative", "replicate-over-negative", "undersample-negative",
+        "smote-over-repeated", "smote-under-repeated", "undersample-repeated",
+    ],
+)
+def test_a_negative_or_repeated_percent_is_exit_2(toy, tmp_path, capsys, command, flags):
+    """Checked before any file is written or listed: earlier percents of the
+    list would otherwise be written first, and a repeated one twice."""
+    out = tmp_path / "out"
+    assert main([command, *data_args(toy), *flags, "--out", str(out)]) == 2
+    flag, values = flags[-2:]
+    listed = [int(v) for v in values.split(",")]
+    err = f"configuration error: {flag} percents must be distinct and not negative, got {listed}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, written",
+    [
+        ("smote", ["--over", "0,100", "--under", "0"], ["augmented_smote_o0_u0", "augmented_smote_o100_u0"]),
+        ("undersample", ["--under", "0"], ["undersampled_u0"]),
+    ],
+)
+def test_a_zero_percent_resamples_nothing(toy, tmp_path, command, flags, written):
+    # 0 keeps its meaning beside the negative-percent check: no over- or
+    # under-sampling, and a file named for it
+    out = tmp_path / "out"
+    assert main([command, *data_args(toy), *flags, "--out", str(out)]) == 0
+    assert sorted(p.stem.split(".")[0] for p in out.glob("*.csv")) == written
+    ds = load_csv(out / f"{written[0]}.csv", SCHEMA, "pos")
+    assert (ds.n_minority, ds.n_majority) == (20, 60)
+
+
 def test_missing_data_file_is_exit_3(toy, tmp_path, capsys):
     _, schema = toy
     rc = main(
@@ -1085,7 +1130,7 @@ def test_help_into_a_full_device_is_exit_1():
 def test_failed_later_part_exits_as_one_part_does(toy, tmp_path, capsys, monkeypatch, error, rc):
     """A file whose last part fails in a forked child gives the exit code,
     output and files of the same failure written in one part."""
-    write_lines = data.write_lines
+    write_lines = data._write_lines
 
     def failing(path, header, n_lines, chunk_text):
         def text(part):
@@ -1095,8 +1140,8 @@ def test_failed_later_part_exits_as_one_part_does(toy, tmp_path, capsys, monkeyp
 
         write_lines(path, header, n_lines, text)
 
-    monkeypatch.setattr(data, "write_lines", failing)
-    monkeypatch.setattr(resample, "write_lines", failing)
+    monkeypatch.setattr(data, "_write_lines", failing)
+    monkeypatch.setattr(resample, "_write_lines", failing)
     monkeypatch.setattr(data, "_CHUNK_LINES", 8)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())

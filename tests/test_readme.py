@@ -1,6 +1,7 @@
 """README.md names only what the package has."""
 
 import argparse
+import ast
 import builtins
 import importlib
 import inspect
@@ -11,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import smotekit
-from smotekit import distance, model
-from smotekit.cli import build_parser
+from smotekit import cli, distance, model
 from smotekit.data import Dataset
 from smotekit.distance import VdmTable
 from smotekit.resample import SmoteParams, smote, smote_n, smote_nc
@@ -53,21 +53,62 @@ def test_readme_names_every_public_class():
     assert not missing, f"README.md does not name: {missing}"
 
 
-@pytest.mark.parametrize("module", ["resample", "neighbors"])
-def test_readme_names_every_public_function(module):
-    """README.md names, as a backticked word, every function that
-    ``smotekit.resample`` and ``smotekit.neighbors`` define at top level
-    without a leading underscore: their public surface is what README
-    documents."""
-    text = README.read_text("utf-8")
+MODULES = [info.name for info in pkgutil.iter_modules(smotekit.__path__)]
+
+
+def _public_functions(module: str) -> list:
+    """The functions ``smotekit.<module>`` defines at top level without a
+    leading underscore."""
     namespace = importlib.import_module(f"smotekit.{module}")
-    public = [
+    return [
         name for name, obj in vars(namespace).items()
         if inspect.isfunction(obj) and obj.__module__ == namespace.__name__ and not name.startswith("_")
     ]
-    assert public
-    missing = [name for name in public if not re.search(rf"`(smotekit\.{module}\.)?{name}[`(]", text)]
+
+
+def _mention(module: str, name: str) -> str:
+    """A backticked mention of ``name``: ``name``, ``name(...`` or its dotted
+    ``smotekit.<module>.name`` form."""
+    return rf"`(smotekit\.{module}\.)?{name}[`(]"
+
+
+def _unnamed_functions(module: str, text: str) -> list:
+    return [name for name in _public_functions(module) if not re.search(_mention(module, name), text)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_readme_names_every_public_function(module):
+    """README.md names, as a backticked word, every function that a
+    smotekit module defines at top level without a leading underscore:
+    the package's public surface is what README documents."""
+    missing = _unnamed_functions(module, README.read_text("utf-8"))
     assert not missing, f"README.md does not name smotekit.{module}: {missing}"
+
+
+def test_the_function_check_fails_without_each_name():
+    """Removing every mention of one documented function from README.md
+    makes :func:`test_readme_names_every_public_function` fail for it."""
+    text = README.read_text("utf-8")
+    documented = [(module, name) for module in MODULES for name in _public_functions(module)]
+    assert documented
+    for module, name in documented:
+        stripped = re.sub(_mention(module, name), "`", text)
+        assert name in _unnamed_functions(module, stripped), f"{module}.{name}"
+
+
+def test_cli_imports_no_private_name():
+    """``cli.py`` is the package's first library user: it imports from the
+    other smotekit modules only what README documents."""
+    tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("smotekit"))
+        for alias in node.names
+    ]
+    assert imported
+    private = [f"{module}.{name}" for module, name in imported if name.startswith("_")]
+    assert not private, f"cli.py imports private names: {private}"
 
 
 # CapWords that README backticks for something other than a class
@@ -114,7 +155,7 @@ def test_readme_names_every_cli_flag():
     ``--thresholds``."""
     text = README.read_text("utf-8")
     (subcommands,) = [
-        action for action in build_parser()._actions
+        action for action in cli._build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     missing = set()

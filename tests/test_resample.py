@@ -37,6 +37,7 @@ from smotekit.resample import (
     smote,
     smote_n,
     smote_nc,
+    synthesis_source,
     under_sample,
     write_provenance,
 )
@@ -270,7 +271,7 @@ def test_plan_is_the_public_batch_in_one_read_only_block(variant, over, under, u
         want = replicate_oversample(minority, over, seed=child_seed(seed, "over"))
         source = None
     else:
-        source = resample._source(train, minority, 3, variant)
+        source = synthesis_source(train, 3, variant)
         want = _SYNTHESIZE[variant](minority, SmoteParams(over, seed=child_seed(seed, "over")), source[1])
     # a given source and one searched in the call
     result = apply_plan_detailed(
@@ -299,7 +300,7 @@ def test_plan_memory_is_its_outputs_and_under_one_and_a_half_budgets():
     rng = np.random.default_rng(49)
     train = random_minority(rng, 1200, 6, 4)
     train = train.with_blocks(train.cont, train.codes, np.arange(1200) < 400)
-    source = resample._source(train, train.minority_subset(), 5, "smote_nc")
+    source = synthesis_source(train, 5, "smote_nc")
     apply_plan_detailed(train, 4000, None, 5, 11, "smote_nc", source=source)
     tracemalloc.start()
     try:
@@ -684,7 +685,7 @@ def test_apply_plan_reads_a_given_source(monkeypatch):
     # the source's rows stand in for the training minority: no search, no
     # vote and no minority slice is built again, and the result is the same
     ds = _plan_dataset(10, 40)
-    source = resample._source(ds, ds.minority_subset(), 3, "smote")
+    source = synthesis_source(ds, 3, "smote")
     want = {
         variant: apply_plan_detailed(ds, 200, 100, k=3, seed=2, variant=variant).dataset
         for variant in ("smote", "replicate")
@@ -748,7 +749,7 @@ def _assert_fold_source(source, train, k, variant):
     """``source`` is what one cell that searches and votes on ``train``
     alone builds: the same minority slice, lists and votes."""
     minority = train.minority_subset()
-    want = resample._source(train, minority, k, variant)
+    want = synthesis_source(train, k, variant)
     assert len(source) == 3
     assert source[0] == minority
     assert source[1].tolist() == want[1].tolist()
@@ -833,7 +834,7 @@ def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
             continue
         train = ds.subset(np.flatnonzero(folds != f))
         lists = _assert_fold_source(source, train, 2, variant)
-        for got in (lists, resample._source(train, train.minority_subset(), 2, variant)[1]):
+        for got in (lists, synthesis_source(train, 2, variant)[1]):
             assert got.dtype == np.intp and not got.flags.writeable
             assert got.shape == ((4, 2) if f == empty else (2, 1))
 
@@ -861,6 +862,58 @@ def test_each_variant_takes_one_schema_shape(variant, synthesize, takes, shape):
         synthesize(train.minority_subset(), params, _full_lists(3))
     with pytest.raises(ValueError, match=message):
         apply_plan_detailed(train, 100, None, k=2, seed=0, variant=variant)
+
+
+SHAPE_OF = {"smote": "all-continuous", "smote_nc": "mixed", "smote_n": "all-nominal"}
+
+
+@pytest.mark.parametrize("call", VARIANTS)
+@pytest.mark.parametrize("made", SHAPE_OF)
+def test_a_given_source_does_not_skip_the_shape_check(made, call):
+    # the source's variant takes train's shape; a call of another synthesis
+    # variant raises as it does with no source, but not at over 0, where
+    # nothing is synthesized (undersample runs smote there on any schema)
+    shape = SHAPE_OF[made]
+    schema, rows = SHAPED_ROWS[shape]
+    train = dataset_from_rows(schema, tuple(rows) * 2, (MINORITY,) * 3 + (MAJORITY,) * 3)
+    source = synthesis_source(train, 2, made)
+    for over in (0, 100):
+        plan = dict(over_percent=over, under_percent=None, k=2, seed=0, variant=call)
+        if over and call not in (made, "replicate"):
+            message = f"^{call} takes {SHAPE_OF[call]} features, got {shape} features$"
+            for given in (None, source):
+                with pytest.raises(ValueError, match=message):
+                    apply_plan_detailed(train, **plan, source=given)
+            continue
+        want = apply_plan_detailed(train, **plan)
+        got = apply_plan_detailed(train, **plan, source=source)
+        assert got.dataset == want.dataset and len(got.batch) == 3 * (over // 100)
+
+
+@pytest.mark.parametrize("variant", ["replicate", "mystery"])
+def test_synthesis_source_takes_the_three_synthesis_variants(variant):
+    message = f"^synthesis_source takes smote, smote_nc or smote_n, got '{variant}'$"
+    with pytest.raises(ValueError, match=message):
+        synthesis_source(_plan_dataset(10, 40), 3, variant)
+
+
+def test_fold_sources_search_each_fold_when_the_whole_minority_spreads_too_far():
+    # one far minority row overflows the whole minority's squared spread but
+    # not that of the training fold that holds it out
+    ds = _plan_dataset(12, 24)
+    folds = np.arange(len(ds)) % 3
+    far = ds.minority_indices()[0]
+    cont = ds.cont.copy()
+    cont[far, 0] = 1e200
+    ds = ds.with_blocks(cont, ds.codes, ds.minority)
+    with pytest.raises(DataError, match="spread too far"):
+        synthesis_source(ds, 3, "smote")
+    sources = resample._fold_sources(ds, folds, 3, "smote")
+    for f, source in enumerate(sources):
+        if f == folds[far]:
+            _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote")
+        else:
+            assert source is None
 
 
 @pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "T"])

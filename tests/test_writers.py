@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from smotekit import data as data_module
-from smotekit.data import CONTINUOUS, NOMINAL, FeatureSchema, save_csv, write_lines
+from smotekit.data import CONTINUOUS, NOMINAL, FeatureSchema, _write_lines, save_csv
 from smotekit.evaluate import HullVertex, RocCurve, RocPoint, write_hull_csv, write_points_csv
 from smotekit.resample import Provenance, SyntheticBatch, write_provenance
 
@@ -243,7 +243,7 @@ def test_a_failed_later_part_raises_what_one_part_raises(tmp_path, monkeypatch, 
     for n in (1, cpus):
         use_cpus(monkeypatch, n)
         with pytest.raises(type(error)) as caught:
-            write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
+            _write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
         raised.append(caught.value)
     assert len(forks) == cpus - 1
     assert [type(e) for e in raised] == [type(error)] * 2
@@ -264,7 +264,7 @@ def test_a_killed_child_is_formatted_here(tmp_path, monkeypatch):
 
     use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
-    write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
+    _write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
     assert (tmp_path / "out.csv").read_bytes() == numbered_lines(slice(0, 2049)).encode()
     assert len(forks) == 2
 
@@ -282,7 +282,7 @@ def test_a_failed_first_part_kills_and_reaps_the_children(tmp_path, monkeypatch)
     forks = count_forks(monkeypatch)
     start = time.monotonic()
     with pytest.raises(ValueError, match="the first part fails"):
-        write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
+        _write_lines(tmp_path / "out.csv", None, 2049, chunk_text)
     assert time.monotonic() - start < 20
     assert len(forks) == 2
 
@@ -301,12 +301,12 @@ def test_a_write_that_cannot_fork_is_one_part(tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", fork_once)
-    write_lines(tmp_path / "out.csv", None, 2049, numbered_lines)
+    _write_lines(tmp_path / "out.csv", None, 2049, numbered_lines)
     assert (tmp_path / "out.csv").read_bytes() == numbered_lines(slice(0, 2049)).encode()
     assert len(forks) == 2
     missing = tmp_path / "missing" / "out.csv"
     with pytest.raises(FileNotFoundError) as caught:
-        write_lines(missing, None, 2049, numbered_lines)
+        _write_lines(missing, None, 2049, numbered_lines)
     assert caught.value.filename == str(missing)
 
 
@@ -320,7 +320,7 @@ def test_children_leave_buffered_stdout_alone(tmp_path):
         f"data._CHUNK_LINES = {PART_CHUNK}\n"
         "print('before the write')\n"
         "lines = lambda part: ''.join(f'{i}\\r\\n' for i in range(part.start, part.stop))\n"
-        "data.write_lines(sys.argv[1], None, 2049, lines)\n"
+        "data._write_lines(sys.argv[1], None, 2049, lines)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(data_module.__file__))}
     env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered
@@ -339,7 +339,7 @@ def test_a_process_running_threads_writes_in_one_part(tmp_path, monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        write_lines(tmp_path / "out.csv", None, 2049, numbered_lines)
+        _write_lines(tmp_path / "out.csv", None, 2049, numbered_lines)
     finally:
         stop.set()
         thread.join()

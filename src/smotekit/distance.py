@@ -13,8 +13,8 @@ Each metric is a small class whose vectorized ``pairwise(ds, rows,
 out=None)`` method reads a Dataset's column blocks and returns the distances
 from the rows in the slice ``rows`` to every row of ``ds``: a fresh
 ``(len(rows), len(ds))`` array, or ``out`` filled in place when given. All
-three run one accumulation loop, ``_sum_terms``: in row chunks of half
-``_DIFF_BUDGET`` floats, it writes one feature's term (a squared
+three run one accumulation loop, ``_sum_terms``: in row chunks of at most
+half ``_DIFF_BUDGET`` floats, it writes one feature's term (a squared
 difference, a ``Med**2`` penalty or a VDM delta) into the output, the first
 term straight and every later one through a reused term buffer that it is
 added from, feature by feature. Every entry is thus summed left to right,
@@ -26,8 +26,13 @@ What a call needs of ``ds`` alone (contiguous column copies, VDM's codes
 into the categories it holds, its unseen-category check and delta tables)
 and the term buffer are built on the first call for ``ds`` and kept on the
 metric until a call for another dataset, so a neighbor search, which calls
-``pairwise`` once per ``_DIFF_BUDGET``-float block into one reused block,
-builds them once. A metric is not for concurrent use from several threads.
+``pairwise`` once per block of at most ``_DIFF_BUDGET`` floats into one
+reused block, builds them once. Blocks and chunks are both sized by
+``_even_rows``: a search cuts its rows into the fewest blocks, each as
+short as that count allows, and the buffer holds one chunk of the first
+call's rows cut the same way. A search's first call is its first and
+largest block, so neither array holds a row more than its parts need. A
+metric is not for concurrent use from several threads.
 """
 
 from __future__ import annotations
@@ -43,12 +48,25 @@ from .errors import DataError
 from .record import _FrozenRecord
 
 # Floats per block of the neighbor search, 512KB. ``pairwise`` adds terms
-# in row chunks of half as many, so a chunk's output rows and term buffer
-# stay in the CPU cache across its features, and a block and buffer freed
-# together stay under the heap top that glibc's malloc hands back to the
-# system (twice the block), so the next small search does not fault the
-# block's pages in again. No size changes a distance.
+# in row chunks of at most half as many, so a chunk's output rows and term
+# buffer stay in the CPU cache across its features. No size changes a
+# distance. glibc's malloc gives its heap top back to the system once a
+# free leaves the top larger than its trim size, about twice the largest
+# block freed so far. A search and its caller free the block, the buffer,
+# the metric's column copies and the lists close together, so whether the
+# next search reuses their pages depends on T: with a fresh metric over 8
+# continuous features, repeated searches at T = 288 to 2,400 fault in no
+# page from the third on, and from T = 2,800 every search faults in 205-214
+# (getrusage minor faults).
 _DIFF_BUDGET = 1 << 16
+
+
+def _even_rows(n: int, cap: int) -> int:
+    """Rows per part when ``n >= 1`` rows are cut into the fewest parts of
+    at most ``cap >= 1`` rows, each as short as that count of parts allows:
+    ``ceil(n / ceil(n / cap))``. Every part but the last has this many
+    rows, and the last at least one."""
+    return -(-n // -(-n // cap))
 
 
 def compute_med(minority: Dataset) -> float:
@@ -138,8 +156,8 @@ def _sum_terms(metric, ds: Dataset, rows: slice, out) -> np.ndarray:
     so nothing is zero-filled and an entry's sum never depends on the
     chunk.
     """
-    terms, buf = _held(metric, ds)
     n_rows = len(range(len(ds))[rows])
+    terms, buf = _held(metric, ds, n_rows)
     if out is None:
         out = np.empty((n_rows, len(ds)))
     elif out.shape != (n_rows, len(ds)) or out.dtype != np.float64:
@@ -159,17 +177,23 @@ def _sum_terms(metric, ds: Dataset, rows: slice, out) -> np.ndarray:
     return out
 
 
-def _held(metric, ds: Dataset) -> tuple:
+def _held(metric, ds: Dataset, n_rows: int) -> tuple:
     """``(metric._terms(ds), term buffer)`` for ``metric``'s calls on
-    ``ds``, kept on the metric for the last dataset it was built for. The
-    buffer holds ``_DIFF_BUDGET // 2 // len(ds)`` rows (at least one, at
-    most ``len(ds)``) of ``len(ds)`` floats."""
+    ``ds``, kept on the metric for the last dataset it was built for.
+
+    The buffer is built by the first call for ``ds``, of ``n_rows`` rows: a
+    neighbor search's first and largest block. It holds one chunk, of
+    ``len(ds)`` floats a row, when that call's rows are cut by
+    :func:`_even_rows` into chunks of at most ``_DIFF_BUDGET // 2`` floats
+    (at least one row); a later call of more rows takes more chunks of the
+    same size.
+    """
     held = metric._held
     if held is None or held[0] is not ds:
         metric._held = None  # release the last dataset's setup before building this one's
         t = len(ds)
-        step = max(1, _DIFF_BUDGET // 2 // max(1, t))
-        buf = np.empty((min(step, max(1, t)), t))
+        step = _even_rows(max(1, n_rows), max(1, _DIFF_BUDGET // 2 // max(1, t)))
+        buf = np.empty((step, t))
         held = metric._held = (ds, metric._terms(ds), buf)
     return held[1], held[2]
 

@@ -2,11 +2,14 @@
 
 Exact O(T^2) search with a fixed tie rule: candidates sort by ascending
 distance, then ascending row index. Distances are computed one block of
-whole rows, about ``distance._DIFF_BUDGET`` floats, at a time into one
-block array that a search allocates once; each block keeps only its top k
-before the next overwrites it, so for every metric memory is one block and
-the metric's term buffer, not T x T. ``knn_minority`` is the one search:
-every neighbor list of the package comes from it, and the lists of every
+whole rows, at most ``distance._DIFF_BUDGET`` floats, at a time into one
+block array that a search allocates once; the rows are cut into the
+fewest such blocks, each as short as that count allows, so the array holds
+no row more than they need. Each block keeps only its top k before the
+next overwrites it, so for every metric memory is one block and the
+metric's term buffer, not T x T: at T = 288, two blocks of 144 rows and a
+72-row buffer, 0.75 T^2 floats. ``knn_minority`` is the one search: every
+neighbor list of the package comes from it, and the lists of every
 cross-validation fold are either a search of that fold's training minority
 or, where distances do not depend on the rows searched, a filter of one
 wider search (see ``smotekit.resample._fold_sources``). Lists are one
@@ -45,10 +48,12 @@ def knn_minority(
         k: neighbors requested; each list is clamped to ``min(k, T - 1)``.
         metric: a metric object of :mod:`smotekit.distance`; its vectorized
             ``pairwise(dataset, rows, out=block)`` method is called once per
-            block of at most ``distance._DIFF_BUDGET // T`` rows (at least
-            one) and fills ``block``, one array allocated once per search;
+            block and fills ``block``, one array allocated once per search;
             the block's lists are selected from it in place before the next
-            call overwrites it.
+            call overwrites it. The T rows are cut into the fewest blocks
+            of at most ``cap = distance._DIFF_BUDGET // T`` rows (at least
+            one): every block but the last holds ``ceil(T / ceil(T / cap))``
+            rows, and the first sizes the metric's term buffer.
 
     Ties resolve by ascending row index, so the output is deterministic for
     a fixed input order.
@@ -61,9 +66,9 @@ def knn_minority(
     if not minority.minority.all():
         raise ValueError("neighbor search expects a minority-only dataset slice")
     w = min(k, t - 1)
-    step = max(1, distance._DIFF_BUDGET // t)
+    step = distance._even_rows(t, max(1, distance._DIFF_BUDGET // t))
     out = np.empty((t, w), dtype=np.intp)
-    block = np.empty((min(step, t), t))
+    block = np.empty((step, t))
     for start in range(0, t, step):
         n = min(step, t - start)
         dist = metric.pairwise(minority, slice(start, start + n), out=block[:n])

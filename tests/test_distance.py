@@ -217,13 +217,20 @@ def summation_cases(rng, schema):
 def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
     # bit for bit, not approx, in row chunks of 1, 3 and 7 rows and in
     # slices, fresh or filled into a given array of NaN. A metric sizes its
-    # chunks on its first call for a dataset, so each size gets a new one
+    # chunks on its first call for a dataset, so each size gets a new one.
+    # A metric first called for rows 5-15 splits their 11 rows evenly (7-row
+    # chunks become 6), and a whole-set call then takes more chunks of that size
     rng = np.random.default_rng(37)
+    budget = distance._DIFF_BUDGET
     for rows, ds, make, dist in summation_cases(rng, schema):
         want = np.array([[dist(a, b) for b in rows] for a in rows])
         for chunk_rows in (None, 1, 3, 7):
-            if chunk_rows:
-                monkeypatch.setattr(distance, "_DIFF_BUDGET", 2 * chunk_rows * len(rows))
+            chunks = 2 * chunk_rows * len(rows) if chunk_rows else budget
+            monkeypatch.setattr(distance, "_DIFF_BUDGET", chunks)
+            metric = make()
+            assert np.array_equal(metric.pairwise(ds, slice(5, 16)), want[5:16])
+            assert len(metric._held[2]) == {None: 11, 1: 1, 3: 3, 7: 6}[chunk_rows]
+            assert np.array_equal(metric.pairwise(ds), want)
             metric = make()
             assert np.array_equal(metric.pairwise(ds), want)
             for block in (slice(0, 1), slice(5, 16), slice(19, None)):

@@ -210,12 +210,14 @@ def memory_case(kind, t):
 
 
 def check_search_memory(monkeypatch, kind, search, bound, block_rows=None):
-    """Run ``search(ds, metric)`` on 3,000 rows in blocks of ``block_rows``
-    rows or, by default, of ``_DIFF_BUDGET`` floats (21 rows). The block (a
-    budget) and the metric's term buffer (half one) are the only arrays of
-    their size alive, so the peak stays within ``bound`` budgets plus the
-    neighbor lists and the metric's contiguous copies of the columns; the
-    blocks cover every row once."""
+    """Run ``search(ds, metric)`` on 3,000 rows in blocks of at most
+    ``block_rows`` rows or, by default, of ``_DIFF_BUDGET`` floats (21
+    rows). The block (a budget) and the metric's term buffer (half one) are
+    the only arrays of their size alive, so the peak stays within ``bound``
+    budgets plus the neighbor lists and the metric's contiguous copies of
+    the columns; the blocks cover every row once, and every block but the
+    last holds ``ceil(T / ceil(T / cap))`` rows, an even split of the rows
+    over the fewest blocks of at most ``cap`` rows."""
     t = 3000
     if block_rows:
         monkeypatch.setattr(distance, "_DIFF_BUDGET", t * block_rows)
@@ -232,10 +234,15 @@ def check_search_memory(monkeypatch, kind, search, bound, block_rows=None):
     assert peak <= bound * budget * 8 + held, (peak - held) / (budget * 8)
     assert sorted(i for block in metric.blocks for i in block) == list(range(t))
     assert all(len(block) * t <= budget for block in metric.blocks)
+    cap = budget // t
+    rows = -(-t // -(-t // cap))
+    *full, last = [len(block) for block in metric.blocks]
+    assert full == [rows] * len(full) and 0 < last <= rows, (cap, rows, full, last)
 
 
 def test_streamed_search_memory_is_bounded(monkeypatch):
-    # 21-row blocks hold 0.96 budget each; 1.53 budgets on numpy 2.4
+    # 21-row blocks hold 0.96 budget each, 7-row chunks 0.32; 1.35 budgets
+    # on numpy 2.4
     check_search_memory(
         monkeypatch, "euclidean", lambda ds, metric: [knn_minority(ds, 5, metric)], bound=1.65
     )
@@ -245,16 +252,36 @@ def test_streamed_search_memory_is_bounded(monkeypatch):
 def test_fold_fitted_metric_search_memory_is_bounded(monkeypatch, kind):
     # the nominal terms are added row chunk by row chunk, not block-wide;
     # NC's penalty also holds one T-wide row per code (5 codes: 0.23 budget).
-    # On numpy 2.4: nc 1.93, vdm and vdm_many 1.54-1.59 budgets
+    # On numpy 2.4: nc 1.75, vdm and vdm_many 1.35-1.40 budgets
     bound = 2.05 if kind == "nc" else 1.7
     check_search_memory(
         monkeypatch, kind, lambda ds, metric: [knn_minority(ds, 5, metric)], bound=bound
     )
 
 
+def test_an_nc_fold_search_holds_an_even_block_and_buffer():
+    # mixed_smote_nc's fold minority: 288 rows in two blocks of 144 and a
+    # 72-row term buffer are 0.75 T^2 floats. 0.98 T^2 on numpy 2.4 with
+    # the metric's column copies; blocks and a buffer of whole budgets
+    # (227 + 61 rows and 113) would hold 1.18 T^2 and read 1.41
+    t = 288
+    ds, inner = memory_case("nc", t)
+    metric = RecordingMetric(inner)
+    tracemalloc.start()
+    try:
+        found = knn_minority(ds, 5, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(block) for block in metric.blocks] == [144, 144]
+    assert len(inner._held[2]) == 72
+    assert peak - found.nbytes <= 1.1 * t * t * 8, (peak - found.nbytes) / (t * t * 8)
+
+
 def test_selection_frees_its_partition_indices(monkeypatch):
-    # in 256-row blocks: a (rows, T) index array of a partition of the block
-    # kept alive beside it would add a whole budget, to 2.5; 1.51 on numpy 2.4
+    # in blocks of at most 256 rows: a (rows, T) index array of a partition
+    # of the block kept alive beside it would add a whole budget, to 2.5;
+    # 250-row blocks read 1.47 on numpy 2.4
     check_search_memory(
         monkeypatch,
         "vdm",
@@ -283,9 +310,9 @@ def fold_filter(ds, k, metric, fold_of):
 
 
 def test_per_fold_search_memory_is_bounded(monkeypatch):
-    # one selection over each 512-row block serves all five folds; a
-    # per-fold copy of the block's rows or columns would add 0.8 budget.
-    # 1.52 on numpy 2.4
+    # one selection over each block of at most 512 rows serves all five
+    # folds; a per-fold copy of the block's rows or columns would add 0.8
+    # budget. 500-row blocks read 1.48 on numpy 2.4
     check_search_memory(
         monkeypatch,
         "euclidean",

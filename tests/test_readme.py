@@ -67,9 +67,11 @@ def _public_functions(module: str) -> list:
 
 
 def _mention(module: str, name: str) -> str:
-    """A backticked mention of ``name``: ``name``, ``name(...`` or its dotted
-    ``smotekit.<module>.name`` form."""
-    return rf"`(smotekit\.{module}\.)?{name}[`(]"
+    """A backticked mention of ``name`` in its dotted form:
+    ``smotekit.<module>.name`` or ``smotekit.<module>.name(...``. A bare
+    ``name`` does not count, since a generic name such as ``train`` also
+    appears as another function's parameter."""
+    return rf"`smotekit\.{module}\.{name}[`(]"
 
 
 def _unnamed_functions(module: str, text: str) -> list:
@@ -78,16 +80,18 @@ def _unnamed_functions(module: str, text: str) -> list:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_readme_names_every_public_function(module):
-    """README.md names, as a backticked word, every function that a
-    smotekit module defines at top level without a leading underscore:
-    the package's public surface is what README documents."""
+    """README.md names, backticked in its dotted ``smotekit.<module>.<name>``
+    form, every function that a smotekit module defines at top level
+    without a leading underscore: the package's public surface is what
+    README documents."""
     missing = _unnamed_functions(module, README.read_text("utf-8"))
     assert not missing, f"README.md does not name smotekit.{module}: {missing}"
 
 
 def test_the_function_check_fails_without_each_name():
-    """Removing every mention of one documented function from README.md
-    makes :func:`test_readme_names_every_public_function` fail for it."""
+    """Removing every dotted mention of one documented function from
+    README.md makes :func:`test_readme_names_every_public_function` fail
+    for it, though its bare name may still be backticked elsewhere."""
     text = README.read_text("utf-8")
     documented = [(module, name) for module in MODULES for name in _public_functions(module)]
     assert documented
@@ -177,11 +181,12 @@ def test_readme_states_the_external_scorer_time_limit():
 
 
 def test_readme_states_the_search_block_size():
-    """README.md gives the neighbor search's block as ``_DIFF_BUDGET``
-    floats and ``pairwise``'s chunks as half of it; every other power of
-    two of floats or distances it states is one of the two."""
+    """README.md gives the neighbor search's block as at most
+    ``_DIFF_BUDGET`` floats and ``pairwise``'s chunks as at most half of
+    it; every other power of two of floats or distances it states is one
+    of the two."""
     text = " ".join(README.read_text("utf-8").split())
-    (block,) = re.findall(r"asks the metric for a block of 2\^(\d+) floats at a time", text)
+    (block,) = re.findall(r"asks the metric for a block of at most 2\^(\d+) floats at a time", text)
     assert 2 ** int(block) == distance._DIFF_BUDGET
     (chunk,) = re.findall(r"in row chunks of at most 2\^(\d+) floats", text)
     assert 2 ** int(chunk) == distance._DIFF_BUDGET // 2

@@ -223,7 +223,10 @@ def _print_aucs(aucs: dict) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    curves = _read_points_csv(args.points)
+    try:
+        curves = _read_points_csv(args.points)
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a configuration error
+        raise DataError(f"{args.points} is not UTF-8 text: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     aucs = {curve.family: auc(curve, anchor=args.auc_anchor) for curve in curves}

@@ -19,6 +19,7 @@ flip that freely).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import io
@@ -41,6 +42,18 @@ from .rng import generator
 
 CONTINUOUS = "continuous"
 NOMINAL = "nominal"
+
+
+@contextlib.contextmanager
+def _read_text(path: str | Path, newline: str = None):
+    """``path`` open for reading as UTF-8 text, a leading BOM skipped; a byte
+    that is not UTF-8 raises DataError naming the file."""
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+
 
 class FeatureSchema(_FrozenRecord):
     """Ordered feature declarations plus the name of the class column.
@@ -93,7 +106,7 @@ class FeatureSchema(_FrozenRecord):
         "outcome": "class"}``. Key order defines feature order; exactly one
         column must be marked ``class``.
         """
-        with open(path, encoding="utf-8-sig") as fh:
+        with _read_text(path) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -399,13 +412,13 @@ def load_csv(path: str | Path, schema: FeatureSchema, minority_label: str) -> Da
             remaining rows must all carry one single other token.
 
     Raises:
-        DataError: missing/unexpected columns, non-numeric or non-finite
-            values in a continuous column, missing values, an unknown or
-            non-binary class column, or a minority class that outnumbers
-            the majority class.
+        DataError: a file that is not UTF-8 text, missing/unexpected
+            columns, non-numeric or non-finite values in a continuous
+            column, missing values, an unknown or non-binary class column,
+            or a minority class that outnumbers the majority class.
     """
     expected = set(schema.names) | {schema.class_column}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _read_text(path, "") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -29,7 +29,7 @@ metric until a call for another dataset, so a neighbor search, which calls
 ``pairwise`` once per block of at most ``_DIFF_BUDGET`` floats into one
 reused block, builds them once. Blocks and chunks are both sized by
 ``_even_rows``: a search cuts its rows into the fewest blocks, each as
-short as that count allows, and the buffer holds one chunk of the first
+short as that count allows, and the buffer holds one chunk of the longest
 call's rows cut the same way. A search's first call is its first and
 largest block, so neither array holds a row more than its parts need. A
 metric is not for concurrent use from several threads.
@@ -150,11 +150,11 @@ def _sum_terms(metric, ds: Dataset, rows: slice, out) -> np.ndarray:
     ``column`` holds the entries of every row of ``ds`` and
     ``put(column[part], column, buf)`` writes the values of the rows
     ``part`` against every row into ``buf``. The terms and a term buffer
-    are built once per dataset (see :func:`_held`). Rows go in chunks of at
-    most ``_DIFF_BUDGET // 2`` floats; the first term is written straight
-    into a chunk of the output and each later one through the term buffer,
-    so nothing is zero-filled and an entry's sum never depends on the
-    chunk.
+    are kept per dataset (see :func:`_held`). Rows go in chunks of the
+    buffer's rows, at most ``_DIFF_BUDGET // 2`` floats; the first term is
+    written straight into a chunk of the output and each later one through
+    the term buffer, so nothing is zero-filled and an entry's sum never
+    depends on the chunk.
     """
     n_rows = len(range(len(ds))[rows])
     terms, buf = _held(metric, ds, n_rows)
@@ -181,20 +181,22 @@ def _held(metric, ds: Dataset, n_rows: int) -> tuple:
     """``(metric._terms(ds), term buffer)`` for ``metric``'s calls on
     ``ds``, kept on the metric for the last dataset it was built for.
 
-    The buffer is built by the first call for ``ds``, of ``n_rows`` rows: a
-    neighbor search's first and largest block. It holds one chunk, of
-    ``len(ds)`` floats a row, when that call's rows are cut by
-    :func:`_even_rows` into chunks of at most ``_DIFF_BUDGET // 2`` floats
-    (at least one row); a later call of more rows takes more chunks of the
-    same size.
+    The buffer holds one chunk, of ``len(ds)`` floats a row, of the longest
+    call for ``ds`` so far, its rows cut by :func:`_even_rows` into chunks
+    of at most ``_DIFF_BUDGET // 2`` floats (at least one row). A neighbor
+    search's first block is its longest, so a search builds it once; a
+    later, longer call builds it again when its chunk would be longer, and
+    a shorter call takes chunks of the buffer's size.
     """
     held = metric._held
     if held is None or held[0] is not ds:
         metric._held = None  # release the last dataset's setup before building this one's
-        t = len(ds)
-        step = _even_rows(max(1, n_rows), max(1, _DIFF_BUDGET // 2 // max(1, t)))
-        buf = np.empty((step, t))
-        held = metric._held = (ds, metric._terms(ds), buf)
+        held = (ds, metric._terms(ds), np.empty((0, len(ds))), 0)
+    rows = max(1, n_rows)
+    if rows > held[3]:
+        step = _even_rows(rows, max(1, _DIFF_BUDGET // 2 // max(1, len(ds))))
+        buf = held[2] if len(held[2]) >= step else np.empty((step, len(ds)))
+        held = metric._held = (ds, held[1], buf, rows)
     return held[1], held[2]
 
 
@@ -215,24 +217,24 @@ def _put_sq_diff(mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
     np.multiply(out, out, out=out)
 
 
-def _put_penalty(med_sq: float, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
-    """``med_sq`` where the category codes differ, else 0.
-
-    One row against ``theirs`` per code that ``mine`` holds, copied to each
-    row with that code: a chunk holds few codes, so this compares a few rows,
-    not every one, and the copies are whole rows.
-    """
+def _put_codes(rows_of, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
+    """The nominal term of the codes ``mine`` against the codes ``theirs``:
+    ``rows_of(codes, theirs)`` builds one row per code ``mine`` holds (a
+    chunk holds few), copied whole to each row with that code."""
     held = np.bincount(mine) > 0
-    rows = np.multiply(np.flatnonzero(held)[:, None] != theirs, med_sq)
+    rows = rows_of(np.flatnonzero(held), theirs)
     # indices are always in range: "clip" only avoids "raise"'s buffered out
     np.take(rows, (np.cumsum(held) - 1)[mine], axis=0, out=out, mode="clip")
 
 
-def _put_delta(delta: np.ndarray, mine: np.ndarray, theirs: np.ndarray, out: np.ndarray) -> None:
-    """The category-pair deltas ``delta[x, y]`` of the codes ``mine``
-    against the codes ``theirs``."""
-    # codes are always in range: "clip" only avoids "raise"'s buffered out
-    np.take(delta[mine], theirs, axis=1, out=out, mode="clip")
+def _penalty_rows(med_sq: float, codes: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """``med_sq`` where the category codes differ, else 0."""
+    return np.multiply(codes[:, None] != theirs, med_sq)
+
+
+def _delta_rows(delta: np.ndarray, codes: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+    """The category-pair deltas ``delta[x, y]``."""
+    return np.take(delta[codes], theirs, axis=1)
 
 
 def _check_kinds(ds: Dataset, kinds: tuple[str, ...]) -> None:
@@ -293,7 +295,7 @@ class NcMetric(_RootedMetric):
 
     def _terms(self, ds: Dataset) -> list:
         _check_kinds(ds, self.schema.kinds)
-        penalty = partial(_put_penalty, self.med * self.med)
+        penalty = partial(_put_codes, partial(_penalty_rows, self.med * self.med))
         # every continuous term first, then the penalties
         return _columns(repeat(_put_sq_diff), ds.cont) + _columns(repeat(penalty), ds.codes)
 
@@ -338,5 +340,5 @@ class VdmMetric:
                 raise ValueError(f"unseen category {value!r} for feature {f}")
             cond = freq / total
             delta = np.abs(cond[:, None, :] - cond[None, :, :]).sum(axis=2)
-            terms.append((partial(_put_delta, delta), local))
+            terms.append((partial(_put_codes, partial(_delta_rows, delta)), local))
         return terms

@@ -13,14 +13,16 @@ assignment:
   decision thresholds.
 
 The grid of cells is laid out first; then the folds run one at a time. A fold
-builds its training and test split once, fits the classifier once on the
-unresampled split (the raw point of every curve, every ``priors_sweep`` cell,
-whose multiplier moves only the two log priors, and every
-``threshold_sweep`` cell score that one fit) and runs every resampling cell
-on that split, so memory does not grow with the number of folds. A cell that
-any fold skips (under-sampling left no majority rows, or the training minority
-is too thin for the variant's neighbor search) is dropped with one warning,
-and a curve with no cell left is dropped.
+builds its training split with its synthesis source, and its test split,
+once, fits the classifier once on the unresampled split (the raw point of
+every curve, every ``priors_sweep`` cell, whose multiplier moves only the two
+log priors, and every ``threshold_sweep`` cell score that one fit) and runs
+every resampling cell on that split. The fold's splits and source are
+released before the next fold builds its own, so memory does not grow with
+the number of folds. A cell that any fold skips (under-sampling left no
+majority rows, or the training minority is too thin for the variant's
+neighbor search) is dropped with one warning, and a curve with no cell left
+is dropped.
 
 Resampling happens inside each training fold only and is audited per cell so
 synthetic provenance can never reference test rows. Every (family, cell,
@@ -265,10 +267,11 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     """Run every configured family over a shared fold assignment.
 
     The grid is laid out first, one ``(label, variant, cells)`` entry per
-    curve; then the folds run one at a time, so one training split is alive
-    at a time. Warnings and curves follow grid order. A cell that any fold
-    skips is dropped with a warning, and a curve left with no points is
-    dropped (its warnings stay); see the module docstring for the rules.
+    curve; then the folds run one at a time, so one training split and one
+    synthesis source are alive at a time. Warnings and curves follow grid
+    order. A cell that any fold skips is dropped with a warning, and a curve
+    left with no points is dropped (its warnings stay); see the module
+    docstring for the rules.
     """
     cfg.validate()
     folds = stratified_folds(ds, cfg.n_folds, child_seed(cfg.seed, "folds"))
@@ -307,14 +310,11 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
     raw_cells = dict.fromkeys((s, t) for *_, cs in grid for _, plan, s, t in cs if plan is None)
     # only smote_under cells synthesize with cfg.variant; the others read the
     # source's minority slice alone
-    sources = [None] * cfg.n_folds
-    if "smote_under" in cfg.families:
-        sources = _fold_sources(ds, folds, cfg.k, cfg.variant)
+    synthesizing = cfg.variant if "smote_under" in cfg.families else None
 
     runs: dict = {}  # (label, tag) -> per fold, (confusion matrix, training set size)
     skipped: dict = {}  # (label, tag) -> why the first fold to skip it did
-    for f in range(cfg.n_folds):
-        train_ds = ds.subset(np.flatnonzero(folds != f))
+    for f, train_ds, source in _fold_sources(ds, folds, cfg.k, synthesizing):
         test = ds.subset(np.flatnonzero(folds == f))
         raw_cms = _confusions(raw_cells, train_ds, test) if raw_cells else {}
         for label, variant, cells in grid:
@@ -337,7 +337,7 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                         gap_mode=cfg.gap_mode,
                         neighbor_mode=cfg.neighbor_mode,
                         under_basis=cfg.under_basis,
-                        source=sources[f],
+                        source=source,
                     )
                 except DataError as exc:  # the training minority is too thin to search
                     skipped[key] = f"{label} cell {tag}: fold {f}: {exc}"
@@ -349,6 +349,8 @@ def run_experiment(ds: Dataset, cfg: ExperimentConfig) -> ExperimentResult:
                     continue
                 cm = _confusions([(cell_spec, t)], resampled, test)[(cell_spec, t)]
                 runs.setdefault(key, []).append((cm, (resampled.n_minority, resampled.n_majority)))
+        # release this fold's sets before _fold_sources builds the next fold's
+        train_ds = test = source = detail = resampled = None
 
     warnings_log: list[str] = []
     cell_sizes: dict = {}

@@ -463,13 +463,12 @@ def synthesis_source(train: Dataset, k: int, variant: str) -> tuple:
     return _synthesis_source(variant, minority, knn_minority(minority, k, _metric(train, minority, variant)))
 
 
-# The variants whose cells share one source per fold. smote's distance
-# between two rows does not depend on the other rows, so one search over the
-# whole minority serves every fold; smote_n's metric is fitted to each
-# training fold, which is searched on its own. smote_nc joins when
-# bench/test_bench.py's smote_nc self-test, which counts one search per
-# (cell, fold), is re-pinned to one per fold: its metric is fitted to each
-# training fold, as smote_n's is, so the loop below serves it unchanged.
+# The variants whose cells share one source per fold: smote, whose distance
+# between two rows does not depend on the other rows, filters each fold's
+# lists from one search of the whole minority; smote_n's metric is fitted to
+# the training split, which is searched when its fold runs. smote_nc, fitted
+# as smote_n is, joins when bench/test_bench.py's smote_nc self-test, which
+# counts one search per (cell, fold), is re-pinned to one per fold.
 _FOLD_FITTED = ("smote", "smote_n")
 
 # Training candidates beyond k that smote's one search over the whole
@@ -478,47 +477,48 @@ _FOLD_FITTED = ("smote", "smote_n")
 _MARGIN = 10
 
 
-def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str) -> list:
-    """The :func:`synthesis_source` of every training fold, built once and
-    shared by every cell of ``variant``. ``folds[i]`` is the fold of row
-    ``i`` of ``ds``, as :func:`~smotekit.data.stratified_folds` assigns
-    them, so every fold holds a minority row.
+def _fold_sources(ds: Dataset, folds: np.ndarray, k: int, variant: str | None):
+    """Yield ``(f, training split, source)`` for each fold ``f`` in turn,
+    each built only when the caller asks for that fold. ``folds[i]`` is the
+    fold of row ``i`` of ``ds``, as :func:`~smotekit.data.stratified_folds`
+    assigns them; the split is ``ds`` without fold ``f``'s rows, and the
+    source is the split's :func:`synthesis_source`, shared by every cell of
+    ``variant`` on that fold.
 
-    smote searches the whole minority once, ``(k + _MARGIN) * F / (F - 1)``
-    wide (rounded up), which leaves a row of a fold about ``k + _MARGIN``
-    training candidates, and :func:`_fold_lists` filters every fold's lists
-    from it, unless its values spread too far for :func:`_metric`. A fold
-    the filter cannot serve, and every fold of smote_n, is searched on its
-    own. None stands for a variant outside ``_FOLD_FITTED`` and for a fold
-    whose training minority :func:`synthesis_source` rejects with
-    ``DataError``: there :func:`apply_plan_detailed` raises it on each call.
-    A schema the variant cannot take raises ValueError.
+    smote searches the whole minority once, before the first yield, ``(k +
+    _MARGIN) * F / (F - 1)`` wide (rounded up), which leaves a row of a fold
+    about ``k + _MARGIN`` training candidates, and :func:`_fold_lists`
+    filters each fold's lists from it, unless its values spread too far for
+    :func:`_metric`. A fold the filter cannot serve, and every fold of
+    smote_n, calls :func:`synthesis_source` on its split. The source is None
+    for a variant outside ``_FOLD_FITTED`` (None itself: no cell
+    synthesizes) and where :func:`synthesis_source` raises ``DataError``,
+    which :func:`apply_plan_detailed` then raises on each call. A schema the
+    variant cannot take raises ValueError at the first fold.
     """
     n_folds = int(folds.max()) + 1
-    if variant not in _FOLD_FITTED:
-        return [None] * n_folds
-    minority = ds.minority_subset()
-    fold_of = folds[ds.minority_indices()]
     found = None
     if variant == "smote":
         _check_shape(ds.schema, variant)
+        minority = ds.minority_subset()
+        fold_of = folds[ds.minority_indices()]
         width = -(-(k + _MARGIN) * n_folds // (n_folds - 1))  # ceiling division
         try:
             found = knn_minority(minority, width, _metric(ds, minority, variant))
         except DataError:  # a spread too wide: each fold's minority is judged on its own
             pass
-    sources = []
     for f in range(n_folds):
-        in_train = fold_of != f
-        lists = None if found is None else _fold_lists(found, in_train, k)
+        split = ds.subset(np.flatnonzero(folds != f))
+        lists = None if found is None else _fold_lists(found, fold_of != f, k)
+        source = None
         if lists is not None:
-            sources.append(_synthesis_source(variant, minority.subset(np.flatnonzero(in_train)), lists))
-            continue
-        try:
-            sources.append(synthesis_source(ds.subset(np.flatnonzero(folds != f)), k, variant))
-        except DataError:
-            sources.append(None)
-    return sources
+            source = _synthesis_source(variant, split.minority_subset(), lists)
+        elif variant in _FOLD_FITTED:
+            try:
+                source = synthesis_source(split, k, variant)
+            except DataError:
+                pass
+        yield f, split, source
 
 
 def _fold_lists(found: np.ndarray, in_train: np.ndarray, k: int):

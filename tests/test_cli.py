@@ -292,6 +292,44 @@ def test_wrong_minority_token_is_exit_3(toy, tmp_path, capsys):
     assert rc == 3
 
 
+def assert_not_utf8_is_exit_3(capsys, path, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith(f"data error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_a_data_file_that_is_not_utf8_is_exit_3(mixed, tmp_path, capsys):
+    data, schema = mixed
+    data.write_bytes(data.read_bytes() + b"0.5,0.5,\xff,pos\n")
+    argv = ["smote-nc", *data_args(mixed), "--over", "100", "--out", str(tmp_path / "x")]
+    assert_not_utf8_is_exit_3(capsys, data, argv)
+
+
+def test_a_schema_file_that_is_not_utf8_is_exit_3(toy, tmp_path, capsys):
+    data, schema = toy
+    schema.write_bytes(b'{"x": "continuous", "y": "\xff", "cls": "class"}')
+    argv = ["undersample", *data_args(toy), "--under", "100", "--out", str(tmp_path / "x")]
+    assert_not_utf8_is_exit_3(capsys, schema, argv)
+
+
+def test_a_points_file_that_is_not_utf8_is_exit_3(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_bytes(b"family,fp_rate,tp_rate\nalpha,10,80\n\xff,20,90\n")
+    argv = ["evaluate", "--points", str(points), "--out", str(tmp_path / "e")]
+    assert_not_utf8_is_exit_3(capsys, points, argv)
+
+
+def test_a_manifest_that_is_not_utf8_is_exit_2(toy, tmp_path, capsys):
+    # a manifest is configuration, so its bad bytes are a configuration error
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"config": {"k": "\xff"}}')
+    rc = main(["experiment", "--from-manifest", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path} is not valid JSON: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("argv", [["smote", "--over", "1,x"], ["experiment", "--under", "10,x"]])
 def test_a_percent_that_is_no_integer_is_argparse_exit_2(toy, tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as err:

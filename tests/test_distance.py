@@ -219,7 +219,9 @@ def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
     # slices, fresh or filled into a given array of NaN. A metric sizes its
     # chunks on its first call for a dataset, so each size gets a new one.
     # A metric first called for rows 5-15 splits their 11 rows evenly (7-row
-    # chunks become 6), and a whole-set call then takes more chunks of that size
+    # chunks become 6). A whole-set call after a first call for rows 5-15 or
+    # row 0 alone holds the chunk a fresh metric's whole-set call holds, or
+    # the first call's when that is longer
     rng = np.random.default_rng(37)
     budget = distance._DIFF_BUDGET
     for rows, ds, make, dist in summation_cases(rng, schema):
@@ -228,11 +230,15 @@ def test_pairwise_sums_features_left_to_right(monkeypatch, schema):
             chunks = 2 * chunk_rows * len(rows) if chunk_rows else budget
             monkeypatch.setattr(distance, "_DIFF_BUDGET", chunks)
             metric = make()
-            assert np.array_equal(metric.pairwise(ds, slice(5, 16)), want[5:16])
-            assert len(metric._held[2]) == {None: 11, 1: 1, 3: 3, 7: 6}[chunk_rows]
             assert np.array_equal(metric.pairwise(ds), want)
-            metric = make()
-            assert np.array_equal(metric.pairwise(ds), want)
+            fresh = len(metric._held[2])
+            firsts = ((slice(5, 16), {None: 11, 1: 1, 3: 3, 7: 6}[chunk_rows]), (slice(0, 1), 1))
+            for first, held in firsts:
+                later = make()
+                assert np.array_equal(later.pairwise(ds, first), want[first])
+                assert len(later._held[2]) == held
+                assert np.array_equal(later.pairwise(ds), want)
+                assert len(later._held[2]) == max(held, fresh)
             for block in (slice(0, 1), slice(5, 16), slice(19, None)):
                 assert np.array_equal(metric.pairwise(ds, block), want[block])
                 out = np.full(want[block].shape, np.nan)

@@ -309,6 +309,12 @@ def fold_filter(ds, k, metric, fold_of):
     return [_fold_lists(found, fold_of != f, k) for f in range(n_folds)]
 
 
+def fold_sources(ds, fold_of, k, variant):
+    """The source of every fold that ``resample._fold_sources`` yields, in
+    fold order."""
+    return [source for _, _, source in resample._fold_sources(ds, fold_of, k, variant)]
+
+
 def test_per_fold_search_memory_is_bounded(monkeypatch):
     # one selection over each block of at most 512 rows serves all five
     # folds; a per-fold copy of the block's rows or columns would add 0.8
@@ -379,7 +385,7 @@ def test_knn_per_fold_matches_each_fold_searched_alone(monkeypatch, n_folds):
                 monkeypatch.setattr(distance, "_DIFF_BUDGET", 3 * t)
                 for k in (1, int(rng.integers(2, 8)), t):
                     filtered = fold_filter(ds, k, metric, fold_of)
-                    sources = resample._fold_sources(ds, fold_of, k, "smote")
+                    sources = fold_sources(ds, fold_of, k, "smote")
                     assert len(filtered) == len(sources) == n_folds
                     for f, (lists, source) in enumerate(zip(filtered, sources)):
                         train = ds.subset(np.flatnonzero(fold_of != f))
@@ -464,7 +470,7 @@ def test_every_search_returns_read_only_intp_arrays():
     fold_of = np.arange(7) % 3
     for k in (1, 3, 9):
         found = [(7, knn_minority(ds, k, metric))]
-        sources = resample._fold_sources(ds, fold_of, k, "smote")
+        sources = fold_sources(ds, fold_of, k, "smote")
         for f, lists in enumerate(fold_filter(ds, k, metric, fold_of)):
             t = np.count_nonzero(fold_of != f)
             found += [(t, lists), (t, sources[f][1])]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -327,6 +328,38 @@ def test_external_scorer_runs_once_per_fold_on_the_raw_split(monkeypatch):
     assert len(calls) == 2 * cfg.n_folds
 
 
+def _search_per_cell(ds, folds, k, variant):
+    """``pipeline._fold_sources`` with no source for any fold, so that every
+    synthesizing cell searches and votes on its own."""
+    return resample._fold_sources(ds, folds, k, None)
+
+
+@pytest.mark.parametrize("variant", ["smote", "smote_n"])
+def test_each_fold_source_is_built_after_the_fold_before_it_ran(monkeypatch, variant):
+    events, built = [], []  # built: a weak reference to each source's minority
+    real_source, real_plan = resample._synthesis_source, pipeline.apply_plan_detailed
+
+    def recording_source(variant, minority, neighbors):
+        events.append(("source", len(minority), sum(ref() is not None for ref in built)))
+        built.append(weakref.ref(minority))
+        return real_source(variant, minority, neighbors)
+
+    def recording_plan(train_ds, *args, **kwargs):
+        events.append(("cell", kwargs["source"] is not None))
+        return real_plan(train_ds, *args, **kwargs)
+
+    monkeypatch.setattr(resample, "_synthesis_source", recording_source)
+    monkeypatch.setattr(pipeline, "apply_plan_detailed", recording_plan)
+    ds = gaussian_dataset() if variant == "smote" else categorical_dataset(NOMINAL)
+    cfg = small_config(over_percents=(100, 300), under_percents=(100, 200), variant=variant)
+    run_experiment(ds, cfg)
+    # per fold, its source, built when no earlier fold's source is alive,
+    # then 4 smote_under cells that read it and 2 plain_under cells, over a
+    # 15-row training minority
+    fold = [("source", 15, 0)] + [("cell", True)] * 6
+    assert events == fold * cfg.n_folds
+
+
 def test_smote_experiment_searches_neighbors_once(monkeypatch):
     calls = []
     real_pairwise = distance.EuclideanMetric.pairwise
@@ -343,7 +376,7 @@ def test_smote_experiment_searches_neighbors_once(monkeypatch):
     assert calls == [40]
 
     calls.clear()
-    monkeypatch.setattr(pipeline, "_fold_sources", lambda *args: [None] * cfg.n_folds)
+    monkeypatch.setattr(pipeline, "_fold_sources", _search_per_cell)
     per_cell = run_experiment(ds, cfg)
     assert calls == [32] * 20  # each (cell, fold) searches its own minority
     assert shared.aucs == per_cell.aucs
@@ -437,7 +470,7 @@ def _assert_per_fold_matches_per_cell(ds, cfg):
     """A run that shares one source per fold gives the report of a run
     whose every cell searches and votes on its own; returns the warnings."""
     per_fold = run_experiment(ds, cfg)
-    with mock.patch.object(pipeline, "_fold_sources", lambda ds, folds, *args: [None] * cfg.n_folds):
+    with mock.patch.object(pipeline, "_fold_sources", _search_per_cell):
         per_cell = run_experiment(ds, cfg)
     assert per_fold.aucs == per_cell.aucs
     assert per_fold.curves == per_cell.curves

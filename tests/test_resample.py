@@ -757,18 +757,28 @@ def _assert_fold_source(source, train, k, variant):
     return source[1]
 
 
+def fold_sources(ds, folds, k, variant):
+    """The source of every fold that ``resample._fold_sources`` yields, in
+    fold order, each checked to come with its fold's training split."""
+    sources = []
+    for f, split, source in resample._fold_sources(ds, folds, k, variant):
+        assert split == ds.subset(np.flatnonzero(folds != f))
+        sources.append(source)
+    return sources
+
+
 def test_fold_neighbors_shares_lists_for_smote_alone():
     ds = _plan_dataset(12, 24)
     folds = np.arange(len(ds)) % 3
-    shared = resample._fold_sources(ds, folds, 3, "smote")
+    shared = fold_sources(ds, folds, 3, "smote")
     for f, source in enumerate(shared):
         _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote")
     # 3 minority rows over 3 folds leave 2 in each training fold; 2 folds leave 1
     thin = _plan_dataset(3, 6)
-    assert all(source is not None for source in resample._fold_sources(thin, np.arange(9) % 3, 3, "smote"))
-    assert resample._fold_sources(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
+    assert all(source is not None for source in fold_sources(thin, np.arange(9) % 3, 3, "smote"))
+    assert fold_sources(thin, np.array([0, 1, 1] * 3), 3, "smote")[1] is None
     with pytest.raises(ValueError, match="^smote takes all-continuous features, got mixed"):
-        resample._fold_sources(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
+        fold_sources(minority(MIXED, [(0.0, "A"), (1.0, "B")]), np.array([0, 1]), 1, "smote")
 
 
 def _tied_nominal_dataset(n_min, n_maj, seed=8):
@@ -782,16 +792,16 @@ def _tied_nominal_dataset(n_min, n_maj, seed=8):
 def test_fold_neighbors_searches_each_smote_n_fold():
     ds = _tied_nominal_dataset(20, 40)
     folds = np.arange(len(ds)) % 4
-    per_fold = resample._fold_sources(ds, folds, 3, "smote_n")
+    per_fold = fold_sources(ds, folds, 3, "smote_n")
     assert len(per_fold) == 4
     for f, source in enumerate(per_fold):
         _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote_n")
     for variant in ("smote_nc", "replicate"):
-        assert resample._fold_sources(ds, folds, 3, variant) == [None] * 4
+        assert fold_sources(ds, folds, 3, variant) == [None] * 4
     # fold 1 holds out 2 of the 3 minority rows, leaving its training minority 1
     thin = _tied_nominal_dataset(3, 9)
     thin_folds = np.array([0, 1, 1] + [0, 1] * 4 + [0])
-    sources = resample._fold_sources(thin, thin_folds, 2, "smote_n")
+    sources = fold_sources(thin, thin_folds, 2, "smote_n")
     assert sources[0] is not None and sources[1] is None
     # the cell that needs the thin fold's source raises on its own call
     with pytest.raises(DataError, match="training minority has 1 row"):
@@ -800,7 +810,7 @@ def test_fold_neighbors_searches_each_smote_n_fold():
         )
     mixed = dataset_from_rows(MIXED, [(0.0, "A"), (1.0, "B")] * 2, (MINORITY, MAJORITY) * 2)
     with pytest.raises(ValueError, match="^smote_n takes all-nominal features, got mixed features$"):
-        resample._fold_sources(mixed, np.array([0, 0, 1, 1]), 1, "smote_n")
+        fold_sources(mixed, np.array([0, 0, 1, 1]), 1, "smote_n")
 
 
 SHAPED_ROWS = {
@@ -826,7 +836,7 @@ def test_fold_neighbors_gives_every_fold_an_entry(variant, empty):
     ds = dataset_from_rows(schema, tuple([*rows, rows[0]] * 2), (MINORITY,) * 4 + (MAJORITY,) * 4)
     a, b = (f for f in range(3) if f != empty)
     folds = np.array([a, b, a, b, 0, 1, 2, empty])
-    per_fold = resample._fold_sources(ds, folds, 2, variant)
+    per_fold = fold_sources(ds, folds, 2, variant)
     assert len(per_fold) == 3
     for f, source in enumerate(per_fold):
         if variant in ("smote_nc", "replicate"):
@@ -908,7 +918,7 @@ def test_fold_sources_search_each_fold_when_the_whole_minority_spreads_too_far()
     ds = ds.with_blocks(cont, ds.codes, ds.minority)
     with pytest.raises(DataError, match="spread too far"):
         synthesis_source(ds, 3, "smote")
-    sources = resample._fold_sources(ds, folds, 3, "smote")
+    sources = fold_sources(ds, folds, 3, "smote")
     for f, source in enumerate(sources):
         if f == folds[far]:
             _assert_fold_source(source, ds.subset(np.flatnonzero(folds != f)), 3, "smote")
